@@ -17,7 +17,6 @@ from .foliation_dgla import (
     DefiningCouple,
     dgla_bracket,
     delta,
-    frobenius_report,
     leafwise_d,
     mc_residual,
     omega_alpha,
@@ -46,7 +45,6 @@ __all__ = [
     "evaluate",
     "evaluate_form",
     "exterior_derivative",
-    "frobenius_report",
     "interior_product",
     "leafwise_d",
     "lie_bracket",

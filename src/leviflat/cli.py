@@ -2,8 +2,9 @@
 deterministic JSON report.
 
 Exit status: 0 when all selected identities pass, 1 on any failing identity,
-2 on configuration errors.  Every flag has an environment-variable override
-with the LEVIFLAT_ prefix (flags win over environment).
+2 on configuration errors, --points below 1 included.  Every flag has an
+environment-variable override with the LEVIFLAT_ prefix (flags win over
+environment).
 """
 
 from __future__ import annotations
@@ -73,8 +74,10 @@ def list_suites(stream=None):
 def run(config):
     """Execute the configured suites; returns (exit_status, report_dict)."""
     try:
+        if config.points < 1:
+            raise ConfigError(f"--points must be at least 1, got {config.points}")
         scenario = resolve(config.scenario)
-    except ScenarioError as exc:
+    except (ConfigError, ScenarioError) as exc:
         return 2, {"schema": SCHEMA_VERSION, "error": str(exc)}
     specs = [
         spec

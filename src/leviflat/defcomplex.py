@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .excalc import DifferentialForm, form_components, scalar_form
+from .excalc import DifferentialForm, add_form_residual, form_components, scalar_form
 from .foliation_dgla import delta, mc_residual
 from .leafcx import (
     XiValuedForm,
@@ -74,19 +74,12 @@ def dfrak(pair, s):
     raise ValueError("the differential is implemented for degrees 0 and 1 only")
 
 
-def _form_zero_residual(form, points, acc):
-    for p in points:
-        vals = form_components(form, p)
-        acc.add(vals, [0.0] * len(vals))
-
-
 def levi_flat_mc_residual_pair(d, s, points):
     """The two Maurer-Cartan residuals of a deformation pair:
     the foliation residual of alpha and the complex-structure residual of S
     computed with the deformed bracket throughout."""
-    acc1 = ResidualAccumulator()
     mc = mc_residual(d.alpha, s.couple, points)
-    _form_zero_residual(mc, points, acc1)
+    acc1 = add_form_residual(ResidualAccumulator(), mc, points)
 
     bk = make_deformed_bracket(s.couple, d.alpha)
     H = h_form(s)
@@ -105,53 +98,26 @@ def levi_flat_mc_residual_pair(d, s, points):
     return acc1, acc2
 
 
-def levi_flat_mc_residuals(d, s, points, suite="", seed=0, tolerance=1e-9):
-    """CheckReport for the coupled Maurer-Cartan system; nonzero residuals
-    are data, not errors."""
-    acc1, acc2 = levi_flat_mc_residual_pair(d, s, points)
-    acc = ResidualAccumulator()
-    acc.samples = acc1.samples + acc2.samples
-    acc.max_abs = max(acc1.max_abs, acc2.max_abs)
-    return acc.report(
-        suite=suite,
-        identity="cor.levi_flat_mc",
-        anchor="delta a + {a,a}/2 = 0 ; dbar^a S + [[S,S]]_a/2 = N^a/4 = -a^{0,1}^H",
-        tolerance=tolerance,
-        seed=seed,
-    )
-
-
-def infinitesimal_residuals(t, s, points, suite="", seed=0, tolerance=1e-7):
+def infinitesimal_residuals(t, s, points):
     """Cocycle conditions for a tangent pair: delta beta = 0 and
     dbar P = -beta^{0,1} ^ H; asserted consistent with the degree-1
     differential."""
     beta, P = t.alpha, t.P
-    acc = ResidualAccumulator()
-    d_beta = delta(beta, s.couple)
-    _form_zero_residual(d_beta, points, acc)
+    acc = add_form_residual(ResidualAccumulator(), delta(beta, s.couple), points)
 
     H = h_form(s)
     lhs = dbar1(s, P)
     rhs = wedge01(s, proj01_scalar(s, beta), H).scaled(-1.0)
-    acc2 = xi_form_residual(s, lhs, rhs, points)
+    acc.merge(xi_form_residual(s, lhs, rhs, points))
 
     image = dfrak(t, s)
     consistency = xi_form_residual(s, image.P, lhs - rhs, points)
     if consistency.max_rel > 1e-12:
         raise AssertionError("degree-1 differential disagrees with the direct cocycle formula")
-
-    acc.samples += acc2.samples
-    acc.max_abs = max(acc.max_abs, acc2.max_abs)
-    return acc.report(
-        suite=suite,
-        identity="thm.tangent.cocycle",
-        anchor="delta beta = 0 ; dbar P = -beta^{0,1} ^ H",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    return acc
 
 
-def gauge_witness_residual(t, t_prime, Y, s, points, suite="", seed=0, tolerance=1e-9):
+def gauge_witness_residual(t, t_prime, Y, s, points):
     """Check beta - beta' = delta(gamma(Y)) and P - P' = -H_Y for a proposed
     witness field Y."""
     gY = s.couple.gamma_of(Y)
@@ -162,66 +128,37 @@ def gauge_witness_residual(t, t_prime, Y, s, points, suite="", seed=0, tolerance
         acc.add(form_components(diff_beta, p), form_components(target, p))
     diff_P = t.P - t_prime.P
     HY = h_form(s, Y)
-    acc2 = xi_form_residual(s, diff_P, -HY, points)
-    acc.samples += acc2.samples
-    acc.max_abs = max(acc.max_abs, acc2.max_abs)
-    return acc.report(
-        suite=suite,
-        identity="thm.moduli.gauge_witness",
-        anchor="beta - beta' = delta i_Y gamma ; P - P' = -H_Y",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    acc.merge(xi_form_residual(s, diff_P, -HY, points))
+    return acc
 
 
-def hY_decomposition_residual(Y, s, points, suite="", seed=0, tolerance=1e-9):
+def hY_decomposition_residual(Y, s, points):
     """Check H_Y = dbar(Y - gamma(Y) X) + gamma(Y) H."""
     gY = s.couple.gamma_of(Y)
     tangential = Y - s.X.scaled(gY)
     lhs = h_form(s, Y)
     rhs = dbar0(s, tangential) + h_form(s).scaled(gY)
-    acc = xi_form_residual(s, lhs, rhs, points)
-    return acc.report(
-        suite=suite,
-        identity="lemma.hY_decomposition",
-        anchor="H_Y = dbar(Y - gamma(Y) X) + gamma(Y) H",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    return xi_form_residual(s, lhs, rhs, points)
 
 
-def dbar_hY_residual(Y, s, points, suite="", seed=0, tolerance=1e-9):
+def dbar_hY_residual(Y, s, points):
     """Check dbar H_Y = (delta gamma(Y))^{0,1} ^ H."""
     gY = s.couple.gamma_of(Y)
     lhs = dbar1(s, h_form(s, Y))
     rhs = wedge01(s, proj01_scalar(s, delta(gY, s.couple)), h_form(s))
-    acc = xi_form_residual(s, lhs, rhs, points)
-    return acc.report(
-        suite=suite,
-        identity="cor.dbar_hY",
-        anchor="dbar H_Y = (delta gamma(Y))^{0,1} ^ H",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    return xi_form_residual(s, lhs, rhs, points)
 
 
-def phiH_residual(beta, phi, s, points, suite="", seed=0, tolerance=1e-9):
+def phiH_residual(beta, phi, s, points):
     """Check (beta + delta phi)^{0,1} ^ H = beta^{0,1} ^ H + dbar(phi H)."""
     H = h_form(s)
     shifted = beta + delta(phi, s.couple)
     lhs = wedge01(s, proj01_scalar(s, shifted), H)
     rhs = wedge01(s, proj01_scalar(s, beta), H) + dbar1(s, H.scaled(phi))
-    acc = xi_form_residual(s, lhs, rhs, points)
-    return acc.report(
-        suite=suite,
-        identity="cor.phiH",
-        anchor="(beta + delta phi)^{0,1} ^ H = beta^{0,1} ^ H + dbar(phi H)",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    return xi_form_residual(s, lhs, rhs, points)
 
 
-def exactness_witness_check(U, s, points, suite="", seed=0, tolerance=1e-9):
+def exactness_witness_check(U, s, points):
     """Check that U witnesses exactness: H = beth(U); additionally rebuilds
     the couple (gamma, X - U) and asserts its associated (0,1)-form
     vanishes."""
@@ -232,16 +169,8 @@ def exactness_witness_check(U, s, points, suite="", seed=0, tolerance=1e-9):
     from .symfield import constant
 
     s_shifted = change_couple(s, constant(s.chart, 0.0), -U)
-    acc2 = xi_form_zero_residual(s_shifted, h_form(s_shifted), points)
-    acc.samples += acc2.samples
-    acc.max_abs = max(acc.max_abs, acc2.max_abs)
-    return acc.report(
-        suite=suite,
-        identity="lemma.exact.witness",
-        anchor="H = beth(U) and H vanishes for the couple (gamma, X - U)",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    acc.merge(xi_form_zero_residual(s_shifted, h_form(s_shifted), points))
+    return acc
 
 
 def tangent_witness_image(Y, s):

@@ -33,10 +33,6 @@ class ZMembershipError(LeviFlatError):
     """Form is not annihilated by the transverse field within tolerance."""
 
 
-class InvalidCoupleError(LeviFlatError):
-    """gamma(X) is far from 1, so (gamma, X) is not a defining couple."""
-
-
 class XiMembershipError(LeviFlatError):
     """Vector field has a transverse component exceeding tolerance."""
 

@@ -376,6 +376,13 @@ def form_components(omega, p, ev=None):
     ]
 
 
+def add_form_residual(acc, omega, points):
+    """Record the components of omega at each point as residuals of omega = 0."""
+    for p in points:
+        acc.add(form_components(omega, p))
+    return acc
+
+
 def invert_matrix(chart, entries, probe=None):
     """Symbolic Gauss-Jordan inverse of a matrix of ScalarFields.
 
@@ -428,14 +435,6 @@ def invert_matrix(chart, entries, probe=None):
             a[r] = [f - factor * g for f, g in zip(a[r], a[col])]
             inv[r] = [f - factor * g for f, g in zip(inv[r], inv[col])]
     return inv
-
-
-def matrix_apply(chart, matrix, vec_fields):
-    """matrix (list of rows of ScalarFields) times a coefficient vector."""
-    return [
-        sum((matrix[r][c] * vec_fields[c] for c in range(len(vec_fields))), _zero(chart))
-        for r in range(len(matrix))
-    ]
 
 
 def matrix_mul(chart, A, B):

@@ -71,24 +71,6 @@ def integrate_flow(Y, t, p, h=DEFAULT_STEP):
     return x, A
 
 
-class FlowMap:
-    """Time-t flow of a generator with a per-point (image, Jacobian) cache."""
-
-    def __init__(self, Y, t, h=DEFAULT_STEP):
-        self.Y = Y
-        self.t = t
-        self.h = h
-        self._cache = {}
-
-    def __call__(self, p):
-        key = tuple(float(c) for c in p)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = integrate_flow(self.Y, self.t, key, self.h)
-            self._cache[key] = hit
-        return hit
-
-
 def pullback_form_numeric(Y, t, omega, p, args, h=DEFAULT_STEP):
     """((Phi_t^Y)* omega)(p; args) = omega(Phi_t(p); DPhi_t args)."""
     q, A = integrate_flow(Y, t, p, h)

@@ -6,23 +6,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidCoupleError, ZMembershipError
+from .errors import ZMembershipError
 from .excalc import (
     DifferentialForm,
     VectorField,
-    evaluate_form,
+    add_form_residual,
     exterior_derivative,
-    form_components,
     interior_product,
     lie_derivative_form,
     scalar_form,
     wedge,
-    zero_form,
 )
 from .report import ResidualAccumulator
 from .symfield import ScalarField
-
-COUPLE_TOLERANCE = 1e-9
 
 
 def _as_form(x):
@@ -33,9 +29,8 @@ def _as_form(x):
 class DefiningCouple:
     """A 1-form gamma and vector field X with ker gamma = xi and gamma(X) = 1.
 
-    The bare constructor performs no validation (negative tests need
-    non-integrable couples); `validated` checks gamma(X) = 1 and the
-    Frobenius conditions at the given sample points.
+    The constructor performs no validation: negative controls need
+    non-integrable couples.
     """
 
     gamma: DifferentialForm
@@ -45,25 +40,8 @@ class DefiningCouple:
     def chart(self):
         return self.gamma.chart
 
-    @classmethod
-    def validated(cls, gamma, X, points, tolerance=COUPLE_TOLERANCE):
-        couple = cls(gamma, X)
-        report = frobenius_report(gamma, X, points, tolerance=tolerance)
-        if not report.passed:
-            raise InvalidCoupleError(
-                f"couple fails Frobenius validation (max_rel={report.max_rel:.3e})"
-            )
-        return couple
-
     def gamma_of(self, V):
         return self.gamma.apply_symbolic([V])
-
-    def normalization_residual(self, points):
-        acc = ResidualAccumulator()
-        gX = self.gamma_of(self.X)
-        for p in points:
-            acc.add(gX(p), 1.0)
-        return acc.max_rel
 
 
 def dgla_bracket(alpha, beta, couple):
@@ -98,11 +76,7 @@ def z_membership_residual(alpha, couple, points):
     if alpha.degree == 0:
         return 0.0
     contracted = interior_product(couple.X, alpha)
-    acc = ResidualAccumulator()
-    for p in points:
-        vals = form_components(contracted, p)
-        acc.add(vals, [0.0] * len(vals))
-    return acc.max_abs
+    return add_form_residual(ResidualAccumulator(), contracted, points).max_abs
 
 
 def mc_residual(alpha, couple, points, membership_tol=1e-8):
@@ -133,35 +107,8 @@ def frobenius_residuals(gamma, X, points):
         d_gamma + wedge(interior_product(X, d_gamma), gamma),
         d_gamma + dgla_bracket(gamma, gamma, couple).scaled(0.5),
     )
-    out = []
-    for form in conds:
-        acc = ResidualAccumulator()
-        for p in points:
-            vals = form_components(form, p)
-            acc.add(vals, [0.0] * len(vals))
-        out.append(acc.max_rel)
-    return tuple(out)
-
-
-def frobenius_report(gamma, X, points, tolerance=COUPLE_TOLERANCE, suite="", seed=0):
-    """CheckReport over conditions (iii)-(v); integrable iff all three pass.
-
-    Raises InvalidCoupleError when gamma(X) is far from 1 at a sample point.
-    """
-    gX = gamma.apply_symbolic([X])
-    for p in points:
-        if abs(gX(p) - 1.0) > 1e-6:
-            raise InvalidCoupleError(f"gamma(X) = {gX(p)!r} at {p}, expected 1")
-    r3, r4, r5 = frobenius_residuals(gamma, X, points)
-    acc = ResidualAccumulator()
-    acc.samples = [r3, r4, r5]
-    acc.max_abs = max(r3, r4, r5)
-    return acc.report(
-        suite=suite,
-        identity="frobenius",
-        anchor="d(gamma)^gamma = 0; d(gamma) = -iota_X d(gamma)^gamma; MC(gamma) = 0",
-        tolerance=tolerance,
-        seed=seed,
+    return tuple(
+        add_form_residual(ResidualAccumulator(), form, points).max_rel for form in conds
     )
 
 

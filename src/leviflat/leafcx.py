@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConjugationSingularError, XiMembershipError, ZMembershipError
 from .excalc import (
+    add_form_residual,
     exterior_derivative,
     interior_product,
     invert_matrix,
@@ -26,7 +27,7 @@ from .excalc import (
     matrix_mul,
     one_form,
 )
-from .foliation_dgla import DefiningCouple, frobenius_residuals, leafwise_d
+from .foliation_dgla import DefiningCouple, frobenius_residuals, leafwise_d, mc_residual
 from .report import ResidualAccumulator
 from .symfield import PointEvaluator, ScalarField, constant, exp_of
 
@@ -256,7 +257,7 @@ class LeviFlatStructure:
         for i, j in self.frame_pairs():
             N = nijenhuis(self, self.frame[i], self.frame[j])
             for p in points:
-                acc.add(N.at(p), [0.0] * self.chart.dim)
+                acc.add(N.at(p))
         out["nijenhuis"] = acc.max_rel
         return out
 
@@ -364,16 +365,6 @@ def proj01_scalar(s, alpha):
     return AntiLinearScalarForm(
         1, {(i,): alpha.apply_symbolic([E]) * 0.5 for i, E in enumerate(s.frame)}
     )
-
-
-def proj02_scalar(s, alpha):
-    """(0,2)-projection of a real 2-form: real part (a(V,W) - a(JV,JW))/4."""
-    re = {}
-    for i, j in s.frame_pairs():
-        a = alpha.apply_symbolic([s.frame[i], s.frame[j]])
-        b = alpha.apply_symbolic([s.J_frame(i), s.J_frame(j)])
-        re[(i, j)] = (a - b) * 0.25
-    return AntiLinearScalarForm(2, re)
 
 
 def proj01_vector(s, beta):
@@ -642,14 +633,6 @@ def xi_form_from_matrix(s, mat):
     )
 
 
-def matrix_from_xi_form(s, form):
-    n = s.n_leaf
-    return [
-        [s.xi_coefficients(form.value((c,)))[r] for c in range(n)]
-        for r in range(n)
-    ]
-
-
 def anticommutator_residual(s, Smat, points):
     """Residual of SJ + JS = 0 at the sample points."""
     n = s.n_leaf
@@ -658,8 +641,7 @@ def anticommutator_residual(s, Smat, points):
     acc = ResidualAccumulator()
     for p in points:
         ev = PointEvaluator(s.chart, p)
-        vals = [ev(SJ[r][c]) + ev(JS[r][c]) for r in range(n) for c in range(n)]
-        acc.add(vals, [0.0] * len(vals))
+        acc.add([ev(SJ[r][c]) + ev(JS[r][c]) for r in range(n) for c in range(n)])
     return acc.max_rel
 
 
@@ -747,53 +729,33 @@ def xi_form_zero_residual(s, A, points):
     for idx in A.values:
         V = A.values[idx]
         for p in points:
-            acc.add(V.at(p), [0.0] * s.chart.dim)
+            acc.add(V.at(p))
     return acc
 
 
-def change_couple_h_residual(s, lam, U, points, suite="", seed=0, tolerance=1e-9):
+def change_couple_h_residual(s, lam, U, points):
     """Check H_{J,ghat,Xhat} = e^-lam H + dbar U - ((iota_X dgamma)^{0,1} - dbar lam) wedge U."""
     s_hat = change_couple(s, lam, U)
     lhs = h_form(s_hat)
     factor = exp_of(-lam)
     mu = ix_dgamma01(s) - dbar_scalar(s, lam)
     rhs = h_form(s).scaled(factor) + dbar0(s, U) - wedge01(s, mu, XiValuedForm(0, {(): U}))
-    acc = xi_form_residual(s, lhs, rhs, points)
-    return acc.report(
-        suite=suite,
-        identity="prop.change_couple",
-        anchor="H(ghat,Xhat) = e^-lam H + dbar U - ((i_X dgamma)^{0,1} - dbar lam) (x) U",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    return xi_form_residual(s, lhs, rhs, points)
 
 
-def beth_conjugation_residual(s, lam, U, P, points, suite="", seed=0, tolerance=1e-9):
+def beth_conjugation_residual(s, lam, U, P, points):
     """Check beth_{ghat,Xhat}(e^-lam P) = e^-lam beth_{g,X}(P)."""
     s_hat = change_couple(s, lam, U)
     factor = exp_of(-lam)
     lhs = beth(s_hat, P.scaled(factor))
     rhs = beth(s, P).scaled(factor)
-    acc = xi_form_residual(s, lhs, rhs, points)
-    return acc.report(
-        suite=suite,
-        identity="prop.iso_cohomology",
-        anchor="beth(ghat,Xhat) e^-lam P = e^-lam beth(g,X) P",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    return xi_form_residual(s, lhs, rhs, points)
 
 
-def n_alpha_residual(s, alpha, points, suite="", seed=0, tolerance=1e-8):
+def n_alpha_residual(s, alpha, points):
     """Check N_J^alpha = -4 alpha^{0,1} wedge H for Maurer-Cartan flat alpha."""
-    from .foliation_dgla import mc_residual
-    from .excalc import form_components
-
     mc = mc_residual(alpha, s.couple, points)
-    acc0 = ResidualAccumulator()
-    for p in points:
-        vals = form_components(mc, p)
-        acc0.add(vals, [0.0] * len(vals))
+    acc0 = add_form_residual(ResidualAccumulator(), mc, points)
     if acc0.max_rel > 1e-8:
         raise ZMembershipError(
             f"alpha is not Maurer-Cartan flat (residual {acc0.max_rel:.3e})"
@@ -810,13 +772,7 @@ def n_alpha_residual(s, alpha, points, suite="", seed=0, tolerance=1e-8):
         for p in points:
             ev = PointEvaluator(s.chart, p)
             acc.add(lhs.at(p, ev), rhs.at(p, ev))
-    return acc.report(
-        suite=suite,
-        identity="cor.n_alpha",
-        anchor="N_J^alpha = -4 alpha^{0,1} ^ H",
-        tolerance=tolerance,
-        seed=seed,
-    )
+    return acc
 
 
 def antilinearity_residual(s, form, points):

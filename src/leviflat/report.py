@@ -30,13 +30,17 @@ def absolute_deviation(lhs, rhs):
 
 
 class ResidualAccumulator:
-    """Collects LHS/RHS pairs and produces a CheckReport."""
+    """Collects the per-sample residuals of LHS/RHS pairs."""
 
     def __init__(self):
         self.samples = []
         self.max_abs = 0.0
 
     def add(self, lhs, rhs=0.0):
+        """Record one sample; a scalar rhs is compared with every component
+        of a sequence lhs."""
+        if hasattr(lhs, "__len__") and not hasattr(rhs, "__len__"):
+            rhs = [rhs] * len(lhs)
         rel = relative_residual(lhs, rhs)
         self.samples.append(rel)
         dev = absolute_deviation(lhs, rhs)
@@ -44,33 +48,19 @@ class ResidualAccumulator:
             self.max_abs = dev
         return rel
 
+    def merge(self, other):
+        """Append another accumulator's samples in order."""
+        self.samples += other.samples
+        self.max_abs = max(self.max_abs, other.max_abs)
+
     @property
     def max_rel(self):
         return max(self.samples, default=0.0)
 
-    def report(self, *, suite, identity, anchor, tolerance, seed, wall_time=0.0):
-        max_rel = float(self.max_rel)
-        return CheckReport(
-            suite=suite,
-            identity=identity,
-            anchor=anchor,
-            samples=[float(v) for v in self.samples],
-            max_abs=float(self.max_abs),
-            max_rel=max_rel,
-            tolerance=float(tolerance),
-            passed=bool(max_rel <= tolerance),
-            seed=int(seed),
-            wall_time=float(wall_time),
-        )
-
 
 @dataclass
 class CheckReport:
-    """Residual statistics for one identity on one scenario.
-
-    wall_time is informational only and never serialized, so reports stay
-    byte-identical across runs with the same configuration.
-    """
+    """Residual statistics for one identity on one scenario."""
 
     suite: str
     identity: str
@@ -81,7 +71,6 @@ class CheckReport:
     tolerance: float = 0.0
     passed: bool = False
     seed: int = 0
-    wall_time: float = 0.0
     error: str = ""
 
     def to_dict(self):
@@ -99,10 +88,3 @@ class CheckReport:
         if self.error:
             out["error"] = self.error
         return out
-
-    def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"[{status}] {self.identity:<28s} {self.suite:<20s} "
-            f"max_rel={self.max_rel:.3e} tol={self.tolerance:.1e}"
-        )

@@ -1,15 +1,15 @@
 """Catalogue of named identity checks.
 
 Each identity has a stable id, a human-readable anchor formula, a default
-tolerance, an applicability predicate over scenarios, and a runner producing
-a CheckReport.  Seeds are derived per (seed, scenario, identity), so reports
+tolerance, an applicability predicate over scenarios, and a runner that fills
+a ResidualAccumulator; run_identity turns the accumulator into the identity's
+CheckReport.  Seeds are derived per (seed, scenario, identity), so reports
 are reproducible and independent of execution order.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,7 @@ from . import leafcx as lc
 from .errors import LeviFlatError
 from .excalc import (
     DifferentialForm,
+    add_form_residual,
     exterior_derivative,
     form_components,
     interior_product,
@@ -28,7 +29,7 @@ from .excalc import (
     lie_derivative_form,
     wedge,
 )
-from .report import ResidualAccumulator
+from .report import CheckReport, ResidualAccumulator
 from .sampling import random_form, random_scalar, random_vector_field, sample_points, stream
 from .symfield import PointEvaluator, ScalarField, constant, Coord, const, add, mul, sin as sin_node, cos as cos_node
 
@@ -130,16 +131,10 @@ def _zero_xi_form(s, degree):
     return lc.XiValuedForm(2, {ij: zero_vector(s.chart) for ij in s.frame_pairs()})
 
 
-def _add_form_residual(acc, form, points):
-    for p in points:
-        vals = form_components(form, p)
-        acc.add(vals, [0.0] * len(vals))
-
-
 def _add_vector_residual(acc, V, W, points, chart):
     for p in points:
         ev = PointEvaluator(chart, p)
-        acc.add(V.at(p, ev), W.at(p, ev) if W is not None else [0.0] * chart.dim)
+        acc.add(V.at(p, ev), W.at(p, ev) if W is not None else 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +171,7 @@ def run_d_squared(scenario, ctx, acc):
         for _ in range(3):
             omega = random_form(chart, k, rng)
             dd = exterior_derivative(exterior_derivative(omega))
-            _add_form_residual(acc, dd, ctx.points)
+            add_form_residual(acc, dd, ctx.points)
 
 
 def run_leibniz_wedge(scenario, ctx, acc):
@@ -274,7 +269,7 @@ def run_delta_squared(scenario, ctx, acc):
         for _ in range(5):
             a = random_form(chart, k, rng)
             dd = fd.delta(fd.delta(a, couple), couple)
-            _add_form_residual(acc, dd, ctx.points)
+            add_form_residual(acc, dd, ctx.points)
 
 
 def run_z_closure(scenario, ctx, acc):
@@ -288,7 +283,7 @@ def run_z_closure(scenario, ctx, acc):
         da = fd.delta(a, couple)
         bracket = fd.dgla_bracket(a, b, couple)
         for form in (interior_product(X, da), interior_product(X, bracket)):
-            _add_form_residual(acc, form, ctx.points)
+            add_form_residual(acc, form, ctx.points)
 
 
 def run_z_reduced_bracket(scenario, ctx, acc):
@@ -345,7 +340,7 @@ def run_mc_oracle(scenario, ctx, acc):
 def run_db_closed(scenario, ctx, acc):
     s = scenario.structure
     form = fd.leafwise_d(lc.ix_dgamma(s), s.couple)
-    _add_form_residual(acc, form, ctx.points)
+    add_form_residual(acc, form, ctx.points)
 
 
 def run_omega_alpha_inverse(scenario, ctx, acc):
@@ -452,7 +447,7 @@ def run_gauge_preserves_mc(scenario, ctx, acc):
     rng = ctx.rng("gauge_mc")
     alpha = mc_flat_alpha(scenario, ctx.points)
     mc = fd.mc_residual(alpha, s.couple, ctx.points)
-    _add_form_residual(acc, mc, ctx.points)
+    add_form_residual(acc, mc, ctx.points)
     for _ in range(3):
         Y = random_vector_field(s.chart, rng, amplitude=0.6)
         V = random_vector_field(s.chart, rng)
@@ -473,9 +468,7 @@ def run_dbar_antilinearity(scenario, ctx, acc):
     for _ in range(4):
         W = random_xi_field(s, rng)
         omega = lc.dbar0(s, W)
-        sub = lc.antilinearity_residual(s, omega, ctx.points)
-        acc.samples += sub.samples
-        acc.max_abs = max(acc.max_abs, sub.max_abs)
+        acc.merge(lc.antilinearity_residual(s, omega, ctx.points))
 
 
 def run_dbar_commutes_J(scenario, ctx, acc):
@@ -569,9 +562,7 @@ def run_dbarH(scenario, ctx, acc):
     H = lc.h_form(s)
     lhs = lc.dbar1(s, H)
     rhs = lc.wedge01(s, lc.ix_dgamma01(s), H)
-    sub = lc.xi_form_residual(s, lhs, rhs, ctx.points)
-    acc.samples += sub.samples
-    acc.max_abs = max(acc.max_abs, sub.max_abs)
+    acc.merge(lc.xi_form_residual(s, lhs, rhs, ctx.points))
 
 
 def run_ixdgamma01_closed(scenario, ctx, acc):
@@ -607,9 +598,7 @@ def run_change_couple(scenario, ctx, acc):
     rng = ctx.rng("change_couple")
     lam = random_scalar(s.chart, rng, amplitude=0.4)
     U = random_xi_field(s, rng, amplitude=0.5)
-    report = lc.change_couple_h_residual(s, lam, U, ctx.points)
-    acc.samples += report.samples
-    acc.max_abs = max(acc.max_abs, report.max_abs)
+    acc.merge(lc.change_couple_h_residual(s, lam, U, ctx.points))
 
 
 def run_iso_cohomology(scenario, ctx, acc):
@@ -622,16 +611,12 @@ def run_iso_cohomology(scenario, ctx, acc):
             P = lc.XiValuedForm(0, {(): random_xi_field(s, rng)})
         else:
             P = lc.XiValuedForm(1, {(i,): random_xi_field(s, rng) for i in range(s.n_leaf)})
-        report = lc.beth_conjugation_residual(s, lam, U, P, ctx.points)
-        acc.samples += report.samples
-        acc.max_abs = max(acc.max_abs, report.max_abs)
+        acc.merge(lc.beth_conjugation_residual(s, lam, U, P, ctx.points))
 
 
 def run_exact_witness(scenario, ctx, acc):
     s = scenario.structure
-    report = dc.exactness_witness_check(scenario.exact_witness, s, ctx.points)
-    acc.samples += report.samples
-    acc.max_abs = max(acc.max_abs, report.max_abs)
+    acc.merge(dc.exactness_witness_check(scenario.exact_witness, s, ctx.points))
 
 
 def run_exact_transport(scenario, ctx, acc):
@@ -644,9 +629,7 @@ def run_exact_transport(scenario, ctx, acc):
     U_prime = random_xi_field(s, rng, amplitude=0.4)
     s_hat = lc.change_couple(s, lam, U_prime)
     witness = scenario.exact_witness.scaled(exp_of(-lam)) + U_prime
-    report = dc.exactness_witness_check(witness, s_hat, ctx.points)
-    acc.samples += report.samples
-    acc.max_abs = max(acc.max_abs, report.max_abs)
+    acc.merge(dc.exactness_witness_check(witness, s_hat, ctx.points))
 
 
 # --------------------------------------------------------------------------
@@ -698,9 +681,7 @@ def run_bracket_alpha_leibniz(scenario, ctx, acc):
 def run_n_alpha(scenario, ctx, acc):
     s = scenario.structure
     alpha = mc_flat_alpha(scenario, ctx.points)
-    report = lc.n_alpha_residual(s, alpha, ctx.points)
-    acc.samples += report.samples
-    acc.max_abs = max(acc.max_abs, report.max_abs)
+    acc.merge(lc.n_alpha_residual(s, alpha, ctx.points))
 
 
 def run_levi_flat_mc(scenario, ctx, acc):
@@ -711,9 +692,8 @@ def run_levi_flat_mc(scenario, ctx, acc):
         Smat = fam.S_matrix_at(t)
         S = lc.xi_form_from_matrix(s, Smat) if Smat is not None else _zero_xi_form(s, 1)
         pair = dc.DeformationPair(alpha, S)
-        a1, a2 = dc.levi_flat_mc_residual_pair(pair, s, ctx.points)
-        acc.samples += a1.samples + a2.samples
-        acc.max_abs = max(acc.max_abs, a1.max_abs, a2.max_abs)
+        for sub in dc.levi_flat_mc_residual_pair(pair, s, ctx.points):
+            acc.merge(sub)
 
 
 def _family_tangent_pair(scenario):
@@ -729,7 +709,7 @@ def run_tangent_eqP1(scenario, ctx, acc):
     """delta(beta) = 0 for the family tangent at the origin."""
     s = scenario.structure
     pair = _family_tangent_pair(scenario)
-    _add_form_residual(acc, fd.delta(pair.alpha, s.couple), ctx.points)
+    add_form_residual(acc, fd.delta(pair.alpha, s.couple), ctx.points)
 
 
 def run_tangent_eqP2(scenario, ctx, acc):
@@ -737,9 +717,7 @@ def run_tangent_eqP2(scenario, ctx, acc):
     full cocycle operator is asserted inside infinitesimal_residuals."""
     s = scenario.structure
     pair = _family_tangent_pair(scenario)
-    report = dc.infinitesimal_residuals(pair, s, ctx.points)
-    acc.samples += report.samples
-    acc.max_abs = max(acc.max_abs, report.max_abs)
+    acc.merge(dc.infinitesimal_residuals(pair, s, ctx.points))
 
 
 def run_dfrak_squared(scenario, ctx, acc):
@@ -752,7 +730,7 @@ def run_dfrak_squared(scenario, ctx, acc):
         P = lc.XiValuedForm(0, {(): random_xi_field(s, rng)})
         pair = dc.CochainPair(scalar_form(f), P)
         dd = dc.dfrak(dc.dfrak(pair, s), s)
-        _add_form_residual(acc, dd.alpha, ctx.points)
+        add_form_residual(acc, dd.alpha, ctx.points)
         for ij in s.frame_pairs():
             _add_vector_residual(acc, dd.P.value(ij), None, ctx.points, s.chart)
 
@@ -784,9 +762,7 @@ def run_gauge_witness(scenario, ctx, acc):
         t = dc.CochainPair(beta, P)
         image = dc.tangent_witness_image(Y, s)
         t_prime = dc.CochainPair(beta - image.alpha, P - image.P)
-        report = dc.gauge_witness_residual(t, t_prime, Y, s, ctx.points)
-        acc.samples += report.samples
-        acc.max_abs = max(acc.max_abs, report.max_abs)
+        acc.merge(dc.gauge_witness_residual(t, t_prime, Y, s, ctx.points))
 
 
 def run_hY_decomposition(scenario, ctx, acc):
@@ -794,9 +770,7 @@ def run_hY_decomposition(scenario, ctx, acc):
     rng = ctx.rng("hY_decomposition")
     for _ in range(4):
         Y = random_vector_field(s.chart, rng)
-        report = dc.hY_decomposition_residual(Y, s, ctx.points)
-        acc.samples += report.samples
-        acc.max_abs = max(acc.max_abs, report.max_abs)
+        acc.merge(dc.hY_decomposition_residual(Y, s, ctx.points))
 
 
 def run_dbar_hY(scenario, ctx, acc):
@@ -804,9 +778,7 @@ def run_dbar_hY(scenario, ctx, acc):
     rng = ctx.rng("dbar_hY")
     for _ in range(3):
         Y = random_vector_field(s.chart, rng)
-        report = dc.dbar_hY_residual(Y, s, ctx.points)
-        acc.samples += report.samples
-        acc.max_abs = max(acc.max_abs, report.max_abs)
+        acc.merge(dc.dbar_hY_residual(Y, s, ctx.points))
 
 
 def run_phiH(scenario, ctx, acc):
@@ -815,9 +787,7 @@ def run_phiH(scenario, ctx, acc):
     for _ in range(3):
         beta = random_z_form(s, 1, rng)
         phi = random_scalar(s.chart, rng)
-        report = dc.phiH_residual(beta, phi, s, ctx.points)
-        acc.samples += report.samples
-        acc.max_abs = max(acc.max_abs, report.max_abs)
+        acc.merge(dc.phiH_residual(beta, phi, s, ctx.points))
 
 
 # --------------------------------------------------------------------------
@@ -1041,29 +1011,29 @@ def select_identities(selector):
 
 def run_identity(spec, scenario, seed, n_points, tolerance=None):
     """Execute one identity on one scenario, never raising: failures inside
-    a runner are recorded as a failing report with the diagnostic."""
+    a runner are recorded as a failing report with the diagnostic.  An
+    identity that recorded no sample does not pass."""
     tol = spec.tolerance if tolerance is None else tolerance
     points = _ctx_points(scenario, seed, spec.identity, n_points)
     ctx = RunContext(
         scenario=scenario, identity=spec.identity, points=points, seed=seed, n_points=n_points
     )
     acc = ResidualAccumulator()
-    started = time.perf_counter()
     error = ""
     try:
         spec.runner(scenario, ctx, acc)
     except (LeviFlatError, np.linalg.LinAlgError, ZeroDivisionError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-    elapsed = time.perf_counter() - started
-    report = acc.report(
+    max_rel = float(acc.max_rel)
+    return CheckReport(
         suite=scenario.name,
         identity=spec.identity,
         anchor=spec.anchor,
-        tolerance=tol,
-        seed=seed,
-        wall_time=elapsed,
+        samples=[float(v) for v in acc.samples],
+        max_abs=float(acc.max_abs),
+        max_rel=max_rel,
+        tolerance=float(tol),
+        passed=bool(acc.samples) and not error and bool(max_rel <= tol),
+        seed=int(seed),
+        error=error,
     )
-    if error:
-        report.passed = False
-        report.error = error
-    return report

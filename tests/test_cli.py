@@ -35,6 +35,18 @@ def test_run_unknown_scenario_is_config_error():
     assert "error" in doc
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_run_rejects_points_below_one(points):
+    status, doc = run(RunConfig(scenario="t3_flat", suite=FAST_SUITE, points=points))
+    assert status == 2
+    assert "--points" in doc["error"]
+
+
+def test_main_rejects_points_below_one(capsys):
+    assert main(["--scenario", "t3_flat", "--points", "0"]) == 2
+    assert "--points must be at least 1" in capsys.readouterr().err
+
+
 def test_run_unknown_suite_is_config_error():
     status, doc = run(RunConfig(scenario="t3_flat", suite="no.such.identity"))
     assert status == 2
@@ -161,3 +173,14 @@ def test_runner_records_singular_evaluation_as_failure():
     report = run_identity(spec, builtin("t3_flat"), 42, 4)
     assert not report.passed
     assert "SingularEvaluationError" in report.error
+
+
+def test_identity_without_samples_does_not_pass():
+    from leviflat.scenarios import builtin
+    from leviflat.suites import IdentitySpec, run_identity
+
+    spec = IdentitySpec("diag.empty", "nothing recorded", 1e-9, lambda sc: True, lambda *args: None)
+    report = run_identity(spec, builtin("t3_flat"), 42, 4)
+    assert report.samples == []
+    assert not report.passed
+    assert report.error == ""

@@ -13,7 +13,6 @@ from leviflat.defcomplex import (
     hY_decomposition_residual,
     infinitesimal_residuals,
     levi_flat_mc_residual_pair,
-    levi_flat_mc_residuals,
     phiH_residual,
     tangent_witness_image,
 )
@@ -112,10 +111,10 @@ def test_tangent_witness_formula_seeded():
 
 
 def test_levi_flat_mc_zero_pair():
-    report = levi_flat_mc_residuals(
-        DeformationPair(zero_form(FLAT.chart, 1), zero_pair(FLAT, 1).P), FLAT, pts(FLAT)
-    )
-    assert report.max_rel <= 1e-14
+    pair = DeformationPair(zero_form(FLAT.chart, 1), zero_pair(FLAT, 1).P)
+    a1, a2 = levi_flat_mc_residual_pair(pair, FLAT, pts(FLAT))
+    assert a1.max_rel <= 1e-14
+    assert a2.max_rel <= 1e-14
 
 
 def test_levi_flat_mc_constant_tilt():
@@ -225,18 +224,16 @@ def test_phiH_cases():
 
 def test_exactness_witness_flat_zero():
     report = exactness_witness_check(zero_vector(FLAT.chart), FLAT, pts(FLAT))
-    assert report.passed
+    assert report.samples and report.max_rel <= 1e-9
 
 
 def test_exactness_witness_shifted():
     y = coordinate(SHIFTED.chart, "y")
     witness = SHIFTED.frame[0].scaled(sin_of(y))
     report = exactness_witness_check(witness, SHIFTED, pts(SHIFTED))
-    assert report.passed
-    assert report.max_rel <= 1e-11
+    assert report.samples and report.max_rel <= 1e-11
 
 
 def test_exactness_wrong_witness_fails():
     report = exactness_witness_check(SHIFTED.frame[1], SHIFTED, pts(SHIFTED))
-    assert not report.passed
     assert report.max_rel > 1e-3

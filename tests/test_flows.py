@@ -14,7 +14,6 @@ from leviflat.excalc import (
     zero_vector,
 )
 from leviflat.flows import (
-    FlowMap,
     gauge_action_numeric,
     gauge_derivative_fd,
     gauge_mc_value,
@@ -77,14 +76,6 @@ def test_flow_parameter_validation():
         integrate_flow(E_X, 1.0, (0, 0, 0), h=0.0)
     with pytest.raises(FlowParameterError):
         integrate_flow(E_X, 2e3, (0, 0, 0), h=1e-3)
-
-
-def test_flow_map_caches():
-    Y = random_vector_field(CHART, stream(83, "cache"))
-    fm = FlowMap(Y, 0.01)
-    q1, A1 = fm((0.1, 0.2, 0.3))
-    q2, A2 = fm((0.1, 0.2, 0.3))
-    assert q1 is q2 and A1 is A2
 
 
 def test_flow_group_law():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from leviflat.errors import InvalidCoupleError, ZMembershipError
+from leviflat.errors import ZMembershipError
 from leviflat.excalc import (
     basis_vector,
     coordinate_differential,
@@ -17,11 +17,9 @@ from leviflat.excalc import (
     wedge,
 )
 from leviflat.foliation_dgla import (
-    DefiningCouple,
     dgla_bracket,
     dgla_bracket_reduced,
     delta,
-    frobenius_report,
     frobenius_residuals,
     leafwise_d,
     mc_oracle_form,
@@ -50,17 +48,6 @@ def flat_couple():
 
 def twisted_couple():
     return builtin("t3_twisted").structure.couple
-
-
-def test_validated_couple_accepts_builtin():
-    c = DefiningCouple.validated(twisted_couple().gamma, twisted_couple().X, pts())
-    assert c.normalization_residual(pts()) <= 1e-12
-
-
-def test_validated_couple_rejects_broken():
-    gamma = DT + DY.scaled(coordinate(CHART, "x"))
-    with pytest.raises(InvalidCoupleError):
-        DefiningCouple.validated(gamma, E_T, pts())
 
 
 def test_bracket_flat_constants_vanish():
@@ -196,15 +183,6 @@ def test_frobenius_broken_fails_condition_iii():
     gamma = DT + DY.scaled(coordinate(CHART, "x"))
     r3, _, _ = frobenius_residuals(gamma, E_T, pts())
     assert r3 > 0.1
-    report = frobenius_report(gamma, E_T, pts())
-    assert not report.passed
-    assert report.samples[0] > 0.1
-
-
-def test_frobenius_rejects_bad_normalization():
-    gamma = DT.scaled(2.0)
-    with pytest.raises(InvalidCoupleError):
-        frobenius_report(gamma, E_T, pts())
 
 
 def test_leafwise_d_scalar_flat():

@@ -51,6 +51,7 @@ from leviflat.leafcx import (
     xi_form_residual,
     xi_form_zero_residual,
 )
+from leviflat.foliation_dgla import DefiningCouple
 from leviflat.sampling import random_scalar, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.suites import random_anticommuting_S, random_xi_field, random_z_form
@@ -104,6 +105,13 @@ def test_check_in_xi_rejects_transverse_field():
 def test_structure_validation_rejects_bad_J():
     bad = FLAT.with_J(((0.0, -1.0), (1.0, 1.0)))
     with pytest.raises(ValueError):
+        bad.validate(pts(FLAT))
+
+
+def test_structure_validation_rejects_bad_normalization():
+    couple = DefiningCouple(FLAT.gamma.scaled(2.0), FLAT.X)
+    bad = FLAT.with_couple(couple, FLAT.coframe)
+    with pytest.raises(ValueError, match="gamma_X"):
         bad.validate(pts(FLAT))
 
 
