@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .excalc import DifferentialForm, add_form_residual, form_components, scalar_form
+import numpy as np
+
+from .excalc import DifferentialForm, add_form_residual, scalar_form
 from .foliation_dgla import delta, mc_residual
 from .leafcx import (
     XiValuedForm,
@@ -90,11 +92,11 @@ def levi_flat_mc_residual_pair(d, s, points):
         lhs = dbarJ_S(s, d.S, V, W, bk) + double_bracket_SS(s, d.S, V, W, bk).scaled(0.5)
         quarter_n = nijenhuis(s, V, W, bk).scaled(0.25)
         rhs = rhs_form.value((i, j))
-        for p in points:
-            ev = PointEvaluator(s.chart, p)
-            lv = lhs.at(p, ev)
-            acc2.add(lv, quarter_n.at(p, ev))
-            acc2.add(lv, rhs.at(p, ev))
+        ev = PointEvaluator(s.chart, points, lhs.components + quarter_n.components + rhs.components)
+        lv = lhs.at(points, ev)
+        # two samples per point, in point order: lhs against N/4, then against rhs
+        both = np.stack([quarter_n.at(points, ev), rhs.at(points, ev)], axis=2)
+        acc2.add(np.repeat(lv, 2, axis=1), both.reshape(len(lv), -1))
     return acc1, acc2
 
 
@@ -121,11 +123,9 @@ def gauge_witness_residual(t, t_prime, Y, s, points):
     """Check beta - beta' = delta(gamma(Y)) and P - P' = -H_Y for a proposed
     witness field Y."""
     gY = s.couple.gamma_of(Y)
-    acc = ResidualAccumulator()
-    diff_beta = t.alpha - t_prime.alpha
-    target = delta(gY, s.couple)
-    for p in points:
-        acc.add(form_components(diff_beta, p), form_components(target, p))
+    acc = add_form_residual(
+        ResidualAccumulator(), t.alpha - t_prime.alpha, points, delta(gY, s.couple)
+    )
     diff_P = t.P - t_prime.P
     HY = h_form(s, Y)
     acc.merge(xi_form_residual(s, diff_P, -HY, points))

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .errors import ChartMismatchError
-from .symfield import PointEvaluator, ScalarField, ZERO, constant
+from .symfield import Const, PointEvaluator, ScalarField, Tape, ZERO, constant
 
 _zero_cache = {}
 
@@ -71,7 +73,7 @@ def _insert_sign(i, idx):
 class VectorField:
     """Vector field as a tuple of ScalarField chart components."""
 
-    __slots__ = ("chart", "components")
+    __slots__ = ("chart", "components", "_tape")
 
     def __init__(self, chart, components):
         comps = tuple(_as_field(chart, c) for c in components)
@@ -79,6 +81,14 @@ class VectorField:
             raise ValueError("component count must equal chart dim")
         self.chart = chart
         self.components = comps
+        self._tape = None
+
+    @property
+    def tape(self):
+        """Tape of the components, compiled on first use and kept."""
+        if self._tape is None:
+            self._tape = Tape(c.node for c in self.components)
+        return self._tape
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
@@ -114,9 +124,11 @@ class VectorField:
         return out
 
     def at(self, p, ev=None):
-        """Numeric components at a point, as a list of floats."""
-        ev = ev or PointEvaluator(self.chart, p)
-        return [ev(c) for c in self.components]
+        """Numeric components at a point (a list of floats), or at an
+        (N, dim) batch of points (a (dim, N) array)."""
+        ev = ev or PointEvaluator(self.chart, p, self.tape)
+        values = [ev(c) for c in self.components]
+        return values if ev.single else np.array(values)
 
     def __repr__(self):
         return f"VectorField({self.components!r})"
@@ -135,7 +147,7 @@ def zero_vector(chart):
 class DifferentialForm:
     """Degree-k form with coefficients on strictly increasing index tuples."""
 
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("chart", "degree", "coeffs", "_tape")
 
     def __init__(self, chart, degree, coeffs=None):
         if degree < 0:
@@ -155,6 +167,14 @@ class DifferentialForm:
             if not f.is_zero:
                 clean[idx] = f
         self.coeffs = clean
+        self._tape = None
+
+    @property
+    def tape(self):
+        """Tape of the coefficients, compiled on first use and kept."""
+        if self._tape is None:
+            self._tape = Tape(f.node for f in self.coeffs.values())
+        return self._tape
 
     def coefficient(self, idx):
         return self.coeffs.get(tuple(idx), _zero(self.chart))
@@ -191,55 +211,43 @@ class DifferentialForm:
         if len(args) != self.degree:
             raise ValueError(f"degree {self.degree} form applied to {len(args)} arguments")
         out = _zero(self.chart)
-        if self.degree == 0:
-            return self.coeffs.get((), out)
         for idx, f in self.coeffs.items():
-            # determinant of the idx-rows of the argument components
-            if self.degree == 1:
-                det = args[0].components[idx[0]]
-            elif self.degree == 2:
-                a, b = idx
-                det = (
-                    args[0].components[a] * args[1].components[b]
-                    - args[0].components[b] * args[1].components[a]
-                )
-            else:
-                det = _zero(self.chart)
-                for perm, sign in _signed_permutations(self.degree):
-                    term = args[0].components[idx[perm[0]]]
-                    for r in range(1, self.degree):
-                        term = term * args[r].components[idx[perm[r]]]
-                    det = det + term if sign > 0 else det - term
-            out = out + f * det
+            out = out + f * minor([arg.components for arg in args], idx)
         return out
 
     def at(self, p, numeric_args, ev=None):
-        """Evaluate at point p on numeric argument vectors (lists of floats)."""
+        """Evaluate at a point, or at an (N, dim) batch, on numeric argument
+        vectors: sequences of components that are floats, or (N,) arrays for
+        a batch."""
         if len(numeric_args) != self.degree:
             raise ValueError(f"degree {self.degree} form applied to {len(numeric_args)} arguments")
-        ev = ev or PointEvaluator(self.chart, p)
-        if self.degree == 0:
-            c = self.coeffs.get(())
-            return ev(c) if c is not None else 0.0
-        total = 0.0
+        ev = ev or PointEvaluator(self.chart, p, self.tape)
+        total = ev.zero
         for idx, f in self.coeffs.items():
-            if self.degree == 1:
-                det = numeric_args[0][idx[0]]
-            elif self.degree == 2:
-                a, b = idx
-                det = numeric_args[0][a] * numeric_args[1][b] - numeric_args[0][b] * numeric_args[1][a]
-            else:
-                det = 0.0
-                for perm, sign in _signed_permutations(self.degree):
-                    term = 1.0
-                    for r in range(self.degree):
-                        term *= numeric_args[r][idx[perm[r]]]
-                    det += sign * term
-            total += ev(f) * det
+            total = total + ev(f) * minor(numeric_args, idx)
         return total
 
     def __repr__(self):
         return f"DifferentialForm(deg={self.degree}, {self.coeffs!r})"
+
+
+def minor(rows, idx):
+    """Determinant of the idx-entries of the argument vectors rows[0..k-1],
+    whose entries are ScalarFields, floats or (N,) arrays."""
+    if not idx:
+        return 1.0
+    if len(idx) == 1:
+        return rows[0][idx[0]]
+    if len(idx) == 2:
+        a, b = idx
+        return rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a]
+    det = None
+    for perm, sign in _signed_permutations(len(idx)):
+        term = rows[0][idx[perm[0]]]
+        for r in range(1, len(idx)):
+            term = term * rows[r][idx[perm[r]]]
+        det = term if det is None else det + term if sign > 0 else det - term
+    return det
 
 
 _perm_cache = {}
@@ -356,30 +364,42 @@ def lie_derivative_form(X, omega):
 
 
 def evaluate_form(omega, p, args):
-    """Multilinear antisymmetric evaluation at p on VectorField arguments."""
-    if len(args) != omega.degree:
-        raise ValueError(f"degree {omega.degree} form applied to {len(args)} arguments")
-    ev = PointEvaluator(omega.chart, p)
+    """Multilinear antisymmetric evaluation at p, or at an (N, dim) batch,
+    on VectorField arguments."""
+    fields = [*omega.coeffs.values(), *(c for arg in args for c in arg.components)]
+    ev = PointEvaluator(omega.chart, p, fields)
     numeric = [arg.at(p, ev) for arg in args]
     return omega.at(p, numeric, ev)
 
 
 def form_components(omega, p, ev=None):
-    """Numeric coefficients of omega at p on all increasing index tuples."""
-    ev = ev or PointEvaluator(omega.chart, p)
-    if omega.degree == 0:
-        c = omega.coeffs.get(())
-        return [ev(c) if c is not None else 0.0]
-    return [
-        ev(omega.coeffs[idx]) if idx in omega.coeffs else 0.0
+    """Numeric coefficients of omega on all increasing index tuples: a list
+    of floats at a point, a (components, N) array at an (N, dim) batch."""
+    ev = ev or PointEvaluator(omega.chart, p, omega.tape)
+    values = [
+        ev(omega.coeffs[idx]) if idx in omega.coeffs else ev.zero
         for idx in combinations(range(omega.chart.dim), omega.degree)
     ]
+    return values if ev.single else np.array(values).reshape(len(values), len(ev.zero))
 
 
-def add_form_residual(acc, omega, points):
-    """Record the components of omega at each point as residuals of omega = 0."""
-    for p in points:
-        acc.add(form_components(omega, p))
+def add_form_residual(acc, omega, points, rhs=None):
+    """Record omega = rhs (default 0) at the points, one sample per point."""
+    fields = [*omega.coeffs.values(), *(() if rhs is None else rhs.coeffs.values())]
+    ev = PointEvaluator(omega.chart, points, fields)
+    target = 0.0 if rhs is None else form_components(rhs, points, ev)
+    acc.add(form_components(omega, points, ev), target)
+    return acc
+
+
+def add_vector_residual(acc, pairs, points):
+    """Record V = W (W None for 0) at the points for each (V, W) pair in
+    turn, one sample per point; all pairs are evaluated through one tape."""
+    pairs = list(pairs)
+    fields = [c for V, W in pairs for c in V.components + (() if W is None else W.components)]
+    ev = PointEvaluator(pairs[0][0].chart, points, fields)
+    for V, W in pairs:
+        acc.add(V.at(points, ev), 0.0 if W is None else W.at(points, ev))
     return acc
 
 
@@ -395,8 +415,6 @@ def invert_matrix(chart, entries, probe=None):
     n = len(entries)
     a = [[_as_field(chart, entries[r][c]) for c in range(n)] for r in range(n)]
     inv = [[constant(chart, 1.0 if r == c else 0.0) for c in range(n)] for r in range(n)]
-    from .symfield import Const, PointEvaluator
-
     ev = PointEvaluator(chart, probe) if probe is not None else None
     for col in range(n):
         pivot_row = None
@@ -443,7 +461,3 @@ def matrix_mul(chart, A, B):
         [sum((A[r][t] * B[t][c] for t in range(k)), _zero(chart)) for c in range(m)]
         for r in range(n)
     ]
-
-
-def matrix_eval(matrix, ev):
-    return [[ev(f) for f in row] for row in matrix]

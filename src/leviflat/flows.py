@@ -20,22 +20,40 @@ import numpy as np
 
 from .errors import ConjugationSingularError, FlowParameterError, GaugeDomainError
 from .excalc import exterior_derivative, wedge
-from .symfield import PointEvaluator
+from .symfield import PointEvaluator, Tape, first_flagged
 
 DEFAULT_STEP = 1e-3
 FD_OFFSET = 1e-3
 GAUGE_GUARD = 1e-6
 
 
-def _jacobian_fields(Y):
-    return [[c.diff(j) for j in range(Y.chart.dim)] for c in Y.components]
+def _batch(p):
+    """(N, dim) copy of a batch of points, and whether p was one point."""
+    pts = np.array(p, dtype=float)
+    return pts.reshape(-1, pts.shape[-1]), pts.ndim == 1
+
+
+def _unbatch(value, single):
+    return value[0] if single else value
+
+
+def matvec(M, v):
+    """Stacked matrix-vector products: (N, m, k) with (N, k) -> (N, m)."""
+    return (M @ np.ascontiguousarray(v)[..., None])[..., 0]
+
+
+def _columns(V, points, ev):
+    """Components of a VectorField at a batch, as an (N, dim) array."""
+    return np.ascontiguousarray(V.at(points, ev).T)
 
 
 def integrate_flow(Y, t, p, h=DEFAULT_STEP):
     """Integrate dp/ds = Y(p), dA/ds = DY(p) A from (p, I) for time t.
 
-    Returns (point, Jacobian) as numpy arrays; classical RK4, global error
-    O(h^4).
+    p is one point or an (N, dim) batch, integrated together.  Returns
+    (point, Jacobian) as numpy arrays, of shapes (dim,) and (dim, dim) for
+    one point and (N, dim) and (N, dim, dim) for a batch; classical RK4,
+    global error O(h^4).
     """
     if h <= 0:
         raise FlowParameterError(f"step must be positive, got {h!r}")
@@ -43,17 +61,18 @@ def integrate_flow(Y, t, p, h=DEFAULT_STEP):
         raise FlowParameterError(f"|t|/h = {abs(t) / h:.3e} exceeds 1e6")
     chart = Y.chart
     dim = chart.dim
-    x = np.array([float(c) for c in p])
-    A = np.eye(dim)
+    x, single = _batch(p)
+    A = np.tile(np.eye(dim), (len(x), 1, 1))
     if t == 0.0:
-        return x, A
-    jac = _jacobian_fields(Y)
+        return _unbatch(x, single), _unbatch(A, single)
+    jac = [[c.diff(j) for j in range(dim)] for c in Y.components]
+    tape = Tape([f.node for f in Y.components + tuple(f for row in jac for f in row)])
 
     def field(xv):
-        ev = PointEvaluator(chart, tuple(xv))
+        ev = PointEvaluator(chart, xv, tape)
         f = np.array([ev(c) for c in Y.components])
         J = np.array([[ev(jac[i][j]) for j in range(dim)] for i in range(dim)])
-        return f, J
+        return np.ascontiguousarray(f.T), np.ascontiguousarray(J.transpose(2, 0, 1))
 
     steps = max(1, math.ceil(abs(t) / h))
     ds = t / steps
@@ -68,37 +87,63 @@ def integrate_flow(Y, t, p, h=DEFAULT_STEP):
         K4 = J4 @ (A + ds * K3)
         x = x + (ds / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         A = A + (ds / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    return x, A
+    return _unbatch(x, single), _unbatch(A, single)
 
 
 def pullback_form_numeric(Y, t, omega, p, args, h=DEFAULT_STEP):
-    """((Phi_t^Y)* omega)(p; args) = omega(Phi_t(p); DPhi_t args)."""
-    q, A = integrate_flow(Y, t, p, h)
-    ev_p = PointEvaluator(omega.chart, p)
-    numeric = [A @ np.array(arg.at(p, ev_p)) for arg in args]
-    return omega.at(tuple(q), [list(v) for v in numeric])
+    """((Phi_t^Y)* omega)(p; args) = omega(Phi_t(p); DPhi_t args), at one
+    point or an (N, dim) batch."""
+    pts, single = _batch(p)
+    q, A = integrate_flow(Y, t, pts, h)
+    ev_p = PointEvaluator(omega.chart, pts, [c for arg in args for c in arg.components])
+    numeric = [matvec(A, _columns(arg, pts, ev_p)).T for arg in args]
+    return _unbatch(omega.at(q, numeric), single)
+
+
+class _Pullback:
+    """The inverse flow of Y over time t from a batch of points, with what
+    every gauge function needs there: the images q and Jacobians B,
+    evaluators at the points and at the images (primed with beta, gamma, X
+    and the given fields), X at the points and the normalization
+    beta_q(B X_p), checked against GAUGE_GUARD."""
+
+    def __init__(self, Y, t, couple, beta, pts, h, fields=()):
+        gamma = couple.gamma
+        coeffs = [*beta.coeffs.values(), *gamma.coeffs.values(), *fields]
+        self.couple, self.beta, self.pts = couple, beta, pts
+        self.q, self.B = integrate_flow(Y, -t, pts, h)
+        self.ev_p = PointEvaluator(gamma.chart, pts, [*couple.X.components, *coeffs])
+        self.ev_q = PointEvaluator(gamma.chart, self.q, coeffs)
+        self.Xp = _columns(couple.X, pts, self.ev_p)
+        self.den = self.pushed(beta, self.Xp)
+        k = first_flagged(np.abs(self.den) < GAUGE_GUARD)
+        if k is not None:
+            den = float(self.den[k])
+            raise GaugeDomainError(f"pullback normalization {den!r} below {GAUGE_GUARD}")
+
+    def pushed(self, form, *vectors):
+        """form at the images on B applied to (N, dim) vector arrays."""
+        return form.at(self.q, [matvec(self.B, v).T for v in vectors], self.ev_q)
+
+    def chi(self, v):
+        """chi(Phi)(beta - gamma) on (N, dim) vector arrays."""
+        pulled = self.pushed(self.beta, v) / self.den
+        return pulled - self.couple.gamma.at(self.pts, [v.T], self.ev_p)
 
 
 def gauge_action_numeric(Y, t, alpha, couple, p, arg, h=DEFAULT_STEP):
-    """chi(Phi_t^Y)(alpha) evaluated at (p, arg).
+    """chi(Phi_t^Y)(alpha) evaluated at (p, arg), p one point or a batch.
 
     chi(Phi)(alpha) = (Phi* (gamma+alpha)(X))^{-1} Phi*(gamma+alpha) - gamma
     with the pullback taken along the inverse flow.
     """
     beta = couple.gamma if alpha is None or alpha.is_zero else couple.gamma + alpha
-    q, B = integrate_flow(Y, -t, p, h)
-    ev_p = PointEvaluator(beta.chart, p)
-    ev_q = PointEvaluator(beta.chart, tuple(q))
-    Xp = np.array(couple.X.at(p, ev_p))
-    den = beta.at(tuple(q), [list(B @ Xp)], ev_q)
-    if abs(den) < GAUGE_GUARD:
-        raise GaugeDomainError(f"pullback normalization {den!r} below {GAUGE_GUARD}")
-    v = np.array(arg.at(p, ev_p))
-    pulled = beta.at(tuple(q), [list(B @ v)], ev_q)
-    return pulled / den - couple.gamma.at(p, [list(v)], ev_p)
+    pts, single = _batch(p)
+    pull = _Pullback(Y, t, couple, beta, pts, h, arg.components)
+    return _unbatch(pull.chi(_columns(arg, pts, pull.ev_p)), single)
 
 
-def _richardson(values_at, tau):
+def richardson(values_at, tau):
     """One Richardson level over central differences at tau and tau/2.
 
     values_at maps a time offset to a float or numpy array.
@@ -109,7 +154,8 @@ def _richardson(values_at, tau):
 
 
 def gauge_derivative_fd(Y, couple, p, arg, h=DEFAULT_STEP, tau=FD_OFFSET):
-    """Richardson central difference of t -> chi(Phi_t^Y)(0) at t = 0.
+    """Richardson central difference of t -> chi(Phi_t^Y)(0) at t = 0, at
+    one point or an (N, dim) batch.
 
     Contract: equals -delta(iota_Y gamma) evaluated at (p, arg).
     """
@@ -117,86 +163,66 @@ def gauge_derivative_fd(Y, couple, p, arg, h=DEFAULT_STEP, tau=FD_OFFSET):
     def value(t):
         return gauge_action_numeric(Y, t, None, couple, p, arg, h)
 
-    return _richardson(value, tau)
+    return richardson(value, tau)
 
 
-def _chi_numeric(Y, t, couple, p, h):
-    """Numeric chi(Phi_t^Y)(0) at p, as a function of numeric vectors, plus
-    shared point data (q, B, evaluators)."""
-    chart = couple.gamma.chart
-    q, B = integrate_flow(Y, -t, p, h)
-    ev_p = PointEvaluator(chart, p)
-    ev_q = PointEvaluator(chart, tuple(q))
-    Xp = np.array(couple.X.at(p, ev_p))
-    den = couple.gamma.at(tuple(q), [list(B @ Xp)], ev_q)
-    if abs(den) < GAUGE_GUARD:
-        raise GaugeDomainError(f"pullback normalization {den!r} below {GAUGE_GUARD}")
-
-    def chi(v):
-        pulled = couple.gamma.at(tuple(q), [list(B @ v)], ev_q)
-        return pulled / den - couple.gamma.at(p, [list(v)], ev_p)
-
-    return chi, q, B, ev_p, ev_q, Xp
+def _frame_matrices(s, ev, points):
+    """The (frame | X) basis matrices and the J-matrices of the structure at
+    a batch, each laid out per point as at one point."""
+    J = [[ev(f) if hasattr(f, "node") else ev.zero + float(f) for f in row] for row in s.Jmat]
+    return s.basis_matrix_at(points, ev), np.ascontiguousarray(np.transpose(J, (2, 0, 1)))
 
 
-def _conjugated_S_matrix(Y, t, s, p, h):
-    """S_{chi(Phi_t^Y)(0)} at p as a numeric frame matrix."""
+def _conjugated_S_matrix(Y, t, s, pts, h):
+    """S_{chi(Phi_t^Y)(0)} on a batch, as (N, n, n) numeric frame matrices."""
     n = s.n_leaf
-    ev_p = PointEvaluator(s.chart, p)
-    Mp = s.basis_matrix_at(p, ev_p)
-    Jp = np.array([[ev_p(f) if hasattr(f, "node") else float(f) for f in row] for row in s.Jmat])
     if t == 0.0:
-        return np.zeros((n, n))
-    chi, q, B, _, ev_q, Xp = _chi_numeric(Y, t, s.couple, p, h)
-    Mq = s.basis_matrix_at(tuple(q), ev_q)
-    Jq = np.array([[ev_q(f) if hasattr(f, "node") else float(f) for f in row] for row in s.Jmat])
+        return np.zeros((len(pts), n, n))
+    fields = [c for V in (*s.frame, s.X) for c in V.components]
+    fields += [f for row in s.Jmat for f in row if hasattr(f, "node")]
+    pull = _Pullback(Y, t, s.couple, s.gamma, pts, h, fields)
+    Mp, Jp = _frame_matrices(s, pull.ev_p, pts)
+    Mq, Jq = _frame_matrices(s, pull.ev_q, pull.q)
+    Xp, B = pull.Xp, pull.B
     cols = []
     for i in range(n):
-        e = np.array(s.frame[i].at(p, ev_p))
-        w = e - chi(e) * Xp
-        u = B @ w
-        c = np.linalg.solve(Mq, u)
-        Ju = Mq[:, :n] @ (Jq @ c[:n])
-        z = np.linalg.solve(B, Ju)
-        v2 = z + chi(z) * Xp
-        cols.append(np.linalg.solve(Mp, v2)[:n])
-    Jtilde = np.array(cols).T
+        e = _columns(s.frame[i], pts, pull.ev_p)
+        u = matvec(B, e - pull.chi(e)[:, None] * Xp)
+        c = np.linalg.solve(Mq, u[..., None])[..., 0]
+        z = np.linalg.solve(B, matvec(Mq[:, :, :n], matvec(Jq, c[:, :n]))[..., None])[..., 0]
+        v2 = z + pull.chi(z)[:, None] * Xp
+        cols.append(np.linalg.solve(Mp, v2[..., None])[:, :n, 0])
+    # Jtilde has the columns cols[i]; each point's matrix is laid out as a
+    # transpose, as at one point, since the products below round by layout
+    Jtilde = np.ascontiguousarray(np.transpose(cols, (1, 0, 2))).transpose(0, 2, 1)
     total = Jp + Jtilde
-    if abs(np.linalg.det(total)) < 1e-6:
+    if (np.abs(np.linalg.det(total)) < 1e-6).any():
         raise ConjugationSingularError(f"det(J + Jtilde) too small at t={t!r}")
     return (Jp - Jtilde) @ np.linalg.inv(total)
 
 
 def s_gauge_fd(Y, s, p, frame_index, h=DEFAULT_STEP, tau=FD_OFFSET):
     """Richardson central difference of t -> S_{chi(Phi_t^Y)(0)} at t = 0,
-    applied to the frame vector; returned in chart components.
+    applied to the frame vector; returned in chart components, at one point
+    or an (N, dim) batch.
 
     Contract: equals -H_Y(E_frame_index) at p.
     """
-
-    def value(t):
-        return _conjugated_S_matrix(Y, t, s, p, h)
-
-    Sdot = _richardson(value, tau)
-    ev_p = PointEvaluator(s.chart, p)
-    Mp = s.basis_matrix_at(p, ev_p)
-    return Mp[:, : s.n_leaf] @ Sdot[:, frame_index]
+    pts, single = _batch(p)
+    Sdot = richardson(lambda t: _conjugated_S_matrix(Y, t, s, pts, h), tau)
+    Mp = s.basis_matrix_at(pts)
+    return _unbatch(matvec(Mp[:, :, : s.n_leaf], Sdot[:, :, frame_index]), single)
 
 
 def gauge_mc_value(Y, t, alpha, couple, p, V, W, h=DEFAULT_STEP):
-    """Maurer-Cartan 2-form of chi(Phi_t^Y)(alpha) at (p; V, W), through the
-    exact identity MC(chi(alpha)) = iota_X (f^2 Phi* (d(gamma+alpha) ^
-    (gamma+alpha))) with f the pullback normalization.  Avoids finite
-    differencing the transported form."""
+    """Maurer-Cartan 2-form of chi(Phi_t^Y)(alpha) at (p; V, W), p one point
+    or a batch, through the exact identity MC(chi(alpha)) = iota_X (f^2 Phi*
+    (d(gamma+alpha) ^ (gamma+alpha))) with f the pullback normalization.
+    Avoids finite differencing the transported form."""
     beta = couple.gamma if alpha is None or alpha.is_zero else couple.gamma + alpha
     three_form = wedge(exterior_derivative(beta), beta)
-    chart = beta.chart
-    q, B = integrate_flow(Y, -t, p, h)
-    ev_p = PointEvaluator(chart, p)
-    ev_q = PointEvaluator(chart, tuple(q))
-    Xp = np.array(couple.X.at(p, ev_p))
-    den = beta.at(tuple(q), [list(B @ Xp)], ev_q)
-    if abs(den) < GAUGE_GUARD:
-        raise GaugeDomainError(f"pullback normalization {den!r} below {GAUGE_GUARD}")
-    args = [list(B @ Xp), list(B @ np.array(V.at(p, ev_p))), list(B @ np.array(W.at(p, ev_p)))]
-    return three_form.at(tuple(q), args, ev_q) / (den * den)
+    pts, single = _batch(p)
+    fields = [*V.components, *W.components, *three_form.coeffs.values()]
+    pull = _Pullback(Y, t, couple, beta, pts, h, fields)
+    vectors = (pull.Xp, _columns(V, pts, pull.ev_p), _columns(W, pts, pull.ev_p))
+    return _unbatch(pull.pushed(three_form, *vectors) / (pull.den * pull.den), single)

@@ -20,16 +20,18 @@ import numpy as np
 from .errors import ConjugationSingularError, XiMembershipError, ZMembershipError
 from .excalc import (
     add_form_residual,
+    add_vector_residual,
     exterior_derivative,
     interior_product,
     invert_matrix,
     lie_bracket,
     matrix_mul,
+    minor,
     one_form,
 )
 from .foliation_dgla import DefiningCouple, frobenius_residuals, leafwise_d, mc_residual
 from .report import ResidualAccumulator
-from .symfield import PointEvaluator, ScalarField, constant, exp_of
+from .symfield import PointEvaluator, ScalarField, constant, exp_of, first_flagged
 
 DET_GUARD = 1e-6
 
@@ -187,9 +189,6 @@ class LeviFlatStructure:
             for r in range(n)
         ]
 
-    def apply_matrix(self, mat, V):
-        return self.from_xi_coefficients(self.apply_matrix_coeffs(mat, self.xi_coefficients(V)))
-
     def J_frame(self, i):
         """J E_i, assembled directly from the J-matrix column."""
         return self.from_xi_coefficients([self.Jmat[r][i] for r in range(self.n_leaf)])
@@ -198,67 +197,57 @@ class LeviFlatStructure:
         return list(combinations(range(self.n_leaf), 2))
 
     def check_in_xi(self, V, points, tolerance=1e-6):
-        gV = self.couple.gamma_of(V)
-        for p in points:
-            v = gV(p)
-            if abs(v) > tolerance:
-                raise XiMembershipError(f"gamma(V) = {v!r} at {p}")
+        values = self.couple.gamma_of(V)(points)
+        k = first_flagged(np.abs(values) > tolerance)
+        if k is not None:
+            raise XiMembershipError(f"gamma(V) = {float(values[k])!r} at {points[k]}")
 
     def basis_matrix_at(self, p, ev=None):
-        """Numeric (frame | X) matrix at a point, columns = basis vectors."""
-        ev = ev or PointEvaluator(self.chart, p)
-        cols = [V.at(p, ev) for V in self.frame] + [self.X.at(p, ev)]
-        return np.array(cols).T
+        """Numeric (frame | X) matrix at a point, columns = basis vectors;
+        at an (N, dim) batch, an (N, dim, dim) stack of such matrices, each
+        laid out in memory as the transpose it is at one point: BLAS rounds
+        products differently on the other layout."""
+        basis = self.frame + (self.X,)
+        ev = ev or PointEvaluator(self.chart, p, [c for V in basis for c in V.components])
+        cols = np.array([V.at(p, ev) for V in basis])
+        if ev.single:
+            return cols.T
+        return np.ascontiguousarray(cols.transpose(2, 0, 1)).transpose(0, 2, 1)
 
     def invariants(self, points):
         """Construction-time residuals, keyed by name."""
         out = {}
-        acc = ResidualAccumulator()
-        for E in self.frame:
-            gE = self.couple.gamma_of(E)
-            for p in points:
-                acc.add(gE(p), 0.0)
-        out["gamma_frame"] = acc.max_rel
+        gE = [self.couple.gamma_of(E)(points) for E in self.frame]
+        out["gamma_frame"] = ResidualAccumulator().add(gE).max_rel
 
         acc = ResidualAccumulator()
         for i, eta in enumerate(self.coframe):
             for j, E in enumerate(self.frame):
-                f = eta.apply_symbolic([E])
-                for p in points:
-                    acc.add(f(p), 1.0 if i == j else 0.0)
-            fX = eta.apply_symbolic([self.X])
-            for p in points:
-                acc.add(fX(p), 0.0)
+                acc.add([eta.apply_symbolic([E])(points)], 1.0 if i == j else 0.0)
+            acc.add([eta.apply_symbolic([self.X])(points)], 0.0)
         out["coframe_duality"] = acc.max_rel
 
-        acc = ResidualAccumulator()
-        gX = self.couple.gamma_of(self.X)
-        for p in points:
-            acc.add(gX(p), 1.0)
-        out["gamma_X"] = acc.max_rel
+        gX = [self.couple.gamma_of(self.X)(points)]
+        out["gamma_X"] = ResidualAccumulator().add(gX, 1.0).max_rel
 
         n = self.n_leaf
-        jj = matrix_mul(self.chart, [list(r) for r in self.Jmat], [list(r) for r in self.Jmat])
-        acc = ResidualAccumulator()
-        for p in points:
-            ev = PointEvaluator(self.chart, p)
-            for r in range(n):
-                for c in range(n):
-                    acc.add(ev(jj[r][c]), -1.0 if r == c else 0.0)
-        out["J_squared"] = acc.max_rel
+        jj = [f for row in matrix_mul(self.chart, self.Jmat, self.Jmat) for f in row]
+        ev = PointEvaluator(self.chart, points, jj)
+        # one sample per entry, point-major: (point, row, column)
+        values = [np.array([ev(f) for f in jj]).T.ravel()]
+        target = [np.tile(-np.eye(n).ravel(), len(points))]
+        out["J_squared"] = ResidualAccumulator().add(values, target).max_rel
 
-        out["frame_determinant"] = min(
-            abs(np.linalg.det(self.basis_matrix_at(p))) for p in points
+        out["frame_determinant"] = float(
+            np.abs(np.linalg.det(self.basis_matrix_at(points))).min()
         )
 
         out["frobenius_iii"] = frobenius_residuals(self.gamma, self.X, points)[0]
 
-        acc = ResidualAccumulator()
-        for i, j in self.frame_pairs():
-            N = nijenhuis(self, self.frame[i], self.frame[j])
-            for p in points:
-                acc.add(N.at(p))
-        out["nijenhuis"] = acc.max_rel
+        pairs = [
+            (nijenhuis(self, self.frame[i], self.frame[j]), None) for i, j in self.frame_pairs()
+        ]
+        out["nijenhuis"] = add_vector_residual(ResidualAccumulator(), pairs, points).max_rel
         return out
 
     def validate(self, points, tolerance=1e-9):
@@ -303,26 +292,22 @@ def dbar0(s, W, bracket=None):
     )
 
 
+def _expand(s, degree, args, term):
+    """Multilinear expansion on frame tuples: the sum of term(idx, det) over
+    increasing idx, det the idx-minor of the args' frame coefficients."""
+    if degree > 2:
+        raise ValueError(f"unsupported degree {degree}")
+    rows = [s.xi_coefficients(arg) for arg in args]
+    out = None
+    for idx in combinations(range(s.n_leaf), degree):
+        value = term(idx, minor(rows, idx))
+        out = value if out is None else out + value
+    return out
+
+
 def xi_form_apply(s, form, args):
     """Multilinear evaluation of a XiValuedForm on symbolic xi-arguments."""
-    if form.degree == 0:
-        return form.value(())
-    if form.degree == 1:
-        coeffs = s.xi_coefficients(args[0])
-        out = form.value((0,)).scaled(coeffs[0])
-        for i in range(1, s.n_leaf):
-            out = out + form.value((i,)).scaled(coeffs[i])
-        return out
-    if form.degree == 2:
-        c1 = s.xi_coefficients(args[0])
-        c2 = s.xi_coefficients(args[1])
-        out = None
-        for i, j in s.frame_pairs():
-            det = c1[i] * c2[j] - c1[j] * c2[i]
-            term = form.value((i, j)).scaled(det)
-            out = term if out is None else out + term
-        return out
-    raise ValueError(f"unsupported degree {form.degree}")
+    return _expand(s, form.degree, args, lambda idx, det: form.value(idx).scaled(det))
 
 
 def dbar1(s, omega):
@@ -378,22 +363,9 @@ def proj01_vector(s, beta):
 
 def scalar01_re_apply(s, A, args):
     """Real part of a scalar (0,q)-form at symbolic xi-arguments."""
-    if A.degree == 1:
-        coeffs = s.xi_coefficients(args[0])
-        out = A.re[(0,)] * coeffs[0]
-        for i in range(1, s.n_leaf):
-            out = out + A.re[(i,)] * coeffs[i]
-        return out
-    if A.degree == 2:
-        c1 = s.xi_coefficients(args[0])
-        c2 = s.xi_coefficients(args[1])
-        out = None
-        for i, j in s.frame_pairs():
-            det = c1[i] * c2[j] - c1[j] * c2[i]
-            term = A.re[(i, j)] * det
-            out = term if out is None else out + term
-        return out
-    raise ValueError(f"unsupported degree {A.degree}")
+    if A.degree not in (1, 2):
+        raise ValueError(f"unsupported degree {A.degree}")
+    return _expand(s, A.degree, args, lambda idx, det: A.re[idx] * det)
 
 
 def _re_at_J_first(s, A, i, rest=()):
@@ -601,11 +573,12 @@ def s_from_structures(s, Jtilde, points):
     J = [[_coerce_field(s.chart, f) for f in row] for row in s.Jmat]
     Jt = [[_coerce_field(s.chart, f) for f in row] for row in Jtilde]
     total = [[J[r][c] + Jt[r][c] for c in range(n)] for r in range(n)]
-    for p in points:
-        ev = PointEvaluator(s.chart, p)
-        det = np.linalg.det(np.array([[ev(f) for f in row] for row in total]))
-        if abs(det) < DET_GUARD:
-            raise ConjugationSingularError(f"det(J + Jtilde) = {det!r} at {p}")
+    entries = [f for row in total for f in row]
+    ev = PointEvaluator(s.chart, points, entries)
+    det = np.linalg.det(np.array([ev(f) for f in entries]).T.reshape(-1, n, n))
+    k = first_flagged(np.abs(det) < DET_GUARD)
+    if k is not None:
+        raise ConjugationSingularError(f"det(J + Jtilde) = {float(det[k])!r} at {points[k]}")
     diff = [[J[r][c] - Jt[r][c] for c in range(n)] for r in range(n)]
     inv = invert_matrix(s.chart, total, probe=points[0])
     return matrix_mul(s.chart, inv, diff)
@@ -638,11 +611,9 @@ def anticommutator_residual(s, Smat, points):
     n = s.n_leaf
     SJ = matrix_mul(s.chart, Smat, [list(r) for r in s.Jmat])
     JS = matrix_mul(s.chart, [list(r) for r in s.Jmat], Smat)
-    acc = ResidualAccumulator()
-    for p in points:
-        ev = PointEvaluator(s.chart, p)
-        acc.add([ev(SJ[r][c]) + ev(JS[r][c]) for r in range(n) for c in range(n)])
-    return acc.max_rel
+    entries = [(SJ[r][c], JS[r][c]) for r in range(n) for c in range(n)]
+    ev = PointEvaluator(s.chart, points, [f for pair in entries for f in pair])
+    return ResidualAccumulator().add([ev(a) + ev(b) for a, b in entries]).max_rel
 
 
 def dbarJ_S(s, S, V, W, bracket=None):
@@ -714,23 +685,13 @@ def change_couple(s, lam, U):
 
 
 def xi_form_residual(s, A, B, points):
-    """Componentwise residual between two xi-valued forms on frame tuples."""
-    acc = ResidualAccumulator()
-    for idx in A.values:
-        VA, VB = A.values[idx], B.values[idx]
-        for p in points:
-            ev = PointEvaluator(s.chart, p)
-            acc.add(VA.at(p, ev), VB.at(p, ev))
-    return acc
+    """Componentwise residual of A = B (B None for 0) on frame tuples."""
+    pairs = [(V, None if B is None else B.values[idx]) for idx, V in A.values.items()]
+    return add_vector_residual(ResidualAccumulator(), pairs, points)
 
 
 def xi_form_zero_residual(s, A, points):
-    acc = ResidualAccumulator()
-    for idx in A.values:
-        V = A.values[idx]
-        for p in points:
-            acc.add(V.at(p))
-    return acc
+    return xi_form_residual(s, A, None, points)
 
 
 def change_couple_h_residual(s, lam, U, points):
@@ -765,33 +726,25 @@ def n_alpha_residual(s, alpha, points):
     H = h_form(s)
     a01 = proj01_scalar(s, alpha)
     rhs_form = wedge01(s, a01, H).scaled(-4.0)
-    acc = ResidualAccumulator()
-    for i, j in s.frame_pairs():
-        lhs = nijenhuis(s, s.frame[i], s.frame[j], bk)
-        rhs = rhs_form.value((i, j))
-        for p in points:
-            ev = PointEvaluator(s.chart, p)
-            acc.add(lhs.at(p, ev), rhs.at(p, ev))
-    return acc
+    pairs = [
+        (nijenhuis(s, s.frame[i], s.frame[j], bk), rhs_form.value((i, j)))
+        for i, j in s.frame_pairs()
+    ]
+    return add_vector_residual(ResidualAccumulator(), pairs, points)
 
 
 def antilinearity_residual(s, form, points):
     """(0,p)-property: value at (J V, ...) equals -J (value at (V, ...))."""
-    acc = ResidualAccumulator()
     if form.degree == 1:
-        for i in range(s.n_leaf):
-            lhs = xi_form_apply(s, form, [s.J_frame(i)])
-            rhs = -s.apply_J(form.value((i,)))
-            for p in points:
-                ev = PointEvaluator(s.chart, p)
-                acc.add(lhs.at(p, ev), rhs.at(p, ev))
+        pairs = [
+            (xi_form_apply(s, form, [s.J_frame(i)]), -s.apply_J(form.value((i,))))
+            for i in range(s.n_leaf)
+        ]
     elif form.degree == 2:
-        for i, j in s.frame_pairs():
-            lhs = xi_form_apply(s, form, [s.J_frame(i), s.frame[j]])
-            rhs = -s.apply_J(form.value((i, j)))
-            for p in points:
-                ev = PointEvaluator(s.chart, p)
-                acc.add(lhs.at(p, ev), rhs.at(p, ev))
+        pairs = [
+            (xi_form_apply(s, form, [s.J_frame(i), s.frame[j]]), -s.apply_J(form.value((i, j))))
+            for i, j in s.frame_pairs()
+        ]
     else:
         raise ValueError("degree must be 1 or 2")
-    return acc
+    return add_vector_residual(ResidualAccumulator(), pairs, points)

@@ -9,24 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-def relative_residual(lhs, rhs):
-    """Componentwise normalized deviation of two floats or float sequences."""
-    if not hasattr(lhs, "__len__"):
-        lhs, rhs = [lhs], [rhs]
-    worst = 0.0
-    for a, b in zip(lhs, rhs):
-        a, b = float(a), float(b)
-        r = abs(a - b) / (1.0 + max(abs(a), abs(b)))
-        if r > worst:
-            worst = r
-    return worst
-
-
-def absolute_deviation(lhs, rhs):
-    if not hasattr(lhs, "__len__"):
-        lhs, rhs = [lhs], [rhs]
-    return max((abs(float(a) - float(b)) for a, b in zip(lhs, rhs)), default=0.0)
+import numpy as np
 
 
 class ResidualAccumulator:
@@ -37,16 +20,21 @@ class ResidualAccumulator:
         self.max_abs = 0.0
 
     def add(self, lhs, rhs=0.0):
-        """Record one sample; a scalar rhs is compared with every component
-        of a sequence lhs."""
-        if hasattr(lhs, "__len__") and not hasattr(rhs, "__len__"):
-            rhs = [rhs] * len(lhs)
-        rel = relative_residual(lhs, rhs)
-        self.samples.append(rel)
-        dev = absolute_deviation(lhs, rhs)
-        if dev > self.max_abs:
-            self.max_abs = dev
-        return rel
+        """Record samples of lhs = rhs; returns the accumulator.
+
+        A number or a 1-d sequence is one sample (a sequence's entries are
+        its components); a 2-d array of shape (components, N) is N samples,
+        one per column.  rhs broadcasts against lhs, so a scalar rhs is
+        compared with every component.
+        """
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        if lhs.ndim < 2:
+            lhs, rhs = lhs.reshape(-1, 1), rhs.reshape(-1, 1)
+        dev = np.abs(lhs - rhs)
+        rel = dev / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+        self.samples += np.fmax.reduce(rel, axis=0, initial=0.0).tolist()
+        self.max_abs = max(self.max_abs, float(np.fmax.reduce(dev, axis=None, initial=0.0)))
+        return self
 
     def merge(self, other):
         """Append another accumulator's samples in order."""
@@ -74,17 +62,7 @@ class CheckReport:
     error: str = ""
 
     def to_dict(self):
-        out = {
-            "suite": self.suite,
-            "identity": self.identity,
-            "anchor": self.anchor,
-            "samples": self.samples,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
-        if self.error:
-            out["error"] = self.error
+        out = dict(vars(self))
+        if not self.error:
+            del out["error"]
         return out

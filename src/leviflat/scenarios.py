@@ -17,7 +17,7 @@ from .excalc import (
     one_form,
 )
 from .foliation_dgla import DefiningCouple, frobenius_residuals, mc_residual
-from .leafcx import LeviFlatStructure, h_form, ix_dgamma
+from .leafcx import LeviFlatStructure, h_form, ix_dgamma, xi_form_zero_residual
 from .report import ResidualAccumulator
 from .symfield import (
     Chart,
@@ -310,11 +310,7 @@ def check_expectation(scenario, prop, points):
     """Evaluate one declared expectation; returns (ok, residual)."""
     s = scenario.structure
     if prop == "H=0":
-        acc = ResidualAccumulator()
-        H = h_form(s)
-        for idx, V in H.values.items():
-            for p in points:
-                acc.add(V.at(p))
+        acc = xi_form_zero_residual(s, h_form(s), points)
         return acc.max_rel <= 1e-9, acc.max_rel
     if prop == "H!=0":
         ok, res = check_expectation(scenario, "H=0", points)
@@ -331,14 +327,8 @@ def check_expectation(scenario, prop, points):
         acc = exactness_witness_check(scenario.exact_witness, s, points)
         return acc.max_rel <= 1e-9, acc.max_rel
     if prop == "nijenhuis!=0":
-        from .leafcx import nijenhuis
-
-        acc = ResidualAccumulator()
-        for i, j in s.frame_pairs():
-            N = nijenhuis(s, s.frame[i], s.frame[j])
-            for p in points:
-                acc.add(N.at(p))
-        return acc.max_rel > 1e-3, acc.max_rel
+        res = s.invariants(points)["nijenhuis"]
+        return res > 1e-3, res
     if prop == "J_squared":
         inv = s.invariants(points)
         return inv["J_squared"] <= 1e-10, inv["J_squared"]

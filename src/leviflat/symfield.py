@@ -5,13 +5,19 @@ Fields are immutable expression trees over {constants, coordinates, +, -, *,
 goes through smart factories that fold constants and absorb 0/1, which keeps
 the trees produced by repeated bracket/derivative composition small enough to
 evaluate quickly.
+
+Evaluation is batched: the DAG of every field a check needs is linearised
+into one tape, in topological order, and each tape entry is one numpy
+operation over all sample points at once.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ArityError,
@@ -25,10 +31,6 @@ TWO_PI = 2.0 * math.pi
 
 # Division guard: |denominator| below this raises SingularEvaluationError.
 DIVISION_GUARD = 1e-12
-
-# Deep composite trees (matrix inverses, nested brackets) can exceed the
-# default interpreter recursion limit during evaluation.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,6 @@ class Chart:
             raise UnknownIdentifierError(
                 f"unknown coordinate {name!r} on chart {self.names}"
             ) from None
-
-    def reduce_point(self, p):
-        """Reduce periodic coordinates modulo 2*pi."""
-        if len(p) != self.dim:
-            raise ValueError(f"point has {len(p)} components, chart dim is {self.dim}")
-        return tuple(
-            (float(c) % TWO_PI) if per else float(c)
-            for c, per in zip(p, self.periodic)
-        )
 
     def extend(self, name):
         """Chart with one extra (non-periodic) coordinate, for family parameters."""
@@ -106,9 +99,6 @@ class Const(Node):
     def _diff(self, i):
         return ZERO
 
-    def ev(self, coords, cache):
-        return self.value
-
     def __repr__(self):
         return repr(self.value)
 
@@ -123,100 +113,71 @@ class Coord(Node):
     def _diff(self, i):
         return ONE if i == self.index else ZERO
 
-    def ev(self, coords, cache):
-        return coords[self.index]
-
     def __repr__(self):
         return f"x{self.index}"
 
 
-class Add(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        super().__init__()
-        self.a, self.b = a, b
-
-    def _diff(self, i):
-        return add(self.a.diff(i), self.b.diff(i))
-
-    def ev(self, coords, cache):
-        return _ev(self.a, coords, cache) + _ev(self.b, coords, cache)
-
-    def __repr__(self):
-        return f"({self.a!r} + {self.b!r})"
-
-
-class Sub(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        super().__init__()
-        self.a, self.b = a, b
-
-    def _diff(self, i):
-        return sub(self.a.diff(i), self.b.diff(i))
-
-    def ev(self, coords, cache):
-        return _ev(self.a, coords, cache) - _ev(self.b, coords, cache)
-
-    def __repr__(self):
-        return f"({self.a!r} - {self.b!r})"
-
-
-class Mul(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        super().__init__()
-        self.a, self.b = a, b
-
-    def _diff(self, i):
-        return add(mul(self.a.diff(i), self.b), mul(self.a, self.b.diff(i)))
-
-    def ev(self, coords, cache):
-        return _ev(self.a, coords, cache) * _ev(self.b, coords, cache)
-
-    def __repr__(self):
-        return f"({self.a!r} * {self.b!r})"
-
-
-class Div(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        super().__init__()
-        self.a, self.b = a, b
-
-    def _diff(self, i):
-        num = sub(mul(self.a.diff(i), self.b), mul(self.a, self.b.diff(i)))
-        return div(num, mul(self.b, self.b))
-
-    def ev(self, coords, cache):
-        den = _ev(self.b, coords, cache)
-        if abs(den) < DIVISION_GUARD:
-            raise SingularEvaluationError(f"division by {den!r}")
-        return _ev(self.a, coords, cache) / den
-
-    def __repr__(self):
-        return f"({self.a!r} / {self.b!r})"
-
-
-class Neg(Node):
+class _Unary(Node):
     __slots__ = ("a",)
 
     def __init__(self, a):
         super().__init__()
         self.a = a
 
-    def _diff(self, i):
-        return neg(self.a.diff(i))
+    def __repr__(self):
+        return f"{self.symbol}({self.a!r})"
 
-    def ev(self, coords, cache):
-        return -_ev(self.a, coords, cache)
+
+class _Binary(Node):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        super().__init__()
+        self.a, self.b = a, b
 
     def __repr__(self):
-        return f"(-{self.a!r})"
+        return f"({self.a!r} {self.symbol} {self.b!r})"
+
+
+class Add(_Binary):
+    __slots__ = ()
+    symbol = "+"
+
+    def _diff(self, i):
+        return add(self.a.diff(i), self.b.diff(i))
+
+
+class Sub(_Binary):
+    __slots__ = ()
+    symbol = "-"
+
+    def _diff(self, i):
+        return sub(self.a.diff(i), self.b.diff(i))
+
+
+class Mul(_Binary):
+    __slots__ = ()
+    symbol = "*"
+
+    def _diff(self, i):
+        return add(mul(self.a.diff(i), self.b), mul(self.a, self.b.diff(i)))
+
+
+class Div(_Binary):
+    __slots__ = ()
+    symbol = "/"
+
+    def _diff(self, i):
+        num = sub(mul(self.a.diff(i), self.b), mul(self.a, self.b.diff(i)))
+        return div(num, mul(self.b, self.b))
+
+
+class Neg(_Unary):
+    __slots__ = ()
+    symbol = "-"
+
+    def _diff(self, i):
+        return neg(self.a.diff(i))
 
 
 class Pow(Node):
@@ -229,78 +190,36 @@ class Pow(Node):
     def _diff(self, i):
         return mul(mul(Const(self.n), powi(self.a, self.n - 1)), self.a.diff(i))
 
-    def ev(self, coords, cache):
-        base = _ev(self.a, coords, cache)
-        if self.n < 0 and abs(base) < DIVISION_GUARD:
-            raise SingularEvaluationError(f"negative power of {base!r}")
-        return base**self.n
-
     def __repr__(self):
         return f"({self.a!r} ^ {self.n})"
 
 
-class Sin(Node):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        super().__init__()
-        self.a = a
+class Sin(_Unary):
+    __slots__ = ()
+    symbol = "sin"
 
     def _diff(self, i):
         return mul(cos(self.a), self.a.diff(i))
 
-    def ev(self, coords, cache):
-        return math.sin(_ev(self.a, coords, cache))
 
-    def __repr__(self):
-        return f"sin({self.a!r})"
-
-
-class Cos(Node):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        super().__init__()
-        self.a = a
+class Cos(_Unary):
+    __slots__ = ()
+    symbol = "cos"
 
     def _diff(self, i):
         return neg(mul(sin(self.a), self.a.diff(i)))
 
-    def ev(self, coords, cache):
-        return math.cos(_ev(self.a, coords, cache))
 
-    def __repr__(self):
-        return f"cos({self.a!r})"
-
-
-class Exp(Node):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        super().__init__()
-        self.a = a
+class Exp(_Unary):
+    __slots__ = ()
+    symbol = "exp"
 
     def _diff(self, i):
         return mul(self, self.a.diff(i))
 
-    def ev(self, coords, cache):
-        return math.exp(_ev(self.a, coords, cache))
-
-    def __repr__(self):
-        return f"exp({self.a!r})"
-
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
-
-
-def _ev(node, coords, cache):
-    key = id(node)
-    hit = cache.get(key)
-    if hit is None:
-        hit = node.ev(coords, cache)
-        cache[key] = hit
-    return hit
 
 
 def _is_const(node, value=None):
@@ -477,9 +396,9 @@ class ScalarField:
             raise IndexError(f"coordinate index {i} out of range for dim {self.chart.dim}")
         return ScalarField(self.chart, self.node.diff(i))
 
-    def __call__(self, p, cache=None):
-        coords = self.chart.reduce_point(p)
-        return _ev(self.node, coords, {} if cache is None else cache)
+    def __call__(self, p):
+        """Value at a point (a float), or values at an (N, dim) batch."""
+        return PointEvaluator(self.chart, p, (self,))(self)
 
     @property
     def is_zero(self):
@@ -522,17 +441,202 @@ def evaluate(f, p):
     return f(p)
 
 
+# --------------------------------------------------------------------------
+# Batch evaluation: DAGs linearised into tapes of numpy operations
+# --------------------------------------------------------------------------
+
+
+def first_flagged(bad):
+    """Index of the first True entry of a boolean batch, in point order, or
+    None; a single point's flag is a batch of one."""
+    bad = np.ravel(bad)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _div(a, b):
+    k = first_flagged(np.abs(b) < DIVISION_GUARD)
+    if k is not None:
+        raise SingularEvaluationError(f"division by {float(np.ravel(b)[k])!r}")
+    return a / b
+
+
+def _each(fn, a):
+    """fn element by element over Python floats."""
+    return np.array([fn(v) for v in a.tolist()]) if isinstance(a, np.ndarray) else fn(float(a))
+
+
+def _pow(a, n):
+    # Python's float power, bit for bit unlike numpy's, raises OverflowError
+    k = first_flagged(np.abs(a) < DIVISION_GUARD) if n < 0 else None
+    if k is not None:
+        raise SingularEvaluationError(f"negative power of {float(np.ravel(a)[k])!r}")
+    return _each(lambda v: v**n, a)
+
+
+def _exp(a):
+    # math.exp: numpy's exp differs from it by an ulp on some inputs, and
+    # math.exp raises OverflowError where numpy gives inf
+    return _each(math.exp, a)
+
+
+def _a(node):
+    return (node.a,)
+
+
+_ab = operator.attrgetter("a", "b")
+_an = operator.attrgetter("a", "n")
+
+# node type -> (operands, batch operation, smart factory).  Operands are
+# child nodes, plus the integer exponent of a power.
+_RULES = {
+    Add: (_ab, operator.add, add),
+    Sub: (_ab, operator.sub, sub),
+    Mul: (_ab, operator.mul, mul),
+    Div: (_ab, _div, div),
+    Neg: (_a, operator.neg, neg),
+    Pow: (_an, _pow, powi),
+    Sin: (_a, np.sin, sin),
+    Cos: (_a, np.cos, cos),
+    Exp: (_a, _exp, exp),
+}
+
+
+def _topological(roots):
+    """Distinct nodes under the roots, children before parents, in the
+    depth-first post-order of the roots taken in turn.  Also returns, for
+    each interior node, its rule and operands (None for leaves), and how many
+    entries use each node."""
+    done = set()
+    info = {}
+    uses = {}
+    order = []
+    stack = list(reversed(roots))
+    push, pop, emit, finish = stack.append, stack.pop, order.append, done.add
+    while stack:
+        node = stack[-1]
+        if node in done:
+            pop()
+        elif node in info:
+            # expanded earlier: every child pushed above it is done by now
+            pop()
+            finish(node)
+            emit(node)
+        else:
+            rule = _RULES.get(type(node))
+            ops = rule[0](node) if rule else ()
+            info[node] = (rule, ops) if rule else None
+            for k in reversed(ops):
+                if type(k) is not int:
+                    uses[k] = uses.get(k, 0) + 1
+                    if k not in done:
+                        push(k)
+    return order, info, uses
+
+
+class Tape:
+    """The DAG of some root nodes as a straight-line program, compiled on the
+    first run: one entry per distinct node, in topological order.  An
+    interior value's register is reused once its last consumer has run, so
+    only the roots' values outlive a run."""
+
+    __slots__ = ("roots", "program")
+
+    def __init__(self, roots):
+        self.roots = dict.fromkeys(roots)
+        self.program = None
+
+    def _compile(self):
+        order, info, uses = _topological(list(self.roots))
+        keep = self.roots
+        template, loads, code, free = [], [], [], []
+        reg = {}
+        for node in order:
+            if info[node] is None:
+                if type(node) is Coord:
+                    loads.append((len(template), node.index))
+                reg[node] = len(template)
+                template.append(getattr(node, "value", None))
+                continue
+            rule, ops = info[node]
+            args = []
+            for k in ops:
+                if type(k) is int:
+                    args.append(len(template))
+                    template.append(k)
+                    continue
+                args.append(reg[k])
+                left = uses[k] = uses[k] - 1
+                if not left and info[k] is not None and k not in keep:
+                    free.append(reg[k])
+            reg[node] = free.pop() if free else len(template)
+            if reg[node] == len(template):
+                template.append(None)
+            args.append(-1)
+            code.append((rule[1], reg[node], args[0], args[1]))
+        return template, loads, code, [reg[r] for r in keep]
+
+    def run(self, coords):
+        """Root values at the points whose coordinates are coords: (N,)
+        arrays for a batch, numbers for a single point."""
+        if self.program is None:
+            self.program = self._compile()
+        template, loads, code, outputs = self.program
+        regs = list(template)
+        for r, i in loads:
+            regs[r] = coords[i]
+        with np.errstate(all="ignore"):
+            for op, out, a, b in code:
+                regs[out] = op(regs[a]) if b < 0 else op(regs[a], regs[b])
+        values = [regs[r] for r in outputs]
+        if isinstance(coords[0], np.ndarray):
+            size = len(coords[0])
+            return [v if isinstance(v, np.ndarray) else np.full(size, float(v)) for v in values]
+        return values
+
+
 class PointEvaluator:
-    """Evaluates many fields at one point, sharing the subtree cache."""
+    """Evaluates fields at a batch of points.
 
-    __slots__ = ("coords", "cache")
+    points is an (N, dim) batch, whose field values are (N,) arrays, or a
+    single point, a batch of one whose values are floats.  The fields given
+    up front (or a Tape of their nodes) are evaluated together, through one
+    tape, on the first call; a field outside them gets a tape of its own.
+    """
 
-    def __init__(self, chart, p):
-        self.coords = chart.reduce_point(p)
-        self.cache = {}
+    __slots__ = ("coords", "single", "zero", "tape", "values")
+
+    def __init__(self, chart, points, fields=()):
+        pts = np.asarray(points, dtype=float)
+        if pts.size == 0:
+            pts = pts.reshape(0, chart.dim)
+        if pts.shape[-1] != chart.dim:
+            raise ValueError(f"point has {pts.shape[-1]} components, chart dim is {chart.dim}")
+        self.single = pts.ndim == 1
+        pts = pts.reshape(-1, chart.dim)
+        # coordinate columns, periodic ones reduced modulo 2*pi
+        self.coords = tuple(
+            np.remainder(pts[:, i], TWO_PI) if per else np.ascontiguousarray(pts[:, i])
+            for i, per in enumerate(chart.periodic)
+        )
+        if self.single:
+            self.coords = tuple(float(c[0]) for c in self.coords)
+        # the value of the zero field, in the shape that __call__ returns
+        self.zero = 0.0 if self.single else np.zeros(len(pts))
+        self.tape = fields if isinstance(fields, Tape) else Tape(f.node for f in fields)
+        self.values = {}
 
     def __call__(self, f):
-        return _ev(f.node, self.coords, self.cache)
+        node = f.node
+        value = self.values.get(node)
+        if value is None:
+            tape = self.tape
+            if node in tape.roots:
+                self.tape = Tape(())
+            else:
+                tape = Tape((node,))
+            self.values.update(zip(tape.roots, tape.run(self.coords)))
+            value = self.values[node]
+        return float(value) if self.single else value
 
 
 def fix_coordinate(f, i, value):
@@ -543,43 +647,21 @@ def fix_coordinate(f, i, value):
         chart.names[:i] + chart.names[i + 1 :],
         chart.periodic[:i] + chart.periodic[i + 1 :],
     )
-    memo = {}
-
-    def walk(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            out = node
+    new = {}
+    order, info, _ = _topological([f.node])
+    for node in order:
+        if info[node] is not None:
+            rule, ops = info[node]
+            new[node] = rule[2](*(k if type(k) is int else new[k] for k in ops))
         elif isinstance(node, Coord):
-            if node.index == i:
-                out = const(float(value))
-            else:
-                out = Coord(node.index - 1 if node.index > i else node.index)
-        elif isinstance(node, Add):
-            out = add(walk(node.a), walk(node.b))
-        elif isinstance(node, Sub):
-            out = sub(walk(node.a), walk(node.b))
-        elif isinstance(node, Mul):
-            out = mul(walk(node.a), walk(node.b))
-        elif isinstance(node, Div):
-            out = div(walk(node.a), walk(node.b))
-        elif isinstance(node, Neg):
-            out = neg(walk(node.a))
-        elif isinstance(node, Pow):
-            out = powi(walk(node.a), node.n)
-        elif isinstance(node, Sin):
-            out = sin(walk(node.a))
-        elif isinstance(node, Cos):
-            out = cos(walk(node.a))
-        elif isinstance(node, Exp):
-            out = exp(walk(node.a))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
-        memo[key] = out
-        return out
-
-    return ScalarField(new_chart, walk(f.node))
+            new[node] = (
+                const(float(value))
+                if node.index == i
+                else Coord(node.index - 1 if node.index > i else node.index)
+            )
+        else:
+            new[node] = node
+    return ScalarField(new_chart, new[f.node])
 
 
 # --------------------------------------------------------------------------

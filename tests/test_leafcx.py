@@ -11,7 +11,6 @@ from leviflat.excalc import (
     coordinate_differential,
     form_components,
     lie_bracket,
-    matrix_eval,
     one_form,
 )
 from leviflat.leafcx import (

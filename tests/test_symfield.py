@@ -1,20 +1,28 @@
 """Symbolic scalar fields: parsing, exact differentiation, evaluation."""
 
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import leviflat
+from leviflat import symfield as sf
 from leviflat.errors import (
     ArityError,
     ExprSyntaxError,
     SingularEvaluationError,
     UnknownIdentifierError,
 )
+from leviflat.report import ResidualAccumulator
 from leviflat.sampling import sample_points, stream, random_scalar
 from leviflat.symfield import (
     Chart,
     PointEvaluator,
+    ScalarField,
     coordinate,
     cos_of,
     differentiate,
@@ -227,3 +235,122 @@ def test_fix_coordinate_substitution():
     assert at_half((1.0, 0.0, 0.0)) == pytest.approx(0.5 * math.sin(1.0) + 0.25)
     tangent = fix_coordinate(f.diff(3), 3, 0.0)
     assert tangent((1.0, 0.0, 0.0)) == pytest.approx(math.sin(1.0))
+
+
+# --------------------------------------------------------------------------
+# Batch evaluation against a recursive one-point reference
+# --------------------------------------------------------------------------
+
+
+def _reference(node, x):
+    """Recursive evaluation of one expression node at one reduced point,
+    with Python floats and the math module."""
+    kind = type(node)
+    if kind is sf.Const:
+        return node.value
+    if kind is sf.Coord:
+        return x[node.index]
+    if kind is sf.Neg:
+        return -_reference(node.a, x)
+    if kind is sf.Sin:
+        return math.sin(_reference(node.a, x))
+    if kind is sf.Cos:
+        return math.cos(_reference(node.a, x))
+    if kind is sf.Exp:
+        return math.exp(_reference(node.a, x))
+    if kind is sf.Pow:
+        base = _reference(node.a, x)
+        if node.n < 0 and abs(base) < sf.DIVISION_GUARD:
+            raise SingularEvaluationError("negative power")
+        return base**node.n
+    a, b = _reference(node.a, x), _reference(node.b, x)
+    if kind is sf.Add:
+        return a + b
+    if kind is sf.Sub:
+        return a - b
+    if kind is sf.Mul:
+        return a * b
+    if abs(b) < sf.DIVISION_GUARD:
+        raise SingularEvaluationError("division")
+    return a / b
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 2).map(sf.Coord),
+    st.floats(-3, 3, allow_nan=False).map(sf.const),
+)
+
+
+def _build(fn, *args):
+    # constant folding can fail while building (0^-1, exp(1e3)); keep the
+    # first operand then
+    try:
+        return fn(*args)
+    except (ArithmeticError, SingularEvaluationError):
+        return args[0]
+
+
+def _grow(children):
+    unary = st.sampled_from([sf.neg, sf.sin, sf.cos, sf.exp])
+    binary = st.sampled_from([sf.add, sf.sub, sf.mul, sf.div])
+    return st.one_of(
+        st.builds(_build, unary, children),
+        st.builds(_build, binary, children, children),
+        st.builds(_build, st.just(sf.powi), children, st.integers(-3, 4)),
+    )
+
+
+@given(
+    node=st.recursive(_LEAVES, _grow, max_leaves=12),
+    points=st.lists(
+        st.tuples(*[st.floats(-10, 10, allow_nan=False)] * 3), min_size=1, max_size=30
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_evaluation_matches_recursive_reference_bitwise(node, points):
+    f = ScalarField(CHART, node)
+    try:
+        expected = [
+            _reference(node, tuple(c % (2.0 * math.pi) for c in p)) for p in points
+        ]
+    except (SingularEvaluationError, OverflowError):
+        assume(False)
+    got = PointEvaluator(CHART, points, [f])(f)
+    assert got.shape == (len(points),)
+    assert np.array(expected, dtype=float).tobytes() == got.tobytes()
+    # a single point is a batch of one, with a float value
+    single = f(points[0])
+    assert type(single) is float
+    assert np.float64(single).tobytes() == got[:1].tobytes()
+
+
+def test_singular_division_names_first_offending_sample():
+    f = 1.0 / sin_of(coordinate(CHART, "x"))
+    points = [(1.0, 0.0, 0.0), (math.pi, 0.0, 0.0), (1.5, 0.0, 0.0), (0.0, 0.0, 0.0)]
+    with pytest.raises(SingularEvaluationError, match=repr(math.sin(math.pi))):
+        f(points)
+    assert f(points[2]) == 1.0 / math.sin(1.5)
+
+
+def test_empty_batch_has_no_samples():
+    f = parse_expr("sin(x) / (2 + cos(y))", CHART)
+    assert f([]).shape == (0,)
+    acc = ResidualAccumulator().add([f([])], 1.0)
+    assert acc.samples == [] and acc.max_abs == 0.0
+
+
+def test_exp_overflow_raises():
+    f = parse_expr("exp(1000*x)", CHART)
+    with pytest.raises(OverflowError):
+        f([(0.1, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    with pytest.raises(OverflowError):
+        f((1.0, 0.0, 0.0))
+
+
+def test_import_leaves_recursion_limit_alone():
+    src = os.path.dirname(os.path.dirname(leviflat.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); n = sys.getrecursionlimit(); "
+        "import leviflat; assert sys.getrecursionlimit() == n"
+    )
+    assert subprocess.run([sys.executable, "-I", "-c", code]).returncode == 0
