@@ -2,7 +2,7 @@
 DGLA structure, and leafwise complex-structure identities on explicit torus
 scenarios."""
 
-from .symfield import Chart, ScalarField, differentiate, evaluate, parse_expr, torus
+from .symfield import Chart, ScalarField, parse_expr, torus
 from .excalc import (
     DifferentialForm,
     VectorField,
@@ -41,8 +41,6 @@ __all__ = [
     "builtin",
     "delta",
     "dgla_bracket",
-    "differentiate",
-    "evaluate",
     "evaluate_form",
     "exterior_derivative",
     "interior_product",

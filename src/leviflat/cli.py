@@ -2,9 +2,9 @@
 deterministic JSON report.
 
 Exit status: 0 when all selected identities pass, 1 on any failing identity,
-2 on configuration errors, --points below 1 included.  Every flag has an
-environment-variable override with the LEVIFLAT_ prefix (flags win over
-environment).
+2 on configuration errors, --points or --workers below 1 and malformed
+numbers included.  Every flag has an environment-variable override with the
+LEVIFLAT_ prefix (flags win over environment).
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ def run(config):
     try:
         if config.points < 1:
             raise ConfigError(f"--points must be at least 1, got {config.points}")
+        if config.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {config.workers}")
         scenario = resolve(config.scenario)
     except (ConfigError, ScenarioError) as exc:
         return 2, {"schema": SCHEMA_VERSION, "error": str(exc)}
@@ -142,15 +144,17 @@ def build_parser():
         default=_env("SUITE", "all"),
         help="comma-separated identity-id globs, e.g. 'lemma.*,prop.beth*' (default: all)",
     )
-    parser.add_argument("--seed", type=int, default=int(_env("SEED", "42")))
-    parser.add_argument("--points", type=int, default=int(_env("POINTS", "20")))
+    # string defaults go through type, so a malformed environment value is a
+    # usage error like a malformed flag
+    parser.add_argument("--seed", type=int, default=_env("SEED", "42"))
+    parser.add_argument("--points", type=int, default=_env("POINTS", "20"))
     parser.add_argument(
         "--tol",
         default=_env("TOL", ""),
         help="per-identity tolerance overrides, 'id=value,id=value'",
     )
     parser.add_argument("--report", default=_env("REPORT", None), help="report output path")
-    parser.add_argument("--workers", type=int, default=int(_env("WORKERS", "1")))
+    parser.add_argument("--workers", type=int, default=_env("WORKERS", "1"))
     parser.add_argument("--list", action="store_true", help="print the identity catalogue and exit")
     return parser
 
@@ -169,7 +173,7 @@ def main(argv=None):
             points=args.points,
             tolerances=parse_tolerances(args.tol),
             report_path=args.report,
-            workers=max(1, args.workers),
+            workers=args.workers,
         )
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ChartMismatchError
-from .symfield import Const, PointEvaluator, ScalarField, Tape, ZERO, constant
+from .symfield import Const, PointEvaluator, ScalarField, ZERO, constant
 
 _zero_cache = {}
 
@@ -27,7 +27,7 @@ def _zero(chart):
 
 def _as_field(chart, v):
     if isinstance(v, ScalarField):
-        if v.chart != chart:
+        if v.chart is not chart and v.chart != chart:
             raise ChartMismatchError("fields on different charts")
         return v
     return constant(chart, v)
@@ -73,7 +73,7 @@ def _insert_sign(i, idx):
 class VectorField:
     """Vector field as a tuple of ScalarField chart components."""
 
-    __slots__ = ("chart", "components", "_tape")
+    __slots__ = ("chart", "components")
 
     def __init__(self, chart, components):
         comps = tuple(_as_field(chart, c) for c in components)
@@ -81,14 +81,6 @@ class VectorField:
             raise ValueError("component count must equal chart dim")
         self.chart = chart
         self.components = comps
-        self._tape = None
-
-    @property
-    def tape(self):
-        """Tape of the components, compiled on first use and kept."""
-        if self._tape is None:
-            self._tape = Tape(c.node for c in self.components)
-        return self._tape
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
@@ -123,12 +115,11 @@ class VectorField:
             out = out + comp * f.diff(i)
         return out
 
-    def at(self, p, ev=None):
-        """Numeric components at a point (a list of floats), or at an
-        (N, dim) batch of points (a (dim, N) array)."""
-        ev = ev or PointEvaluator(self.chart, p, self.tape)
-        values = [ev(c) for c in self.components]
-        return values if ev.single else np.array(values)
+    def at(self, points, ev=None):
+        """Numeric components at an (N, dim) batch of points, as a (dim, N)
+        array."""
+        ev = ev or PointEvaluator(self.chart, points, self.components)
+        return np.array([ev(c) for c in self.components])
 
     def __repr__(self):
         return f"VectorField({self.components!r})"
@@ -147,7 +138,7 @@ def zero_vector(chart):
 class DifferentialForm:
     """Degree-k form with coefficients on strictly increasing index tuples."""
 
-    __slots__ = ("chart", "degree", "coeffs", "_tape")
+    __slots__ = ("chart", "degree", "coeffs")
 
     def __init__(self, chart, degree, coeffs=None):
         if degree < 0:
@@ -167,14 +158,6 @@ class DifferentialForm:
             if not f.is_zero:
                 clean[idx] = f
         self.coeffs = clean
-        self._tape = None
-
-    @property
-    def tape(self):
-        """Tape of the coefficients, compiled on first use and kept."""
-        if self._tape is None:
-            self._tape = Tape(f.node for f in self.coeffs.values())
-        return self._tape
 
     def coefficient(self, idx):
         return self.coeffs.get(tuple(idx), _zero(self.chart))
@@ -215,13 +198,12 @@ class DifferentialForm:
             out = out + f * minor([arg.components for arg in args], idx)
         return out
 
-    def at(self, p, numeric_args, ev=None):
-        """Evaluate at a point, or at an (N, dim) batch, on numeric argument
-        vectors: sequences of components that are floats, or (N,) arrays for
-        a batch."""
+    def at(self, points, numeric_args, ev=None):
+        """Values, an (N,) array, at an (N, dim) batch of points on numeric
+        argument vectors: sequences of (N,) component arrays."""
         if len(numeric_args) != self.degree:
             raise ValueError(f"degree {self.degree} form applied to {len(numeric_args)} arguments")
-        ev = ev or PointEvaluator(self.chart, p, self.tape)
+        ev = ev or PointEvaluator(self.chart, points, self.coeffs.values())
         total = ev.zero
         for idx, f in self.coeffs.items():
             total = total + ev(f) * minor(numeric_args, idx)
@@ -277,10 +259,6 @@ def zero_form(chart, degree):
 def scalar_form(f):
     """Wrap a ScalarField as a 0-form."""
     return DifferentialForm(f.chart, 0, {(): f})
-
-
-def coordinate_differential(chart, i):
-    return DifferentialForm(chart, 1, {(i,): 1.0})
 
 
 def one_form(chart, components):
@@ -363,24 +341,24 @@ def lie_derivative_form(X, omega):
     return exterior_derivative(interior_product(X, omega)) + ix_d
 
 
-def evaluate_form(omega, p, args):
-    """Multilinear antisymmetric evaluation at p, or at an (N, dim) batch,
-    on VectorField arguments."""
+def evaluate_form(omega, points, args):
+    """Multilinear antisymmetric evaluation at an (N, dim) batch of points on
+    VectorField arguments, as an (N,) array."""
     fields = [*omega.coeffs.values(), *(c for arg in args for c in arg.components)]
-    ev = PointEvaluator(omega.chart, p, fields)
-    numeric = [arg.at(p, ev) for arg in args]
-    return omega.at(p, numeric, ev)
+    ev = PointEvaluator(omega.chart, points, fields)
+    numeric = [arg.at(points, ev) for arg in args]
+    return omega.at(points, numeric, ev)
 
 
-def form_components(omega, p, ev=None):
-    """Numeric coefficients of omega on all increasing index tuples: a list
-    of floats at a point, a (components, N) array at an (N, dim) batch."""
-    ev = ev or PointEvaluator(omega.chart, p, omega.tape)
+def form_components(omega, points, ev=None):
+    """Numeric coefficients of omega on all increasing index tuples at an
+    (N, dim) batch of points, as a (components, N) array."""
+    ev = ev or PointEvaluator(omega.chart, points, omega.coeffs.values())
     values = [
         ev(omega.coeffs[idx]) if idx in omega.coeffs else ev.zero
         for idx in combinations(range(omega.chart.dim), omega.degree)
     ]
-    return values if ev.single else np.array(values).reshape(len(values), len(ev.zero))
+    return np.array(values).reshape(len(values), len(ev.zero))
 
 
 def add_form_residual(acc, omega, points, rhs=None):
@@ -408,9 +386,9 @@ def invert_matrix(chart, entries, probe=None):
 
     Pivots prefer nonzero-constant entries so that the near-identity frames
     used by the built-in scenarios invert without division nodes.  When a
-    probe point is supplied, the pivot with the largest magnitude there is
-    chosen instead, which keeps division nodes away from zero crossings for
-    matrices like J + Jtilde whose diagonal vanishes.
+    probe (a batch of one point) is supplied, the pivot with the largest
+    magnitude there is chosen instead, which keeps division nodes away from
+    zero crossings for matrices like J + Jtilde whose diagonal vanishes.
     """
     n = len(entries)
     a = [[_as_field(chart, entries[r][c]) for c in range(n)] for r in range(n)]
@@ -423,7 +401,7 @@ def invert_matrix(chart, entries, probe=None):
             for r in range(col, n):
                 if a[r][col].is_zero:
                     continue
-                mag = abs(ev(a[r][col]))
+                mag = abs(float(ev(a[r][col])[0]))
                 if mag > best:
                     best, pivot_row = mag, r
         if pivot_row is None:

@@ -20,21 +20,11 @@ import numpy as np
 
 from .errors import ConjugationSingularError, FlowParameterError, GaugeDomainError
 from .excalc import exterior_derivative, wedge
-from .symfield import PointEvaluator, Tape, first_flagged
+from .symfield import PointEvaluator, Tape, first_flagged, point_batch
 
 DEFAULT_STEP = 1e-3
 FD_OFFSET = 1e-3
 GAUGE_GUARD = 1e-6
-
-
-def _batch(p):
-    """(N, dim) copy of a batch of points, and whether p was one point."""
-    pts = np.array(p, dtype=float)
-    return pts.reshape(-1, pts.shape[-1]), pts.ndim == 1
-
-
-def _unbatch(value, single):
-    return value[0] if single else value
 
 
 def matvec(M, v):
@@ -47,13 +37,12 @@ def _columns(V, points, ev):
     return np.ascontiguousarray(V.at(points, ev).T)
 
 
-def integrate_flow(Y, t, p, h=DEFAULT_STEP):
-    """Integrate dp/ds = Y(p), dA/ds = DY(p) A from (p, I) for time t.
+def integrate_flow(Y, t, points, h=DEFAULT_STEP):
+    """Integrate dp/ds = Y(p), dA/ds = DY(p) A from (p, I) for time t, for
+    every p of an (N, dim) batch together.
 
-    p is one point or an (N, dim) batch, integrated together.  Returns
-    (point, Jacobian) as numpy arrays, of shapes (dim,) and (dim, dim) for
-    one point and (N, dim) and (N, dim, dim) for a batch; classical RK4,
-    global error O(h^4).
+    Returns (points, Jacobians) as numpy arrays of shapes (N, dim) and
+    (N, dim, dim); classical RK4, global error O(h^4).
     """
     if h <= 0:
         raise FlowParameterError(f"step must be positive, got {h!r}")
@@ -61,10 +50,10 @@ def integrate_flow(Y, t, p, h=DEFAULT_STEP):
         raise FlowParameterError(f"|t|/h = {abs(t) / h:.3e} exceeds 1e6")
     chart = Y.chart
     dim = chart.dim
-    x, single = _batch(p)
+    x = point_batch(chart, points)
     A = np.tile(np.eye(dim), (len(x), 1, 1))
     if t == 0.0:
-        return _unbatch(x, single), _unbatch(A, single)
+        return x, A
     jac = [[c.diff(j) for j in range(dim)] for c in Y.components]
     tape = Tape([f.node for f in Y.components + tuple(f for row in jac for f in row)])
 
@@ -87,17 +76,16 @@ def integrate_flow(Y, t, p, h=DEFAULT_STEP):
         K4 = J4 @ (A + ds * K3)
         x = x + (ds / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         A = A + (ds / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    return _unbatch(x, single), _unbatch(A, single)
+    return x, A
 
 
-def pullback_form_numeric(Y, t, omega, p, args, h=DEFAULT_STEP):
-    """((Phi_t^Y)* omega)(p; args) = omega(Phi_t(p); DPhi_t args), at one
-    point or an (N, dim) batch."""
-    pts, single = _batch(p)
-    q, A = integrate_flow(Y, t, pts, h)
-    ev_p = PointEvaluator(omega.chart, pts, [c for arg in args for c in arg.components])
-    numeric = [matvec(A, _columns(arg, pts, ev_p)).T for arg in args]
-    return _unbatch(omega.at(q, numeric), single)
+def pullback_form_numeric(Y, t, omega, points, args, h=DEFAULT_STEP):
+    """((Phi_t^Y)* omega)(p; args) = omega(Phi_t(p); DPhi_t args) at an
+    (N, dim) batch of points p."""
+    q, A = integrate_flow(Y, t, points, h)
+    ev_p = PointEvaluator(omega.chart, points, [c for arg in args for c in arg.components])
+    numeric = [matvec(A, _columns(arg, points, ev_p)).T for arg in args]
+    return omega.at(q, numeric)
 
 
 class _Pullback:
@@ -131,37 +119,36 @@ class _Pullback:
         return pulled - self.couple.gamma.at(self.pts, [v.T], self.ev_p)
 
 
-def gauge_action_numeric(Y, t, alpha, couple, p, arg, h=DEFAULT_STEP):
-    """chi(Phi_t^Y)(alpha) evaluated at (p, arg), p one point or a batch.
+def gauge_action_numeric(Y, t, alpha, couple, points, arg, h=DEFAULT_STEP):
+    """chi(Phi_t^Y)(alpha) evaluated at (p, arg) for p in an (N, dim) batch.
 
     chi(Phi)(alpha) = (Phi* (gamma+alpha)(X))^{-1} Phi*(gamma+alpha) - gamma
     with the pullback taken along the inverse flow.
     """
     beta = couple.gamma if alpha is None or alpha.is_zero else couple.gamma + alpha
-    pts, single = _batch(p)
-    pull = _Pullback(Y, t, couple, beta, pts, h, arg.components)
-    return _unbatch(pull.chi(_columns(arg, pts, pull.ev_p)), single)
+    pull = _Pullback(Y, t, couple, beta, points, h, arg.components)
+    return pull.chi(_columns(arg, points, pull.ev_p))
 
 
 def richardson(values_at, tau):
     """One Richardson level over central differences at tau and tau/2.
 
-    values_at maps a time offset to a float or numpy array.
+    values_at maps a time offset to a numpy array.
     """
     d1 = (values_at(tau) - values_at(-tau)) / (2.0 * tau)
     d2 = (values_at(0.5 * tau) - values_at(-0.5 * tau)) / tau
     return (4.0 * d2 - d1) / 3.0
 
 
-def gauge_derivative_fd(Y, couple, p, arg, h=DEFAULT_STEP, tau=FD_OFFSET):
-    """Richardson central difference of t -> chi(Phi_t^Y)(0) at t = 0, at
-    one point or an (N, dim) batch.
+def gauge_derivative_fd(Y, couple, points, arg, h=DEFAULT_STEP, tau=FD_OFFSET):
+    """Richardson central difference of t -> chi(Phi_t^Y)(0) at t = 0, at an
+    (N, dim) batch of points.
 
     Contract: equals -delta(iota_Y gamma) evaluated at (p, arg).
     """
 
     def value(t):
-        return gauge_action_numeric(Y, t, None, couple, p, arg, h)
+        return gauge_action_numeric(Y, t, None, couple, points, arg, h)
 
     return richardson(value, tau)
 
@@ -201,28 +188,26 @@ def _conjugated_S_matrix(Y, t, s, pts, h):
     return (Jp - Jtilde) @ np.linalg.inv(total)
 
 
-def s_gauge_fd(Y, s, p, frame_index, h=DEFAULT_STEP, tau=FD_OFFSET):
+def s_gauge_fd(Y, s, points, frame_index, h=DEFAULT_STEP, tau=FD_OFFSET):
     """Richardson central difference of t -> S_{chi(Phi_t^Y)(0)} at t = 0,
-    applied to the frame vector; returned in chart components, at one point
-    or an (N, dim) batch.
+    applied to the frame vector; returned in chart components, an (N, dim)
+    array at an (N, dim) batch of points.
 
     Contract: equals -H_Y(E_frame_index) at p.
     """
-    pts, single = _batch(p)
-    Sdot = richardson(lambda t: _conjugated_S_matrix(Y, t, s, pts, h), tau)
-    Mp = s.basis_matrix_at(pts)
-    return _unbatch(matvec(Mp[:, :, : s.n_leaf], Sdot[:, :, frame_index]), single)
+    Sdot = richardson(lambda t: _conjugated_S_matrix(Y, t, s, points, h), tau)
+    Mp = s.basis_matrix_at(points)
+    return matvec(Mp[:, :, : s.n_leaf], Sdot[:, :, frame_index])
 
 
-def gauge_mc_value(Y, t, alpha, couple, p, V, W, h=DEFAULT_STEP):
-    """Maurer-Cartan 2-form of chi(Phi_t^Y)(alpha) at (p; V, W), p one point
-    or a batch, through the exact identity MC(chi(alpha)) = iota_X (f^2 Phi*
-    (d(gamma+alpha) ^ (gamma+alpha))) with f the pullback normalization.
-    Avoids finite differencing the transported form."""
+def gauge_mc_value(Y, t, alpha, couple, points, V, W, h=DEFAULT_STEP):
+    """Maurer-Cartan 2-form of chi(Phi_t^Y)(alpha) at (p; V, W) for p in an
+    (N, dim) batch, through the exact identity MC(chi(alpha)) = iota_X (f^2
+    Phi* (d(gamma+alpha) ^ (gamma+alpha))) with f the pullback
+    normalization.  Avoids finite differencing the transported form."""
     beta = couple.gamma if alpha is None or alpha.is_zero else couple.gamma + alpha
     three_form = wedge(exterior_derivative(beta), beta)
-    pts, single = _batch(p)
     fields = [*V.components, *W.components, *three_form.coeffs.values()]
-    pull = _Pullback(Y, t, couple, beta, pts, h, fields)
-    vectors = (pull.Xp, _columns(V, pts, pull.ev_p), _columns(W, pts, pull.ev_p))
-    return _unbatch(pull.pushed(three_form, *vectors) / (pull.den * pull.den), single)
+    pull = _Pullback(Y, t, couple, beta, points, h, fields)
+    vectors = (pull.Xp, _columns(V, points, pull.ev_p), _columns(W, points, pull.ev_p))
+    return pull.pushed(three_form, *vectors) / (pull.den * pull.den)

@@ -202,16 +202,13 @@ class LeviFlatStructure:
         if k is not None:
             raise XiMembershipError(f"gamma(V) = {float(values[k])!r} at {points[k]}")
 
-    def basis_matrix_at(self, p, ev=None):
-        """Numeric (frame | X) matrix at a point, columns = basis vectors;
-        at an (N, dim) batch, an (N, dim, dim) stack of such matrices, each
-        laid out in memory as the transpose it is at one point: BLAS rounds
-        products differently on the other layout."""
+    def basis_matrix_at(self, points, ev=None):
+        """Numeric (frame | X) matrices, columns = basis vectors, at an
+        (N, dim) batch of points: an (N, dim, dim) stack, each matrix laid out
+        in memory as its transpose (BLAS rounds products by layout)."""
         basis = self.frame + (self.X,)
-        ev = ev or PointEvaluator(self.chart, p, [c for V in basis for c in V.components])
-        cols = np.array([V.at(p, ev) for V in basis])
-        if ev.single:
-            return cols.T
+        ev = ev or PointEvaluator(self.chart, points, [c for V in basis for c in V.components])
+        cols = np.array([V.at(points, ev) for V in basis])
         return np.ascontiguousarray(cols.transpose(2, 0, 1)).transpose(0, 2, 1)
 
     def invariants(self, points):
@@ -350,15 +347,6 @@ def proj01_scalar(s, alpha):
     return AntiLinearScalarForm(
         1, {(i,): alpha.apply_symbolic([E]) * 0.5 for i, E in enumerate(s.frame)}
     )
-
-
-def proj01_vector(s, beta):
-    """(0,1)-projection of a xi-valued 1-form: (beta(V) + J beta(JV))/2."""
-    values = {}
-    for i in range(s.n_leaf):
-        bJ = xi_form_apply(s, beta, [s.J_frame(i)])
-        values[(i,)] = (beta.value((i,)) + s.apply_J(bJ)).scaled(0.5)
-    return XiValuedForm(1, values)
 
 
 def scalar01_re_apply(s, A, args):
@@ -580,12 +568,13 @@ def s_from_structures(s, Jtilde, points):
     if k is not None:
         raise ConjugationSingularError(f"det(J + Jtilde) = {float(det[k])!r} at {points[k]}")
     diff = [[J[r][c] - Jt[r][c] for c in range(n)] for r in range(n)]
-    inv = invert_matrix(s.chart, total, probe=points[0])
+    inv = invert_matrix(s.chart, total, probe=points[:1])
     return matrix_mul(s.chart, inv, diff)
 
 
 def conjugate_J(s, Smat, probe=None):
-    """(I + S) J (I + S)^{-1} as a frame matrix."""
+    """(I + S) J (I + S)^{-1} as a frame matrix; probe, a batch of one
+    point, picks the pivots of the inverse (see invert_matrix)."""
     n = s.n_leaf
     one = constant(s.chart, 1.0)
     zero = constant(s.chart, 0.0)

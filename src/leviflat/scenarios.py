@@ -1,8 +1,5 @@
 """Built-in structures, couples and deformation families with hand-verified
-properties, plus the scenario file loader used by the CLI.
-
-Every declared expectation is runnable through `check_expectation`.
-"""
+properties, plus the scenario file loader used by the CLI."""
 
 from __future__ import annotations
 
@@ -12,13 +9,11 @@ from .errors import ScenarioError
 from .excalc import (
     DifferentialForm,
     VectorField,
-    add_form_residual,
     basis_vector,
     one_form,
 )
-from .foliation_dgla import DefiningCouple, frobenius_residuals, mc_residual
-from .leafcx import LeviFlatStructure, h_form, ix_dgamma, xi_form_zero_residual
-from .report import ResidualAccumulator
+from .foliation_dgla import DefiningCouple
+from .leafcx import LeviFlatStructure
 from .symfield import (
     Chart,
     constant,
@@ -80,13 +75,13 @@ class DeformationFamily:
 
 @dataclass
 class Scenario:
-    """A named structure plus optional family, witness and expectations."""
+    """A named structure plus an optional deformation family and exactness
+    witness."""
 
     name: str
     structure: LeviFlatStructure
     family: DeformationFamily | None = None
     exact_witness: VectorField | None = None
-    expected: tuple = ()
     foliation_integrable: bool = True
 
 
@@ -233,60 +228,24 @@ def t5_quadratic_S0(structure):
 def builtin(name):
     """Construct a built-in scenario by name."""
     if name == "t3_flat":
-        return Scenario(
-            name=name,
-            structure=_t3_flat_structure(),
-            expected=("H=0", "ixdgamma=0"),
-        )
+        return Scenario(name=name, structure=_t3_flat_structure())
     if name == "t3_twisted":
-        return Scenario(
-            name=name,
-            structure=_t3_twisted_structure(),
-            expected=("H=0", "ixdgamma!=0"),
-        )
+        return Scenario(name=name, structure=_t3_twisted_structure())
     if name == "t3_twisted_shifted":
         structure = _t3_twisted_shifted_structure()
         y = coordinate(structure.chart, "y")
         witness = structure.frame[0].scaled(sin_of(y))
-        return Scenario(
-            name=name,
-            structure=structure,
-            exact_witness=witness,
-            expected=("H!=0", "ixdgamma!=0", "exact_witness"),
-        )
+        return Scenario(name=name, structure=structure, exact_witness=witness)
     if name == "t5_product":
-        return Scenario(
-            name=name,
-            structure=_t5_product_structure(),
-            expected=("H=0", "ixdgamma=0"),
-        )
+        return Scenario(name=name, structure=_t5_product_structure())
     if name == "t5_perturbedJ":
-        return Scenario(
-            name=name,
-            structure=_t5_perturbedJ_structure(),
-            expected=("nijenhuis!=0", "J_squared"),
-        )
+        return Scenario(name=name, structure=_t5_perturbedJ_structure())
     if name == "family_t3_tilt":
-        return Scenario(
-            name=name,
-            structure=_t3_flat_structure(),
-            family=_family_tilt(),
-            expected=("H=0", "family_mc_flat"),
-        )
+        return Scenario(name=name, structure=_t3_flat_structure(), family=_family_tilt())
     if name == "family_t3_Jrotation":
-        return Scenario(
-            name=name,
-            structure=_t3_flat_structure(),
-            family=_family_jrotation(),
-            expected=("H=0", "family_mc_flat"),
-        )
+        return Scenario(name=name, structure=_t3_flat_structure(), family=_family_jrotation())
     if name == "broken_nonintegrable":
-        return Scenario(
-            name=name,
-            structure=_broken_structure(),
-            expected=("not_integrable",),
-            foliation_integrable=False,
-        )
+        return Scenario(name=name, structure=_broken_structure(), foliation_integrable=False)
     raise ScenarioError(f"unknown scenario {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
 
 
@@ -299,49 +258,6 @@ def resolve(name_or_path):
     if os.path.exists(str(name_or_path)):
         return load_scenario_file(name_or_path)
     raise ScenarioError(f"unknown scenario {name_or_path!r}")
-
-
-# --------------------------------------------------------------------------
-# Runnable expectations
-# --------------------------------------------------------------------------
-
-
-def check_expectation(scenario, prop, points):
-    """Evaluate one declared expectation; returns (ok, residual)."""
-    s = scenario.structure
-    if prop == "H=0":
-        acc = xi_form_zero_residual(s, h_form(s), points)
-        return acc.max_rel <= 1e-9, acc.max_rel
-    if prop == "H!=0":
-        ok, res = check_expectation(scenario, "H=0", points)
-        return (not ok), res
-    if prop == "ixdgamma=0":
-        acc = add_form_residual(ResidualAccumulator(), ix_dgamma(s), points)
-        return acc.max_rel <= 1e-9, acc.max_rel
-    if prop == "ixdgamma!=0":
-        ok, res = check_expectation(scenario, "ixdgamma=0", points)
-        return (not ok), res
-    if prop == "exact_witness":
-        from .defcomplex import exactness_witness_check
-
-        acc = exactness_witness_check(scenario.exact_witness, s, points)
-        return acc.max_rel <= 1e-9, acc.max_rel
-    if prop == "nijenhuis!=0":
-        res = s.invariants(points)["nijenhuis"]
-        return res > 1e-3, res
-    if prop == "J_squared":
-        inv = s.invariants(points)
-        return inv["J_squared"] <= 1e-10, inv["J_squared"]
-    if prop == "not_integrable":
-        r3, _, _ = frobenius_residuals(s.gamma, s.X, points)
-        return r3 > 1e-2, r3
-    if prop == "family_mc_flat":
-        acc = ResidualAccumulator()
-        for t in (0.0, 0.1, -0.1, 0.3, -0.3):
-            alpha = scenario.family.alpha_at(t)
-            add_form_residual(acc, mc_residual(alpha, s.couple, points), points)
-        return acc.max_rel <= 1e-9, acc.max_rel
-    raise ScenarioError(f"unknown expectation {prop!r}")
 
 
 # --------------------------------------------------------------------------

@@ -139,7 +139,6 @@ class RunContext:
     identity: str
     points: list
     seed: int
-    n_points: int
 
     def rng(self, label):
         return stream(self.seed, self.scenario.name, self.identity, label)
@@ -755,7 +754,7 @@ def run_s_roundtrip(scenario, ctx, acc):
     s = scenario.structure
     rng = ctx.rng("s_roundtrip")
     Smat = random_anticommuting_S(s, rng)
-    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[0])
+    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[:1])
     recovered = lc.s_from_structures(s, Jt, ctx.points)
     lhs = [f for row in recovered for f in row]
     rhs = [f for row in Smat for f in row]
@@ -770,7 +769,7 @@ def run_n_ntilde(scenario, ctx, acc):
     rng = ctx.rng("n_ntilde")
     Smat = random_anticommuting_S(s, rng)
     S = lc.xi_form_from_matrix(s, Smat)
-    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[0])
+    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[:1])
     s_tilde = s.with_J(Jt, leafwise_integrable=False)
     n = s.n_leaf
     for _ in range(2):
@@ -806,7 +805,7 @@ def run_n_jtilde_identity(scenario, ctx, acc):
     rng = ctx.rng("n_jtilde")
     Smat = random_anticommuting_S(s, rng)
     S = lc.xi_form_from_matrix(s, Smat)
-    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[0])
+    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[:1])
     s_tilde = s.with_J(Jt, leafwise_integrable=False)
     n = s.n_leaf
     for _ in range(2):
@@ -836,7 +835,7 @@ def run_n_jtilde_quadratic(scenario, ctx, acc):
     maxima = []
     for eps in (1e-2, 1e-3):
         Smat = [[entries[r][c] * eps for c in range(n)] for r in range(n)]
-        Jt = lc.conjugate_J(s, Smat, probe=ctx.points[0])
+        Jt = lc.conjugate_J(s, Smat, probe=ctx.points[:1])
         s_tilde = s.with_J(Jt, leafwise_integrable=False)
         fields = []
         for i, j in s.frame_pairs():
@@ -970,9 +969,7 @@ def run_identity(spec, scenario, seed, n_points, tolerance=None):
     identity that recorded no sample does not pass."""
     tol = spec.tolerance if tolerance is None else tolerance
     points = _ctx_points(scenario, seed, spec.identity, n_points)
-    ctx = RunContext(
-        scenario=scenario, identity=spec.identity, points=points, seed=seed, n_points=n_points
-    )
+    ctx = RunContext(scenario=scenario, identity=spec.identity, points=points, seed=seed)
     acc = ResidualAccumulator()
     error = ""
     try:

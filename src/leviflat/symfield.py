@@ -346,7 +346,7 @@ class ScalarField:
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):
-            if other.chart != self.chart:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise ChartMismatchError("scalar fields on different charts")
             return other.node
         if isinstance(other, (int, float)):
@@ -396,9 +396,9 @@ class ScalarField:
             raise IndexError(f"coordinate index {i} out of range for dim {self.chart.dim}")
         return ScalarField(self.chart, self.node.diff(i))
 
-    def __call__(self, p):
-        """Value at a point (a float), or values at an (N, dim) batch."""
-        return PointEvaluator(self.chart, p, (self,))(self)
+    def __call__(self, points):
+        """Values at an (N, dim) batch of points, as an (N,) array."""
+        return PointEvaluator(self.chart, points, (self,))(self)
 
     @property
     def is_zero(self):
@@ -431,45 +431,44 @@ def exp_of(f):
     return ScalarField(f.chart, exp(f.node))
 
 
-def differentiate(f, i):
-    """Exact partial derivative; supports repeated application."""
-    return f.diff(i)
-
-
-def evaluate(f, p):
-    """Double-precision value of f at p (periodic coordinates reduced mod 2*pi)."""
-    return f(p)
-
-
 # --------------------------------------------------------------------------
 # Batch evaluation: DAGs linearised into tapes of numpy operations
 # --------------------------------------------------------------------------
 
 
+def point_batch(chart, points):
+    """points as a float (N, dim) array; an empty sequence is an empty batch."""
+    pts = np.array(points, dtype=float)
+    if pts.size == 0:
+        pts = pts.reshape(0, chart.dim)
+    if pts.ndim != 2 or pts.shape[1] != chart.dim:
+        raise ValueError(f"points must be an (N, {chart.dim}) batch, got shape {pts.shape}")
+    return pts
+
+
 def first_flagged(bad):
     """Index of the first True entry of a boolean batch, in point order, or
-    None; a single point's flag is a batch of one."""
-    bad = np.ravel(bad)
+    None."""
     return int(np.argmax(bad)) if bad.any() else None
 
 
 def _div(a, b):
     k = first_flagged(np.abs(b) < DIVISION_GUARD)
     if k is not None:
-        raise SingularEvaluationError(f"division by {float(np.ravel(b)[k])!r}")
+        raise SingularEvaluationError(f"division by {float(b[k])!r}")
     return a / b
 
 
 def _each(fn, a):
     """fn element by element over Python floats."""
-    return np.array([fn(v) for v in a.tolist()]) if isinstance(a, np.ndarray) else fn(float(a))
+    return np.array([fn(v) for v in a.tolist()])
 
 
 def _pow(a, n):
     # Python's float power, bit for bit unlike numpy's, raises OverflowError
     k = first_flagged(np.abs(a) < DIVISION_GUARD) if n < 0 else None
     if k is not None:
-        raise SingularEvaluationError(f"negative power of {float(np.ravel(a)[k])!r}")
+        raise SingularEvaluationError(f"negative power of {float(a[k])!r}")
     return _each(lambda v: v**n, a)
 
 
@@ -576,8 +575,8 @@ class Tape:
         return template, loads, code, [reg[r] for r in keep]
 
     def run(self, coords):
-        """Root values at the points whose coordinates are coords: (N,)
-        arrays for a batch, numbers for a single point."""
+        """Root values, as (N,) arrays, at the N points whose coordinate
+        columns are coords."""
         if self.program is None:
             self.program = self._compile()
         template, loads, code, outputs = self.program
@@ -587,41 +586,34 @@ class Tape:
         with np.errstate(all="ignore"):
             for op, out, a, b in code:
                 regs[out] = op(regs[a]) if b < 0 else op(regs[a], regs[b])
-        values = [regs[r] for r in outputs]
-        if isinstance(coords[0], np.ndarray):
-            size = len(coords[0])
-            return [v if isinstance(v, np.ndarray) else np.full(size, float(v)) for v in values]
-        return values
+        size = len(coords[0])
+        # a constant root's register holds a number
+        return [
+            v if isinstance(v, np.ndarray) else np.full(size, float(v))
+            for v in (regs[r] for r in outputs)
+        ]
 
 
 class PointEvaluator:
-    """Evaluates fields at a batch of points.
+    """Evaluates fields at an (N, dim) batch of points, each field's values
+    an (N,) array.
 
-    points is an (N, dim) batch, whose field values are (N,) arrays, or a
-    single point, a batch of one whose values are floats.  The fields given
-    up front (or a Tape of their nodes) are evaluated together, through one
-    tape, on the first call; a field outside them gets a tape of its own.
+    The fields given up front (or a Tape of their nodes) are evaluated
+    together, through one tape, on the first call; a field outside them gets
+    a tape of its own.
     """
 
-    __slots__ = ("coords", "single", "zero", "tape", "values")
+    __slots__ = ("coords", "zero", "tape", "values")
 
     def __init__(self, chart, points, fields=()):
-        pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, chart.dim)
-        if pts.shape[-1] != chart.dim:
-            raise ValueError(f"point has {pts.shape[-1]} components, chart dim is {chart.dim}")
-        self.single = pts.ndim == 1
-        pts = pts.reshape(-1, chart.dim)
+        pts = point_batch(chart, points)
         # coordinate columns, periodic ones reduced modulo 2*pi
         self.coords = tuple(
             np.remainder(pts[:, i], TWO_PI) if per else np.ascontiguousarray(pts[:, i])
             for i, per in enumerate(chart.periodic)
         )
-        if self.single:
-            self.coords = tuple(float(c[0]) for c in self.coords)
-        # the value of the zero field, in the shape that __call__ returns
-        self.zero = 0.0 if self.single else np.zeros(len(pts))
+        # the values of the zero field
+        self.zero = np.zeros(len(pts))
         self.tape = fields if isinstance(fields, Tape) else Tape(f.node for f in fields)
         self.values = {}
 
@@ -636,7 +628,7 @@ class PointEvaluator:
                 tape = Tape((node,))
             self.values.update(zip(tape.roots, tape.run(self.coords)))
             value = self.values[node]
-        return float(value) if self.single else value
+        return value
 
 
 def fix_coordinate(f, i, value):

@@ -6,7 +6,7 @@ import json
 import time
 
 from leviflat.cli import RunConfig, run, write_report
-from leviflat.excalc import form_components, exterior_derivative
+from leviflat.excalc import add_form_residual, exterior_derivative
 from leviflat.foliation_dgla import (
     dgla_bracket,
     delta,
@@ -68,11 +68,8 @@ def test_criterion_01_dgla_axiom_suite():
             lt_r = dgla_bracket(delta(a, couple), b, couple) - dgla_bracket(
                 a, delta(b, couple), couple
             )
-            for p in points:
-                acc.add(form_components(lhs, p), form_components(rhs, p))
-                acc.add(form_components(jl, p), form_components(jr, p))
-                acc.add(form_components(ld_l, p), form_components(ld_r, p))
-                acc.add(form_components(lt_l, p), form_components(lt_r, p))
+            for left, right in ((lhs, rhs), (jl, jr), (ld_l, ld_r), (lt_l, lt_r)):
+                add_form_residual(acc, left, points, right)
         worst = max(worst, acc.max_rel)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed <= 10.0

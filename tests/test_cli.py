@@ -119,6 +119,33 @@ def test_env_overrides(monkeypatch):
     assert args.seed == 3
 
 
+@pytest.mark.parametrize("name", ["SEED", "POINTS", "WORKERS"])
+def test_malformed_env_value_is_a_usage_error(monkeypatch, capsys, name):
+    monkeypatch.setenv("LEVIFLAT_" + name, "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "t3_flat", "--suite", FAST_SUITE])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid int value: 'abc'" in err
+
+
+def test_flag_wins_over_malformed_env_value(monkeypatch):
+    monkeypatch.setenv("LEVIFLAT_SEED", "abc")
+    assert build_parser().parse_args(["--seed", "3"]).seed == 3
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_rejects_workers_below_one(workers):
+    status, doc = run(RunConfig(scenario="t3_flat", suite=FAST_SUITE, points=2, workers=workers))
+    assert status == 2
+    assert "--workers" in doc["error"]
+
+
+def test_main_rejects_workers_below_one(capsys):
+    assert main(["--scenario", "t3_flat", "--points", "2", "--workers", "0"]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+
+
 def test_main_end_to_end(tmp_path, capsys):
     report = tmp_path / "out.json"
     status = main([
@@ -167,7 +194,7 @@ def test_runner_records_singular_evaluation_as_failure():
         f = constant(chart, 1.0) / (1.0 + cos_of(coordinate(chart, "t")))
         import math
 
-        acc.add(f((0.0, 0.0, math.pi)), 0.0)
+        acc.add(f([(0.0, 0.0, math.pi)]), 0.0)
 
     spec = IdentitySpec("diag.singular", "1/(1+cos t) at t=pi", 1e-9, lambda sc: True, exploding_runner)
     report = run_identity(spec, builtin("t3_flat"), 42, 4)

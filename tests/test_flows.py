@@ -1,14 +1,11 @@
 """Flows, pullbacks and the finite-difference gauge oracles."""
 
-import math
-
 import numpy as np
 import pytest
 
 from leviflat.errors import FlowParameterError, GaugeDomainError
 from leviflat.excalc import (
     basis_vector,
-    coordinate_differential,
     evaluate_form,
     one_form,
     zero_vector,
@@ -31,29 +28,29 @@ FLAT = builtin("t3_flat").structure
 TWISTED = builtin("t3_twisted").structure
 CHART = FLAT.chart
 E_X, E_Y, E_T = (basis_vector(CHART, i) for i in range(3))
-DX, DY, DT = (coordinate_differential(CHART, i) for i in range(3))
+DX, DY, DT = (one_form(CHART, np.eye(3)[i]) for i in range(3))
 
 
 def pts(n=5, label="fp"):
-    return sample_points(CHART, n, stream(81, label))
+    return np.array(sample_points(CHART, n, stream(81, label)))
 
 
 def test_translation_flow():
-    q, A = integrate_flow(E_X, 1.0, (0.2, 0.3, 0.4))
-    assert list(q) == pytest.approx([1.2, 0.3, 0.4], abs=1e-12)
-    assert A == pytest.approx(np.eye(3), abs=1e-12)
+    q, A = integrate_flow(E_X, 1.0, [(0.2, 0.3, 0.4)])
+    assert q == pytest.approx(np.array([[1.2, 0.3, 0.4]]), abs=1e-12)
+    assert A == pytest.approx(np.eye(3)[None], abs=1e-12)
 
 
 def test_zero_field_flow_is_identity():
-    q, A = integrate_flow(zero_vector(CHART), 0.7, (0.2, 0.3, 0.4))
-    assert list(q) == pytest.approx([0.2, 0.3, 0.4], abs=1e-15)
-    assert A == pytest.approx(np.eye(3), abs=1e-15)
+    q, A = integrate_flow(zero_vector(CHART), 0.7, [(0.2, 0.3, 0.4)])
+    assert q == pytest.approx(np.array([[0.2, 0.3, 0.4]]), abs=1e-15)
+    assert A == pytest.approx(np.eye(3)[None], abs=1e-15)
 
 
 def test_flow_at_time_zero_exactly_identity():
     Y = random_vector_field(CHART, stream(82, "t0"))
-    q, A = integrate_flow(Y, 0.0, (0.5, 0.6, 0.7))
-    assert list(q) == [0.5, 0.6, 0.7]
+    q, A = integrate_flow(Y, 0.0, [(0.5, 0.6, 0.7)])
+    assert q.tolist() == [[0.5, 0.6, 0.7]]
     assert (A == np.eye(3)).all()
 
 
@@ -62,46 +59,44 @@ def test_small_time_taylor_expansion():
     # hold through second order.
     Y = E_T.scaled(cos_of(coordinate(CHART, "x")))
     t = 1e-3
-    p = (0.4, 0.1, 0.2)
-    q, A = integrate_flow(Y, t, p)
-    expected_q = [0.4, 0.1, 0.2 + t * math.cos(0.4)]
-    assert list(q) == pytest.approx(expected_q, abs=1e-8)
+    q, A = integrate_flow(Y, t, [(0.4, 0.1, 0.2)])
+    expected_q = [0.4, 0.1, 0.2 + t * np.cos(0.4)]
+    assert q[0] == pytest.approx(np.array(expected_q), abs=1e-8)
     expected_A = np.eye(3)
-    expected_A[2, 0] = -t * math.sin(0.4)
-    assert A == pytest.approx(expected_A, abs=1e-8)
+    expected_A[2, 0] = -t * np.sin(0.4)
+    assert A[0] == pytest.approx(expected_A, abs=1e-8)
 
 
 def test_flow_parameter_validation():
     with pytest.raises(FlowParameterError):
-        integrate_flow(E_X, 1.0, (0, 0, 0), h=0.0)
+        integrate_flow(E_X, 1.0, [(0, 0, 0)], h=0.0)
     with pytest.raises(FlowParameterError):
-        integrate_flow(E_X, 2e3, (0, 0, 0), h=1e-3)
+        integrate_flow(E_X, 2e3, [(0, 0, 0)], h=1e-3)
 
 
 def test_flow_group_law():
     rng = stream(84, "group")
     Y = random_vector_field(CHART, rng, amplitude=0.6)
-    for p in pts(3):
-        q1, _ = integrate_flow(Y, 0.04, p)
-        q2, _ = integrate_flow(Y, 0.06, tuple(q1))
-        q12, _ = integrate_flow(Y, 0.1, p)
-        assert list(q2) == pytest.approx(list(q12), abs=1e-7)
+    P = pts(3)
+    q1, _ = integrate_flow(Y, 0.04, P)
+    q2, _ = integrate_flow(Y, 0.06, q1)
+    q12, _ = integrate_flow(Y, 0.1, P)
+    assert q2 == pytest.approx(q12, abs=1e-7)
 
 
 def test_pullback_of_dt_along_translation():
-    for p in pts(4):
-        val = pullback_form_numeric(E_X, 0.5, DT, p, [E_T])
-        assert val == pytest.approx(1.0, abs=1e-8)
+    val = pullback_form_numeric(E_X, 0.5, DT, pts(4), [E_T])
+    assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_pullback_at_zero_is_identity():
     rng = stream(85, "pb0")
     omega = one_form(CHART, [0.3, -1.2, 0.7])
     arg = random_vector_field(CHART, rng)
-    for p in pts(4):
-        assert pullback_form_numeric(E_X, 0.0, omega, p, [arg]) == pytest.approx(
-            evaluate_form(omega, p, [arg]), abs=1e-14
-        )
+    P = pts(4)
+    assert pullback_form_numeric(E_X, 0.0, omega, P, [arg]) == pytest.approx(
+        evaluate_form(omega, P, [arg]), abs=1e-14
+    )
 
 
 def test_pullback_derivative_is_lie_derivative():
@@ -111,50 +106,48 @@ def test_pullback_derivative_is_lie_derivative():
     omega = DX.scaled(cos_of(t_coord))
     lie = lie_derivative_form(E_T, omega)
     # d/dt|0 of the pullback along d_t equals -sin(t) dx
-    for p in pts(4):
-        tau = 1e-3
-        d1 = (
-            pullback_form_numeric(E_T, tau, omega, p, [E_X])
-            - pullback_form_numeric(E_T, -tau, omega, p, [E_X])
-        ) / (2 * tau)
-        assert d1 == pytest.approx(-math.sin(p[2]), abs=1e-5)
-        assert evaluate_form(lie, p, [E_X]) == pytest.approx(-math.sin(p[2]), abs=1e-12)
+    P = pts(4)
+    tau = 1e-3
+    d1 = (
+        pullback_form_numeric(E_T, tau, omega, P, [E_X])
+        - pullback_form_numeric(E_T, -tau, omega, P, [E_X])
+    ) / (2 * tau)
+    assert d1 == pytest.approx(-np.sin(P[:, 2]), abs=1e-5)
+    assert evaluate_form(lie, P, [E_X]) == pytest.approx(-np.sin(P[:, 2]), abs=1e-12)
 
 
 def test_gauge_action_translation_preserves_flat():
     couple = FLAT.couple
     for t in (0.0, 0.05, -0.1):
-        for p in pts(3):
-            assert gauge_action_numeric(E_X, t, None, couple, p, E_X) == pytest.approx(
-                0.0, abs=1e-10
-            )
+        assert gauge_action_numeric(E_X, t, None, couple, pts(3), E_X) == pytest.approx(
+            0.0, abs=1e-10
+        )
 
 
 def test_gauge_action_at_zero_returns_alpha():
     couple = FLAT.couple
     alpha = one_form(CHART, [0.3, 0.0, 0.0])
-    for p in pts(3):
-        got = gauge_action_numeric(E_X, 0.0, alpha, couple, p, E_X)
-        assert got == pytest.approx(0.3, abs=1e-14)
+    got = gauge_action_numeric(E_X, 0.0, alpha, couple, pts(3), E_X)
+    assert got == pytest.approx(0.3, abs=1e-14)
 
 
 def test_gauge_derivative_hand_example():
     # Y = cos(x) d_t on the flat couple: -delta(iota_Y gamma) = sin(x) dx
     couple = FLAT.couple
     Y = E_T.scaled(cos_of(coordinate(CHART, "x")))
-    for p in pts(4):
-        val = gauge_derivative_fd(Y, couple, p, E_X)
-        assert val == pytest.approx(math.sin(p[0]), abs=1e-4)
-        assert gauge_derivative_fd(Y, couple, p, E_Y) == pytest.approx(0.0, abs=1e-6)
+    P = pts(4)
+    val = gauge_derivative_fd(Y, couple, P, E_X)
+    assert val == pytest.approx(np.sin(P[:, 0]), abs=1e-4)
+    assert gauge_derivative_fd(Y, couple, P, E_Y) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_gauge_derivative_tangent_and_transverse_trivial_cases():
     couple = FLAT.couple
-    for p in pts(3):
-        # Y tangent to xi: iota_Y gamma = 0
-        assert gauge_derivative_fd(E_X, couple, p, E_X) == pytest.approx(0.0, abs=1e-8)
-        # Y = X: -delta(1) = 0 on the flat couple
-        assert gauge_derivative_fd(E_T, couple, p, E_X) == pytest.approx(0.0, abs=1e-8)
+    P = pts(3)
+    # Y tangent to xi: iota_Y gamma = 0
+    assert gauge_derivative_fd(E_X, couple, P, E_X) == pytest.approx(0.0, abs=1e-8)
+    # Y = X: -delta(1) = 0 on the flat couple
+    assert gauge_derivative_fd(E_T, couple, P, E_X) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_gauge_derivative_matches_delta_seeded():
@@ -166,10 +159,9 @@ def test_gauge_derivative_matches_delta_seeded():
             target = -delta(couple.gamma_of(Y), couple)
             arg = random_vector_field(CHART, rng)
             tval = target.apply_symbolic([arg])
-            for p in pts(2):
-                assert gauge_derivative_fd(Y, couple, p, arg) == pytest.approx(
-                    tval(p), abs=1e-4
-                )
+            assert gauge_derivative_fd(Y, couple, pts(2), arg) == pytest.approx(
+                tval(pts(2)), abs=1e-4
+            )
 
 
 def test_gauge_domain_guard():
@@ -177,14 +169,14 @@ def test_gauge_domain_guard():
     # beta = gamma + alpha nearly annihilates X: the normalization blows up
     alpha = DT.scaled(-1.0) + DX.scaled(1e-9)
     with pytest.raises(GaugeDomainError):
-        gauge_action_numeric(E_X, 0.01, alpha, couple, (0.1, 0.2, 0.3), E_X)
+        gauge_action_numeric(E_X, 0.01, alpha, couple, [(0.1, 0.2, 0.3)], E_X)
 
 
 def test_s_gauge_trivial_cases():
-    for p in pts(3):
-        # translations and the X-flow leave the flat structure alone
-        assert list(s_gauge_fd(E_X, FLAT, p, 0)) == pytest.approx([0, 0, 0], abs=1e-8)
-        assert list(s_gauge_fd(E_T, FLAT, p, 0)) == pytest.approx([0, 0, 0], abs=1e-8)
+    P = pts(3)
+    # translations and the X-flow leave the flat structure alone
+    assert s_gauge_fd(E_X, FLAT, P, 0) == pytest.approx(np.zeros((3, 3)), abs=1e-8)
+    assert s_gauge_fd(E_T, FLAT, P, 0) == pytest.approx(np.zeros((3, 3)), abs=1e-8)
 
 
 def test_s_gauge_matches_minus_HY():
@@ -194,9 +186,8 @@ def test_s_gauge_matches_minus_HY():
         HY = h_form(s, Y)
         for idx in range(2):
             target = -HY.value((idx,))
-            for p in pts(2):
-                got = s_gauge_fd(Y, s, p, idx)
-                assert list(got) == pytest.approx(target.at(p), abs=1e-4)
+            got = s_gauge_fd(Y, s, pts(2), idx)
+            assert got == pytest.approx(target.at(pts(2)).T, abs=1e-4)
 
 
 def test_s_gauge_seeded_against_h_form():
@@ -206,9 +197,8 @@ def test_s_gauge_seeded_against_h_form():
             Y = random_vector_field(CHART, rng, amplitude=0.6)
             HY = h_form(s, Y)
             idx = int(rng.integers(0, 2))
-            for p in pts(2):
-                got = s_gauge_fd(Y, s, p, idx)
-                assert list(got) == pytest.approx((-HY.value((idx,))).at(p), abs=1e-4)
+            got = s_gauge_fd(Y, s, pts(2), idx)
+            assert got == pytest.approx((-HY.value((idx,))).at(pts(2)).T, abs=1e-4)
 
 
 def test_gauge_mc_value_integrable_alpha_stays_flat():
@@ -217,8 +207,7 @@ def test_gauge_mc_value_integrable_alpha_stays_flat():
     rng = stream(88, "mcv")
     Y = random_vector_field(CHART, rng, amplitude=0.6)
     V, W = random_vector_field(CHART, rng), random_vector_field(CHART, rng)
-    for p in pts(3):
-        assert abs(gauge_mc_value(Y, 0.05, alpha, couple, p, V, W)) <= 1e-6
+    assert np.abs(gauge_mc_value(Y, 0.05, alpha, couple, pts(3), V, W)).max() <= 1e-6
 
 
 def test_gauge_mc_value_detects_nonintegrable_alpha():
@@ -226,7 +215,5 @@ def test_gauge_mc_value_detects_nonintegrable_alpha():
     alpha = DY.scaled(sin_of(coordinate(CHART, "x")))
     rng = stream(89, "mcv2")
     Y = random_vector_field(CHART, rng, amplitude=0.6)
-    worst = 0.0
-    for p in pts(4):
-        worst = max(worst, abs(gauge_mc_value(Y, 0.05, alpha, couple, p, E_X, E_Y)))
+    worst = np.abs(gauge_mc_value(Y, 0.05, alpha, couple, pts(4), E_X, E_Y)).max()
     assert worst > 0.1

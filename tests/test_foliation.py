@@ -1,13 +1,11 @@
 """Foliation DGLA: bracket, twisted differential, Frobenius, Maurer-Cartan."""
 
-import math
-
+import numpy as np
 import pytest
 
 from leviflat.errors import ZMembershipError
 from leviflat.excalc import (
     basis_vector,
-    coordinate_differential,
     evaluate_form,
     exterior_derivative,
     form_components,
@@ -33,13 +31,13 @@ from leviflat.scenarios import builtin
 from leviflat.symfield import constant, coordinate, cos_of, sin_of, torus
 
 CHART = torus("x", "y", "t")
-DX, DY, DT = (coordinate_differential(CHART, i) for i in range(3))
+DX, DY, DT = (one_form(CHART, np.eye(3)[i]) for i in range(3))
 E_X, E_Y, E_T = (basis_vector(CHART, i) for i in range(3))
 EPS = 0.3
 
 
 def pts(n=10, label="pts"):
-    return sample_points(CHART, n, stream(31, label))
+    return np.array(sample_points(CHART, n, stream(31, label)))
 
 
 def flat_couple():
@@ -59,8 +57,8 @@ def test_bracket_gamma_dy_twisted():
     c = twisted_couple()
     b = dgla_bracket(c.gamma, DY, c)
     # {gamma, dy} = -eps sin t dx ^ dy
-    for p in pts(8):
-        assert evaluate_form(b, p, [E_X, E_Y]) == pytest.approx(-EPS * math.sin(p[2]), abs=1e-13)
+    P = pts(8)
+    assert evaluate_form(b, P, [E_X, E_Y]) == pytest.approx(-EPS * np.sin(P[:, 2]), abs=1e-13)
 
 
 def test_bracket_graded_antisymmetry_seeded():
@@ -71,9 +69,7 @@ def test_bracket_graded_antisymmetry_seeded():
         b = random_form(CHART, kb, rng)
         lhs = dgla_bracket(a, b, c)
         rhs = dgla_bracket(b, a, c).scaled(-((-1.0) ** (ka * kb)))
-        for p in pts(6):
-            for u, v in zip(form_components(lhs, p), form_components(rhs, p)):
-                assert abs(u - v) <= 1e-12
+        assert np.all(np.abs(form_components(lhs, pts(6)) - form_components(rhs, pts(6))) <= 1e-12)
 
 
 def test_reduced_bracket_formula_on_z():
@@ -86,9 +82,7 @@ def test_reduced_bracket_formula_on_z():
     b = random_z_form(s, 1, rng)
     lhs = dgla_bracket(a, b, c)
     rhs = dgla_bracket_reduced(a, b, c)
-    for p in pts(6):
-        for u, v in zip(form_components(lhs, p), form_components(rhs, p)):
-            assert abs(u - v) <= 1e-12
+    assert np.all(np.abs(form_components(lhs, pts(6)) - form_components(rhs, pts(6))) <= 1e-12)
 
 
 def test_delta_of_zero_form():
@@ -98,8 +92,8 @@ def test_delta_of_zero_form():
 def test_delta_dy_twisted():
     c = twisted_couple()
     d = delta(DY, c)
-    for p in pts(8):
-        assert evaluate_form(d, p, [E_X, E_Y]) == pytest.approx(-EPS * math.sin(p[2]), abs=1e-13)
+    P = pts(8)
+    assert evaluate_form(d, P, [E_X, E_Y]) == pytest.approx(-EPS * np.sin(P[:, 2]), abs=1e-13)
 
 
 def test_delta_scalar_flat():
@@ -108,10 +102,10 @@ def test_delta_scalar_flat():
     f = random_scalar(CHART, rng)
     d = delta(f, c)
     # delta f = df - (d_t f) dt on the flat couple
-    for p in pts(8):
-        assert evaluate_form(d, p, [E_X]) == pytest.approx(f.diff(0)(p), abs=1e-12)
-        assert evaluate_form(d, p, [E_Y]) == pytest.approx(f.diff(1)(p), abs=1e-12)
-        assert evaluate_form(d, p, [E_T]) == pytest.approx(0.0, abs=1e-12)
+    P = pts(8)
+    assert evaluate_form(d, P, [E_X]) == pytest.approx(f.diff(0)(P), abs=1e-12)
+    assert evaluate_form(d, P, [E_Y]) == pytest.approx(f.diff(1)(P), abs=1e-12)
+    assert evaluate_form(d, P, [E_T]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_z_membership_values():
@@ -133,9 +127,7 @@ def test_mc_residual_zero_for_zero():
 def test_mc_residual_constant_alpha_flat():
     alpha = one_form(CHART, [0.4, -0.2, 0.0])
     mc = mc_residual(alpha, flat_couple(), pts())
-    for p in pts(8):
-        for v in form_components(mc, p):
-            assert abs(v) <= 1e-14
+    assert np.all(np.abs(form_components(mc, pts(8))) <= 1e-14)
 
 
 def test_mc_residual_rejects_non_z():
@@ -151,10 +143,9 @@ def test_mc_sin_t_dx_is_integrable_and_matches_oracle():
     alpha = DX.scaled(sin_of(coordinate(CHART, "t")))
     mc = mc_residual(alpha, c, pts())
     oracle = interior_product(c.X, mc_oracle_form(alpha, c))
-    for p in pts(10):
-        for u, v in zip(form_components(mc, p), form_components(oracle, p)):
-            assert abs(u) <= 1e-13
-            assert abs(u - v) <= 1e-13
+    u, v = form_components(mc, pts(10)), form_components(oracle, pts(10))
+    assert np.all(np.abs(u) <= 1e-13)
+    assert np.all(np.abs(u - v) <= 1e-13)
 
 
 def test_mc_sin_x_dy_is_not_integrable_and_matches_oracle():
@@ -162,14 +153,12 @@ def test_mc_sin_x_dy_is_not_integrable_and_matches_oracle():
     alpha = DY.scaled(sin_of(coordinate(CHART, "x")))
     mc = mc_residual(alpha, c, pts())
     oracle = interior_product(c.X, mc_oracle_form(alpha, c))
-    worst = 0.0
-    for p in pts(10):
-        for u, v in zip(form_components(mc, p), form_components(oracle, p)):
-            assert abs(u - v) <= 1e-12
-            worst = max(worst, abs(u))
-        # the nonzero coefficient is cos(x) on dx^dy
-        assert evaluate_form(mc, p, [E_X, E_Y]) == pytest.approx(math.cos(p[0]), abs=1e-12)
-    assert worst > 0.3
+    P = pts(10)
+    u, v = form_components(mc, P), form_components(oracle, P)
+    assert np.all(np.abs(u - v) <= 1e-12)
+    # the nonzero coefficient is cos(x) on dx^dy
+    assert evaluate_form(mc, P, [E_X, E_Y]) == pytest.approx(np.cos(P[:, 0]), abs=1e-12)
+    assert np.abs(u).max() > 0.3
 
 
 def test_frobenius_flat_and_twisted_pass():
@@ -190,9 +179,9 @@ def test_leafwise_d_scalar_flat():
     rng = stream(35, "db")
     f = random_scalar(CHART, rng)
     db = leafwise_d(f, c)
-    for p in pts(6):
-        assert evaluate_form(db, p, [E_X]) == pytest.approx(f.diff(0)(p), abs=1e-12)
-        assert evaluate_form(db, p, [E_T]) == pytest.approx(0.0, abs=1e-12)
+    P = pts(6)
+    assert evaluate_form(db, P, [E_X]) == pytest.approx(f.diff(0)(P), abs=1e-12)
+    assert evaluate_form(db, P, [E_T]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_leafwise_d_of_ix_dgamma_closed():
@@ -200,9 +189,7 @@ def test_leafwise_d_of_ix_dgamma_closed():
         c = builtin(name).structure.couple
         ix = interior_product(c.X, exterior_derivative(c.gamma))
         closed = leafwise_d(ix, c)
-        for p in pts(6):
-            for v in form_components(closed, p):
-                assert abs(v) <= 1e-13
+        assert np.all(np.abs(form_components(closed, pts(6))) <= 1e-13)
 
 
 def test_leafwise_d_dx_flat():
@@ -214,8 +201,7 @@ def test_omega_alpha_identity_at_zero():
 
     V = E_X
     out = omega_alpha(V, zero_form(CHART, 1), flat_couple())
-    for p in pts(4):
-        assert out.at(p) == pytest.approx([1.0, 0.0, 0.0])
+    assert out.at(pts(4)).T == pytest.approx(np.tile([1.0, 0.0, 0.0], (4, 1)))
 
 
 def test_omega_alpha_lands_in_deformed_kernel():
@@ -228,8 +214,7 @@ def test_omega_alpha_lands_in_deformed_kernel():
     V = random_xi_field(s, rng)
     beta = c.gamma + alpha
     val = beta.apply_symbolic([omega_alpha(V, alpha, c)])
-    for p in pts(8):
-        assert abs(val(p)) <= 1e-10
+    assert np.all(np.abs(val(pts(8))) <= 1e-10)
 
 
 def test_omega_alpha_round_trip():
@@ -242,9 +227,7 @@ def test_omega_alpha_round_trip():
     alpha = random_z_form(scenario.structure, 1, rng)
     V = random_vector_field(CHART, rng)
     back = omega_alpha_inverse(omega_alpha(V, alpha, c), alpha, c)
-    for p in pts(6):
-        for a, b in zip(back.at(p), V.at(p)):
-            assert abs(a - b) <= 1e-12
+    assert np.all(np.abs(back.at(pts(6)) - V.at(pts(6))) <= 1e-12)
 
 
 def test_mc_flat_family_matches_frobenius_of_tilted_couple():
@@ -259,9 +242,7 @@ def test_mc_flat_family_matches_frobenius_of_tilted_couple():
         points = pts(10, name)
         alpha = mc_flat_alpha(scenario, points)
         mc = mc_residual(alpha, c, points)
-        for p in points:
-            for v in form_components(mc, p):
-                assert abs(v) <= 1e-12
+        assert np.all(np.abs(form_components(mc, points)) <= 1e-12)
         beta = c.gamma + alpha
         scale = beta.apply_symbolic([c.X])
         one = constant(CHART, 1.0)

@@ -3,12 +3,12 @@ deformed bracket and the S-parametrization."""
 
 import math
 
+import numpy as np
 import pytest
 
 from leviflat.errors import ConjugationSingularError, XiMembershipError, ZMembershipError
 from leviflat.excalc import (
     basis_vector,
-    coordinate_differential,
     form_components,
     lie_bracket,
     one_form,
@@ -40,7 +40,6 @@ from leviflat.leafcx import (
     n_alpha_residual,
     nijenhuis,
     proj01_scalar,
-    proj01_vector,
     s_from_structures,
     square_bracket_SS,
     t_endo,
@@ -65,19 +64,16 @@ EPS = 0.3
 
 
 def pts(s, n=8, label="pts"):
-    return sample_points(s.chart, n, stream(51, s.chart.names, label))
+    return np.array(sample_points(s.chart, n, stream(51, s.chart.names, label)))
 
 
 def vec_close(V, W, points, tol=1e-12):
-    for p in points:
-        ev = PointEvaluator(V.chart, p)
-        for a, b in zip(V.at(p, ev), W.at(p, ev)):
-            assert abs(a - b) <= tol
+    ev = PointEvaluator(V.chart, points, V.components + W.components)
+    assert np.all(np.abs(V.at(points, ev) - W.at(points, ev)) <= tol)
 
 
 def vec_zero(V, points, tol=1e-12):
-    for p in points:
-        assert max(abs(v) for v in V.at(p)) <= tol
+    assert np.all(np.abs(V.at(points)) <= tol)
 
 
 # -- J -----------------------------------------------------------------------
@@ -127,9 +123,8 @@ def test_nijenhuis_nonzero_on_perturbed_t5():
     E = T5P.frame
     N = nijenhuis(T5P, E[0], E[2])
     # N(e1, e3) = -cos(x1) e2 for the nilpotent-conjugated J
-    for p in pts(T5P, 6):
-        vals = N.at(p)
-        assert vals[1] == pytest.approx(-math.cos(p[0]), abs=1e-12)
+    P = pts(T5P, 6)
+    assert N.at(P)[1] == pytest.approx(-np.cos(P[:, 0]), abs=1e-12)
 
 
 def test_nijenhuis_function_bilinear():
@@ -159,10 +154,10 @@ def test_dbar0_hand_example():
     x = coordinate(FLAT.chart, "x")
     W = FLAT.frame[0].scaled(cos_of(x))
     val = dbar0_apply(FLAT, W, FLAT.frame[0])
-    for p in pts(FLAT, 6):
-        got = val.at(p)
-        assert got[0] == pytest.approx(-0.5 * math.sin(p[0]), abs=1e-13)
-        assert abs(got[1]) <= 1e-13 and abs(got[2]) <= 1e-13
+    P = pts(FLAT, 6)
+    got = val.at(P)
+    assert got[0] == pytest.approx(-0.5 * np.sin(P[:, 0]), abs=1e-13)
+    assert np.all(np.abs(got[1:]) <= 1e-13)
 
 
 def test_dbar_commutes_with_J():
@@ -217,27 +212,15 @@ def test_proj01_gamma_vanishes():
     for s in (FLAT, TWISTED, SHIFTED):
         A = proj01_scalar(s, s.gamma)
         for i in range(s.n_leaf):
-            f = A.re[(i,)]
-            for p in pts(s):
-                assert abs(f(p)) <= 1e-14
-
-
-def test_proj01_vector_of_identity_is_zero():
-    beta = XiValuedForm(1, {(i,): FLAT.frame[i] for i in range(2)})
-    projected = proj01_vector(FLAT, beta)
-    for i in range(2):
-        vec_zero(projected.value((i,)), pts(FLAT))
+            assert np.all(np.abs(A.re[(i,)](pts(s))) <= 1e-14)
 
 
 def test_ix_dgamma01_twisted_value():
     # (iota_X dgamma)^{0,1}(E1) has real part -eps sin(t) / 2 on the twisted couple
     A = ix_dgamma01(TWISTED)
-    f = A.re[(0,)]
-    for p in pts(TWISTED, 6):
-        assert f(p) == pytest.approx(-0.5 * EPS * math.sin(p[2]), abs=1e-13)
-    g = A.re[(1,)]
-    for p in pts(TWISTED, 6):
-        assert abs(g(p)) <= 1e-14
+    P = pts(TWISTED, 6)
+    assert A.re[(0,)](P) == pytest.approx(-0.5 * EPS * np.sin(P[:, 2]), abs=1e-13)
+    assert np.all(np.abs(A.re[(1,)](P)) <= 1e-14)
 
 
 def test_wedge01_zero_cases():
@@ -247,19 +230,18 @@ def test_wedge01_zero_cases():
     vec_zero(out.value((0, 1)), pts(SHIFTED))
     gam01 = proj01_scalar(SHIFTED, SHIFTED.gamma)
     out2 = wedge01(SHIFTED, gam01, H)
-    for p in pts(SHIFTED):
-        assert max(abs(v) for v in out2.value((0, 1)).at(p)) <= 1e-13
+    assert np.all(np.abs(out2.value((0, 1)).at(pts(SHIFTED))) <= 1e-13)
 
 
 def test_wedge01_hand_expansion():
     # alpha = dx, P the constant E1-valued (0,1)-form on flat T3:
     # (alpha^{0,1} ^ P)(E1,E2) = (E1 + E2)/2
-    dx = coordinate_differential(FLAT.chart, 0)
+    dx = one_form(FLAT.chart, [1.0, 0.0, 0.0])
     A = proj01_scalar(FLAT, dx)
     P = XiValuedForm(1, {(0,): FLAT.frame[0], (1,): FLAT.frame[0]})
     out = wedge01(FLAT, A, P)
-    for p in pts(FLAT, 4):
-        assert out.value((0, 1)).at(p) == pytest.approx([0.5, 0.5, 0.0], abs=1e-14)
+    got = out.value((0, 1)).at(pts(FLAT, 4)).T
+    assert got == pytest.approx(np.tile([0.5, 0.5, 0.0], (4, 1)), abs=1e-14)
 
 
 # -- T_Y and H ------------------------------------------------------------------
@@ -271,9 +253,8 @@ def test_t_endo_examples():
     t = coordinate(FLAT.chart, "t")
     V = FLAT.frame[0].scaled(cos_of(t))
     out = T(V)
-    for p in pts(FLAT, 6):
-        got = out.at(p)
-        assert got[0] == pytest.approx(math.sin(p[2]), abs=1e-13)
+    P = pts(FLAT, 6)
+    assert out.at(P)[0] == pytest.approx(np.sin(P[:, 2]), abs=1e-13)
     T_tw = t_endo(TWISTED.couple, TWISTED.X)
     vec_zero(T_tw(TWISTED.frame[0]), pts(TWISTED), tol=1e-13)
 
@@ -295,7 +276,7 @@ def test_H_nonzero_on_shifted_and_matches_change_couple():
     acc = xi_form_residual(s, H_new, expected, pts(s))
     assert acc.max_rel <= 1e-12
     assert acc.max_abs >= 0.0
-    worst = max(max(abs(v) for v in H_new.value((i,)).at(p)) for i in range(2) for p in pts(s))
+    worst = max(np.abs(H_new.value((i,)).at(pts(s))).max() for i in range(2))
     assert worst > 0.1
 
 
@@ -442,7 +423,7 @@ def test_n_alpha_zero_alpha():
 
 def test_n_alpha_rejects_non_mc():
     s = FLAT
-    alpha = one_form(s.chart, [0.0, 0.0, 0.0]) + coordinate_differential(s.chart, 1).scaled(
+    alpha = one_form(s.chart, [0.0, 0.0, 0.0]) + one_form(s.chart, [0.0, 1.0, 0.0]).scaled(
         sin_of(coordinate(s.chart, "x"))
     )
     with pytest.raises(ZMembershipError):
@@ -454,11 +435,10 @@ def test_n_alpha_rejects_non_mc():
 
 def test_s_from_structures_identity():
     S = s_from_structures(T5, T5.Jmat, pts(T5))
-    for p in pts(T5, 4):
-        ev = PointEvaluator(T5.chart, p)
-        for row in S:
-            for entry in row:
-                assert abs(ev(entry)) <= 1e-14
+    ev = PointEvaluator(T5.chart, pts(T5, 4))
+    for row in S:
+        for entry in row:
+            assert np.all(np.abs(ev(entry)) <= 1e-14)
 
 
 def test_s_from_structures_rotation_roundtrip():
@@ -482,12 +462,11 @@ def test_s_from_structures_rotation_roundtrip():
 
     Jt = matrix_mul(chart, matrix_mul(chart, R, [list(r) for r in T5.Jmat]), Rinv)
     S = s_from_structures(T5, Jt, pts(T5))
-    rebuilt = conjugate_J(T5, S, probe=pts(T5)[0])
-    for p in pts(T5, 4):
-        ev = PointEvaluator(chart, p)
-        for r in range(4):
-            for col in range(4):
-                assert ev(rebuilt[r][col]) == pytest.approx(ev(Jt[r][col]), abs=1e-11)
+    rebuilt = conjugate_J(T5, S, probe=pts(T5)[:1])
+    ev = PointEvaluator(chart, pts(T5, 4))
+    for r in range(4):
+        for col in range(4):
+            assert ev(rebuilt[r][col]) == pytest.approx(ev(Jt[r][col]), abs=1e-11)
 
 
 def test_s_from_structures_singular():
@@ -529,7 +508,7 @@ def test_double_bracket_quarter_variant_fails_on_nonintegrable_J():
     points = pts(s, 5)
     Smat = random_anticommuting_S(s, rng, amplitude=0.05)
     S = xi_form_from_matrix(s, Smat)
-    Jt = conjugate_J(s, Smat, probe=points[0])
+    Jt = conjugate_J(s, Smat, probe=points[:1])
     s_tilde = s.with_J(Jt, leafwise_integrable=False)
     V, W = random_xi_field(s, rng), random_xi_field(s, rng)
     SV = xi_form_apply(s, S, [V])
@@ -538,18 +517,13 @@ def test_double_bracket_quarter_variant_fails_on_nonintegrable_J():
     rhs = -(Ntilde - xi_form_apply(s, S, [Ntilde])).scaled(0.25)
 
     def residual(correction):
-        worst = 0.0
         lhs = (
             dbarJ_S(s, S, V, W)
             + double_bracket_SS(s, S, V, W, correction=correction).scaled(0.5)
             - nijenhuis(s, V, W).scaled(0.25)
         )
-        for p in points:
-            ev = PointEvaluator(s.chart, p)
-            worst = max(
-                worst, max(abs(a - b) for a, b in zip(lhs.at(p, ev), rhs.at(p, ev)))
-            )
-        return worst
+        ev = PointEvaluator(s.chart, points, lhs.components + rhs.components)
+        return np.abs(lhs.at(points, ev) - rhs.at(points, ev)).max()
 
     assert residual(0.5) <= 1e-11
     assert residual(0.25) > 1e-4
@@ -581,8 +555,7 @@ def test_xi_form_values_stay_in_xi():
         for form in (dbar0(s, W), h_form(s), beth(s, XiValuedForm(0, {(): W}))):
             for idx, val in form.values.items():
                 gv = s.couple.gamma_of(val)
-                for p in pts(s, 5):
-                    assert abs(gv(p)) <= 1e-11
+                assert np.all(np.abs(gv(pts(s, 5))) <= 1e-11)
 
 
 def test_antilinearity_of_dbar1_output():

@@ -1,20 +1,73 @@
-"""Built-in scenarios, their declared expectations, and the file loader."""
+"""Built-in scenarios, their hand-verified properties, and the file loader."""
 
+import numpy as np
 import pytest
 
+from leviflat.defcomplex import exactness_witness_check
 from leviflat.errors import ScenarioError
-from leviflat.excalc import form_components
-from leviflat.foliation_dgla import frobenius_residuals
+from leviflat.excalc import add_form_residual, form_components
+from leviflat.foliation_dgla import frobenius_residuals, mc_residual
+from leviflat.leafcx import h_form, ix_dgamma, xi_form_zero_residual
+from leviflat.report import ResidualAccumulator
 from leviflat.sampling import sample_points, stream
 from leviflat.scenarios import (
     BUILTIN_NAMES,
     DeformationFamily,
     builtin,
-    check_expectation,
     load_scenario_file,
     resolve,
     t5_quadratic_S0,
 )
+
+ORIGIN = [(0.0, 0.0, 0.0)]
+
+# The properties each built-in is constructed to have.
+EXPECTED = {
+    "t3_flat": ("H=0", "ixdgamma=0"),
+    "t3_twisted": ("H=0", "ixdgamma!=0"),
+    "t3_twisted_shifted": ("H!=0", "ixdgamma!=0", "exact_witness"),
+    "t5_product": ("H=0", "ixdgamma=0"),
+    "t5_perturbedJ": ("nijenhuis!=0", "J_squared"),
+    "family_t3_tilt": ("H=0", "family_mc_flat"),
+    "family_t3_Jrotation": ("H=0", "family_mc_flat"),
+    "broken_nonintegrable": ("not_integrable",),
+}
+
+
+def check_expectation(scenario, prop, points):
+    """Evaluate one expected property; returns (ok, residual)."""
+    s = scenario.structure
+    if prop == "H=0":
+        acc = xi_form_zero_residual(s, h_form(s), points)
+        return acc.max_rel <= 1e-9, acc.max_rel
+    if prop == "H!=0":
+        ok, res = check_expectation(scenario, "H=0", points)
+        return (not ok), res
+    if prop == "ixdgamma=0":
+        acc = add_form_residual(ResidualAccumulator(), ix_dgamma(s), points)
+        return acc.max_rel <= 1e-9, acc.max_rel
+    if prop == "ixdgamma!=0":
+        ok, res = check_expectation(scenario, "ixdgamma=0", points)
+        return (not ok), res
+    if prop == "exact_witness":
+        acc = exactness_witness_check(scenario.exact_witness, s, points)
+        return acc.max_rel <= 1e-9, acc.max_rel
+    if prop == "nijenhuis!=0":
+        res = s.invariants(points)["nijenhuis"]
+        return res > 1e-3, res
+    if prop == "J_squared":
+        inv = s.invariants(points)
+        return inv["J_squared"] <= 1e-10, inv["J_squared"]
+    if prop == "not_integrable":
+        r3, _, _ = frobenius_residuals(s.gamma, s.X, points)
+        return r3 > 1e-2, r3
+    if prop == "family_mc_flat":
+        acc = ResidualAccumulator()
+        for t in (0.0, 0.1, -0.1, 0.3, -0.3):
+            alpha = scenario.family.alpha_at(t)
+            add_form_residual(acc, mc_residual(alpha, s.couple, points), points)
+        return acc.max_rel <= 1e-9, acc.max_rel
+    raise ValueError(f"unknown expectation {prop!r}")
 
 
 def pts(chart, n=8, label="sc"):
@@ -51,10 +104,11 @@ def test_perturbedJ_validates_with_flag():
 
 
 def test_every_declared_expectation_passes():
+    assert sorted(EXPECTED) == sorted(BUILTIN_NAMES)
     for name in BUILTIN_NAMES:
         sc = builtin(name)
         points = pts(sc.structure.chart, 10, name)
-        for prop in sc.expected:
+        for prop in EXPECTED[name]:
             ok, residual = check_expectation(sc, prop, points)
             assert ok, f"{name}: expectation {prop} failed (residual {residual:.3e})"
 
@@ -68,22 +122,20 @@ def test_twisted_frobenius_residuals_tiny():
 def test_family_values_and_tangent():
     fam = builtin("family_t3_tilt").family
     a = fam.alpha_at(0.5)
-    assert a.coefficient((0,))((0, 0, 0)) == pytest.approx(0.35)
-    assert a.coefficient((1,))((0, 0, 0)) == pytest.approx(-0.2)
+    assert a.coefficient((0,))(ORIGIN) == pytest.approx(0.35)
+    assert a.coefficient((1,))(ORIGIN) == pytest.approx(-0.2)
     tangent = fam.alpha_tangent()
-    assert tangent.coefficient((0,))((0, 0, 0)) == pytest.approx(0.7)
+    assert tangent.coefficient((0,))(ORIGIN) == pytest.approx(0.7)
     assert fam.alpha_at(0.0).is_zero
 
     fam2 = builtin("family_t3_Jrotation").family
     S = fam2.S_matrix_at(0.2)
-    assert S[0][0]((0, 0, 0)) == pytest.approx(0.12)
+    assert S[0][0](ORIGIN) == pytest.approx(0.12)
     St = fam2.S_matrix_tangent()
-    assert St[1][0]((0, 0, 0)) == pytest.approx(-0.35)
+    assert St[1][0](ORIGIN) == pytest.approx(-0.35)
 
 
 def test_quadratic_S0_is_anticommuting_and_dbar_closed():
-    import numpy as np
-
     from leviflat.leafcx import dbar1, xi_form_from_matrix, xi_form_zero_residual
     from leviflat.symfield import PointEvaluator
 
@@ -91,10 +143,10 @@ def test_quadratic_S0_is_anticommuting_and_dbar_closed():
     entries = t5_quadratic_S0(s)
     points = pts(s.chart, 6, "S0")
     J = np.array([[float(v) for v in row] for row in s.Jmat])
-    for p in points:
-        ev = PointEvaluator(s.chart, p)
-        S = np.array([[ev(f) for f in row] for row in entries])
-        assert np.abs(S @ J + J @ S).max() <= 1e-14
+    ev = PointEvaluator(s.chart, points, [f for row in entries for f in row])
+    # (N, n, n): one S matrix per point
+    S = np.array([[ev(f) for f in row] for row in entries]).transpose(2, 0, 1)
+    assert np.abs(S @ J + J @ S).max() <= 1e-14
     S_form = xi_form_from_matrix(s, entries)
     closed = dbar1(s, S_form)
     assert xi_form_zero_residual(s, closed, points).max_rel <= 1e-13
@@ -142,12 +194,11 @@ def test_scenario_file_roundtrip(tmp_path):
     sc.structure.validate(points)
     builtin_tw = builtin("t3_twisted").structure
     # the loaded couple matches the built-in twisted couple pointwise
-    for p in points:
-        got = form_components(sc.structure.gamma, p)
-        want = form_components(builtin_tw.gamma, p)
-        assert got == pytest.approx(want, abs=1e-14)
+    got = form_components(sc.structure.gamma, points)
+    want = form_components(builtin_tw.gamma, points)
+    assert got == pytest.approx(want, abs=1e-14)
     assert sc.family is not None
-    assert sc.family.alpha_at(0.1).coefficient((0,))((0, 0, 0)) == pytest.approx(0.07)
+    assert sc.family.alpha_at(0.1).coefficient((0,))(ORIGIN) == pytest.approx(0.07)
     assert resolve(str(path)).name == "twisted_from_file"
 
 

@@ -17,6 +17,8 @@ from leviflat.errors import (
     SingularEvaluationError,
     UnknownIdentifierError,
 )
+from leviflat.excalc import VectorField
+from leviflat.flows import integrate_flow
 from leviflat.report import ResidualAccumulator
 from leviflat.sampling import sample_points, stream, random_scalar
 from leviflat.symfield import (
@@ -25,8 +27,6 @@ from leviflat.symfield import (
     ScalarField,
     coordinate,
     cos_of,
-    differentiate,
-    evaluate,
     fix_coordinate,
     parse_expr,
     sin_of,
@@ -47,30 +47,30 @@ def test_chart_validation():
 
 def test_parse_cos_at_origin():
     f = parse_expr("cos(t)", CHART)
-    assert evaluate(f, (0.0, 0.0, 0.0)) == 1.0
+    assert f([(0.0, 0.0, 0.0)]).tolist() == [1.0]
 
 
 def test_parse_polynomial_plus_sin():
     f = parse_expr("x*x + sin(y)", CHART)
-    assert evaluate(f, (2.0, 0.0, 0.0)) == pytest.approx(4.0, abs=1e-14)
+    assert f([(2.0, 0.0, 0.0)]) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_parse_reciprocal():
     # 1/(2 + cos(pi)) = 1/(2 - 1)
     f = parse_expr("1/(2+cos(t))", CHART)
-    assert evaluate(f, (0.0, 0.0, math.pi)) == pytest.approx(1.0, abs=1e-14)
+    assert f([(0.0, 0.0, math.pi)]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_parse_precedence_and_power():
     f = parse_expr("2*x^2 - -3", CHART)
-    assert evaluate(f, (2.0, 0.0, 0.0)) == pytest.approx(11.0)
+    assert f([(2.0, 0.0, 0.0)]) == pytest.approx(11.0)
     g = parse_expr("-x^2", CHART)
-    assert evaluate(g, (2.0, 0.0, 0.0)) == pytest.approx(-4.0)
+    assert g([(2.0, 0.0, 0.0)]) == pytest.approx(-4.0)
 
 
 def test_parse_pi_constant():
     f = parse_expr("cos(pi)", CHART)
-    assert evaluate(f, (0.0, 0.0, 0.0)) == pytest.approx(-1.0)
+    assert f([(0.0, 0.0, 0.0)]) == pytest.approx(-1.0)
 
 
 def test_parse_syntax_error_reports_position():
@@ -99,65 +99,63 @@ def test_parse_arity_mismatch():
 
 def test_differentiate_cos():
     f = parse_expr("cos(t)", CHART)
-    df = differentiate(f, 2)
-    for tv in (0.0, 0.7, 2.1):
-        assert df((0.0, 0.0, tv)) == pytest.approx(-math.sin(tv), abs=1e-15)
+    df = f.diff(2)
+    tv = np.array([0.0, 0.7, 2.1])
+    points = np.stack([np.zeros(3), np.zeros(3), tv], axis=1)
+    assert df(points) == pytest.approx(-np.sin(tv), abs=1e-15)
 
 
 def test_second_derivative():
     f = parse_expr("cos(t)", CHART)
-    d2 = differentiate(differentiate(f, 2), 2)
-    assert d2((0.0, 0.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
+    d2 = f.diff(2).diff(2)
+    assert d2([(0.0, 0.0, 0.0)]) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_derivative_of_independent_coordinate_is_zero():
     f = parse_expr("x*x", CHART)
-    assert differentiate(f, 1).is_zero
+    assert f.diff(1).is_zero
 
 
 def test_differentiate_index_out_of_range():
     f = parse_expr("x", CHART)
     with pytest.raises(IndexError):
-        differentiate(f, 3)
+        f.diff(3)
 
 
 def test_evaluate_trivial_values():
-    assert evaluate(parse_expr("sin(x)", CHART), (math.pi / 2, 0.0, 0.0)) == pytest.approx(1.0)
-    assert evaluate(parse_expr("exp(0)", CHART), (0.0, 0.0, 0.0)) == 1.0
+    assert parse_expr("sin(x)", CHART)([(math.pi / 2, 0.0, 0.0)]) == pytest.approx(1.0)
+    assert parse_expr("exp(0)", CHART)([(0.0, 0.0, 0.0)]).tolist() == [1.0]
     f = parse_expr("sin(x)*cos(t)", CHART)
-    assert evaluate(f, (math.pi / 2, 0.3, math.pi)) == pytest.approx(-1.0)
+    assert f([(math.pi / 2, 0.3, math.pi)]) == pytest.approx(-1.0)
 
 
 def test_evaluate_reduces_periodic_coordinates():
     f = parse_expr("x*x", CHART)
-    assert evaluate(f, (2.0 + 2.0 * math.pi, 0.0, 0.0)) == pytest.approx(4.0, abs=1e-12)
+    assert f([(2.0 + 2.0 * math.pi, 0.0, 0.0)]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_division_guard():
     f = parse_expr("1/(1+cos(t))", CHART)
     with pytest.raises(SingularEvaluationError):
-        evaluate(f, (0.0, 0.0, math.pi))
+        f([(0.0, 0.0, math.pi)])
 
 
 def test_finite_difference_consistency():
     """100 seeded (f, p, i): exact derivative against Richardson differences."""
     rng = stream(202, "fd")
     points = sample_points(CHART, 100, rng)
+    h = 1e-3
     for k, p in enumerate(points):
         f = random_scalar(CHART, rng)
         i = k % CHART.dim
-        df = differentiate(f, i)
-        h = 1e-3
-
-        def shift(t):
-            q = list(p)
-            q[i] += t
-            return f(tuple(q))
-
-        d1 = (shift(h) - shift(-h)) / (2 * h)
-        d2 = (shift(h / 2) - shift(-h / 2)) / h
+        # p shifted along coordinate i by h, -h, h/2, -h/2
+        shifted = np.tile(p, (4, 1))
+        shifted[:, i] += [h, -h, h / 2, -h / 2]
+        fp, fm, fp2, fm2 = f(shifted)
+        d1 = (fp - fm) / (2 * h)
+        d2 = (fp2 - fm2) / h
         richardson = (4 * d2 - d1) / 3
-        value = df(p)
+        value = f.diff(i)([p])[0]
         assert abs(value - richardson) <= 1e-6 * (1.0 + abs(value))
 
 
@@ -169,10 +167,9 @@ def test_linearity_exact():
     a, b = 1.7, -0.3
     combo = a * f + b * g
     for i in range(CHART.dim):
-        lhs = differentiate(combo, i)
-        rhs = a * differentiate(f, i) + b * differentiate(g, i)
-        for p in points:
-            assert abs(lhs(p) - rhs(p)) <= 1e-12
+        lhs = combo.diff(i)
+        rhs = a * f.diff(i) + b * g.diff(i)
+        assert np.all(np.abs(lhs(points) - rhs(points)) <= 1e-12)
 
 
 def test_clairaut_symmetry():
@@ -182,10 +179,9 @@ def test_clairaut_symmetry():
         f = random_scalar(CHART, rng)
         for i in range(CHART.dim):
             for j in range(i + 1, CHART.dim):
-                dij = differentiate(differentiate(f, i), j)
-                dji = differentiate(differentiate(f, j), i)
-                for p in points:
-                    assert abs(dij(p) - dji(p)) <= 1e-10
+                dij = f.diff(i).diff(j)
+                dji = f.diff(j).diff(i)
+                assert np.all(np.abs(dij(points) - dji(points)) <= 1e-10)
 
 
 @given(
@@ -199,9 +195,9 @@ def test_product_rule_property(a, b, xv):
     f = a * sin_of(x) + b
     g = cos_of(x) * x
     product = f * g
-    lhs = differentiate(product, 0)
-    rhs = differentiate(f, 0) * g + f * differentiate(g, 0)
-    p = (xv, 0.0, 0.0)
+    lhs = product.diff(0)
+    rhs = f.diff(0) * g + f * g.diff(0)
+    p = [(xv, 0.0, 0.0)]
     assert lhs(p) == pytest.approx(rhs(p), abs=1e-10)
 
 
@@ -215,13 +211,13 @@ def test_parse_matches_operator_build(data):
     parsed = parse_expr(text, CHART)
     x, y = coordinate(CHART, "x"), coordinate(CHART, "y")
     built = c1 * sin_of(x) + cos_of(y) * c2 - x / 2
-    p = tuple(data.draw(st.floats(0, 6.2, allow_nan=False)) for _ in range(3))
+    p = [tuple(data.draw(st.floats(0, 6.2, allow_nan=False)) for _ in range(3))]
     assert parsed(p) == pytest.approx(built(p), abs=1e-12)
 
 
 def test_point_evaluator_shares_cache():
     f = parse_expr("sin(x)*cos(y) + sin(x)", CHART)
-    ev = PointEvaluator(CHART, (1.0, 2.0, 0.0))
+    ev = PointEvaluator(CHART, [(1.0, 2.0, 0.0)])
     assert ev(f) == pytest.approx(math.sin(1.0) * math.cos(2.0) + math.sin(1.0))
 
 
@@ -232,9 +228,9 @@ def test_fix_coordinate_substitution():
     f = s * sin_of(x) + s * s
     at_half = fix_coordinate(f, 3, 0.5)
     assert at_half.chart.names == CHART.names
-    assert at_half((1.0, 0.0, 0.0)) == pytest.approx(0.5 * math.sin(1.0) + 0.25)
+    assert at_half([(1.0, 0.0, 0.0)]) == pytest.approx(0.5 * math.sin(1.0) + 0.25)
     tangent = fix_coordinate(f.diff(3), 3, 0.0)
-    assert tangent((1.0, 0.0, 0.0)) == pytest.approx(math.sin(1.0))
+    assert tangent([(1.0, 0.0, 0.0)]) == pytest.approx(math.sin(1.0))
 
 
 # --------------------------------------------------------------------------
@@ -318,10 +314,24 @@ def test_batch_evaluation_matches_recursive_reference_bitwise(node, points):
     got = PointEvaluator(CHART, points, [f])(f)
     assert got.shape == (len(points),)
     assert np.array(expected, dtype=float).tobytes() == got.tobytes()
-    # a single point is a batch of one, with a float value
-    single = f(points[0])
-    assert type(single) is float
-    assert np.float64(single).tobytes() == got[:1].tobytes()
+
+
+ONE_POINT = (0.1, 0.2, 0.3)
+X = coordinate(CHART, "x")
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: PointEvaluator(CHART, ONE_POINT, [X]),
+        lambda: X(ONE_POINT),
+        lambda: integrate_flow(VectorField(CHART, [1.0, 0.0, 0.0]), 0.1, ONE_POINT),
+    ],
+    ids=["PointEvaluator", "ScalarField.__call__", "integrate_flow"],
+)
+def test_single_point_is_rejected(evaluate):
+    with pytest.raises(ValueError, match=r"\(N, 3\) batch"):
+        evaluate()
 
 
 def test_singular_division_names_first_offending_sample():
@@ -329,7 +339,7 @@ def test_singular_division_names_first_offending_sample():
     points = [(1.0, 0.0, 0.0), (math.pi, 0.0, 0.0), (1.5, 0.0, 0.0), (0.0, 0.0, 0.0)]
     with pytest.raises(SingularEvaluationError, match=repr(math.sin(math.pi))):
         f(points)
-    assert f(points[2]) == 1.0 / math.sin(1.5)
+    assert f(points[2:3]).tolist() == [1.0 / math.sin(1.5)]
 
 
 def test_empty_batch_has_no_samples():
@@ -344,7 +354,7 @@ def test_exp_overflow_raises():
     with pytest.raises(OverflowError):
         f([(0.1, 0.0, 0.0), (1.0, 0.0, 0.0)])
     with pytest.raises(OverflowError):
-        f((1.0, 0.0, 0.0))
+        f([(1.0, 0.0, 0.0)])
 
 
 def test_import_leaves_recursion_limit_alone():
