@@ -42,7 +42,9 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP):
     every p of an (N, dim) batch together.
 
     Returns (points, Jacobians) as numpy arrays of shapes (N, dim) and
-    (N, dim, dim); classical RK4, global error O(h^4).
+    (N, dim, dim); classical RK4, global error O(h^4).  One point of shape
+    (dim,) is flowed as a batch of one and comes back with shapes (dim,) and
+    (dim, dim), so a single trajectory needs no wrapping.
     """
     if h <= 0:
         raise FlowParameterError(f"step must be positive, got {h!r}")
@@ -50,10 +52,12 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP):
         raise FlowParameterError(f"|t|/h = {abs(t) / h:.3e} exceeds 1e6")
     chart = Y.chart
     dim = chart.dim
-    x = point_batch(chart, points)
+    pts = np.array(points, dtype=float)
+    one_point = pts.ndim == 1 and pts.size > 0
+    x = point_batch(chart, pts[None] if one_point else pts)
     A = np.tile(np.eye(dim), (len(x), 1, 1))
     if t == 0.0:
-        return x, A
+        return (x[0], A[0]) if one_point else (x, A)
     jac = [[c.diff(j) for j in range(dim)] for c in Y.components]
     tape = Tape([f.node for f in Y.components + tuple(f for row in jac for f in row)])
 
@@ -76,7 +80,7 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP):
         K4 = J4 @ (A + ds * K3)
         x = x + (ds / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         A = A + (ds / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    return x, A
+    return (x[0], A[0]) if one_point else (x, A)
 
 
 def pullback_form_numeric(Y, t, omega, points, args, h=DEFAULT_STEP):

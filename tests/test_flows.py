@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from leviflat import flows
 from leviflat.errors import FlowParameterError, GaugeDomainError
 from leviflat.excalc import (
     basis_vector,
@@ -65,6 +66,34 @@ def test_small_time_taylor_expansion():
     expected_A = np.eye(3)
     expected_A[2, 0] = -t * np.sin(0.4)
     assert A[0] == pytest.approx(expected_A, abs=1e-8)
+
+
+def test_one_point_flows_as_a_batch_of_one():
+    Y = random_vector_field(CHART, stream(83, "one"))
+    p = (0.2, 0.3, 0.4)
+    for t in (0.35, 0.0):
+        q, A = integrate_flow(Y, t, p, h=0.05)
+        q1, A1 = integrate_flow(Y, t, [p], h=0.05)
+        assert q.shape == (3,) and A.shape == (3, 3)
+        assert q.tobytes() == q1[0].tobytes() and A.tobytes() == A1[0].tobytes()
+    with pytest.raises(ValueError, match=r"\(N, 3\) batch"):
+        integrate_flow(Y, 0.1, (0.2, 0.3))
+
+
+def test_each_rk4_step_builds_four_evaluators(monkeypatch):
+    built = []
+
+    class Counting(flows.PointEvaluator):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(flows, "PointEvaluator", Counting)
+    for t, h, steps in ((0.35, 0.05, 7), (0.0, 1e-3, 0), (-0.1, 0.03, 4)):
+        built.clear()
+        integrate_flow(E_X, t, pts(2), h=h)
+        assert len(built) == 4 * steps
+        assert all(len(x) == 2 for x in built)
 
 
 def test_flow_parameter_validation():

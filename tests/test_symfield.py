@@ -17,8 +17,6 @@ from leviflat.errors import (
     SingularEvaluationError,
     UnknownIdentifierError,
 )
-from leviflat.excalc import VectorField
-from leviflat.flows import integrate_flow
 from leviflat.report import ResidualAccumulator
 from leviflat.sampling import sample_points, stream, random_scalar
 from leviflat.symfield import (
@@ -325,9 +323,8 @@ X = coordinate(CHART, "x")
     [
         lambda: PointEvaluator(CHART, ONE_POINT, [X]),
         lambda: X(ONE_POINT),
-        lambda: integrate_flow(VectorField(CHART, [1.0, 0.0, 0.0]), 0.1, ONE_POINT),
     ],
-    ids=["PointEvaluator", "ScalarField.__call__", "integrate_flow"],
+    ids=["PointEvaluator", "ScalarField.__call__"],
 )
 def test_single_point_is_rejected(evaluate):
     with pytest.raises(ValueError, match=r"\(N, 3\) batch"):
