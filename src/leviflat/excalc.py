@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ChartMismatchError
-from .symfield import Const, PointEvaluator, ScalarField, ZERO, constant
+from .symfield import Const, PointEvaluator, ScalarField, ZERO, add, constant, mul
 
 _zero_cache = {}
 
@@ -109,11 +109,11 @@ class VectorField:
 
     def apply(self, f):
         """Directional derivative V(f) as a ScalarField."""
-        f = _as_field(self.chart, f)
-        out = _zero(self.chart)
+        node = _as_field(self.chart, f).node
+        out = ZERO
         for i, comp in enumerate(self.components):
-            out = out + comp * f.diff(i)
-        return out
+            out = add(out, mul(comp.node, node.diff(i)))
+        return ScalarField(self.chart, out)
 
     def at(self, points, ev=None):
         """Numeric components at an (N, dim) batch of points, as a (dim, N)

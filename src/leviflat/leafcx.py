@@ -267,19 +267,24 @@ class LeviFlatStructure:
 # --------------------------------------------------------------------------
 
 
+def _nijenhuis_terms(s, V, W, bk):
+    """[V, W], J[JV, W] and N(V, W), each of the four brackets and four
+    applications of J built once."""
+    JV, JW = s.apply_J(V), s.apply_J(W)
+    b_VW = bk(V, W)
+    Jb_JVW = s.apply_J(bk(JV, W))
+    return b_VW, Jb_JVW, bk(JV, JW) - b_VW - Jb_JVW - s.apply_J(bk(V, JW))
+
+
 def nijenhuis(s, V, W, bracket=None):
     """N(V, W) = [JV, JW] - [V, W] - J[JV, W] - J[V, JW]."""
-    bk = bracket or lie_bracket
-    JV, JW = s.apply_J(V), s.apply_J(W)
-    return bk(JV, JW) - bk(V, W) - s.apply_J(bk(JV, W)) - s.apply_J(bk(V, JW))
+    return _nijenhuis_terms(s, V, W, bracket or lie_bracket)[2]
 
 
 def dbar0_apply(s, W, V, bracket=None):
     """(dbar W)(V) = 1/2([V, W] + J[JV, W]) + 1/4 N(V, W)."""
-    bk = bracket or lie_bracket
-    JV = s.apply_J(V)
-    half = (bk(V, W) + s.apply_J(bk(JV, W))).scaled(0.5)
-    return half + nijenhuis(s, V, W, bk).scaled(0.25)
+    b_VW, Jb_JVW, N = _nijenhuis_terms(s, V, W, bracket or lie_bracket)
+    return (b_VW + Jb_JVW).scaled(0.5) + N.scaled(0.25)
 
 
 def dbar0(s, W, bracket=None):

@@ -5,7 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ScenarioError
+from .errors import (
+    ArityError,
+    ExprSyntaxError,
+    ScenarioError,
+    SingularEvaluationError,
+    UnknownIdentifierError,
+)
 from .excalc import (
     DifferentialForm,
     VectorField,
@@ -318,6 +324,12 @@ def load_scenario_file(path):
     )
     chart = Chart(names, periodic)
 
+    def parse(text, lineno, on=chart):
+        try:
+            return parse_expr(text, on)
+        except (ExprSyntaxError, UnknownIdentifierError, ArityError, SingularEvaluationError) as exc:
+            raise ScenarioError(f"{path}:{lineno}: {exc}") from None
+
     def parse_cov(entries, what):
         coeffs = {}
         for key, value, lineno in entries:
@@ -325,7 +337,7 @@ def load_scenario_file(path):
                 i = chart.index(key)
             except Exception:
                 raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in {what}")
-            coeffs[(i,)] = parse_expr(value, chart)
+            coeffs[(i,)] = parse(value, lineno)
         return DifferentialForm(chart, 1, coeffs)
 
     def parse_vec(entries, what):
@@ -335,7 +347,7 @@ def load_scenario_file(path):
                 i = chart.index(key)
             except Exception:
                 raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in {what}")
-            comps[i] = parse_expr(value, chart)
+            comps[i] = parse(value, lineno)
         return VectorField(chart, comps)
 
     if "gamma" not in by_name or "X" not in by_name:
@@ -353,7 +365,7 @@ def load_scenario_file(path):
     for key, value, lineno in by_name["J"]:
         if key != "row":
             raise ScenarioError(f"{path}:{lineno}: [J] entries must be 'row = ...'")
-        rows.append([parse_expr(tok.strip(), chart) for tok in value.split(",")])
+        rows.append([parse(tok.strip(), lineno) for tok in value.split(",")])
     n = len(frame)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ScenarioError(f"{path}: [J] must be a {n}x{n} matrix")
@@ -371,14 +383,15 @@ def load_scenario_file(path):
             fam_name, _, part = tail.partition(".")
             if part == "alpha":
                 for key, value, lineno in entries:
-                    i = chart.index(key)
-                    fam_alpha[(i,)] = parse_expr(value, chart_ext)
+                    if key not in chart.names:
+                        raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in [{name}]")
+                    fam_alpha[(chart.index(key),)] = parse(value, lineno, chart_ext)
             elif part == "S":
                 fam_S = []
                 for key, value, lineno in entries:
                     if key != "row":
                         raise ScenarioError(f"{path}:{lineno}: family S entries must be 'row = ...'")
-                    fam_S.append([parse_expr(tok.strip(), chart_ext) for tok in value.split(",")])
+                    fam_S.append([parse(tok.strip(), lineno, chart_ext) for tok in value.split(",")])
             else:
                 raise ScenarioError(f"{path}: family section must end in .alpha or .S")
         family = DeformationFamily(

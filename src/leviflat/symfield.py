@@ -222,14 +222,10 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
-def _is_const(node, value=None):
-    if not isinstance(node, Const):
-        return False
-    return True if value is None else node.value == value
-
-
 # Smart factories: constant folding plus 0/1 absorption.  No CAS-style
-# normal forms are attempted.
+# normal forms are attempted.  Each operand's type is tested once; the rules
+# apply in this order: fold two constants, absorb 0 and 1, then (mul) keep
+# the constant factor on the left and fold it into a nested constant factor.
 
 
 def const(v):
@@ -241,21 +237,23 @@ def const(v):
 
 
 def add(a, b):
-    if _is_const(a) and _is_const(b):
-        return const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a, b):
-    if _is_const(a) and _is_const(b):
-        return const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if type(b) is Const:
+        if type(a) is Const:
+            return const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Const and a.value == 0.0:
         return neg(b)
     if a is b:
         return ZERO
@@ -263,38 +261,40 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if _is_const(a) and _is_const(b):
-        return const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    # keep constants on the left and fold through nested constant factors
-    if _is_const(b):
+    if type(a) is Const:
+        if type(b) is Const:
+            return const(a.value * b.value)
+    elif type(b) is Const:
         a, b = b, a
-    if _is_const(a) and isinstance(b, Mul) and _is_const(b.a):
-        return mul(const(a.value * b.a.value), b.b)
+    else:
+        return Mul(a, b)
+    # a is the one constant factor
+    v = a.value
+    if v == 0.0:
+        return ZERO
+    if v == 1.0:
+        return b
+    if type(b) is Mul and type(b.a) is Const:
+        return mul(const(v * b.a.value), b.b)
     return Mul(a, b)
 
 
 def div(a, b):
-    if _is_const(b):
+    if type(b) is Const:
         if b.value == 0.0:
             raise SingularEvaluationError("symbolic division by constant zero")
-        if _is_const(a):
+        if type(a) is Const:
             return const(a.value / b.value)
         return mul(const(1.0 / b.value), a)
-    if _is_const(a, 0.0):
+    if type(a) is Const and a.value == 0.0:
         return ZERO
     return Div(a, b)
 
 
 def neg(a):
-    if _is_const(a):
+    if type(a) is Const:
         return const(-a.value)
-    if isinstance(a, Neg):
+    if type(a) is Neg:
         return a.a
     return Neg(a)
 
@@ -305,25 +305,25 @@ def powi(a, n):
         return ONE
     if n == 1:
         return a
-    if _is_const(a):
+    if type(a) is Const:
         return const(a.value**n)
     return Pow(a, n)
 
 
 def sin(a):
-    if _is_const(a):
+    if type(a) is Const:
         return const(math.sin(a.value))
     return Sin(a)
 
 
 def cos(a):
-    if _is_const(a):
+    if type(a) is Const:
         return const(math.cos(a.value))
     return Cos(a)
 
 
 def exp(a):
-    if _is_const(a):
+    if type(a) is Const:
         return const(math.exp(a.value))
     return Exp(a)
 
@@ -402,7 +402,8 @@ class ScalarField:
 
     @property
     def is_zero(self):
-        return _is_const(self.node, 0.0)
+        node = self.node
+        return type(node) is Const and node.value == 0.0
 
     def __repr__(self):
         return f"ScalarField({self.node!r})"

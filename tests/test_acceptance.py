@@ -2,7 +2,6 @@
 line with the governing tolerance.  Tolerances are pinned here and nowhere
 else; nothing is deferred to later calibration."""
 
-import json
 import time
 
 from leviflat.cli import RunConfig, run, write_report

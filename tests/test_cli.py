@@ -1,7 +1,6 @@
 """CLI runner: exit codes, determinism, selectors, overrides, report schema."""
 
 import json
-import os
 
 import pytest
 
@@ -179,6 +178,25 @@ def test_scenario_file_through_cli(tmp_path):
     status, doc = run(RunConfig(scenario=str(path), suite="frobenius,cor.levi_flat_mc", points=6))
     assert status == 0
     assert {r["identity"] for r in doc["results"]} == {"frobenius", "cor.levi_flat_mc"}
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        ("x = 0.3*cos(t)", "x = 0.3*cos(t"),
+        ("x = 0.3*cos(t)", "x = 1/0"),
+        ("x = 0.7*s", "z = 0.7*s"),
+    ],
+    ids=["syntax", "division_by_zero", "family_coordinate"],
+)
+def test_malformed_scenario_line_is_a_located_error(tmp_path, capsys, good, bad):
+    from tests.test_scenarios import SCENARIO_TEXT
+
+    lineno = SCENARIO_TEXT.splitlines().index(good) + 1
+    path = tmp_path / "bad.scn"
+    path.write_text(SCENARIO_TEXT.replace(good, bad, 1))
+    assert main(["--scenario", str(path), "--points", "2"]) == 2
+    assert f"configuration error: {path}:{lineno}: " in capsys.readouterr().err
 
 
 def test_runner_records_singular_evaluation_as_failure():

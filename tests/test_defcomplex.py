@@ -18,7 +18,6 @@ from leviflat.defcomplex import (
     tangent_witness_image,
 )
 from leviflat.excalc import (
-    basis_vector,
     form_components,
     one_form,
     scalar_form,

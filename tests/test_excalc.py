@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from leviflat.errors import ChartMismatchError
 from leviflat.excalc import (
-    DifferentialForm,
     VectorField,
     basis_vector,
     evaluate_form,
@@ -20,7 +19,6 @@ from leviflat.excalc import (
     one_form,
     scalar_form,
     wedge,
-    zero_form,
 )
 from leviflat.sampling import random_form, random_scalar, random_vector_field, sample_points, stream
 from leviflat.symfield import PointEvaluator, constant, coordinate, cos_of, sin_of, torus

@@ -12,7 +12,6 @@ from leviflat.excalc import (
     interior_product,
     one_form,
     scalar_form,
-    wedge,
 )
 from leviflat.foliation_dgla import (
     dgla_bracket,

@@ -8,14 +8,11 @@ import pytest
 
 from leviflat.errors import ConjugationSingularError, XiMembershipError, ZMembershipError
 from leviflat.excalc import (
-    basis_vector,
-    form_components,
     lie_bracket,
     one_form,
 )
 from leviflat.leafcx import (
     AntiLinearScalarForm,
-    LeviFlatStructure,
     XiValuedForm,
     antilinearity_residual,
     beth,
@@ -34,7 +31,6 @@ from leviflat.leafcx import (
     double_bracket_SS,
     h_apply,
     h_form,
-    ix_dgamma,
     ix_dgamma01,
     make_deformed_bracket,
     n_alpha_residual,
@@ -158,6 +154,38 @@ def test_dbar0_hand_example():
     got = val.at(P)
     assert got[0] == pytest.approx(-0.5 * np.sin(P[:, 0]), abs=1e-13)
     assert np.all(np.abs(got[1:]) <= 1e-13)
+
+
+def _nijenhuis_unshared(s, V, W, bk):
+    JV, JW = s.apply_J(V), s.apply_J(W)
+    return bk(JV, JW) - bk(V, W) - s.apply_J(bk(JV, W)) - s.apply_J(bk(V, JW))
+
+
+def _dbar0_apply_unshared(s, W, V, bk):
+    """(dbar W)(V) with every bracket and J built afresh: six brackets."""
+    JV = s.apply_J(V)
+    half = (bk(V, W) + s.apply_J(bk(JV, W))).scaled(0.5)
+    return half + _nijenhuis_unshared(s, V, W, bk).scaled(0.25)
+
+
+@pytest.mark.parametrize("deformed", [False, True], ids=["lie", "deformed"])
+def test_shared_brackets_match_six_bracket_formula_bitwise(deformed):
+    """dbar0_apply and nijenhuis build each bracket once; their values must
+    be the unshared formula's to the bit (sharing must not newly trigger
+    sub(a, a) -> 0)."""
+    s = T5
+    rng = stream(72, "shared")
+    bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, rng, amplitude=0.5)) if deformed else None
+    bk = bracket or lie_bracket
+    V, W = random_xi_field(s, rng), random_xi_field(s, rng)
+    points = pts(s, 6)
+    for A, B in ((V, W), (s.frame[0], W), (s.frame[1], s.frame[3])):
+        pairs = (
+            (nijenhuis(s, A, B, bracket), _nijenhuis_unshared(s, A, B, bk)),
+            (dbar0_apply(s, B, A, bracket), _dbar0_apply_unshared(s, B, A, bk)),
+        )
+        for got, want in pairs:
+            assert got.at(points).tobytes() == want.at(points).tobytes()
 
 
 def test_dbar_commutes_with_J():

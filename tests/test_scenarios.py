@@ -12,7 +12,6 @@ from leviflat.report import ResidualAccumulator
 from leviflat.sampling import sample_points, stream
 from leviflat.scenarios import (
     BUILTIN_NAMES,
-    DeformationFamily,
     builtin,
     load_scenario_file,
     resolve,

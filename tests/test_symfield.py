@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import leviflat
 from leviflat import symfield as sf
@@ -312,6 +312,187 @@ def test_batch_evaluation_matches_recursive_reference_bitwise(node, points):
     got = PointEvaluator(CHART, points, [f])(f)
     assert got.shape == (len(points),)
     assert np.array(expected, dtype=float).tobytes() == got.tobytes()
+
+
+# The smart factories as they were written with one `_is_const` call per
+# rule, kept as the reference for the shape of every tree they build.
+
+
+def _is_const(node, value=None):
+    if not isinstance(node, sf.Const):
+        return False
+    return True if value is None else node.value == value
+
+
+def _ref_const(v):
+    if v == 0.0:
+        return sf.ZERO
+    if v == 1.0:
+        return sf.ONE
+    return sf.Const(v)
+
+
+def _ref_add(a, b):
+    if _is_const(a) and _is_const(b):
+        return _ref_const(a.value + b.value)
+    if _is_const(a, 0.0):
+        return b
+    if _is_const(b, 0.0):
+        return a
+    return sf.Add(a, b)
+
+
+def _ref_sub(a, b):
+    if _is_const(a) and _is_const(b):
+        return _ref_const(a.value - b.value)
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a, 0.0):
+        return _ref_neg(b)
+    if a is b:
+        return sf.ZERO
+    return sf.Sub(a, b)
+
+
+def _ref_mul(a, b):
+    if _is_const(a) and _is_const(b):
+        return _ref_const(a.value * b.value)
+    if _is_const(a, 0.0) or _is_const(b, 0.0):
+        return sf.ZERO
+    if _is_const(a, 1.0):
+        return b
+    if _is_const(b, 1.0):
+        return a
+    if _is_const(b):
+        a, b = b, a
+    if _is_const(a) and isinstance(b, sf.Mul) and _is_const(b.a):
+        return _ref_mul(_ref_const(a.value * b.a.value), b.b)
+    return sf.Mul(a, b)
+
+
+def _ref_div(a, b):
+    if _is_const(b):
+        if b.value == 0.0:
+            raise SingularEvaluationError("symbolic division by constant zero")
+        if _is_const(a):
+            return _ref_const(a.value / b.value)
+        return _ref_mul(_ref_const(1.0 / b.value), a)
+    if _is_const(a, 0.0):
+        return sf.ZERO
+    return sf.Div(a, b)
+
+
+def _ref_neg(a):
+    if _is_const(a):
+        return _ref_const(-a.value)
+    if isinstance(a, sf.Neg):
+        return a.a
+    return sf.Neg(a)
+
+
+def _ref_powi(a, n):
+    n = int(n)
+    if n == 0:
+        return sf.ONE
+    if n == 1:
+        return a
+    if _is_const(a):
+        return _ref_const(a.value**n)
+    return sf.Pow(a, n)
+
+
+def _ref_unary(fn, node_type):
+    def build(a):
+        if _is_const(a):
+            return _ref_const(fn(a.value))
+        return node_type(a)
+
+    return build
+
+
+# factory -> its reference; powi's second operand is an exponent, the others
+# are unary or binary in nodes
+_FACTORIES = {
+    sf.const: _ref_const,
+    sf.add: _ref_add,
+    sf.sub: _ref_sub,
+    sf.mul: _ref_mul,
+    sf.div: _ref_div,
+    sf.neg: _ref_neg,
+    sf.powi: _ref_powi,
+    sf.sin: _ref_unary(math.sin, sf.Sin),
+    sf.cos: _ref_unary(math.cos, sf.Cos),
+    sf.exp: _ref_unary(math.exp, sf.Exp),
+}
+_BINARY = (sf.add, sf.sub, sf.mul, sf.div)
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5]
+
+
+def _leaf(kind, v):
+    # "x": a coordinate; "c": a fresh Const (0 and 1 not the shared ZERO and
+    # ONE); "k": through const, which shares them
+    if kind == "x":
+        return sf.Coord(int(abs(v)) % 3)
+    return sf.Const(v) if kind == "c" else sf.const(v)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, SingularEvaluationError) as exc:
+        return type(exc)
+
+
+@given(
+    leaves=st.lists(
+        st.tuples(
+            st.sampled_from("xck"),
+            st.one_of(st.sampled_from(_SPECIAL), st.floats(-3, 3, allow_nan=False)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    program=st.lists(
+        st.tuples(st.sampled_from(list(_FACTORIES)), st.integers(0, 40), st.integers(-3, 40)),
+        max_size=40,
+    ),
+)
+# one pinned program per rule: folding, 0/1 absorption, constants moved left
+# and nested constant factors folded, neg(neg(a)), sub(a, a), division by a
+# constant and by constant zero
+@example(leaves=[("x", 0), ("c", 0.0), ("k", 1.0), ("c", 2.0)],
+         program=[(sf.add, 1, 3), (sf.mul, 0, 3), (sf.mul, 2, 0), (sf.add, 0, 1)])
+@example(leaves=[("x", 0), ("c", 2.0), ("c", 3.0)],
+         program=[(sf.mul, 0, 1), (sf.mul, 2, 3), (sf.mul, 4, 2), (sf.div, 0, 2)])
+@example(leaves=[("x", 1), ("c", 0.0)],
+         program=[(sf.neg, 0, 0), (sf.neg, 2, 0), (sf.sub, 0, 0), (sf.sub, 1, 0), (sf.div, 0, 1)])
+@settings(max_examples=300, deadline=None)
+def test_factories_build_the_reference_trees(leaves, program):
+    pool = [_leaf(kind, v) for kind, v in leaves]
+    ref_pool = list(pool)
+    for fn, i, j in program:
+        i %= len(pool)
+        if fn is sf.const:
+            args = ref_args = (float(j),)
+        elif fn is sf.powi:
+            args, ref_args = (pool[i], j), (ref_pool[i], j)
+        elif fn in _BINARY:
+            j %= len(pool)
+            args, ref_args = (pool[i], pool[j]), (ref_pool[i], ref_pool[j])
+        else:
+            args, ref_args = (pool[i],), (ref_pool[i],)
+        got, want = _outcome(fn, *args), _outcome(_FACTORIES[fn], *ref_args)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert type(got) is type(want) and repr(got) == repr(want)
+        # a factory that returns an operand returns the same one, so sharing
+        # (which sub(a, a) tests) is the same on both sides
+        assert [k for k, n in enumerate(pool) if n is got] == [
+            k for k, n in enumerate(ref_pool) if n is want
+        ]
+        pool.append(got)
+        ref_pool.append(want)
 
 
 ONE_POINT = (0.1, 0.2, 0.3)
