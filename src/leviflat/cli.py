@@ -64,11 +64,10 @@ def parse_tolerances(text):
     return out
 
 
-def list_suites(stream=None):
-    stream = stream or sys.stdout
+def list_suites():
     for spec in REGISTRY:
-        stream.write(f"{spec.identity:<28s} tol={spec.tolerance:<8.1e} {spec.anchor}\n")
-    stream.write(f"{len(REGISTRY)} identities\n")
+        print(f"{spec.identity:<28s} tol={spec.tolerance:<8.1e} {spec.anchor}")
+    print(f"{len(REGISTRY)} identities")
 
 
 def run(config):

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .excalc import DifferentialForm, add_form_residual, scalar_form
+from .excalc import DifferentialForm, scalar_form
 from .foliation_dgla import delta, mc_residual
 from .leafcx import (
     XiValuedForm,
@@ -25,11 +23,9 @@ from .leafcx import (
     nijenhuis,
     proj01_scalar,
     wedge01,
-    xi_form_residual,
-    xi_form_zero_residual,
 )
 from .report import ResidualAccumulator
-from .symfield import PointEvaluator
+from .symfield import constant
 
 
 @dataclass
@@ -77,100 +73,77 @@ def dfrak(pair, s):
 
 
 def levi_flat_mc_residual_pair(d, s, points):
-    """The two Maurer-Cartan residuals of a deformation pair:
-    the foliation residual of alpha and the complex-structure residual of S
-    computed with the deformed bracket throughout."""
-    mc = mc_residual(d.alpha, s.couple, points)
-    acc1 = add_form_residual(ResidualAccumulator(), mc, points)
-
+    """The two Maurer-Cartan residuals of a deformation pair, as a list of
+    (lhs, rhs): the foliation residual of alpha, then per frame pair the
+    complex-structure residual of S, computed with the deformed bracket
+    throughout, against N/4 and against the rhs.  alpha's membership in Z^1
+    is checked at the points."""
+    pairs = [(mc_residual(d.alpha, s.couple, points), 0.0)]
     bk = make_deformed_bracket(s.couple, d.alpha)
     H = h_form(s)
     rhs_form = wedge01(s, proj01_scalar(s, d.alpha), H).scaled(-1.0)
-    acc2 = ResidualAccumulator()
     for i, j in s.frame_pairs():
         V, W = s.frame[i], s.frame[j]
         lhs = dbarJ_S(s, d.S, V, W, bk) + double_bracket_SS(s, d.S, V, W, bk).scaled(0.5)
         quarter_n = nijenhuis(s, V, W, bk).scaled(0.25)
-        rhs = rhs_form.value((i, j))
-        ev = PointEvaluator(s.chart, points, lhs.components + quarter_n.components + rhs.components)
-        lv = lhs.at(points, ev)
-        # two samples per point, in point order: lhs against N/4, then against rhs
-        both = np.stack([quarter_n.at(points, ev), rhs.at(points, ev)], axis=2)
-        acc2.add(np.repeat(lv, 2, axis=1), both.reshape(len(lv), -1))
-    return acc1, acc2
+        pairs.append(([lhs, lhs], [quarter_n, rhs_form.value((i, j))]))
+    return pairs
 
 
 def infinitesimal_residuals(t, s, points):
-    """Cocycle conditions for a tangent pair: delta beta = 0 and
-    dbar P = -beta^{0,1} ^ H; asserted consistent with the degree-1
-    differential."""
+    """Cocycle conditions for a tangent pair, as a list of (lhs, rhs):
+    delta beta = 0 and dbar P = -beta^{0,1} ^ H.  Raises unless they agree
+    with the degree-1 differential at the points."""
     beta, P = t.alpha, t.P
-    acc = add_form_residual(ResidualAccumulator(), delta(beta, s.couple), points)
-
     H = h_form(s)
     lhs = dbar1(s, P)
     rhs = wedge01(s, proj01_scalar(s, beta), H).scaled(-1.0)
-    acc.merge(xi_form_residual(s, lhs, rhs, points))
-
-    image = dfrak(t, s)
-    consistency = xi_form_residual(s, image.P, lhs - rhs, points)
+    consistency = ResidualAccumulator(points).add(dfrak(t, s).P, lhs - rhs)
     if consistency.max_rel > 1e-12:
         raise AssertionError("degree-1 differential disagrees with the direct cocycle formula")
-    return acc
+    return [(delta(beta, s.couple), 0.0), (lhs, rhs)]
 
 
-def gauge_witness_residual(t, t_prime, Y, s, points):
-    """Check beta - beta' = delta(gamma(Y)) and P - P' = -H_Y for a proposed
-    witness field Y."""
+def gauge_witness_residual(t, t_prime, Y, s):
+    """beta - beta' = delta(gamma(Y)) and P - P' = -H_Y for a proposed
+    witness field Y, as a list of (lhs, rhs)."""
     gY = s.couple.gamma_of(Y)
-    acc = add_form_residual(
-        ResidualAccumulator(), t.alpha - t_prime.alpha, points, delta(gY, s.couple)
-    )
-    diff_P = t.P - t_prime.P
-    HY = h_form(s, Y)
-    acc.merge(xi_form_residual(s, diff_P, -HY, points))
-    return acc
+    return [
+        (t.alpha - t_prime.alpha, delta(gY, s.couple)),
+        (t.P - t_prime.P, -h_form(s, Y)),
+    ]
 
 
-def hY_decomposition_residual(Y, s, points):
-    """Check H_Y = dbar(Y - gamma(Y) X) + gamma(Y) H."""
+def hY_decomposition_residual(Y, s):
+    """H_Y = dbar(Y - gamma(Y) X) + gamma(Y) H, as (lhs, rhs)."""
     gY = s.couple.gamma_of(Y)
     tangential = Y - s.X.scaled(gY)
-    lhs = h_form(s, Y)
-    rhs = dbar0(s, tangential) + h_form(s).scaled(gY)
-    return xi_form_residual(s, lhs, rhs, points)
+    return h_form(s, Y), dbar0(s, tangential) + h_form(s).scaled(gY)
 
 
-def dbar_hY_residual(Y, s, points):
-    """Check dbar H_Y = (delta gamma(Y))^{0,1} ^ H."""
+def dbar_hY_residual(Y, s):
+    """dbar H_Y = (delta gamma(Y))^{0,1} ^ H, as (lhs, rhs)."""
     gY = s.couple.gamma_of(Y)
     lhs = dbar1(s, h_form(s, Y))
-    rhs = wedge01(s, proj01_scalar(s, delta(gY, s.couple)), h_form(s))
-    return xi_form_residual(s, lhs, rhs, points)
+    return lhs, wedge01(s, proj01_scalar(s, delta(gY, s.couple)), h_form(s))
 
 
-def phiH_residual(beta, phi, s, points):
-    """Check (beta + delta phi)^{0,1} ^ H = beta^{0,1} ^ H + dbar(phi H)."""
+def phiH_residual(beta, phi, s):
+    """(beta + delta phi)^{0,1} ^ H = beta^{0,1} ^ H + dbar(phi H), as
+    (lhs, rhs)."""
     H = h_form(s)
     shifted = beta + delta(phi, s.couple)
     lhs = wedge01(s, proj01_scalar(s, shifted), H)
-    rhs = wedge01(s, proj01_scalar(s, beta), H) + dbar1(s, H.scaled(phi))
-    return xi_form_residual(s, lhs, rhs, points)
+    return lhs, wedge01(s, proj01_scalar(s, beta), H) + dbar1(s, H.scaled(phi))
 
 
-def exactness_witness_check(U, s, points):
-    """Check that U witnesses exactness: H = beth(U); additionally rebuilds
-    the couple (gamma, X - U) and asserts its associated (0,1)-form
-    vanishes."""
+def exactness_witness_check(U, s):
+    """U witnesses exactness, as a list of (lhs, rhs): H = beth(U), and the
+    (0,1)-form of the rebuilt couple (gamma, X - U) vanishes."""
     H = h_form(s)
     candidate = beth(s, XiValuedForm(0, {(): U}))
-    acc = xi_form_residual(s, H, candidate, points)
-
-    from .symfield import constant
-
     s_shifted = change_couple(s, constant(s.chart, 0.0), -U)
-    acc.merge(xi_form_zero_residual(s_shifted, h_form(s_shifted), points))
-    return acc
+    return [(H, candidate), (h_form(s_shifted), 0.0)]
 
 
 def tangent_witness_image(Y, s):

@@ -25,6 +25,10 @@ class SingularEvaluationError(LeviFlatError):
     """Division by a value with magnitude below the evaluation guard."""
 
 
+class EvaluationRangeError(LeviFlatError):
+    """exp or an integer power overflowed, or sin or cos met an infinity."""
+
+
 class ChartMismatchError(LeviFlatError):
     """Operands live on different charts."""
 

@@ -361,26 +361,6 @@ def form_components(omega, points, ev=None):
     return np.array(values).reshape(len(values), len(ev.zero))
 
 
-def add_form_residual(acc, omega, points, rhs=None):
-    """Record omega = rhs (default 0) at the points, one sample per point."""
-    fields = [*omega.coeffs.values(), *(() if rhs is None else rhs.coeffs.values())]
-    ev = PointEvaluator(omega.chart, points, fields)
-    target = 0.0 if rhs is None else form_components(rhs, points, ev)
-    acc.add(form_components(omega, points, ev), target)
-    return acc
-
-
-def add_vector_residual(acc, pairs, points):
-    """Record V = W (W None for 0) at the points for each (V, W) pair in
-    turn, one sample per point; all pairs are evaluated through one tape."""
-    pairs = list(pairs)
-    fields = [c for V, W in pairs for c in V.components + (() if W is None else W.components)]
-    ev = PointEvaluator(pairs[0][0].chart, points, fields)
-    for V, W in pairs:
-        acc.add(V.at(points, ev), 0.0 if W is None else W.at(points, ev))
-    return acc
-
-
 def invert_matrix(chart, entries, probe=None):
     """Symbolic Gauss-Jordan inverse of a matrix of ScalarFields.
 
@@ -393,15 +373,14 @@ def invert_matrix(chart, entries, probe=None):
     n = len(entries)
     a = [[_as_field(chart, entries[r][c]) for c in range(n)] for r in range(n)]
     inv = [[constant(chart, 1.0 if r == c else 0.0) for c in range(n)] for r in range(n)]
-    ev = PointEvaluator(chart, probe) if probe is not None else None
     for col in range(n):
         pivot_row = None
-        if ev is not None:
+        if probe is not None:
             best = 0.0
             for r in range(col, n):
                 if a[r][col].is_zero:
                     continue
-                mag = abs(float(ev(a[r][col])[0]))
+                mag = abs(float(a[r][col](probe)[0]))
                 if mag > best:
                     best, pivot_row = mag, r
         if pivot_row is None:

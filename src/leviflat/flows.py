@@ -83,10 +83,10 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP):
     return (x[0], A[0]) if one_point else (x, A)
 
 
-def pullback_form_numeric(Y, t, omega, points, args, h=DEFAULT_STEP):
+def pullback_form_numeric(Y, t, omega, points, args):
     """((Phi_t^Y)* omega)(p; args) = omega(Phi_t(p); DPhi_t args) at an
     (N, dim) batch of points p."""
-    q, A = integrate_flow(Y, t, points, h)
+    q, A = integrate_flow(Y, t, points)
     ev_p = PointEvaluator(omega.chart, points, [c for arg in args for c in arg.components])
     numeric = [matvec(A, _columns(arg, points, ev_p)).T for arg in args]
     return omega.at(q, numeric)
@@ -99,11 +99,11 @@ class _Pullback:
     and the given fields), X at the points and the normalization
     beta_q(B X_p), checked against GAUGE_GUARD."""
 
-    def __init__(self, Y, t, couple, beta, pts, h, fields=()):
+    def __init__(self, Y, t, couple, beta, pts, fields):
         gamma = couple.gamma
         coeffs = [*beta.coeffs.values(), *gamma.coeffs.values(), *fields]
         self.couple, self.beta, self.pts = couple, beta, pts
-        self.q, self.B = integrate_flow(Y, -t, pts, h)
+        self.q, self.B = integrate_flow(Y, -t, pts)
         self.ev_p = PointEvaluator(gamma.chart, pts, [*couple.X.components, *coeffs])
         self.ev_q = PointEvaluator(gamma.chart, self.q, coeffs)
         self.Xp = _columns(couple.X, pts, self.ev_p)
@@ -123,14 +123,14 @@ class _Pullback:
         return pulled - self.couple.gamma.at(self.pts, [v.T], self.ev_p)
 
 
-def gauge_action_numeric(Y, t, alpha, couple, points, arg, h=DEFAULT_STEP):
+def gauge_action_numeric(Y, t, alpha, couple, points, arg):
     """chi(Phi_t^Y)(alpha) evaluated at (p, arg) for p in an (N, dim) batch.
 
     chi(Phi)(alpha) = (Phi* (gamma+alpha)(X))^{-1} Phi*(gamma+alpha) - gamma
     with the pullback taken along the inverse flow.
     """
     beta = couple.gamma if alpha is None or alpha.is_zero else couple.gamma + alpha
-    pull = _Pullback(Y, t, couple, beta, points, h, arg.components)
+    pull = _Pullback(Y, t, couple, beta, points, arg.components)
     return pull.chi(_columns(arg, points, pull.ev_p))
 
 
@@ -144,7 +144,7 @@ def richardson(values_at, tau):
     return (4.0 * d2 - d1) / 3.0
 
 
-def gauge_derivative_fd(Y, couple, points, arg, h=DEFAULT_STEP, tau=FD_OFFSET):
+def gauge_derivative_fd(Y, couple, points, arg):
     """Richardson central difference of t -> chi(Phi_t^Y)(0) at t = 0, at an
     (N, dim) batch of points.
 
@@ -152,9 +152,9 @@ def gauge_derivative_fd(Y, couple, points, arg, h=DEFAULT_STEP, tau=FD_OFFSET):
     """
 
     def value(t):
-        return gauge_action_numeric(Y, t, None, couple, points, arg, h)
+        return gauge_action_numeric(Y, t, None, couple, points, arg)
 
-    return richardson(value, tau)
+    return richardson(value, FD_OFFSET)
 
 
 def _frame_matrices(s, ev, points):
@@ -164,14 +164,14 @@ def _frame_matrices(s, ev, points):
     return s.basis_matrix_at(points, ev), np.ascontiguousarray(np.transpose(J, (2, 0, 1)))
 
 
-def _conjugated_S_matrix(Y, t, s, pts, h):
+def _conjugated_S_matrix(Y, t, s, pts):
     """S_{chi(Phi_t^Y)(0)} on a batch, as (N, n, n) numeric frame matrices."""
     n = s.n_leaf
     if t == 0.0:
         return np.zeros((len(pts), n, n))
     fields = [c for V in (*s.frame, s.X) for c in V.components]
     fields += [f for row in s.Jmat for f in row if hasattr(f, "node")]
-    pull = _Pullback(Y, t, s.couple, s.gamma, pts, h, fields)
+    pull = _Pullback(Y, t, s.couple, s.gamma, pts, fields)
     Mp, Jp = _frame_matrices(s, pull.ev_p, pts)
     Mq, Jq = _frame_matrices(s, pull.ev_q, pull.q)
     Xp, B = pull.Xp, pull.B
@@ -192,19 +192,19 @@ def _conjugated_S_matrix(Y, t, s, pts, h):
     return (Jp - Jtilde) @ np.linalg.inv(total)
 
 
-def s_gauge_fd(Y, s, points, frame_index, h=DEFAULT_STEP, tau=FD_OFFSET):
+def s_gauge_fd(Y, s, points, frame_index):
     """Richardson central difference of t -> S_{chi(Phi_t^Y)(0)} at t = 0,
     applied to the frame vector; returned in chart components, an (N, dim)
     array at an (N, dim) batch of points.
 
     Contract: equals -H_Y(E_frame_index) at p.
     """
-    Sdot = richardson(lambda t: _conjugated_S_matrix(Y, t, s, points, h), tau)
+    Sdot = richardson(lambda t: _conjugated_S_matrix(Y, t, s, points), FD_OFFSET)
     Mp = s.basis_matrix_at(points)
     return matvec(Mp[:, :, : s.n_leaf], Sdot[:, :, frame_index])
 
 
-def gauge_mc_value(Y, t, alpha, couple, points, V, W, h=DEFAULT_STEP):
+def gauge_mc_value(Y, t, alpha, couple, points, V, W):
     """Maurer-Cartan 2-form of chi(Phi_t^Y)(alpha) at (p; V, W) for p in an
     (N, dim) batch, through the exact identity MC(chi(alpha)) = iota_X (f^2
     Phi* (d(gamma+alpha) ^ (gamma+alpha))) with f the pullback
@@ -212,6 +212,6 @@ def gauge_mc_value(Y, t, alpha, couple, points, V, W, h=DEFAULT_STEP):
     beta = couple.gamma if alpha is None or alpha.is_zero else couple.gamma + alpha
     three_form = wedge(exterior_derivative(beta), beta)
     fields = [*V.components, *W.components, *three_form.coeffs.values()]
-    pull = _Pullback(Y, t, couple, beta, points, h, fields)
+    pull = _Pullback(Y, t, couple, beta, points, fields)
     vectors = (pull.Xp, _columns(V, points, pull.ev_p), _columns(W, points, pull.ev_p))
     return pull.pushed(three_form, *vectors) / (pull.den * pull.den)

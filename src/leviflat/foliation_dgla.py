@@ -10,7 +10,6 @@ from .errors import ZMembershipError
 from .excalc import (
     DifferentialForm,
     VectorField,
-    add_form_residual,
     exterior_derivative,
     interior_product,
     lie_derivative_form,
@@ -19,6 +18,8 @@ from .excalc import (
 )
 from .report import ResidualAccumulator
 from .symfield import ScalarField
+
+MEMBERSHIP_TOL = 1e-8
 
 
 def _as_form(x):
@@ -75,21 +76,20 @@ def z_membership_residual(alpha, couple, points):
     alpha = _as_form(alpha)
     if alpha.degree == 0:
         return 0.0
-    contracted = interior_product(couple.X, alpha)
-    return add_form_residual(ResidualAccumulator(), contracted, points).max_abs
+    return ResidualAccumulator(points).add(interior_product(couple.X, alpha)).max_abs
 
 
-def mc_residual(alpha, couple, points, membership_tol=1e-8):
+def mc_residual(alpha, couple, points):
     """Maurer-Cartan 2-form delta(alpha) + 1/2 {alpha, alpha}.
 
     Zero iff ker(gamma + alpha) is integrable.  Raises when alpha is not in
-    Z^1 within tolerance.
+    Z^1 within MEMBERSHIP_TOL at the points.
     """
     if alpha.degree != 1:
         raise ZMembershipError("Maurer-Cartan input must be a 1-form")
     zres = z_membership_residual(alpha, couple, points)
-    if zres > membership_tol:
-        raise ZMembershipError(f"iota_X alpha residual {zres:.3e} exceeds {membership_tol:.1e}")
+    if not zres <= MEMBERSHIP_TOL:
+        raise ZMembershipError(f"iota_X alpha residual {zres:.3e} exceeds {MEMBERSHIP_TOL:.1e}")
     bracket = dgla_bracket(alpha, alpha, couple)
     return delta(alpha, couple) + bracket.scaled(0.5)
 
@@ -107,9 +107,7 @@ def frobenius_residuals(gamma, X, points):
         d_gamma + wedge(interior_product(X, d_gamma), gamma),
         d_gamma + dgla_bracket(gamma, gamma, couple).scaled(0.5),
     )
-    return tuple(
-        add_form_residual(ResidualAccumulator(), form, points).max_rel for form in conds
-    )
+    return tuple(ResidualAccumulator(points).add(form).max_rel for form in conds)
 
 
 def leafwise_d(alpha, couple):

@@ -2,7 +2,11 @@
 
 Artifact-wide residual convention: for an identity LHS = RHS the residual is
 max over the sample set of |LHS - RHS| / (1 + max(|LHS|, |RHS|)), taken
-componentwise for vector and form values.
+componentwise for vector and form values.  A NaN or an infinity on either
+side makes its sample NaN, and a NaN sample fails its identity.
+
+ResidualAccumulator.add is the only code that evaluates a residual pair:
+runners and residual helpers hand it their two sides.
 """
 
 from __future__ import annotations
@@ -11,39 +15,115 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .excalc import DifferentialForm, VectorField, form_components
+from .symfield import PointEvaluator, ScalarField
+
+
+def _is_value(x):
+    """A symbolic value: a form, a vector field or a list of ScalarField
+    components."""
+    return isinstance(x, (DifferentialForm, VectorField)) or (
+        type(x) is list and bool(x) and isinstance(x[0], ScalarField)
+    )
+
+
+def _values(side):
+    """A side as a list of its values, or None for a numeric side: a list of
+    values is itself, any other value a list of one."""
+    if type(side) is list and side and _is_value(side[0]):
+        return side
+    return [side] if _is_value(side) else None
+
+
+def _fields(value):
+    if isinstance(value, VectorField):
+        return value.components
+    if isinstance(value, DifferentialForm):
+        return value.coeffs.values()
+    return value
+
+
+def _chart(value):
+    return (value[0] if type(value) is list else value).chart
+
+
+def _numeric(value, points, ev):
+    """A value's components at the points as a (components, N) array; a
+    number stays a number."""
+    if isinstance(value, VectorField):
+        return value.at(points, ev)
+    if isinstance(value, DifferentialForm):
+        return form_components(value, points, ev)
+    if _is_value(value):
+        return np.array([ev(f) for f in value])
+    return value
+
 
 class ResidualAccumulator:
-    """Collects the per-sample residuals of LHS/RHS pairs."""
+    """Collects the per-sample residuals of LHS = RHS pairs evaluated at its
+    sample points."""
 
-    def __init__(self):
+    def __init__(self, points=None):
+        self.points = points
         self.samples = []
         self.max_abs = 0.0
 
     def add(self, lhs, rhs=0.0):
         """Record samples of lhs = rhs; returns the accumulator.
 
-        A number or a 1-d sequence is one sample (a sequence's entries are
-        its components); a 2-d array of shape (components, N) is N samples,
-        one per column.  rhs broadcasts against lhs, so a scalar rhs is
-        compared with every component.
+        A symbolic side is a DifferentialForm, a VectorField or a list of
+        ScalarFields (one value each), or a XiValuedForm or a list of the
+        other values (one value per entry).  The values of lhs are paired in
+        turn with those of rhs, matched by frame tuple between two
+        XiValuedForms; a numeric rhs is compared with every component.
+        Every field of the pair is evaluated at the accumulator's points
+        through one PointEvaluator, and each pair of values gives one sample
+        per point.
+
+        A numeric side is a number or a 1-d sequence, one sample whose
+        components are its entries, or a 2-d array of shape (components, N),
+        N samples, one per column.  rhs broadcasts against lhs.
         """
-        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-        if lhs.ndim < 2:
-            lhs, rhs = lhs.reshape(-1, 1), rhs.reshape(-1, 1)
-        dev = np.abs(lhs - rhs)
-        rel = dev / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
-        self.samples += np.fmax.reduce(rel, axis=0, initial=0.0).tolist()
-        self.max_abs = max(self.max_abs, float(np.fmax.reduce(dev, axis=None, initial=0.0)))
+        from .leafcx import XiValuedForm  # leafcx imports this module
+
+        if isinstance(rhs, XiValuedForm):
+            rhs = [rhs.values[k] for k in (lhs if isinstance(lhs, XiValuedForm) else rhs).values]
+        if isinstance(lhs, XiValuedForm):
+            lhs = list(lhs.values.values())
+        lhs_values = _values(lhs)
+        if lhs_values is None:
+            lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+            if lhs.ndim < 2:
+                lhs, rhs = lhs.reshape(-1, 1), rhs.reshape(-1, 1)
+            return self._compare(lhs, rhs)
+        rhs_values = _values(rhs) or [rhs] * len(lhs_values)
+        pairs = list(zip(lhs_values, rhs_values, strict=True))
+        values = [v for pair in pairs for v in pair if _is_value(v)]
+        ev = PointEvaluator(_chart(values[0]), self.points, [f for v in values for f in _fields(v)])
+        for pair in pairs:
+            self._compare(*(_numeric(v, self.points, ev) for v in pair))
         return self
 
-    def merge(self, other):
-        """Append another accumulator's samples in order."""
-        self.samples += other.samples
-        self.max_abs = max(self.max_abs, other.max_abs)
+    def _compare(self, lhs, rhs):
+        with np.errstate(invalid="ignore"):
+            dev = np.abs(lhs - rhs)
+            rel = dev / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+        # np.max, unlike np.fmax, keeps a NaN
+        return self.record(
+            np.max(rel, axis=0, initial=0.0).tolist(), np.max(dev, axis=None, initial=0.0)
+        )
+
+    def record(self, samples, max_abs):
+        """Append samples and raise max_abs to at least the given value,
+        keeping a NaN from either.  Runners whose samples are statistics of
+        their own, not LHS = RHS pairs, record them here."""
+        self.samples += samples
+        self.max_abs = float(np.maximum(self.max_abs, max_abs))
+        return self
 
     @property
     def max_rel(self):
-        return max(self.samples, default=0.0)
+        return float(np.max(self.samples, initial=0.0))
 
 
 @dataclass

@@ -62,15 +62,12 @@ def random_vector_field(chart, rng, amplitude=1.0):
     return VectorField(chart, [random_scalar(chart, rng, amplitude) for _ in range(chart.dim)])
 
 
-def random_form(chart, k, rng, amplitude=1.0):
+def random_form(chart, k, rng):
     from itertools import combinations
 
     if k == 0:
         from .excalc import scalar_form
 
-        return scalar_form(random_scalar(chart, rng, amplitude))
-    coeffs = {
-        idx: random_scalar(chart, rng, amplitude)
-        for idx in combinations(range(chart.dim), k)
-    }
+        return scalar_form(random_scalar(chart, rng))
+    coeffs = {idx: random_scalar(chart, rng) for idx in combinations(range(chart.dim), k)}
     return DifferentialForm(chart, k, coeffs)

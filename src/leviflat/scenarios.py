@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ArityError,
+    EvaluationRangeError,
     ExprSyntaxError,
     ScenarioError,
     SingularEvaluationError,
@@ -327,7 +328,13 @@ def load_scenario_file(path):
     def parse(text, lineno, on=chart):
         try:
             return parse_expr(text, on)
-        except (ExprSyntaxError, UnknownIdentifierError, ArityError, SingularEvaluationError) as exc:
+        except (
+            ExprSyntaxError,
+            UnknownIdentifierError,
+            ArityError,
+            SingularEvaluationError,
+            EvaluationRangeError,
+        ) as exc:
             raise ScenarioError(f"{path}:{lineno}: {exc}") from None
 
     def parse_cov(entries, what):
@@ -370,7 +377,10 @@ def load_scenario_file(path):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ScenarioError(f"{path}: [J] must be a {n}x{n} matrix")
 
-    structure = LeviFlatStructure.build(chart, DefiningCouple(gamma, X), frame, rows)
+    try:
+        structure = LeviFlatStructure.build(chart, DefiningCouple(gamma, X), frame, rows)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
     family = None
     if families:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ArityError,
     ChartMismatchError,
+    EvaluationRangeError,
     ExprSyntaxError,
     SingularEvaluationError,
     UnknownIdentifierError,
@@ -228,6 +229,15 @@ ONE = Const(1.0)
 # the constant factor on the left and fold it into a nested constant factor.
 
 
+def _folded(fn, *args):
+    """const(fn(*args)); a result out of range raises EvaluationRangeError."""
+    try:
+        return const(fn(*args))
+    except (OverflowError, ValueError):
+        text = ", ".join(map(repr, args))
+        raise EvaluationRangeError(f"{fn.__name__}({text}) is out of range") from None
+
+
 def const(v):
     if v == 0.0:
         return ZERO
@@ -306,25 +316,27 @@ def powi(a, n):
     if n == 1:
         return a
     if type(a) is Const:
-        return const(a.value**n)
+        if n < 0 and a.value == 0.0:
+            raise SingularEvaluationError("symbolic negative power of constant zero")
+        return _folded(operator.pow, a.value, n)
     return Pow(a, n)
 
 
 def sin(a):
     if type(a) is Const:
-        return const(math.sin(a.value))
+        return _folded(math.sin, a.value)
     return Sin(a)
 
 
 def cos(a):
     if type(a) is Const:
-        return const(math.cos(a.value))
+        return _folded(math.cos, a.value)
     return Cos(a)
 
 
 def exp(a):
     if type(a) is Const:
-        return const(math.exp(a.value))
+        return _folded(math.exp, a.value)
     return Exp(a)
 
 
@@ -460,23 +472,33 @@ def _div(a, b):
     return a / b
 
 
-def _each(fn, a):
-    """fn element by element over Python floats."""
-    return np.array([fn(v) for v in a.tolist()])
+def _each(fn, a, name):
+    """fn element by element over Python floats; an OverflowError becomes an
+    EvaluationRangeError naming the first sample that overflows."""
+    values = a.tolist()
+    try:
+        return np.array([fn(v) for v in values])
+    except OverflowError:
+        pass
+    for k, v in enumerate(values):
+        try:
+            fn(v)
+        except OverflowError:
+            raise EvaluationRangeError(f"{name} overflows at sample {k}, argument {v!r}") from None
 
 
 def _pow(a, n):
-    # Python's float power, bit for bit unlike numpy's, raises OverflowError
+    # Python's float power, bit for bit unlike numpy's, overflows with an error
     k = first_flagged(np.abs(a) < DIVISION_GUARD) if n < 0 else None
     if k is not None:
         raise SingularEvaluationError(f"negative power of {float(a[k])!r}")
-    return _each(lambda v: v**n, a)
+    return _each(lambda v: v**n, a, f"power {n}")
 
 
 def _exp(a):
     # math.exp: numpy's exp differs from it by an ulp on some inputs, and
-    # math.exp raises OverflowError where numpy gives inf
-    return _each(math.exp, a)
+    # math.exp overflows with an error where numpy gives inf
+    return _each(math.exp, a, "exp")
 
 
 def _a(node):

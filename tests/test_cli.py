@@ -1,6 +1,8 @@
 """CLI runner: exit codes, determinism, selectors, overrides, report schema."""
 
 import json
+import math
+import pathlib
 
 import pytest
 
@@ -186,26 +188,32 @@ def test_scenario_file_through_cli(tmp_path):
         ("x = 0.3*cos(t)", "x = 0.3*cos(t"),
         ("x = 0.3*cos(t)", "x = 1/0"),
         ("x = 0.7*s", "z = 0.7*s"),
+        ("x = 0.3*cos(t)", "x = sin(exp(700)*exp(700))"),
+        ("x = 0.3*cos(t)", "x = exp(750)"),
+        ("[frame E2]\ny = 1\n\n[J]\nrow = 0, -1\nrow = 1, 0", "[J]\nrow = 0"),
     ],
-    ids=["syntax", "division_by_zero", "family_coordinate"],
+    ids=["syntax", "division_by_zero", "family_coordinate", "domain_error", "overflow", "frame_count"],
 )
 def test_malformed_scenario_line_is_a_located_error(tmp_path, capsys, good, bad):
+    """A malformed line is named by path:line; a wrong number of frame
+    sections, which no single line holds, by the path."""
     from tests.test_scenarios import SCENARIO_TEXT
 
-    lineno = SCENARIO_TEXT.splitlines().index(good) + 1
+    lines = SCENARIO_TEXT.splitlines()
+    where = f":{lines.index(good) + 1}" if good in lines else ""
     path = tmp_path / "bad.scn"
     path.write_text(SCENARIO_TEXT.replace(good, bad, 1))
     assert main(["--scenario", str(path), "--points", "2"]) == 2
-    assert f"configuration error: {path}:{lineno}: " in capsys.readouterr().err
+    assert f"configuration error: {path}{where}: " in capsys.readouterr().err
 
 
 def test_runner_records_singular_evaluation_as_failure():
     """A blow-up inside a runner becomes a failing report with a diagnostic,
-    not a crash (the broken scenario never reaches this path, so inject a
-    runner that divides by a vanishing field)."""
+    not a crash (the broken scenario never reaches this path, so inject
+    runners that divide by a vanishing field and overflow exp)."""
     from leviflat.scenarios import builtin
     from leviflat.suites import IdentitySpec, run_identity
-    from leviflat.symfield import constant, coordinate, cos_of
+    from leviflat.symfield import constant, coordinate, cos_of, exp_of
 
     def exploding_runner(scenario, ctx, acc):
         chart = scenario.structure.chart
@@ -219,6 +227,16 @@ def test_runner_records_singular_evaluation_as_failure():
     assert not report.passed
     assert "SingularEvaluationError" in report.error
 
+    def overflowing_runner(scenario, ctx, acc):
+        t = coordinate(scenario.structure.chart, "t")
+        f = 1e-300 * exp_of(750.0 * cos_of(t))
+        acc.add(f([(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)]))
+
+    spec = IdentitySpec("diag.overflow", "exp(750 cos t) at t=0", 1e-9, lambda sc: True, overflowing_runner)
+    report = run_identity(spec, builtin("t3_flat"), 42, 4)
+    assert not report.passed
+    assert report.error == "EvaluationRangeError: exp overflows at sample 1, argument 750.0"
+
 
 def test_identity_without_samples_does_not_pass():
     from leviflat.scenarios import builtin
@@ -229,3 +247,26 @@ def test_identity_without_samples_does_not_pass():
     assert report.samples == []
     assert not report.passed
     assert report.error == ""
+
+
+def test_non_finite_values_fail_their_identities(tmp_path, capsys):
+    """gamma is NaN at a few sample points (sin of an overflowed product):
+    every identity that evaluates such a value fails, and the report still
+    loads.  dbar H and beth H pass: H is the constant 0 on this couple, so
+    both of their sides fold to 0 and never meet the NaN."""
+    text = pathlib.Path(__file__).resolve().parent.parent.joinpath("bench", "my_twisted.scn").read_text()
+    gamma = "x = 0.3*cos(t) + 1e-300*sin(exp(700*cos(t))*exp(700*cos(t)))"
+    path = tmp_path / "nan.scn"
+    path.write_text(text.replace("x = 0.3*cos(t)\n", gamma + "\n", 1))
+    report = tmp_path / "report.json"
+    suite = "frobenius,lemma.db_closed,lemma.dbarH,prop.bethH"
+    assert main(["--scenario", str(path), "--suite", suite, "--report", str(report)]) == 1
+    results = {r["identity"]: r for r in json.loads(report.read_text())["results"]}
+    assert {k: r["passed"] for k, r in results.items()} == {
+        "frobenius": False,
+        "lemma.db_closed": False,
+        "lemma.dbarH": True,
+        "prop.bethH": True,
+    }
+    assert math.isnan(results["frobenius"]["max_rel"])
+    assert "[FAIL] frobenius                    max_rel=nan" in capsys.readouterr().out

@@ -6,10 +6,10 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "leviflat").glob("*.py"))
 # __init__.py imports only to re-export
-SOURCES = sorted(
-    p for p in (ROOT / "src" / "leviflat").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
 
 
 def unused_imports(source):
@@ -36,3 +36,50 @@ def test_no_unused_module_level_import(path):
 def test_unused_import_is_found():
     source = "import os\nimport sys as system\nfrom math import pi, tau\nprint(system.argv, tau)\n"
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def unset_defaults(sources, callers):
+    """(function, parameter) for each defaulted parameter of a module-level
+    function of sources that no call in callers passes, by position or by
+    keyword; calls are matched to functions by name."""
+    defaults = {}
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.FunctionDef):
+                args = stmt.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    defaults[stmt.name, arg.arg] = i
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        defaults[stmt.name, arg.arg] = None
+    passed = set()
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            keywords = {kw.arg for kw in call.keywords}
+            for (fn, param), pos in defaults.items():
+                if fn == name and (
+                    param in keywords
+                    or None in keywords
+                    or (pos is not None and (starred or pos < len(call.args)))
+                ):
+                    passed.add((fn, param))
+    return sorted(set(defaults) - passed)
+
+
+def test_every_default_is_passed_by_some_call():
+    def read(paths):
+        return [p.read_text(encoding="utf-8") for p in paths]
+
+    assert unset_defaults(read(PACKAGE), read(CALLERS)) == []
+
+
+def test_unset_default_is_found():
+    source = "def f(a, b=1, c=2, *, d=3):\n    pass\n\n\ndef g(x=0):\n    pass\n"
+    calls = "f(0, 1)\nm.f(0, d=4)\ng(*args)\n"
+    assert unset_defaults([source], [source, calls]) == [("f", "c")]

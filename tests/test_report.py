@@ -1,6 +1,20 @@
-"""Residual accumulator: scalar broadcasting and merging."""
+"""Residual accumulator: numeric and symbolic sides, scalar broadcasting,
+recording in order, and non-finite samples."""
 
+import json
+import math
+
+import numpy as np
+
+from leviflat.excalc import basis_vector, one_form
+from leviflat.leafcx import XiValuedForm
 from leviflat.report import ResidualAccumulator
+from leviflat.scenarios import builtin
+from leviflat.suites import IdentitySpec, run_identity
+from leviflat.symfield import coordinate, sin_of, torus
+
+CHART = torus("x", "y", "t")
+POINTS = [(0.5, 1.0, 2.0), (1.5, 0.0, 0.5)]
 
 
 def test_add_broadcasts_default_rhs_over_sequence():
@@ -19,12 +33,47 @@ def test_add_broadcasts_scalar_rhs():
     assert acc.max_abs == 2.0
 
 
-def test_merge_appends_in_order_and_keeps_max_abs():
-    a, b = ResidualAccumulator(), ResidualAccumulator()
-    a.add(4.0)
-    b.add(1.0)
-    b.add([0.0, -9.0])
-    a.merge(b)
-    assert a.samples == [0.8, 0.5, 0.9]
-    assert a.max_abs == 9.0
-    assert a.max_rel == 0.9
+def test_record_appends_in_order_and_keeps_max_abs():
+    acc = ResidualAccumulator()
+    acc.add(4.0)
+    acc.record([0.5, 0.9], 9.0)
+    acc.add([0.0, -1.0])
+    assert acc.samples == [0.8, 0.5, 0.9, 0.5]
+    assert acc.max_abs == 9.0
+    assert acc.max_rel == 0.9
+
+
+def test_symbolic_sides_give_one_sample_per_point():
+    """A form is one value per point; a list of vector fields, or a
+    XiValuedForm matched by frame tuple, is one value per entry in turn."""
+    x = coordinate(CHART, "x")
+    acc = ResidualAccumulator(POINTS).add(one_form(CHART, [sin_of(x), 0.0, 2.0]))
+    expected = [max(abs(math.sin(p[0])), 2.0) / (1.0 + max(abs(math.sin(p[0])), 2.0)) for p in POINTS]
+    assert acc.samples == expected and acc.max_abs == 2.0
+
+    E = [basis_vector(CHART, i) for i in range(3)]
+    acc = ResidualAccumulator(POINTS).add([E[0], E[1].scaled(x)], [E[0], E[1]])
+    assert acc.samples[:2] == [0.0, 0.0]
+    assert acc.samples[2:] == [abs(p[0] - 1.0) / (1.0 + max(p[0], 1.0)) for p in POINTS]
+
+    lhs = XiValuedForm(1, {(0,): E[0], (1,): E[1]})
+    rhs = XiValuedForm(1, {(1,): E[1], (0,): E[2]})
+    acc = ResidualAccumulator(POINTS).add(lhs, rhs)
+    assert acc.samples == [0.5, 0.5, 0.0, 0.0]
+
+
+def test_nan_sample_fails():
+    nan = float("nan")
+    acc = ResidualAccumulator().add([[nan, 0.5]])
+    assert math.isnan(acc.samples[0]) and acc.samples[1] == 0.5 / 1.5
+    assert math.isnan(acc.max_rel) and math.isnan(acc.max_abs)
+    inf_rhs = ResidualAccumulator().add([1.0, 2.0], [1.0, float("inf")])
+    assert math.isnan(inf_rhs.max_rel)
+
+    def runner(scenario, ctx, acc):
+        acc.add(np.array([[0.0, nan, 0.0]]))
+
+    spec = IdentitySpec("diag.nan", "one NaN sample", 1e-9, lambda sc: True, runner)
+    report = run_identity(spec, builtin("t3_flat"), 42, 3)
+    assert not report.passed and report.error == ""
+    assert math.isnan(json.loads(json.dumps(report.to_dict()))["max_rel"])

@@ -13,6 +13,7 @@ import leviflat
 from leviflat import symfield as sf
 from leviflat.errors import (
     ArityError,
+    EvaluationRangeError,
     ExprSyntaxError,
     SingularEvaluationError,
     UnknownIdentifierError,
@@ -280,7 +281,7 @@ def _build(fn, *args):
     # first operand then
     try:
         return fn(*args)
-    except (ArithmeticError, SingularEvaluationError):
+    except (SingularEvaluationError, EvaluationRangeError):
         return args[0]
 
 
@@ -397,14 +398,24 @@ def _ref_powi(a, n):
     if n == 1:
         return a
     if _is_const(a):
-        return _ref_const(a.value**n)
+        if n < 0 and a.value == 0.0:
+            raise SingularEvaluationError("negative power of constant zero")
+        return _ref_fold(lambda v: v**n, a.value)
     return sf.Pow(a, n)
+
+
+def _ref_fold(fn, v):
+    # a folded constant out of range is a package error
+    try:
+        return _ref_const(fn(v))
+    except (OverflowError, ValueError):
+        raise EvaluationRangeError("out of range") from None
 
 
 def _ref_unary(fn, node_type):
     def build(a):
         if _is_const(a):
-            return _ref_const(fn(a.value))
+            return _ref_fold(fn, a.value)
         return node_type(a)
 
     return build
@@ -439,7 +450,7 @@ def _leaf(kind, v):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (ArithmeticError, SingularEvaluationError) as exc:
+    except (SingularEvaluationError, EvaluationRangeError) as exc:
         return type(exc)
 
 
@@ -529,10 +540,15 @@ def test_empty_batch_has_no_samples():
 
 def test_exp_overflow_raises():
     f = parse_expr("exp(1000*x)", CHART)
-    with pytest.raises(OverflowError):
+    with pytest.raises(EvaluationRangeError, match="exp overflows at sample 1, argument 1000.0"):
         f([(0.1, 0.0, 0.0), (1.0, 0.0, 0.0)])
-    with pytest.raises(OverflowError):
+    with pytest.raises(EvaluationRangeError, match="sample 0"):
         f([(1.0, 0.0, 0.0)])
+    with pytest.raises(EvaluationRangeError, match="power 3 overflows at sample 1"):
+        parse_expr("(1e120*x)^3", CHART)([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    for text in ("exp(750)", "sin(exp(700)*exp(700))", "(1e200)^2"):
+        with pytest.raises(EvaluationRangeError, match="out of range"):
+            parse_expr(text, CHART)
 
 
 def test_import_leaves_recursion_limit_alone():
