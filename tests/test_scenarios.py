@@ -1,5 +1,7 @@
 """Built-in scenarios, their hand-verified properties, and the file loader."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from leviflat.scenarios import (
     resolve,
     t5_quadratic_S0,
 )
+from leviflat.suites import REGISTRY
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 ORIGIN = [(0.0, 0.0, 0.0)]
 
@@ -226,3 +231,121 @@ def test_family_jrotation_S_anticommutes_with_J():
     Smat = sc.family.S_matrix_at(0.2)
     acc = ResidualAccumulator(pts(s.chart, 6)).add(anticommutator_residual(s, Smat))
     assert acc.max_rel <= 1e-14
+
+
+# The identities whose predicate applies, per built-in and for the benchmark's
+# scenario file: selection must not move when the predicates change.
+SELECTED = {
+    "t3_flat": (
+        "cor.dbar_hY", "cor.n_alpha", "cor.phiH", "dbar.antilinearity", "dbar.commutes_J",
+        "dbar.leibniz", "dbar.squared", "defbracket.expansion", "defbracket.leibniz",
+        "dgla.antisym", "dgla.delta_squared", "dgla.jacobi", "dgla.leibniz_d",
+        "dgla.leibniz_delta", "excalc.d_squared", "excalc.jacobi_vector",
+        "excalc.leibniz_wedge", "flow.group_law", "flow.lie_oracle", "flow.pullback_identity",
+        "frobenius", "lemma.bracket_alpha", "lemma.db_closed", "lemma.dbarH", "lemma.gauge_S",
+        "lemma.gauge_chi", "lemma.hY_decomposition", "lemma.mc_oracle", "lemma.omega_alpha",
+        "nijenhuis.bilinear", "prop.bethH", "prop.beth_squared", "prop.change_couple",
+        "prop.dfrak_squared", "prop.iso_cohomology", "remark.gauge_mc", "remark.h_alternative",
+        "remark.h_linear", "remark.ixdgamma01_closed", "thm.moduli.gauge_witness",
+        "thm.tangent.witness", "zsub.closure", "zsub.reduced_bracket", "zsub.reduced_gamma",
+    ),
+    "t3_twisted": (
+        "cor.dbar_hY", "cor.n_alpha", "cor.phiH", "dbar.antilinearity", "dbar.commutes_J",
+        "dbar.leibniz", "dbar.squared", "defbracket.expansion", "defbracket.leibniz",
+        "dgla.antisym", "dgla.delta_squared", "dgla.jacobi", "dgla.leibniz_d",
+        "dgla.leibniz_delta", "excalc.d_squared", "excalc.jacobi_vector",
+        "excalc.leibniz_wedge", "flow.group_law", "flow.lie_oracle", "flow.pullback_identity",
+        "frobenius", "lemma.bracket_alpha", "lemma.db_closed", "lemma.dbarH", "lemma.gauge_S",
+        "lemma.gauge_chi", "lemma.hY_decomposition", "lemma.mc_oracle", "lemma.omega_alpha",
+        "nijenhuis.bilinear", "prop.bethH", "prop.beth_squared", "prop.change_couple",
+        "prop.dfrak_squared", "prop.iso_cohomology", "remark.gauge_mc", "remark.h_alternative",
+        "remark.h_linear", "remark.ixdgamma01_closed", "thm.moduli.gauge_witness",
+        "thm.tangent.witness", "zsub.closure", "zsub.reduced_bracket", "zsub.reduced_gamma",
+    ),
+    "t3_twisted_shifted": (
+        "cor.dbar_hY", "cor.n_alpha", "cor.phiH", "dbar.antilinearity", "dbar.commutes_J",
+        "dbar.leibniz", "dbar.squared", "defbracket.expansion", "defbracket.leibniz",
+        "dgla.antisym", "dgla.delta_squared", "dgla.jacobi", "dgla.leibniz_d",
+        "dgla.leibniz_delta", "excalc.d_squared", "excalc.jacobi_vector",
+        "excalc.leibniz_wedge", "flow.group_law", "flow.lie_oracle", "flow.pullback_identity",
+        "frobenius", "lemma.bracket_alpha", "lemma.db_closed", "lemma.dbarH",
+        "lemma.exact.transport", "lemma.exact.witness", "lemma.gauge_S", "lemma.gauge_chi",
+        "lemma.hY_decomposition", "lemma.mc_oracle", "lemma.omega_alpha", "nijenhuis.bilinear",
+        "prop.bethH", "prop.beth_squared", "prop.change_couple", "prop.dfrak_squared",
+        "prop.iso_cohomology", "remark.gauge_mc", "remark.h_alternative", "remark.h_linear",
+        "remark.ixdgamma01_closed", "thm.moduli.gauge_witness", "thm.tangent.witness",
+        "zsub.closure", "zsub.reduced_bracket", "zsub.reduced_gamma",
+    ),
+    "t5_product": (
+        "cor.dbar_hY", "cor.n_alpha", "cor.n_jtilde_identity", "cor.n_jtilde_quadratic",
+        "cor.phiH", "dbar.antilinearity", "dbar.commutes_J", "dbar.leibniz", "dbar.squared",
+        "defbracket.expansion", "defbracket.leibniz", "dgla.antisym", "dgla.delta_squared",
+        "dgla.jacobi", "dgla.leibniz_d", "dgla.leibniz_delta", "excalc.d_squared",
+        "excalc.jacobi_vector", "excalc.leibniz_wedge", "frobenius", "lemma.bracket_alpha",
+        "lemma.db_closed", "lemma.dbarH", "lemma.hY_decomposition", "lemma.mc_oracle",
+        "lemma.omega_alpha", "nijenhuis.bilinear", "prop.bethH", "prop.beth_squared",
+        "prop.change_couple", "prop.dfrak_squared", "prop.iso_cohomology", "prop.n_ntilde",
+        "remark.h_alternative", "remark.h_linear", "remark.ixdgamma01_closed",
+        "scalc.s_roundtrip", "thm.moduli.gauge_witness", "thm.tangent.witness", "zsub.closure",
+        "zsub.reduced_bracket", "zsub.reduced_gamma",
+    ),
+    "t5_perturbedJ": (
+        "cor.n_jtilde_identity", "dbar.antilinearity", "dbar.commutes_J", "dbar.leibniz",
+        "dgla.antisym", "dgla.delta_squared", "dgla.jacobi", "dgla.leibniz_d",
+        "dgla.leibniz_delta", "excalc.d_squared", "excalc.jacobi_vector",
+        "excalc.leibniz_wedge", "frobenius", "lemma.db_closed", "lemma.mc_oracle",
+        "lemma.omega_alpha", "nijenhuis.bilinear", "prop.n_ntilde", "scalc.s_roundtrip",
+        "zsub.closure", "zsub.reduced_bracket", "zsub.reduced_gamma",
+    ),
+    "family_t3_tilt": (
+        "cor.dbar_hY", "cor.levi_flat_mc", "cor.n_alpha", "cor.phiH", "dbar.antilinearity",
+        "dbar.commutes_J", "dbar.leibniz", "dbar.squared", "defbracket.expansion",
+        "defbracket.leibniz", "dgla.antisym", "dgla.delta_squared", "dgla.jacobi",
+        "dgla.leibniz_d", "dgla.leibniz_delta", "excalc.d_squared", "excalc.jacobi_vector",
+        "excalc.leibniz_wedge", "flow.group_law", "flow.lie_oracle", "flow.pullback_identity",
+        "frobenius", "lemma.bracket_alpha", "lemma.db_closed", "lemma.dbarH", "lemma.gauge_S",
+        "lemma.gauge_chi", "lemma.hY_decomposition", "lemma.mc_oracle", "lemma.omega_alpha",
+        "nijenhuis.bilinear", "prop.bethH", "prop.beth_squared", "prop.change_couple",
+        "prop.dfrak_squared", "prop.iso_cohomology", "remark.gauge_mc", "remark.h_alternative",
+        "remark.h_linear", "remark.ixdgamma01_closed", "thm.moduli.gauge_witness",
+        "thm.tangent.eqP1", "thm.tangent.eqP2", "thm.tangent.witness", "zsub.closure",
+        "zsub.reduced_bracket", "zsub.reduced_gamma",
+    ),
+    "family_t3_Jrotation": (
+        "cor.dbar_hY", "cor.levi_flat_mc", "cor.n_alpha", "cor.phiH", "dbar.antilinearity",
+        "dbar.commutes_J", "dbar.leibniz", "dbar.squared", "defbracket.expansion",
+        "defbracket.leibniz", "dgla.antisym", "dgla.delta_squared", "dgla.jacobi",
+        "dgla.leibniz_d", "dgla.leibniz_delta", "excalc.d_squared", "excalc.jacobi_vector",
+        "excalc.leibniz_wedge", "flow.group_law", "flow.lie_oracle", "flow.pullback_identity",
+        "frobenius", "lemma.bracket_alpha", "lemma.db_closed", "lemma.dbarH", "lemma.gauge_S",
+        "lemma.gauge_chi", "lemma.hY_decomposition", "lemma.mc_oracle", "lemma.omega_alpha",
+        "nijenhuis.bilinear", "prop.bethH", "prop.beth_squared", "prop.change_couple",
+        "prop.dfrak_squared", "prop.iso_cohomology", "remark.gauge_mc", "remark.h_alternative",
+        "remark.h_linear", "remark.ixdgamma01_closed", "thm.moduli.gauge_witness",
+        "thm.tangent.eqP1", "thm.tangent.eqP2", "thm.tangent.witness", "zsub.closure",
+        "zsub.reduced_bracket", "zsub.reduced_gamma",
+    ),
+    "broken_nonintegrable": (
+        "excalc.d_squared", "excalc.jacobi_vector", "excalc.leibniz_wedge", "frobenius",
+    ),
+    "bench/my_twisted.scn": (
+        "cor.dbar_hY", "cor.levi_flat_mc", "cor.n_alpha", "cor.phiH", "dbar.antilinearity",
+        "dbar.commutes_J", "dbar.leibniz", "dbar.squared", "defbracket.expansion",
+        "defbracket.leibniz", "dgla.antisym", "dgla.delta_squared", "dgla.jacobi",
+        "dgla.leibniz_d", "dgla.leibniz_delta", "excalc.d_squared", "excalc.jacobi_vector",
+        "excalc.leibniz_wedge", "flow.group_law", "flow.lie_oracle", "flow.pullback_identity",
+        "frobenius", "lemma.bracket_alpha", "lemma.db_closed", "lemma.dbarH", "lemma.gauge_S",
+        "lemma.gauge_chi", "lemma.hY_decomposition", "lemma.mc_oracle", "lemma.omega_alpha",
+        "nijenhuis.bilinear", "prop.bethH", "prop.beth_squared", "prop.change_couple",
+        "prop.dfrak_squared", "prop.iso_cohomology", "remark.gauge_mc", "remark.h_alternative",
+        "remark.h_linear", "remark.ixdgamma01_closed", "thm.moduli.gauge_witness",
+        "thm.tangent.eqP1", "thm.tangent.eqP2", "thm.tangent.witness", "zsub.closure",
+        "zsub.reduced_bracket", "zsub.reduced_gamma",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SELECTED))
+def test_identity_selection_is_pinned(name):
+    sc = resolve(str(ROOT / name) if name.endswith(".scn") else name)
+    assert tuple(sorted(spec.identity for spec in REGISTRY if spec.applies(sc))) == SELECTED[name]
