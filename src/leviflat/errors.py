@@ -37,10 +37,6 @@ class ZMembershipError(LeviFlatError):
     """Form is not annihilated by the transverse field within tolerance."""
 
 
-class XiMembershipError(LeviFlatError):
-    """Vector field has a transverse component exceeding tolerance."""
-
-
 class ConjugationSingularError(LeviFlatError):
     """det(J + Jtilde) is below the invertibility guard."""
 

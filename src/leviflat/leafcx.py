@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConjugationSingularError, XiMembershipError, ZMembershipError
+from .errors import ConjugationSingularError, ZMembershipError
 from .excalc import (
     exterior_derivative,
     interior_product,
@@ -26,8 +26,16 @@ from .excalc import (
     matrix_mul,
     minor,
     one_form,
+    scalar_form,
 )
-from .foliation_dgla import DefiningCouple, frobenius_residuals, leafwise_d, mc_residual
+from .foliation_dgla import (
+    DefiningCouple,
+    frobenius_residuals,
+    leafwise_d,
+    mc_residual,
+    omega_alpha,
+    omega_alpha_inverse,
+)
 from .report import ResidualAccumulator
 from .symfield import PointEvaluator, ScalarField, constant, exp_of, first_flagged
 
@@ -106,14 +114,18 @@ class AntiLinearScalarForm:
 @dataclass(frozen=True)
 class LeviFlatStructure:
     """Chart, defining couple, a frame of xi, the J-matrix on that frame, and
-    the dual coframe (computed symbolically once at construction)."""
+    the dual coframe (computed symbolically once at construction).
+
+    N_J = 0 is not assumed: leafwise_integrable is set only where a
+    scenario's load check measured it (scenarios.check), and a J replaced
+    by with_J drops it."""
 
     chart: object
     couple: DefiningCouple
     frame: tuple
     Jmat: tuple
     coframe: tuple
-    leafwise_integrable: bool = True
+    leafwise_integrable: bool = False
 
     @property
     def gamma(self):
@@ -144,12 +156,9 @@ class LeviFlatStructure:
         coframe = tuple(one_form(chart, inv[j]) for j in range(len(frame)))
         return cls(chart, couple, frame, Jmat, coframe)
 
-    def with_J(self, Jmat, leafwise_integrable=True):
-        return replace(
-            self,
-            Jmat=tuple(tuple(row) for row in Jmat),
-            leafwise_integrable=leafwise_integrable,
-        )
+    def with_J(self, Jmat):
+        J = tuple(tuple(row) for row in Jmat)
+        return LeviFlatStructure(self.chart, self.couple, self.frame, J, self.coframe)
 
     def with_couple(self, couple, coframe):
         return replace(self, couple=couple, coframe=tuple(coframe))
@@ -190,12 +199,6 @@ class LeviFlatStructure:
     def frame_pairs(self):
         return list(combinations(range(self.n_leaf), 2))
 
-    def check_in_xi(self, V, points):
-        values = self.couple.gamma_of(V)(points)
-        k = first_flagged(np.abs(values) > 1e-6)
-        if k is not None:
-            raise XiMembershipError(f"gamma(V) = {float(values[k])!r} at {points[k]}")
-
     def basis_matrix_at(self, points, ev=None):
         """Numeric (frame | X) matrices, columns = basis vectors, at an
         (N, dim) batch of points: an (N, dim, dim) stack, each matrix laid out
@@ -206,45 +209,31 @@ class LeviFlatStructure:
         return np.ascontiguousarray(cols.transpose(2, 0, 1)).transpose(0, 2, 1)
 
     def invariants(self, points):
-        """Construction-time residuals, keyed by name."""
+        """Residuals of the structure's defining properties at a batch of
+        points, keyed by name, and the smallest |det(frame | X)| there."""
 
         def max_rel(lhs, rhs=0.0):
             return ResidualAccumulator(points).add(lhs, rhs).max_rel
 
         n = self.n_leaf
-        out = {"gamma_frame": max_rel([self.couple.gamma_of(E) for E in self.frame])}
         # eta_i(E_j) = delta_ij and eta_i(X) = 0, one component per entry
         basis = self.frame + (self.X,)
         duality = [eta.apply_symbolic([V]) for eta in self.coframe for V in basis]
-        out["coframe_duality"] = max_rel(duality, np.eye(n, n + 1).reshape(-1, 1))
-        out["gamma_X"] = max_rel([self.couple.gamma_of(self.X)], 1.0)
         jj = [f for row in matrix_mul(self.chart, self.Jmat, self.Jmat) for f in row]
-        out["J_squared"] = max_rel(jj, -np.eye(n).reshape(-1, 1))
-
-        out["frame_determinant"] = float(
-            np.abs(np.linalg.det(self.basis_matrix_at(points))).min()
-        )
-
-        out["frobenius_iii"] = frobenius_residuals(self.gamma, self.X, points)[0]
-
-        out["nijenhuis"] = max_rel(
-            [nijenhuis(self, self.frame[i], self.frame[j]) for i, j in self.frame_pairs()]
-        )
-        return out
-
-    def validate(self, points):
-        inv = self.invariants(points)
-        problems = []
-        for key in ("gamma_frame", "coframe_duality", "gamma_X", "J_squared", "frobenius_iii"):
-            if inv[key] > 1e-9:
-                problems.append(f"{key}={inv[key]:.3e}")
-        if inv["frame_determinant"] < DET_GUARD:
-            problems.append(f"frame_determinant={inv['frame_determinant']:.3e}")
-        if self.leafwise_integrable and inv["nijenhuis"] > 1e-9:
-            problems.append(f"nijenhuis={inv['nijenhuis']:.3e}")
-        if problems:
-            raise ValueError("structure invariants failed: " + ", ".join(problems))
-        return inv
+        frob = frobenius_residuals(self.gamma, self.X, points)
+        return {
+            "gamma_X": max_rel([self.couple.gamma_of(self.X)], 1.0),
+            "coframe_duality": max_rel(duality, np.eye(n, n + 1).reshape(-1, 1)),
+            "J_squared": max_rel(jj, -np.eye(n).reshape(-1, 1)),
+            "frame_determinant": float(np.abs(np.linalg.det(self.basis_matrix_at(points))).min()),
+            "gamma_frame": max_rel([self.couple.gamma_of(E) for E in self.frame]),
+            "frobenius_iii": frob[0],
+            "frobenius_iv": frob[1],
+            "frobenius_v": frob[2],
+            "nijenhuis": max_rel(
+                [nijenhuis(self, self.frame[i], self.frame[j]) for i, j in self.frame_pairs()]
+            ),
+        }
 
 
 # --------------------------------------------------------------------------
@@ -384,13 +373,7 @@ def wedge01(s, A, P):
 
 def dbar_scalar(s, a):
     """dbar of a scalar: the (0,1)-projection of its differential."""
-    return proj01_scalar(s, exterior_derivative_as_one_form(a))
-
-
-def exterior_derivative_as_one_form(a):
-    from .excalc import scalar_form
-
-    return exterior_derivative(scalar_form(a))
+    return proj01_scalar(s, exterior_derivative(scalar_form(a)))
 
 
 def dbar_scalar01(s, A):
@@ -476,8 +459,6 @@ def beth(s, P):
 
 def deformed_bracket(couple, alpha, V, W):
     """[V, W]_alpha = omega_alpha^{-1} [omega_alpha V, omega_alpha W]."""
-    from .foliation_dgla import omega_alpha, omega_alpha_inverse
-
     return omega_alpha_inverse(
         lie_bracket(omega_alpha(V, alpha, couple), omega_alpha(W, alpha, couple)),
         alpha,
@@ -516,8 +497,6 @@ def deformed_bracket_expanded(couple, alpha, V, W):
 
 def derivation_pairing(couple, alpha, V, f):
     """<V, f>_alpha = omega_alpha(V)(f)."""
-    from .foliation_dgla import omega_alpha
-
     return omega_alpha(V, alpha, couple).apply(f)
 
 
@@ -601,38 +580,38 @@ def dbarJ_S(s, S, V, W, bracket=None):
     )
 
 
-def square_bracket_SS(s, S, V, W, bracket=None):
-    """[S, S](V, W) = [SV,SW] - [JSV,JSW]
-                      - S([SV,W] + [V,SW] + J[V,JSW] + J[JSV,W])
-                      - (S N(SV,W) + S N(V,SW) - N(SV,SW)) / 2."""
-    bk = bracket or lie_bracket
+def _square_bracket_terms(s, S, V, W, bk):
+    """N(SV, SW) and [S, S](V, W), each bracket and J-image of SV and SW
+    built once."""
     SV = xi_form_apply(s, S, [V])
     SW = xi_form_apply(s, S, [W])
     JSV, JSW = s.apply_J(SV), s.apply_J(SW)
+    b_SS, b_JJ = bk(SV, SW), bk(JSV, JSW)
+    n_SS = b_JJ - b_SS - s.apply_J(bk(JSV, SW)) - s.apply_J(bk(SV, JSW))
     middle = (
         bk(SV, W) + bk(V, SW) + s.apply_J(bk(V, JSW)) + s.apply_J(bk(JSV, W))
     )
     n_terms = (
         xi_form_apply(s, S, [nijenhuis(s, SV, W, bk)])
         + xi_form_apply(s, S, [nijenhuis(s, V, SW, bk)])
-        - nijenhuis(s, SV, SW, bk)
+        - n_SS
     )
-    return (
-        bk(SV, SW)
-        - bk(JSV, JSW)
-        - xi_form_apply(s, S, [middle])
-        - n_terms.scaled(0.5)
-    )
+    return n_SS, b_SS - b_JJ - xi_form_apply(s, S, [middle]) - n_terms.scaled(0.5)
 
 
-def double_bracket_SS(s, S, V, W, bracket=None, correction=0.5):
-    """[[S, S]] = [S, S] - correction * S(N - N(S, S)); the adopted
-    correction coefficient is 1/2."""
+def square_bracket_SS(s, S, V, W, bracket=None):
+    """[S, S](V, W) = [SV,SW] - [JSV,JSW]
+                      - S([SV,W] + [V,SW] + J[V,JSW] + J[JSV,W])
+                      - (S N(SV,W) + S N(V,SW) - N(SV,SW)) / 2."""
+    return _square_bracket_terms(s, S, V, W, bracket or lie_bracket)[1]
+
+
+def double_bracket_SS(s, S, V, W, bracket=None):
+    """[[S, S]] = [S, S] - S(N - N(S, S)) / 2."""
     bk = bracket or lie_bracket
-    SV = xi_form_apply(s, S, [V])
-    SW = xi_form_apply(s, S, [W])
-    inner = nijenhuis(s, V, W, bk) - nijenhuis(s, SV, SW, bk)
-    return square_bracket_SS(s, S, V, W, bk) - xi_form_apply(s, S, [inner]).scaled(correction)
+    n_SS, square = _square_bracket_terms(s, S, V, W, bk)
+    inner = nijenhuis(s, V, W, bk) - n_SS
+    return square - xi_form_apply(s, S, [inner]).scaled(0.5)
 
 
 # --------------------------------------------------------------------------

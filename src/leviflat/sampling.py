@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import combinations
 
 import numpy as np
 
-from .excalc import DifferentialForm, VectorField
+from .excalc import DifferentialForm, VectorField, scalar_form
 from .symfield import ScalarField, const, cos as cos_node, sin as sin_node, Coord, add, mul
 
 TWO_PI = 2.0 * math.pi
@@ -63,11 +64,7 @@ def random_vector_field(chart, rng, amplitude=1.0):
 
 
 def random_form(chart, k, rng):
-    from itertools import combinations
-
     if k == 0:
-        from .excalc import scalar_form
-
         return scalar_form(random_scalar(chart, rng))
     coeffs = {idx: random_scalar(chart, rng) for idx in combinations(range(chart.dim), k)}
     return DifferentialForm(chart, k, coeffs)

@@ -3,16 +3,12 @@ properties, plus the scenario file loader used by the CLI."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
-from .errors import (
-    ArityError,
-    EvaluationRangeError,
-    ExprSyntaxError,
-    ScenarioError,
-    SingularEvaluationError,
-    UnknownIdentifierError,
-)
+import numpy as np
+
+from .errors import LeviFlatError, ScenarioError
 from .excalc import (
     DifferentialForm,
     VectorField,
@@ -20,7 +16,8 @@ from .excalc import (
     one_form,
 )
 from .foliation_dgla import DefiningCouple
-from .leafcx import LeviFlatStructure
+from .leafcx import DET_GUARD, LeviFlatStructure
+from .sampling import sample_points, stream
 from .symfield import (
     Chart,
     constant,
@@ -82,14 +79,57 @@ class DeformationFamily:
 
 @dataclass
 class Scenario:
-    """A named structure plus an optional deformation family and exactness
-    witness."""
+    """A named structure plus an optional deformation family, exactness
+    witness and quadratic test matrix S0.  foliation_integrable is measured
+    by check, not declared."""
 
     name: str
     structure: LeviFlatStructure
     family: DeformationFamily | None = None
     exact_witness: VectorField | None = None
-    foliation_integrable: bool = True
+    quadratic_S0: list | None = None
+    foliation_integrable: bool = field(default=False, init=False)
+
+
+# The load check's probe: the origin, where coordinate-aligned degeneracies
+# such as a frame vector sin(x) dy vanish, and fixed seeded points, so the
+# identities a scenario selects do not depend on --seed or --points.
+PROBE = 16
+# A residual counts as zero at or below this; NaN never does.
+INVARIANT_TOL = 1e-9
+
+
+def check(scenario, where):
+    """The load check every scenario passes: measure the structure's
+    invariants on the probe, reject a scenario that does not define a
+    structure (a non-finite invariant, gamma(X) != 1, a failed coframe
+    duality, J^2 != -I, a near-singular (frame | X)), and set the two
+    measured flags that narrow the identities it runs."""
+    s = scenario.structure
+    try:
+        probe = [(0.0,) * s.chart.dim] + sample_points(s.chart, PROBE - 1, stream("probe"))
+        inv = s.invariants(probe)
+    except LeviFlatError as exc:
+        raise ScenarioError(f"{where}: evaluating the structure on the probe points: {exc}") from None
+    for key, value in inv.items():
+        if not np.isfinite(value):
+            raise ScenarioError(f"{where}: non-finite invariant {key} = {value} on the probe points")
+    problems = [
+        f"{key} = {inv[key]:.3e}"
+        for key in ("gamma_X", "coframe_duality", "J_squared")
+        if not inv[key] <= INVARIANT_TOL
+    ]
+    if inv["frame_determinant"] < DET_GUARD:
+        problems.append(f"frame_determinant = {inv['frame_determinant']:.3e}")
+    if problems:
+        raise ScenarioError(f"{where}: not a Levi flat structure: {', '.join(problems)}")
+    scenario.foliation_integrable = all(
+        inv[key] <= INVARIANT_TOL
+        for key in ("gamma_frame", "frobenius_iii", "frobenius_iv", "frobenius_v")
+    )
+    if inv["nijenhuis"] <= INVARIANT_TOL:
+        scenario.structure = LeviFlatStructure(s.chart, s.couple, s.frame, s.Jmat, s.coframe, True)
+    return scenario
 
 
 BUILTIN_NAMES = (
@@ -176,7 +216,7 @@ def _t5_perturbedJ_structure():
         (zero, zero, zero, -one),
         (zero, zero, one, zero),
     )
-    return base.with_J(Jmat, leafwise_integrable=False)
+    return base.with_J(Jmat)
 
 
 def _family_tilt():
@@ -215,7 +255,7 @@ def _broken_structure():
     return LeviFlatStructure.build(chart, DefiningCouple(gamma, X), frame, _J2)
 
 
-def t5_quadratic_S0(structure):
+def _quadratic_S0(structure):
     """Nonconstant dbar-closed anticommuting S0 on the product 5-torus with
     [S0, S0] != 0: the remainder of the conjugated-J integrability equation
     is then genuinely quadratic in the scaling of S0."""
@@ -233,7 +273,11 @@ def t5_quadratic_S0(structure):
 
 
 def builtin(name):
-    """Construct a built-in scenario by name."""
+    """Construct a built-in scenario by name, through the load check."""
+    return check(_construct(name), name)
+
+
+def _construct(name):
     if name == "t3_flat":
         return Scenario(name=name, structure=_t3_flat_structure())
     if name == "t3_twisted":
@@ -244,7 +288,8 @@ def builtin(name):
         witness = structure.frame[0].scaled(sin_of(y))
         return Scenario(name=name, structure=structure, exact_witness=witness)
     if name == "t5_product":
-        return Scenario(name=name, structure=_t5_product_structure())
+        structure = _t5_product_structure()
+        return Scenario(name=name, structure=structure, quadratic_S0=_quadratic_S0(structure))
     if name == "t5_perturbedJ":
         return Scenario(name=name, structure=_t5_perturbedJ_structure())
     if name == "family_t3_tilt":
@@ -252,7 +297,7 @@ def builtin(name):
     if name == "family_t3_Jrotation":
         return Scenario(name=name, structure=_t3_flat_structure(), family=_family_jrotation())
     if name == "broken_nonintegrable":
-        return Scenario(name=name, structure=_broken_structure(), foliation_integrable=False)
+        return Scenario(name=name, structure=_broken_structure())
     raise ScenarioError(f"unknown scenario {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
 
 
@@ -260,8 +305,6 @@ def resolve(name_or_path):
     """Built-in name, or a path to a scenario file."""
     if name_or_path in BUILTIN_NAMES:
         return builtin(name_or_path)
-    import os
-
     if os.path.exists(str(name_or_path)):
         return load_scenario_file(name_or_path)
     raise ScenarioError(f"unknown scenario {name_or_path!r}")
@@ -316,50 +359,55 @@ def load_scenario_file(path):
 
     if "chart" not in by_name:
         raise ScenarioError(f"{path}: missing [chart] section")
-    chart_kv = dict((k, v) for k, v, _ in by_name["chart"])
+    chart_kv = {k: (v, lineno) for k, v, lineno in by_name["chart"]}
     if "names" not in chart_kv:
         raise ScenarioError(f"{path}: [chart] needs 'names'")
-    names = tuple(chart_kv["names"].split())
-    periodic = tuple(
-        bool(int(tok)) for tok in chart_kv.get("periodic", " ".join("1" * len(names))).split()
-    )
-    chart = Chart(names, periodic)
+    names_text, names_line = chart_kv["names"]
+    names = tuple(names_text.split())
+    flags_text, flags_line = chart_kv.get("periodic", ("1 " * len(names), names_line))
+    try:
+        periodic = tuple(bool(int(tok)) for tok in flags_text.split())
+    except ValueError:
+        raise ScenarioError(f"{path}:{flags_line}: periodic flags must be integers") from None
+    if len(periodic) != len(names):
+        raise ScenarioError(
+            f"{path}:{flags_line}: {len(periodic)} periodic flags for {len(names)} coordinates"
+        )
+    try:
+        chart = Chart(names, periodic)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}:{names_line}: {exc}") from None
 
     def parse(text, lineno, on=chart):
         try:
             return parse_expr(text, on)
-        except (
-            ExprSyntaxError,
-            UnknownIdentifierError,
-            ArityError,
-            SingularEvaluationError,
-            EvaluationRangeError,
-        ) as exc:
+        except LeviFlatError as exc:
             raise ScenarioError(f"{path}:{lineno}: {exc}") from None
 
-    def parse_cov(entries, what):
-        coeffs = {}
-        for key, value, lineno in entries:
-            try:
-                i = chart.index(key)
-            except Exception:
-                raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in {what}")
-            coeffs[(i,)] = parse(value, lineno)
-        return DifferentialForm(chart, 1, coeffs)
+    def index(key, lineno, what):
+        if key not in chart.names:
+            raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in {what}")
+        return chart.index(key)
 
     def parse_vec(entries, what):
         comps = [constant(chart, 0.0) for _ in range(chart.dim)]
         for key, value, lineno in entries:
-            try:
-                i = chart.index(key)
-            except Exception:
-                raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in {what}")
-            comps[i] = parse(value, lineno)
+            comps[index(key, lineno, what)] = parse(value, lineno)
         return VectorField(chart, comps)
+
+    def parse_matrix(entries, what, on=chart):
+        rows = []
+        for key, value, lineno in entries:
+            if key != "row":
+                raise ScenarioError(f"{path}:{lineno}: {what} entries must be 'row = ...'")
+            rows.append([parse(tok.strip(), lineno, on) for tok in value.split(",")])
+        if len(rows) != len(frame) or any(len(r) != len(frame) for r in rows):
+            raise ScenarioError(f"{path}: {what} must be a {len(frame)}x{len(frame)} matrix")
+        return rows
 
     if "gamma" not in by_name or "X" not in by_name:
         raise ScenarioError(f"{path}: missing [gamma] or [X] section")
-    gamma = parse_cov(by_name["gamma"], "[gamma]")
+    gamma_coeffs = {(index(k, ln, "[gamma]"),): parse(v, ln) for k, v, ln in by_name["gamma"]}
     X = parse_vec(by_name["X"], "[X]")
 
     if not frames:
@@ -368,40 +416,29 @@ def load_scenario_file(path):
 
     if "J" not in by_name:
         raise ScenarioError(f"{path}: missing [J] section")
-    rows = []
-    for key, value, lineno in by_name["J"]:
-        if key != "row":
-            raise ScenarioError(f"{path}:{lineno}: [J] entries must be 'row = ...'")
-        rows.append([parse(tok.strip(), lineno) for tok in value.split(",")])
-    n = len(frame)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ScenarioError(f"{path}: [J] must be a {n}x{n} matrix")
-
+    rows = parse_matrix(by_name["J"], "[J]")
+    couple = DefiningCouple(DifferentialForm(chart, 1, gamma_coeffs), X)
     try:
-        structure = LeviFlatStructure.build(chart, DefiningCouple(gamma, X), frame, rows)
-    except ValueError as exc:
+        structure = LeviFlatStructure.build(chart, couple, frame, rows)
+    except (ValueError, LeviFlatError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 
     family = None
     if families:
-        chart_ext = chart.extend(FAMILY_PARAMETER)
+        try:
+            chart_ext = chart.extend(FAMILY_PARAMETER)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: families need the parameter {FAMILY_PARAMETER!r}: {exc}") from None
         fam_alpha = {}
         fam_S = None
         fam_name = None
         for name, entries in families.items():
-            tail = name.split(None, 1)[1]
-            fam_name, _, part = tail.partition(".")
+            fam_name, _, part = name[len("family"):].strip().partition(".")
             if part == "alpha":
                 for key, value, lineno in entries:
-                    if key not in chart.names:
-                        raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in [{name}]")
-                    fam_alpha[(chart.index(key),)] = parse(value, lineno, chart_ext)
+                    fam_alpha[(index(key, lineno, f"[{name}]"),)] = parse(value, lineno, chart_ext)
             elif part == "S":
-                fam_S = []
-                for key, value, lineno in entries:
-                    if key != "row":
-                        raise ScenarioError(f"{path}:{lineno}: family S entries must be 'row = ...'")
-                    fam_S.append([parse(tok.strip(), lineno, chart_ext) for tok in value.split(",")])
+                fam_S = parse_matrix(entries, f"[{name}]", chart_ext)
             else:
                 raise ScenarioError(f"{path}: family section must end in .alpha or .S")
         family = DeformationFamily(
@@ -412,7 +449,5 @@ def load_scenario_file(path):
         )
 
     scen_kv = dict((k, v) for k, v, _ in by_name.get("scenario", []))
-    import os
-
     name = scen_kv.get("name", os.path.splitext(os.path.basename(str(path)))[0])
-    return Scenario(name=name, structure=structure, family=family)
+    return check(Scenario(name=name, structure=structure, family=family), path)

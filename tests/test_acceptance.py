@@ -15,10 +15,11 @@ from leviflat.foliation_dgla import (
 from leviflat.report import ResidualAccumulator
 from leviflat.sampling import random_form, sample_points, stream
 from leviflat.scenarios import builtin
-from leviflat.suites import REGISTRY_BY_ID, random_z_form, run_identity
+from leviflat.suites import REGISTRY, random_z_form, run_identity
 
 SEED = 42
 POINTS = 20
+REGISTRY_BY_ID = {spec.identity: spec for spec in REGISTRY}
 
 
 def _line(num, ok, detail):

@@ -10,6 +10,7 @@ from leviflat.cli import RunConfig, build_parser, list_suites, main, parse_toler
 from leviflat.errors import ConfigError
 from leviflat.suites import REGISTRY, select_identities
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 FAST_SUITE = "frobenius,lemma.db_closed,zsub.*"
 
 
@@ -191,12 +192,28 @@ def test_scenario_file_through_cli(tmp_path):
         ("x = 0.3*cos(t)", "x = sin(exp(700)*exp(700))"),
         ("x = 0.3*cos(t)", "x = exp(750)"),
         ("[frame E2]\ny = 1\n\n[J]\nrow = 0, -1\nrow = 1, 0", "[J]\nrow = 0"),
+        ("periodic = 1 1 1", "periodic = 1 x 1"),
+        ("names = x y t", "names = x x t"),
+        ("periodic = 1 1 1", "periodic = 1 1"),
+        ("[frame E2]\ny = 1", "[frame E2]\ny = sin(x)"),
     ],
-    ids=["syntax", "division_by_zero", "family_coordinate", "domain_error", "overflow", "frame_count"],
+    ids=[
+        "syntax",
+        "division_by_zero",
+        "family_coordinate",
+        "domain_error",
+        "overflow",
+        "frame_count",
+        "periodic_token",
+        "repeated_name",
+        "periodic_count",
+        "degenerate_frame",
+    ],
 )
 def test_malformed_scenario_line_is_a_located_error(tmp_path, capsys, good, bad):
     """A malformed line is named by path:line; a wrong number of frame
-    sections, which no single line holds, by the path."""
+    sections or a frame degenerate at the origin, which no single line
+    holds, by the path."""
     from tests.test_scenarios import SCENARIO_TEXT
 
     lines = SCENARIO_TEXT.splitlines()
@@ -249,24 +266,67 @@ def test_identity_without_samples_does_not_pass():
     assert report.error == ""
 
 
-def test_non_finite_values_fail_their_identities(tmp_path, capsys):
-    """gamma is NaN at a few sample points (sin of an overflowed product):
-    every identity that evaluates such a value fails, and the report still
-    loads.  dbar H and beth H pass: H is the constant 0 on this couple, so
-    both of their sides fold to 0 and never meet the NaN."""
-    text = pathlib.Path(__file__).resolve().parent.parent.joinpath("bench", "my_twisted.scn").read_text()
-    gamma = "x = 0.3*cos(t) + 1e-300*sin(exp(700*cos(t))*exp(700*cos(t)))"
-    path = tmp_path / "nan.scn"
-    path.write_text(text.replace("x = 0.3*cos(t)\n", gamma + "\n", 1))
+def test_non_finite_values_fail_their_identities(tmp_path, monkeypatch, capsys):
+    """A value that is NaN at some sample points (sin of an overflowed
+    product) fails its identity, and the report still loads."""
+    from leviflat import suites
+    from leviflat.suites import IdentitySpec
+    from leviflat.symfield import coordinate, exp_of, sin_of
+
+    def nan_runner(scenario, ctx, acc):
+        t = coordinate(scenario.structure.chart, "t")
+        big = exp_of(700.0 * cos_of(t))
+        acc.add([sin_of(big * big)], 0.0)
+
+    from leviflat.symfield import cos_of
+
+    spec = IdentitySpec("diag.nan", "sin(exp(700 cos t)^2) = 0", 1e-9, lambda sc: True, nan_runner)
+    monkeypatch.setattr(suites, "REGISTRY", [spec])
     report = tmp_path / "report.json"
-    suite = "frobenius,lemma.db_closed,lemma.dbarH,prop.bethH"
-    assert main(["--scenario", str(path), "--suite", suite, "--report", str(report)]) == 1
-    results = {r["identity"]: r for r in json.loads(report.read_text())["results"]}
-    assert {k: r["passed"] for k, r in results.items()} == {
+    assert main(["--scenario", "t3_flat", "--suite", "diag.nan", "--report", str(report)]) == 1
+    (result,) = json.loads(report.read_text())["results"]
+    assert not result["passed"]
+    assert math.isnan(result["max_rel"])
+    assert "[FAIL] diag.nan                     max_rel=nan" in capsys.readouterr().out
+
+
+def _bench_file_with(tmp_path, old, new):
+    text = ROOT.joinpath("bench", "my_twisted.scn").read_text()
+    assert old in text
+    path = tmp_path / "variant.scn"
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+def test_non_finite_gamma_file_is_rejected_at_load(tmp_path, capsys):
+    """gamma is NaN near t = 0: the load check rejects the file before any
+    identity runs, naming the path and the invariant."""
+    gamma = "x = 0.3*cos(t) + 1e-300*sin(exp(700*cos(t))*exp(700*cos(t)))\n"
+    path = _bench_file_with(tmp_path, "x = 0.3*cos(t)\n", gamma)
+    assert main(["--scenario", str(path), "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {path}: non-finite invariant " in err
+
+
+def test_non_integrable_file_runs_only_the_unconditional_identities(tmp_path, capsys):
+    """gamma = dt + sin(x) dy with its kernel framed by dx and dy - sin(x) dt
+    is not integrable: the load check measures it, so only the identities
+    that assume nothing of the couple run, and frobenius fails."""
+    path = _bench_file_with(
+        tmp_path,
+        "[gamma]\nx = 0.3*cos(t)\nt = 1\n",
+        "[gamma]\ny = sin(x)\nt = 1\n",
+    )
+    path.write_text(
+        path.read_text().replace("[frame E1]\nx = 1\nt = -0.3*cos(t)\n", "[frame E1]\nx = 1\n")
+        .replace("[frame E2]\ny = 1\n", "[frame E2]\ny = 1\nt = -sin(x)\n")
+    )
+    report = tmp_path / "report.json"
+    assert main(["--scenario", str(path), "--points", "6", "--report", str(report)]) == 1
+    results = {r["identity"]: r["passed"] for r in json.loads(report.read_text())["results"]}
+    assert results == {
+        "excalc.d_squared": True,
+        "excalc.jacobi_vector": True,
+        "excalc.leibniz_wedge": True,
         "frobenius": False,
-        "lemma.db_closed": False,
-        "lemma.dbarH": True,
-        "prop.bethH": True,
     }
-    assert math.isnan(results["frobenius"]["max_rel"])
-    assert "[FAIL] frobenius                    max_rel=nan" in capsys.readouterr().out

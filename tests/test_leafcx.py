@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from leviflat.errors import ConjugationSingularError, XiMembershipError, ZMembershipError
+from leviflat.errors import ConjugationSingularError, ScenarioError, ZMembershipError
 from leviflat.excalc import (
     lie_bracket,
     one_form,
 )
 from leviflat.leafcx import (
     AntiLinearScalarForm,
+    LeviFlatStructure,
     XiValuedForm,
     antilinearity_residual,
     beth,
@@ -46,7 +47,7 @@ from leviflat.leafcx import (
 from leviflat.report import ResidualAccumulator
 from leviflat.foliation_dgla import DefiningCouple
 from leviflat.sampling import random_scalar, random_vector_field, sample_points, stream
-from leviflat.scenarios import builtin
+from leviflat.scenarios import Scenario, builtin, check
 from leviflat.suites import random_anticommuting_S, random_xi_field, random_z_form
 from leviflat.symfield import PointEvaluator, constant, coordinate, cos_of, sin_of
 
@@ -86,23 +87,44 @@ def test_apply_J_function_linear():
     vec_close(FLAT.apply_J(E1.scaled(cos_of(x))), E2.scaled(cos_of(x)), pts(FLAT))
 
 
-def test_check_in_xi_rejects_transverse_field():
-    with pytest.raises(XiMembershipError):
-        FLAT.check_in_xi(FLAT.X, pts(FLAT))
-    FLAT.check_in_xi(FLAT.frame[0], pts(FLAT))
+def _loaded(structure):
+    """A scenario holding structure, through the load check."""
+    return check(Scenario("probe", structure), "probe")
+
+
+def test_load_check_flags_frame_outside_xi():
+    """A frame vector with a transverse part is no section of xi: the load
+    check keeps the scenario but measures it as not foliation-integrable."""
+    assert _loaded(FLAT).foliation_integrable
+    frame = (FLAT.frame[0] + FLAT.X, FLAT.frame[1])
+    transverse = LeviFlatStructure.build(FLAT.chart, FLAT.couple, frame, FLAT.Jmat)
+    assert not _loaded(transverse).foliation_integrable
 
 
 def test_structure_validation_rejects_bad_J():
     bad = FLAT.with_J(((0.0, -1.0), (1.0, 1.0)))
-    with pytest.raises(ValueError):
-        bad.validate(pts(FLAT))
+    with pytest.raises(ScenarioError, match="probe: not a Levi flat structure: J_squared"):
+        _loaded(bad)
 
 
 def test_structure_validation_rejects_bad_normalization():
     couple = DefiningCouple(FLAT.gamma.scaled(2.0), FLAT.X)
     bad = FLAT.with_couple(couple, FLAT.coframe)
-    with pytest.raises(ValueError, match="gamma_X"):
-        bad.validate(pts(FLAT))
+    with pytest.raises(ScenarioError, match="gamma_X"):
+        _loaded(bad)
+
+
+def test_structure_validation_rejects_near_singular_frame():
+    frame = (FLAT.frame[0], FLAT.frame[1].scaled(constant(FLAT.chart, 1e-7)))
+    thin = LeviFlatStructure.build(FLAT.chart, FLAT.couple, frame, FLAT.Jmat)
+    with pytest.raises(ScenarioError, match="frame_determinant = 1.000e-07"):
+        _loaded(thin)
+
+
+def test_replaced_J_is_not_assumed_integrable():
+    assert FLAT.leafwise_integrable
+    assert not FLAT.with_J(FLAT.Jmat).leafwise_integrable
+    assert _loaded(FLAT.with_J(FLAT.Jmat)).structure.leafwise_integrable
 
 
 # -- Nijenhuis ----------------------------------------------------------------
@@ -536,24 +558,68 @@ def test_double_bracket_quarter_variant_fails_on_nonintegrable_J():
     Smat = random_anticommuting_S(s, rng, amplitude=0.05)
     S = xi_form_from_matrix(s, Smat)
     Jt = conjugate_J(s, Smat, probe=points[:1])
-    s_tilde = s.with_J(Jt, leafwise_integrable=False)
+    s_tilde = s.with_J(Jt)
     V, W = random_xi_field(s, rng), random_xi_field(s, rng)
     SV = xi_form_apply(s, S, [V])
     SW = xi_form_apply(s, S, [W])
     Ntilde = nijenhuis(s_tilde, V + SV, W + SW)
     rhs = -(Ntilde - xi_form_apply(s, S, [Ntilde])).scaled(0.25)
+    inner = nijenhuis(s, V, W) - nijenhuis(s, SV, SW)
 
-    def residual(correction):
-        lhs = (
-            dbarJ_S(s, S, V, W)
-            + double_bracket_SS(s, S, V, W, correction=correction).scaled(0.5)
-            - nijenhuis(s, V, W).scaled(0.25)
-        )
+    def residual(double):
+        lhs = dbarJ_S(s, S, V, W) + double.scaled(0.5) - nijenhuis(s, V, W).scaled(0.25)
         ev = PointEvaluator(s.chart, points, lhs.components + rhs.components)
         return np.abs(lhs.at(points, ev) - rhs.at(points, ev)).max()
 
-    assert residual(0.5) <= 1e-11
-    assert residual(0.25) > 1e-4
+    def variant(correction):
+        """[[S, S]] with another coefficient on S(N - N(S, S))."""
+        return square_bracket_SS(s, S, V, W) - xi_form_apply(s, S, [inner]).scaled(correction)
+
+    assert residual(double_bracket_SS(s, S, V, W)) <= 1e-11
+    assert residual(variant(0.5)) <= 1e-11
+    assert residual(variant(0.25)) > 1e-4
+
+
+def _square_bracket_unshared(s, S, V, W, bk):
+    """[S, S](V, W) with N(SV, SW) and its brackets built afresh."""
+    SV = xi_form_apply(s, S, [V])
+    SW = xi_form_apply(s, S, [W])
+    JSV, JSW = s.apply_J(SV), s.apply_J(SW)
+    middle = bk(SV, W) + bk(V, SW) + s.apply_J(bk(V, JSW)) + s.apply_J(bk(JSV, W))
+    n_terms = (
+        xi_form_apply(s, S, [nijenhuis(s, SV, W, bk)])
+        + xi_form_apply(s, S, [nijenhuis(s, V, SW, bk)])
+        - nijenhuis(s, SV, SW, bk)
+    )
+    return bk(SV, SW) - bk(JSV, JSW) - xi_form_apply(s, S, [middle]) - n_terms.scaled(0.5)
+
+
+def _double_bracket_unshared(s, S, V, W, bk):
+    """[[S, S]](V, W) with SV, SW and N(SV, SW) built again."""
+    SV = xi_form_apply(s, S, [V])
+    SW = xi_form_apply(s, S, [W])
+    inner = nijenhuis(s, V, W, bk) - nijenhuis(s, SV, SW, bk)
+    return _square_bracket_unshared(s, S, V, W, bk) - xi_form_apply(s, S, [inner]).scaled(0.5)
+
+
+@pytest.mark.parametrize("deformed", [False, True], ids=["lie", "deformed"])
+def test_shared_S_brackets_match_unshared_formula_bitwise(deformed):
+    """square_bracket_SS and double_bracket_SS build each bracket once; their
+    values must be the unshared formula's to the bit."""
+    s = T5P
+    rng = stream(74, "shared_S")
+    bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, rng, amplitude=0.5)) if deformed else None
+    bk = bracket or lie_bracket
+    S = xi_form_from_matrix(s, random_anticommuting_S(s, rng, amplitude=0.05))
+    V, W = random_xi_field(s, rng), random_xi_field(s, rng)
+    points = pts(s, 6)
+    for A, B in ((V, W), (s.frame[0], s.frame[2])):
+        pairs = (
+            (square_bracket_SS(s, S, A, B, bracket), _square_bracket_unshared(s, S, A, B, bk)),
+            (double_bracket_SS(s, S, A, B, bracket), _double_bracket_unshared(s, S, A, B, bk)),
+        )
+        for got, want in pairs:
+            assert got.at(points).tobytes() == want.at(points).tobytes()
 
 
 def test_dbar_leibniz_display_variant_is_inconsistent():

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -83,3 +84,62 @@ def test_unset_default_is_found():
     source = "def f(a, b=1, c=2, *, d=3):\n    pass\n\n\ndef g(x=0):\n    pass\n"
     calls = "f(0, 1)\nm.f(0, d=4)\ng(*args)\n"
     assert unset_defaults([source], [source, calls]) == [("f", "c")]
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_names(sources, exported):
+    """Qualified name of each module-level definition and non-dunder method
+    of sources that no source references outside that definition and that
+    exported does not list; references are matched by bare name."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((stmt.name, stmt.name, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                defined += [
+                    (f"{stmt.name}.{sub.name}", sub.name, sub)
+                    for sub in stmt.body
+                    if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name)
+                ]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [
+                    (node.id, node.id, stmt)
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name) and not _is_dunder(node.id)
+                ]
+
+    def references(node):
+        return Counter(
+            getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(node)
+        )
+
+    total = sum((references(tree) for tree in trees), Counter())
+    return sorted(
+        qualified
+        for qualified, name, node in defined
+        if name not in exported and total[name] == references(node)[name]
+    )
+
+
+def test_no_name_used_only_by_tests():
+    import leviflat
+
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"]
+    assert unreferenced_names(sources, set(leviflat.__all__)) == []
+
+
+def test_name_used_only_by_tests_is_found():
+    source = (
+        "X = 1\nY = 2\n\n\ndef f():\n    return g()\n\n\ndef g():\n    return X\n\n\n"
+        "class C:\n    def m(self):\n        return self.m()\n\n    def n(self):\n        pass\n\n"
+        "    def __repr__(self):\n        return ''\n"
+    )
+    caller = "def h():\n    return f() + C().n()\n"
+    assert unreferenced_names([source, caller], {"h"}) == ["C.m", "Y"]

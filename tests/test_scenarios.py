@@ -17,7 +17,6 @@ from leviflat.scenarios import (
     builtin,
     load_scenario_file,
     resolve,
-    t5_quadratic_S0,
 )
 from leviflat.suites import REGISTRY
 
@@ -94,19 +93,20 @@ def test_all_builtins_construct():
 
 
 def test_structure_invariants_validate():
-    for name in ("t3_flat", "t3_twisted", "t3_twisted_shifted", "t5_product"):
+    """Every built-in passes the load check, which measures the negative
+    control as not foliation-integrable and t5_perturbedJ as not
+    leafwise-integrable."""
+    for name in BUILTIN_NAMES:
         sc = builtin(name)
-        sc.structure.validate(pts(sc.structure.chart))
+        assert sc.foliation_integrable == (name != "broken_nonintegrable")
+        assert sc.structure.leafwise_integrable == (name != "t5_perturbedJ")
 
 
 def test_perturbedJ_validates_with_flag():
     sc = builtin("t5_perturbedJ")
-    inv = sc.structure.validate(pts(sc.structure.chart))
-    assert inv["nijenhuis"] > 1e-3
-    with pytest.raises(ValueError):
-        sc.structure.with_J(sc.structure.Jmat, leafwise_integrable=True).validate(
-            pts(sc.structure.chart)
-        )
+    inv = sc.structure.invariants(pts(sc.structure.chart))
+    assert inv["J_squared"] <= 1e-10 and inv["nijenhuis"] > 1e-3
+    assert not sc.structure.leafwise_integrable
 
 
 def test_every_declared_expectation_passes():
@@ -145,8 +145,8 @@ def test_quadratic_S0_is_anticommuting_and_dbar_closed():
     from leviflat.leafcx import dbar1, xi_form_from_matrix
     from leviflat.symfield import PointEvaluator
 
-    s = builtin("t5_product").structure
-    entries = t5_quadratic_S0(s)
+    sc = builtin("t5_product")
+    s, entries = sc.structure, sc.quadratic_S0
     points = pts(s.chart, 6, "S0")
     J = np.array([[float(v) for v in row] for row in s.Jmat])
     ev = PointEvaluator(s.chart, points, [f for row in entries for f in row])
@@ -197,7 +197,7 @@ def test_scenario_file_roundtrip(tmp_path):
     sc = load_scenario_file(str(path))
     assert sc.name == "twisted_from_file"
     points = pts(sc.structure.chart, 8, "file")
-    sc.structure.validate(points)
+    assert sc.foliation_integrable and sc.structure.leafwise_integrable
     builtin_tw = builtin("t3_twisted").structure
     # the loaded couple matches the built-in twisted couple pointwise
     got = form_components(sc.structure.gamma, points)
@@ -221,6 +221,12 @@ def test_scenario_file_errors(tmp_path):
     bad3.write_text(SCENARIO_TEXT.replace("[gamma]\nx = 0.3*cos(t)", "[gamma]\nw = 1"))
     with pytest.raises(ScenarioError):
         load_scenario_file(str(bad3))
+    # a coordinate named like the family parameter
+    bad4 = tmp_path / "bad4.scn"
+    text = SCENARIO_TEXT.replace("names = x y t", "names = x y s").replace("(t)", "(s)")
+    bad4.write_text(text.replace("\nt = ", "\ns = "))
+    with pytest.raises(ScenarioError, match="families need the parameter 's'"):
+        load_scenario_file(str(bad4))
 
 
 def test_family_jrotation_S_anticommutes_with_J():
