@@ -92,7 +92,7 @@ class Scenario:
 
 
 # The load check's probe: the origin, where coordinate-aligned degeneracies
-# such as a frame vector sin(x) dy vanish, and fixed seeded points, so the
+# such as a frame vector sin(x) d/dy vanish, and fixed seeded points, so the
 # identities a scenario selects do not depend on --seed or --points.
 PROBE = 16
 # A residual counts as zero at or below this; NaN never does.

@@ -843,4 +843,7 @@ class _Parser:
 
 def parse_expr(text, chart):
     """Parse infix expression text into a ScalarField on the chart."""
-    return ScalarField(chart, _Parser(text, chart).parse())
+    try:
+        return ScalarField(chart, _Parser(text, chart).parse())
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None

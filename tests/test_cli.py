@@ -196,6 +196,7 @@ def test_scenario_file_through_cli(tmp_path):
         ("names = x y t", "names = x x t"),
         ("periodic = 1 1 1", "periodic = 1 1"),
         ("[frame E2]\ny = 1", "[frame E2]\ny = sin(x)"),
+        ("x = 0.3*cos(t)", "x = " + "(" * 400 + "t" + ")" * 400),
     ],
     ids=[
         "syntax",
@@ -208,6 +209,7 @@ def test_scenario_file_through_cli(tmp_path):
         "repeated_name",
         "periodic_count",
         "degenerate_frame",
+        "deep_nesting",
     ],
 )
 def test_malformed_scenario_line_is_a_located_error(tmp_path, capsys, good, bad):
