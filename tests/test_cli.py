@@ -273,14 +273,12 @@ def test_non_finite_values_fail_their_identities(tmp_path, monkeypatch, capsys):
     product) fails its identity, and the report still loads."""
     from leviflat import suites
     from leviflat.suites import IdentitySpec
-    from leviflat.symfield import coordinate, exp_of, sin_of
+    from leviflat.symfield import coordinate, cos_of, exp_of, sin_of
 
     def nan_runner(scenario, ctx, acc):
         t = coordinate(scenario.structure.chart, "t")
         big = exp_of(700.0 * cos_of(t))
         acc.add([sin_of(big * big)], 0.0)
-
-    from leviflat.symfield import cos_of
 
     spec = IdentitySpec("diag.nan", "sin(exp(700 cos t)^2) = 0", 1e-9, lambda sc: True, nan_runner)
     monkeypatch.setattr(suites, "REGISTRY", [spec])
@@ -292,11 +290,14 @@ def test_non_finite_values_fail_their_identities(tmp_path, monkeypatch, capsys):
     assert "[FAIL] diag.nan                     max_rel=nan" in capsys.readouterr().out
 
 
-def _bench_file_with(tmp_path, old, new):
+def _bench_file_with(tmp_path, *replacements):
+    """bench/my_twisted.scn with each (old, new) text replaced once."""
     text = ROOT.joinpath("bench", "my_twisted.scn").read_text()
-    assert old in text
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new, 1)
     path = tmp_path / "variant.scn"
-    path.write_text(text.replace(old, new, 1))
+    path.write_text(text)
     return path
 
 
@@ -304,7 +305,7 @@ def test_non_finite_gamma_file_is_rejected_at_load(tmp_path, capsys):
     """gamma is NaN near t = 0: the load check rejects the file before any
     identity runs, naming the path and the invariant."""
     gamma = "x = 0.3*cos(t) + 1e-300*sin(exp(700*cos(t))*exp(700*cos(t)))\n"
-    path = _bench_file_with(tmp_path, "x = 0.3*cos(t)\n", gamma)
+    path = _bench_file_with(tmp_path, ("x = 0.3*cos(t)\n", gamma))
     assert main(["--scenario", str(path), "--points", "2"]) == 2
     err = capsys.readouterr().err
     assert f"configuration error: {path}: non-finite invariant " in err
@@ -316,12 +317,9 @@ def test_non_integrable_file_runs_only_the_unconditional_identities(tmp_path, ca
     that assume nothing of the couple run, and frobenius fails."""
     path = _bench_file_with(
         tmp_path,
-        "[gamma]\nx = 0.3*cos(t)\nt = 1\n",
-        "[gamma]\ny = sin(x)\nt = 1\n",
-    )
-    path.write_text(
-        path.read_text().replace("[frame E1]\nx = 1\nt = -0.3*cos(t)\n", "[frame E1]\nx = 1\n")
-        .replace("[frame E2]\ny = 1\n", "[frame E2]\ny = 1\nt = -sin(x)\n")
+        ("[gamma]\nx = 0.3*cos(t)\n", "[gamma]\ny = sin(x)\n"),
+        ("[frame E1]\nx = 1\nt = -0.3*cos(t)\n", "[frame E1]\nx = 1\n"),
+        ("[frame E2]\ny = 1\n", "[frame E2]\ny = 1\nt = -sin(x)\n"),
     )
     report = tmp_path / "report.json"
     assert main(["--scenario", str(path), "--points", "6", "--report", str(report)]) == 1
