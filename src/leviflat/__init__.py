@@ -6,6 +6,7 @@ from .symfield import Chart, ScalarField, parse_expr, torus
 from .excalc import (
     DifferentialForm,
     VectorField,
+    XiValuedForm,
     evaluate_form,
     exterior_derivative,
     interior_product,
@@ -22,7 +23,7 @@ from .foliation_dgla import (
     omega_alpha,
     z_membership_residual,
 )
-from .leafcx import LeviFlatStructure, XiValuedForm
+from .leafcx import LeviFlatStructure
 from .report import CheckReport
 from .scenarios import Scenario, builtin
 

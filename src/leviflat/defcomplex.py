@@ -8,20 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .excalc import DifferentialForm, scalar_form
+from .excalc import DifferentialForm, XiValuedForm, scalar_form
 from .foliation_dgla import delta, mc_residual
 from .leafcx import (
-    XiValuedForm,
     beth,
     change_couple,
     dbar0,
     dbar1,
-    double_bracket_SS,
-    dbarJ_S,
     h_form,
     make_deformed_bracket,
-    nijenhuis,
     proj01_scalar,
+    s_terms,
     wedge01,
 )
 from .report import ResidualAccumulator
@@ -31,7 +28,8 @@ from .symfield import constant
 @dataclass
 class CochainPair:
     """Element of the degree-p term: a form annihilated by iota_X plus a
-    xi-valued (0,p)-form."""
+    xi-valued (0,p)-form.  A deformation is one of degree 1: alpha in Z^1
+    and the anticommuting endomorphism S as the (0,1)-form P."""
 
     alpha: DifferentialForm
     P: XiValuedForm
@@ -45,15 +43,6 @@ class CochainPair:
     @property
     def degree(self):
         return self.alpha.degree
-
-
-@dataclass
-class DeformationPair:
-    """A candidate deformation: alpha in Z^1 plus the anticommuting
-    endomorphism S encoded as a (0,1) xi-valued form."""
-
-    alpha: DifferentialForm
-    S: XiValuedForm
 
 
 def dfrak(pair, s):
@@ -73,9 +62,10 @@ def dfrak(pair, s):
 
 
 def levi_flat_mc_residual_pair(d, s, points):
-    """The two Maurer-Cartan residuals of a deformation pair, as a list of
-    (lhs, rhs): the foliation residual of alpha, then per frame pair the
-    complex-structure residual of S, computed with the deformed bracket
+    """The two Maurer-Cartan residuals of a deformation d = (alpha, S), a
+    CochainPair of degree 1, as a list of (lhs, rhs): the foliation residual
+    of alpha, then per frame pair the complex-structure residual of S,
+    computed with the deformed bracket
     throughout, against N/4 and against the rhs.  alpha's membership in Z^1
     is checked at the points."""
     pairs = [(mc_residual(d.alpha, s.couple, points), 0.0)]
@@ -83,10 +73,9 @@ def levi_flat_mc_residual_pair(d, s, points):
     H = h_form(s)
     rhs_form = wedge01(s, proj01_scalar(s, d.alpha), H).scaled(-1.0)
     for i, j in s.frame_pairs():
-        V, W = s.frame[i], s.frame[j]
-        lhs = dbarJ_S(s, d.S, V, W, bk) + double_bracket_SS(s, d.S, V, W, bk).scaled(0.5)
-        quarter_n = nijenhuis(s, V, W, bk).scaled(0.25)
-        pairs.append(([lhs, lhs], [quarter_n, rhs_form.value((i, j))]))
+        terms = s_terms(s, d.P, s.frame[i], s.frame[j], bk)
+        lhs = terms.dbar + terms.double.scaled(0.5)
+        pairs.append(([lhs, lhs], [terms.n.scaled(0.25), rhs_form.value((i, j))]))
     return pairs
 
 

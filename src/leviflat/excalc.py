@@ -7,25 +7,16 @@ immutable values.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import ChartMismatchError
 from .symfield import Const, PointEvaluator, ScalarField, ZERO, add, constant, mul
 
-_zero_cache = {}
 
-
-def _zero(chart):
-    f = _zero_cache.get(chart.names)
-    if f is None:
-        f = ScalarField(chart, ZERO)
-        _zero_cache[chart.names] = f
-    return f
-
-
-def _as_field(chart, v):
+def as_field(chart, v):
     if isinstance(v, ScalarField):
         if v.chart is not chart and v.chart != chart:
             raise ChartMismatchError("fields on different charts")
@@ -76,7 +67,7 @@ class VectorField:
     __slots__ = ("chart", "components")
 
     def __init__(self, chart, components):
-        comps = tuple(_as_field(chart, c) for c in components)
+        comps = tuple(as_field(chart, c) for c in components)
         if len(comps) != chart.dim:
             raise ValueError("component count must equal chart dim")
         self.chart = chart
@@ -101,7 +92,7 @@ class VectorField:
 
     def scaled(self, f):
         """Multiply by a ScalarField or number."""
-        f = _as_field(self.chart, f)
+        f = as_field(self.chart, f)
         return VectorField(self.chart, [f * a for a in self.components])
 
     def __rmul__(self, f):
@@ -109,7 +100,7 @@ class VectorField:
 
     def apply(self, f):
         """Directional derivative V(f) as a ScalarField."""
-        node = _as_field(self.chart, f).node
+        node = as_field(self.chart, f).node
         out = ZERO
         for i, comp in enumerate(self.components):
             out = add(out, mul(comp.node, node.diff(i)))
@@ -154,13 +145,13 @@ class DifferentialForm:
                 raise ValueError(f"index {idx} is not strictly increasing")
             if idx and idx[-1] >= chart.dim:
                 raise ValueError(f"index {idx} out of range for dim {chart.dim}")
-            f = _as_field(chart, f)
+            f = as_field(chart, f)
             if not f.is_zero:
                 clean[idx] = f
         self.coeffs = clean
 
     def coefficient(self, idx):
-        return self.coeffs.get(tuple(idx), _zero(self.chart))
+        return self.coeffs.get(tuple(idx), ScalarField(self.chart, ZERO))
 
     def __add__(self, other):
         if not isinstance(other, DifferentialForm):
@@ -179,7 +170,7 @@ class DifferentialForm:
         return DifferentialForm(self.chart, self.degree, {i: -f for i, f in self.coeffs.items()})
 
     def scaled(self, f):
-        f = _as_field(self.chart, f)
+        f = as_field(self.chart, f)
         return DifferentialForm(self.chart, self.degree, {i: f * g for i, g in self.coeffs.items()})
 
     def __rmul__(self, f):
@@ -193,7 +184,7 @@ class DifferentialForm:
         """Evaluate on symbolic VectorField arguments, returning a ScalarField."""
         if len(args) != self.degree:
             raise ValueError(f"degree {self.degree} form applied to {len(args)} arguments")
-        out = _zero(self.chart)
+        out = ScalarField(self.chart, ZERO)
         for idx, f in self.coeffs.items():
             out = out + f * minor([arg.components for arg in args], idx)
         return out
@@ -211,6 +202,48 @@ class DifferentialForm:
 
     def __repr__(self):
         return f"DifferentialForm(deg={self.degree}, {self.coeffs!r})"
+
+
+class XiValuedForm:
+    """(0,p)-form on the frame of xi, its values stored on increasing frame
+    tuples: VectorFields in xi for a xi-valued form, ScalarFields (the real
+    part; the imaginary part is the real part at a J-rotated first argument)
+    for a scalar one.
+
+    Values on arbitrary xi-arguments come from multilinear expansion; the
+    antilinearity property is a checkable residual, not an enforcement.
+    """
+
+    __slots__ = ("degree", "values")
+
+    def __init__(self, degree, values):
+        self.degree = degree
+        self.values = {tuple(idx): v for idx, v in values.items()}
+
+    def value(self, idx):
+        return self.values[tuple(idx)]
+
+    def __add__(self, other):
+        if other.degree != self.degree:
+            raise ValueError("cannot add xi-forms of different degree")
+        return XiValuedForm(
+            self.degree,
+            {idx: self.values[idx] + other.values[idx] for idx in self.values},
+        )
+
+    def __sub__(self, other):
+        if other.degree != self.degree:
+            raise ValueError("cannot subtract xi-forms of different degree")
+        return XiValuedForm(
+            self.degree,
+            {idx: self.values[idx] - other.values[idx] for idx in self.values},
+        )
+
+    def __neg__(self):
+        return XiValuedForm(self.degree, {idx: -v for idx, v in self.values.items()})
+
+    def scaled(self, f):
+        return XiValuedForm(self.degree, {idx: v.scaled(f) for idx, v in self.values.items()})
 
 
 def minor(rows, idx):
@@ -232,24 +265,19 @@ def minor(rows, idx):
     return det
 
 
-_perm_cache = {}
-
-
+@cache
 def _signed_permutations(k):
-    perms = _perm_cache.get(k)
-    if perms is None:
-        from itertools import permutations
-
-        perms = []
-        for perm in permutations(range(k)):
-            sign = 1
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            perms.append((perm, sign))
-        _perm_cache[k] = perms
-    return perms
+    """(perm, sign) for each permutation of range(k), in lexicographic order;
+    a tuple, since every caller shares the cached result."""
+    perms = []
+    for perm in permutations(range(k)):
+        sign = 1
+        for i in range(k):
+            for j in range(i + 1, k):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        perms.append((perm, sign))
+    return tuple(perms)
 
 
 def zero_form(chart, degree):
@@ -371,7 +399,7 @@ def invert_matrix(chart, entries, probe=None):
     zero crossings for matrices like J + Jtilde whose diagonal vanishes.
     """
     n = len(entries)
-    a = [[_as_field(chart, entries[r][c]) for c in range(n)] for r in range(n)]
+    a = [[as_field(chart, entries[r][c]) for c in range(n)] for r in range(n)]
     inv = [[constant(chart, 1.0 if r == c else 0.0) for c in range(n)] for r in range(n)]
     for col in range(n):
         pivot_row = None
@@ -415,6 +443,6 @@ def invert_matrix(chart, entries, probe=None):
 def matrix_mul(chart, A, B):
     n, m, k = len(A), len(B[0]), len(B)
     return [
-        [sum((A[r][t] * B[t][c] for t in range(k)), _zero(chart)) for c in range(m)]
+        [sum((A[r][t] * B[t][c] for t in range(k)), ScalarField(chart, ZERO)) for c in range(m)]
         for r in range(n)
     ]

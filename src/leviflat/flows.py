@@ -160,17 +160,23 @@ def gauge_derivative_fd(Y, couple, points, arg):
 def _frame_matrices(s, ev, points):
     """The (frame | X) basis matrices and the J-matrices of the structure at
     a batch, each laid out per point as at one point."""
-    J = [[ev(f) if hasattr(f, "node") else ev.zero + float(f) for f in row] for row in s.Jmat]
+    J = [[ev(f) for f in row] for row in s.Jmat]
     return s.basis_matrix_at(points, ev), np.ascontiguousarray(np.transpose(J, (2, 0, 1)))
 
 
 def _conjugated_S_matrix(Y, t, s, pts):
-    """S_{chi(Phi_t^Y)(0)} on a batch, as (N, n, n) numeric frame matrices."""
+    """S_{chi(Phi_t^Y)(0)} on a batch, as (N, n, n) numeric frame matrices.
+
+    Sign convention: this is (J - Jtilde)(J + Jtilde)^{-1}, which is -S for
+    the S of leafcx.conjugate_J and leafcx.s_from_structures, where
+    Jtilde = (I + S) J (I + S)^{-1}.  lemma.gauge_S, d/dt of this matrix
+    against -H_Y, therefore checks d/dt S = H_Y in the S-calculus'
+    convention."""
     n = s.n_leaf
     if t == 0.0:
         return np.zeros((len(pts), n, n))
     fields = [c for V in (*s.frame, s.X) for c in V.components]
-    fields += [f for row in s.Jmat for f in row if hasattr(f, "node")]
+    fields += [f for row in s.Jmat for f in row]
     pull = _Pullback(Y, t, s.couple, s.gamma, pts, fields)
     Mp, Jp = _frame_matrices(s, pull.ev_p, pts)
     Mq, Jq = _frame_matrices(s, pull.ev_q, pull.q)

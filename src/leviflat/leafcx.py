@@ -14,11 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConjugationSingularError, ZMembershipError
 from .excalc import (
+    XiValuedForm,
+    as_field,
     exterior_derivative,
     interior_product,
     invert_matrix,
@@ -37,83 +40,15 @@ from .foliation_dgla import (
     omega_alpha_inverse,
 )
 from .report import ResidualAccumulator
-from .symfield import PointEvaluator, ScalarField, constant, exp_of, first_flagged
+from .symfield import PointEvaluator, constant, exp_of, first_flagged
 
 DET_GUARD = 1e-6
 
 
-# --------------------------------------------------------------------------
-# Carrier types
-# --------------------------------------------------------------------------
-
-
-class XiValuedForm:
-    """(0,p)-form with xi-valued coefficients stored on increasing frame tuples.
-
-    Values on arbitrary xi-arguments come from multilinear expansion; the
-    antilinearity property is a checkable residual, not an enforcement.
-    """
-
-    __slots__ = ("degree", "values")
-
-    def __init__(self, degree, values):
-        self.degree = degree
-        self.values = {tuple(idx): v for idx, v in values.items()}
-
-    def value(self, idx):
-        return self.values[tuple(idx)]
-
-    def __add__(self, other):
-        if other.degree != self.degree:
-            raise ValueError("cannot add xi-forms of different degree")
-        return XiValuedForm(
-            self.degree,
-            {idx: self.values[idx] + other.values[idx] for idx in self.values},
-        )
-
-    def __sub__(self, other):
-        if other.degree != self.degree:
-            raise ValueError("cannot subtract xi-forms of different degree")
-        return XiValuedForm(
-            self.degree,
-            {idx: self.values[idx] - other.values[idx] for idx in self.values},
-        )
-
-    def __neg__(self):
-        return XiValuedForm(self.degree, {idx: -v for idx, v in self.values.items()})
-
-    def scaled(self, f):
-        return XiValuedForm(self.degree, {idx: v.scaled(f) for idx, v in self.values.items()})
-
-
-class AntiLinearScalarForm:
-    """Real encoding of a scalar (0,q)-form: the stored values are the real
-    part on frame tuples; the imaginary part is the real part at a J-rotated
-    first argument."""
-
-    __slots__ = ("degree", "re")
-
-    def __init__(self, degree, re):
-        self.degree = degree
-        self.re = {tuple(idx): f for idx, f in re.items()}
-
-    def __add__(self, other):
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return AntiLinearScalarForm(self.degree, {i: self.re[i] + other.re[i] for i in self.re})
-
-    def __sub__(self, other):
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return AntiLinearScalarForm(self.degree, {i: self.re[i] - other.re[i] for i in self.re})
-
-    def __neg__(self):
-        return AntiLinearScalarForm(self.degree, {i: -f for i, f in self.re.items()})
-
-
 @dataclass(frozen=True)
 class LeviFlatStructure:
-    """Chart, defining couple, a frame of xi, the J-matrix on that frame, and
+    """Chart, defining couple, a frame of xi, the J-matrix on that frame
+    (ScalarField entries; a number given there becomes a constant field), and
     the dual coframe (computed symbolically once at construction).
 
     N_J = 0 is not assumed: leafwise_integrable is set only where a
@@ -126,6 +61,10 @@ class LeviFlatStructure:
     Jmat: tuple
     coframe: tuple
     leafwise_integrable: bool = False
+
+    def __post_init__(self):
+        J = tuple(tuple(as_field(self.chart, f) for f in row) for row in self.Jmat)
+        object.__setattr__(self, "Jmat", J)
 
     @property
     def gamma(self):
@@ -149,7 +88,6 @@ class LeviFlatStructure:
                 f"frame must span the even-dimensional kernel: got {len(frame)} "
                 f"vectors on a dim-{chart.dim} chart"
             )
-        Jmat = tuple(tuple(row) for row in Jmat)
         basis = list(frame) + [couple.X]
         entries = [[basis[j].components[i] for j in range(chart.dim)] for i in range(chart.dim)]
         inv = invert_matrix(chart, entries)
@@ -157,8 +95,7 @@ class LeviFlatStructure:
         return cls(chart, couple, frame, Jmat, coframe)
 
     def with_J(self, Jmat):
-        J = tuple(tuple(row) for row in Jmat)
-        return LeviFlatStructure(self.chart, self.couple, self.frame, J, self.coframe)
+        return replace(self, Jmat=Jmat, leafwise_integrable=False)
 
     def with_couple(self, couple, coframe):
         return replace(self, couple=couple, coframe=tuple(coframe))
@@ -241,24 +178,30 @@ class LeviFlatStructure:
 # --------------------------------------------------------------------------
 
 
-def _nijenhuis_terms(s, V, W, bk):
-    """[V, W], J[JV, W] and N(V, W), each of the four brackets and four
-    applications of J built once."""
-    JV, JW = s.apply_J(V), s.apply_J(W)
-    b_VW = bk(V, W)
-    Jb_JVW = s.apply_J(bk(JV, W))
-    return b_VW, Jb_JVW, bk(JV, JW) - b_VW - Jb_JVW - s.apply_J(bk(V, JW))
+def _nijenhuis_terms(s, V, JV, W, JW, bk):
+    """[V, W], [JV, JW], J[JV, W], J[V, JW] and N(V, W), each of the four
+    brackets built once from the given J-images JV and JW."""
+    b, b_JJ = bk(V, W), bk(JV, JW)
+    Jb_JV, Jb_JW = s.apply_J(bk(JV, W)), s.apply_J(bk(V, JW))
+    return b, b_JJ, Jb_JV, Jb_JW, b_JJ - b - Jb_JV - Jb_JW
 
 
 def nijenhuis(s, V, W, bracket=None):
     """N(V, W) = [JV, JW] - [V, W] - J[JV, W] - J[V, JW]."""
-    return _nijenhuis_terms(s, V, W, bracket or lie_bracket)[2]
+    return _nijenhuis_terms(s, V, s.apply_J(V), W, s.apply_J(W), bracket or lie_bracket)[4]
+
+
+def _dbar0_value(b, Jb_JV, N):
+    """(dbar W)(V) from [V, W], J[JV, W] and N(V, W)."""
+    return (b + Jb_JV).scaled(0.5) + N.scaled(0.25)
 
 
 def dbar0_apply(s, W, V, bracket=None):
     """(dbar W)(V) = 1/2([V, W] + J[JV, W]) + 1/4 N(V, W)."""
-    b_VW, Jb_JVW, N = _nijenhuis_terms(s, V, W, bracket or lie_bracket)
-    return (b_VW + Jb_JVW).scaled(0.5) + N.scaled(0.25)
+    b, _, Jb_JV, _, N = _nijenhuis_terms(
+        s, V, s.apply_J(V), W, s.apply_J(W), bracket or lie_bracket
+    )
+    return _dbar0_value(b, Jb_JV, N)
 
 
 def dbar0(s, W):
@@ -266,22 +209,18 @@ def dbar0(s, W):
     return XiValuedForm(1, {(i,): dbar0_apply(s, W, E) for i, E in enumerate(s.frame)})
 
 
-def _expand(s, degree, args, term):
-    """Multilinear expansion on frame tuples: the sum of term(idx, det) over
-    increasing idx, det the idx-minor of the args' frame coefficients."""
-    if degree > 2:
-        raise ValueError(f"unsupported degree {degree}")
+def xi_form_apply(s, form, args):
+    """Multilinear evaluation of a XiValuedForm, xi-valued or scalar, on
+    symbolic xi-arguments: the sum over increasing frame tuples idx of the
+    idx-minor of the args' frame coefficients times the value on idx."""
+    if form.degree > 2:
+        raise ValueError(f"unsupported degree {form.degree}")
     rows = [s.xi_coefficients(arg) for arg in args]
     out = None
-    for idx in combinations(range(s.n_leaf), degree):
-        value = term(idx, minor(rows, idx))
+    for idx in combinations(range(s.n_leaf), form.degree):
+        value = minor(rows, idx) * form.values[idx]
         out = value if out is None else out + value
     return out
-
-
-def xi_form_apply(s, form, args):
-    """Multilinear evaluation of a XiValuedForm on symbolic xi-arguments."""
-    return _expand(s, form.degree, args, lambda idx, det: form.value(idx).scaled(det))
 
 
 def dbar1(s, omega):
@@ -319,22 +258,15 @@ def dbar_xi(s, form):
 
 def proj01_scalar(s, alpha):
     """(0,1)-projection of a real 1-form: stored real part is alpha(E_i)/2."""
-    return AntiLinearScalarForm(
+    return XiValuedForm(
         1, {(i,): alpha.apply_symbolic([E]) * 0.5 for i, E in enumerate(s.frame)}
     )
 
 
-def scalar01_re_apply(s, A, args):
-    """Real part of a scalar (0,q)-form at symbolic xi-arguments."""
-    if A.degree not in (1, 2):
-        raise ValueError(f"unsupported degree {A.degree}")
-    return _expand(s, A.degree, args, lambda idx, det: A.re[idx] * det)
-
-
-def _re_at_J_first(s, A, i):
-    """Real part of the (0,1)-form A at J E_i, i.e. its imaginary part at
-    E_i."""
-    return scalar01_re_apply(s, A, [s.J_frame(i)])
+def _im01(s, A):
+    """The imaginary part of the scalar (0,1)-form A at each E_i, i.e. its
+    real part at J E_i."""
+    return [xi_form_apply(s, A, [s.J_frame(i)]) for i in range(s.n_leaf)]
 
 
 def wedge01(s, A, P):
@@ -343,20 +275,21 @@ def wedge01(s, A, P):
     if A.degree == 1 and P.degree == 0:
         U = P.value(())
         JU = s.apply_J(U)
+        im = _im01(s, A)
         values = {}
         for i in range(s.n_leaf):
-            values[(i,)] = U.scaled(A.re[(i,)]) + JU.scaled(_re_at_J_first(s, A, i))
+            values[(i,)] = U.scaled(A.values[(i,)]) + JU.scaled(im[i])
         return XiValuedForm(1, values)
     if A.degree == 1 and P.degree == 1:
+        im = _im01(s, A)
+        JP = {idx: s.apply_J(V) for idx, V in P.values.items()}
         values = {}
         for i, j in s.frame_pairs():
-            Pi, Pj = P.value((i,)), P.value((j,))
-            JPi, JPj = s.apply_J(Pi), s.apply_J(Pj)
             values[(i, j)] = (
-                Pj.scaled(A.re[(i,)])
-                + JPj.scaled(_re_at_J_first(s, A, i))
-                - Pi.scaled(A.re[(j,)])
-                - JPi.scaled(_re_at_J_first(s, A, j))
+                P.value((j,)).scaled(A.values[(i,)])
+                + JP[(j,)].scaled(im[i])
+                - P.value((i,)).scaled(A.values[(j,)])
+                - JP[(i,)].scaled(im[j])
             )
         return XiValuedForm(2, values)
     if A.degree == 2 and P.degree == 0:
@@ -364,8 +297,8 @@ def wedge01(s, A, P):
         JU = s.apply_J(U)
         values = {}
         for i, j in s.frame_pairs():
-            values[(i, j)] = U.scaled(A.re[(i, j)]) + JU.scaled(
-                scalar01_re_apply(s, A, [s.J_frame(i), s.frame[j]])
+            values[(i, j)] = U.scaled(A.values[(i, j)]) + JU.scaled(
+                xi_form_apply(s, A, [s.J_frame(i), s.frame[j]])
             )
         return XiValuedForm(2, values)
     raise ValueError(f"unsupported degrees q={A.degree}, p={P.degree}")
@@ -381,8 +314,8 @@ def dbar_scalar01(s, A):
     real encoding:  Re dbar(alpha)(V,W) =
     (d_b r(V,W) - d_b r(JV,JW) - d_b rJ(JV,W) - d_b rJ(V,JW)) / 4 with
     r the real part as an ambient 1-form and rJ its J-rotated partner."""
-    r_amb = _ambient_from_re(s, {idx: A.re[idx] for idx in A.re})
-    rj_amb = _ambient_from_re(s, {(i,): _re_at_J_first(s, A, i) for i in range(s.n_leaf)})
+    r_amb = _ambient_from_re(s, A.values)
+    rj_amb = _ambient_from_re(s, {(i,): f for i, f in enumerate(_im01(s, A))})
     dr = leafwise_d(r_amb, s.couple)
     drj = leafwise_d(rj_amb, s.couple)
     re = {}
@@ -394,7 +327,7 @@ def dbar_scalar01(s, A):
             - drj.apply_symbolic([JV, W])
             - drj.apply_symbolic([V, JW])
         ) * 0.25
-    return AntiLinearScalarForm(2, re)
+    return XiValuedForm(2, re)
 
 
 def _ambient_from_re(s, re_values):
@@ -511,10 +444,6 @@ def alpha_wedge_T(s, alpha, V, W):
 # --------------------------------------------------------------------------
 
 
-def _coerce_field(chart, f):
-    return f if isinstance(f, ScalarField) else constant(chart, f)
-
-
 def s_from_structures(s, Jtilde, points):
     """Unique S with Jtilde = (I+S) J (I+S)^{-1} and SJ + JS = 0.
 
@@ -522,16 +451,15 @@ def s_from_structures(s, Jtilde, points):
     (J - Jtilde); the transposed factor order only agrees when J and Jtilde
     commute, and fails the round-trip contract otherwise."""
     n = s.n_leaf
-    J = [[_coerce_field(s.chart, f) for f in row] for row in s.Jmat]
-    Jt = [[_coerce_field(s.chart, f) for f in row] for row in Jtilde]
-    total = [[J[r][c] + Jt[r][c] for c in range(n)] for r in range(n)]
+    J = s.Jmat
+    total = [[J[r][c] + Jtilde[r][c] for c in range(n)] for r in range(n)]
     entries = [f for row in total for f in row]
     ev = PointEvaluator(s.chart, points, entries)
     det = np.linalg.det(np.array([ev(f) for f in entries]).T.reshape(-1, n, n))
     k = first_flagged(np.abs(det) < DET_GUARD)
     if k is not None:
         raise ConjugationSingularError(f"det(J + Jtilde) = {float(det[k])!r} at {points[k]}")
-    diff = [[J[r][c] - Jt[r][c] for c in range(n)] for r in range(n)]
+    diff = [[J[r][c] - Jtilde[r][c] for c in range(n)] for r in range(n)]
     inv = invert_matrix(s.chart, total, probe=points[:1])
     return matrix_mul(s.chart, inv, diff)
 
@@ -542,12 +470,9 @@ def conjugate_J(s, Smat, probe=None):
     n = s.n_leaf
     one = constant(s.chart, 1.0)
     zero = constant(s.chart, 0.0)
-    i_plus = [
-        [_coerce_field(s.chart, Smat[r][c]) + (one if r == c else zero) for c in range(n)]
-        for r in range(n)
-    ]
-    inv = invert_matrix(s.chart, [[f for f in row] for row in i_plus], probe=probe)
-    return matrix_mul(s.chart, matrix_mul(s.chart, i_plus, [list(r) for r in s.Jmat]), inv)
+    i_plus = [[Smat[r][c] + (one if r == c else zero) for c in range(n)] for r in range(n)]
+    inv = invert_matrix(s.chart, i_plus, probe=probe)
+    return matrix_mul(s.chart, matrix_mul(s.chart, i_plus, s.Jmat), inv)
 
 
 def xi_form_from_matrix(s, mat):
@@ -562,56 +487,50 @@ def xi_form_from_matrix(s, mat):
 def anticommutator_residual(s, Smat):
     """The entries of SJ + JS, which vanish when S anticommutes with J."""
     n = s.n_leaf
-    SJ = matrix_mul(s.chart, Smat, [list(r) for r in s.Jmat])
-    JS = matrix_mul(s.chart, [list(r) for r in s.Jmat], Smat)
+    SJ = matrix_mul(s.chart, Smat, s.Jmat)
+    JS = matrix_mul(s.chart, s.Jmat, Smat)
     return [SJ[r][c] + JS[r][c] for r in range(n) for c in range(n)]
 
 
-def dbarJ_S(s, S, V, W, bracket=None):
-    """dbar_J S (V, W) = dbar(SW)(V) - dbar(SV)(W) - S([V,W] - [JV,JW])/2."""
+class STerms(NamedTuple):
+    """The S-calculus terms at (V, W), with SV and SW."""
+
+    n: object  # N(V, W)
+    n_SS: object  # N(SV, SW)
+    dbar: object  # (dbar_J S)(V, W)
+    square: object  # [S, S](V, W)
+    double: object  # [[S, S]](V, W)
+    SV: object
+    SW: object
+
+
+def s_terms(s, S, V, W, bracket=None):
+    """N(V,W), N(SV,SW), dbar_J S, [S,S] and [[S,S]] at (V, W), from one set
+    of brackets and J-images:
+        dbar_J S (V, W) = dbar(SW)(V) - dbar(SV)(W) - S([V,W] - [JV,JW])/2
+        [S, S](V, W) = [SV,SW] - [JSV,JSW]
+                       - S([SV,W] + [V,SW] + J[V,JSW] + J[JSV,W])
+                       - (S N(SV,W) + S N(V,SW) - N(SV,SW)) / 2
+        [[S, S]] = [S, S] - S(N - N(SV, SW)) / 2."""
     bk = bracket or lie_bracket
     SV = xi_form_apply(s, S, [V])
     SW = xi_form_apply(s, S, [W])
-    mixed = bk(V, W) - bk(s.apply_J(V), s.apply_J(W))
-    return (
-        dbar0_apply(s, SW, V, bk)
-        - dbar0_apply(s, SV, W, bk)
-        - xi_form_apply(s, S, [mixed]).scaled(0.5)
+    JV, JW, JSV, JSW = (s.apply_J(U) for U in (V, W, SV, SW))
+    b_VW, b_JVJW, _, _, n = _nijenhuis_terms(s, V, JV, W, JW, bk)
+    b_VSW, _, Jb_JVSW, Jb_VJSW, n_VSW = _nijenhuis_terms(s, V, JV, SW, JSW, bk)
+    b_SVW, _, Jb_JSVW, _, n_SVW = _nijenhuis_terms(s, SV, JSV, W, JW, bk)
+    b_WSV, _, Jb_JWSV, _, n_WSV = _nijenhuis_terms(s, W, JW, SV, JSV, bk)
+    b_SS, b_JSJS, _, _, n_SS = _nijenhuis_terms(s, SV, JSV, SW, JSW, bk)
+    dbar = (
+        _dbar0_value(b_VSW, Jb_JVSW, n_VSW)
+        - _dbar0_value(b_WSV, Jb_JWSV, n_WSV)
+        - xi_form_apply(s, S, [b_VW - b_JVJW]).scaled(0.5)
     )
-
-
-def _square_bracket_terms(s, S, V, W, bk):
-    """N(SV, SW) and [S, S](V, W), each bracket and J-image of SV and SW
-    built once."""
-    SV = xi_form_apply(s, S, [V])
-    SW = xi_form_apply(s, S, [W])
-    JSV, JSW = s.apply_J(SV), s.apply_J(SW)
-    b_SS, b_JJ = bk(SV, SW), bk(JSV, JSW)
-    n_SS = b_JJ - b_SS - s.apply_J(bk(JSV, SW)) - s.apply_J(bk(SV, JSW))
-    middle = (
-        bk(SV, W) + bk(V, SW) + s.apply_J(bk(V, JSW)) + s.apply_J(bk(JSV, W))
-    )
-    n_terms = (
-        xi_form_apply(s, S, [nijenhuis(s, SV, W, bk)])
-        + xi_form_apply(s, S, [nijenhuis(s, V, SW, bk)])
-        - n_SS
-    )
-    return n_SS, b_SS - b_JJ - xi_form_apply(s, S, [middle]) - n_terms.scaled(0.5)
-
-
-def square_bracket_SS(s, S, V, W, bracket=None):
-    """[S, S](V, W) = [SV,SW] - [JSV,JSW]
-                      - S([SV,W] + [V,SW] + J[V,JSW] + J[JSV,W])
-                      - (S N(SV,W) + S N(V,SW) - N(SV,SW)) / 2."""
-    return _square_bracket_terms(s, S, V, W, bracket or lie_bracket)[1]
-
-
-def double_bracket_SS(s, S, V, W, bracket=None):
-    """[[S, S]] = [S, S] - S(N - N(S, S)) / 2."""
-    bk = bracket or lie_bracket
-    n_SS, square = _square_bracket_terms(s, S, V, W, bk)
-    inner = nijenhuis(s, V, W, bk) - n_SS
-    return square - xi_form_apply(s, S, [inner]).scaled(0.5)
+    middle = b_SVW + b_VSW + Jb_VJSW + Jb_JSVW
+    n_terms = xi_form_apply(s, S, [n_SVW]) + xi_form_apply(s, S, [n_VSW]) - n_SS
+    square = b_SS - b_JSJS - xi_form_apply(s, S, [middle]) - n_terms.scaled(0.5)
+    double = square - xi_form_apply(s, S, [n - n_SS]).scaled(0.5)
+    return STerms(n, n_SS, dbar, square, double, SV, SW)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .excalc import DifferentialForm, VectorField, form_components
+from .excalc import DifferentialForm, VectorField, XiValuedForm, form_components
 from .symfield import PointEvaluator, ScalarField
 
 
@@ -33,6 +33,12 @@ def _values(side):
     if type(side) is list and side and _is_value(side[0]):
         return side
     return [side] if _is_value(side) else None
+
+
+def _entry(value):
+    """A XiValuedForm's value as a residual value: a scalar one becomes a
+    list of one ScalarField."""
+    return [value] if isinstance(value, ScalarField) else value
 
 
 def _fields(value):
@@ -72,10 +78,11 @@ class ResidualAccumulator:
         """Record samples of lhs = rhs; returns the accumulator.
 
         A symbolic side is a DifferentialForm, a VectorField or a list of
-        ScalarFields (one value each), or a XiValuedForm or a list of the
-        other values (one value per entry).  The values of lhs are paired in
-        turn with those of rhs, matched by frame tuple between two
-        XiValuedForms; a numeric rhs is compared with every component.
+        ScalarFields (one value each), or a XiValuedForm, xi-valued or
+        scalar, or a list of the other values (one value per entry).  The
+        values of lhs are paired in turn with those of rhs, matched by frame
+        tuple between two XiValuedForms; a numeric rhs is compared with
+        every component.
         Every field of the pair is evaluated at the accumulator's points
         through one PointEvaluator, and each pair of values gives one sample
         per point.
@@ -84,12 +91,11 @@ class ResidualAccumulator:
         components are its entries, or a 2-d array of shape (components, N),
         N samples, one per column.  rhs broadcasts against lhs.
         """
-        from .leafcx import XiValuedForm  # leafcx imports this module
-
         if isinstance(rhs, XiValuedForm):
-            rhs = [rhs.values[k] for k in (lhs if isinstance(lhs, XiValuedForm) else rhs).values]
+            keys = (lhs if isinstance(lhs, XiValuedForm) else rhs).values
+            rhs = [_entry(rhs.values[k]) for k in keys]
         if isinstance(lhs, XiValuedForm):
-            lhs = list(lhs.values.values())
+            lhs = [_entry(v) for v in lhs.values.values()]
         lhs_values = _values(lhs)
         if lhs_values is None:
             lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)

@@ -4,7 +4,7 @@ properties, plus the scenario file loader used by the CLI."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .excalc import (
     one_form,
 )
 from .foliation_dgla import DefiningCouple
-from .leafcx import DET_GUARD, LeviFlatStructure
+from .leafcx import DET_GUARD, LeviFlatStructure, change_couple
 from .sampling import sample_points, stream
 from .symfield import (
     Chart,
@@ -128,7 +128,7 @@ def check(scenario, where):
         for key in ("gamma_frame", "frobenius_iii", "frobenius_iv", "frobenius_v")
     )
     if inv["nijenhuis"] <= INVARIANT_TOL:
-        scenario.structure = LeviFlatStructure(s.chart, s.couple, s.frame, s.Jmat, s.coframe, True)
+        scenario.structure = replace(s, leafwise_integrable=True)
     return scenario
 
 
@@ -169,17 +169,10 @@ def _t3_twisted_structure():
 
 
 def _t3_twisted_shifted_structure():
+    """The twisted couple with X shifted to X + sin(y) E1."""
     base = _t3_twisted_structure()
-    chart = base.chart
-    y = coordinate(chart, "y")
-    U = base.frame[0].scaled(sin_of(y))
-    X_hat = base.X + U
-    couple = DefiningCouple(base.gamma, X_hat)
-    # dual coframe: eta_i - eta_i(U) gamma keeps eta_i(X_hat) = 0
-    coframe = tuple(
-        eta - base.gamma.scaled(eta.apply_symbolic([U])) for eta in base.coframe
-    )
-    return LeviFlatStructure(chart, couple, base.frame, base.Jmat, coframe)
+    U = base.frame[0].scaled(sin_of(coordinate(base.chart, "y")))
+    return change_couple(base, constant(base.chart, 0.0), U)
 
 
 def _t5_chart():

@@ -19,9 +19,10 @@ from . import defcomplex as dc
 from . import flows
 from . import foliation_dgla as fd
 from . import leafcx as lc
-from .errors import LeviFlatError, ZMembershipError
+from .errors import ZMembershipError
 from .excalc import (
     DifferentialForm,
+    XiValuedForm,
     evaluate_form,
     exterior_derivative,
     interior_product,
@@ -80,8 +81,7 @@ def random_anticommuting_S(s, rng, amplitude=0.03):
     """Seeded frame matrix anticommuting with J: C + J C J."""
     n = s.n_leaf
     C = [[small_scalar(s.chart, rng, amplitude) for _ in range(n)] for _ in range(n)]
-    J = [list(r) for r in s.Jmat]
-    JCJ = matrix_mul(s.chart, matrix_mul(s.chart, J, C), J)
+    JCJ = matrix_mul(s.chart, matrix_mul(s.chart, s.Jmat, C), s.Jmat)
     return [[C[r][c] + JCJ[r][c] for c in range(n)] for r in range(n)]
 
 
@@ -119,7 +119,7 @@ def mc_flat_alpha(scenario, points):
 def _family_S(s, Smat):
     """A family's S matrix as a (0,1) xi-form; zero for a family without S."""
     if Smat is None:
-        return lc.XiValuedForm(1, {(i,): zero_vector(s.chart) for i in range(s.n_leaf)})
+        return XiValuedForm(1, {(i,): zero_vector(s.chart) for i in range(s.n_leaf)})
     return lc.xi_form_from_matrix(s, Smat)
 
 
@@ -437,7 +437,7 @@ def run_dbar_leibniz(scenario, ctx, acc):
         W = random_xi_field(s, rng)
         lhs = lc.dbar0(s, W.scaled(a))
         da = lc.dbar_scalar(s, a)
-        acc.add(lhs, lc.dbar0(s, W).scaled(a) + lc.wedge01(s, da, lc.XiValuedForm(0, {(): W})))
+        acc.add(lhs, lc.dbar0(s, W).scaled(a) + lc.wedge01(s, da, XiValuedForm(0, {(): W})))
 
 
 def run_nijenhuis_bilinear(scenario, ctx, acc):
@@ -501,8 +501,8 @@ def run_ixdgamma01_closed(scenario, ctx, acc):
     closed = lc.dbar_scalar01(s, lc.ix_dgamma01(s))
     for i, j in s.frame_pairs():
         # the real part, then the imaginary part
-        g = lc.scalar01_re_apply(s, closed, [s.J_frame(i), s.frame[j]])
-        acc.add([[closed.re[(i, j)]], [g]])
+        g = lc.xi_form_apply(s, closed, [s.J_frame(i), s.frame[j]])
+        acc.add([[closed.values[(i, j)]], [g]])
 
 
 def run_beth_squared(scenario, ctx, acc):
@@ -510,7 +510,7 @@ def run_beth_squared(scenario, ctx, acc):
     rng = ctx.rng("beth_squared")
     for _ in range(3):
         W = random_xi_field(s, rng)
-        acc.add(lc.beth(s, lc.beth(s, lc.XiValuedForm(0, {(): W}))))
+        acc.add(lc.beth(s, lc.beth(s, XiValuedForm(0, {(): W}))))
 
 
 def run_bethH(scenario, ctx, acc):
@@ -533,9 +533,9 @@ def run_iso_cohomology(scenario, ctx, acc):
     U = random_xi_field(s, rng, amplitude=0.5)
     for degree in (0, 1):
         if degree == 0:
-            P = lc.XiValuedForm(0, {(): random_xi_field(s, rng)})
+            P = XiValuedForm(0, {(): random_xi_field(s, rng)})
         else:
-            P = lc.XiValuedForm(1, {(i,): random_xi_field(s, rng) for i in range(s.n_leaf)})
+            P = XiValuedForm(1, {(i,): random_xi_field(s, rng) for i in range(s.n_leaf)})
         acc.add(*lc.beth_conjugation_residual(s, lam, U, P))
 
 
@@ -610,7 +610,7 @@ def run_levi_flat_mc(scenario, ctx, acc):
     s = scenario.structure
     fam = scenario.family
     for t in (0.0, 0.1, -0.1, 0.3, -0.3):
-        pair = dc.DeformationPair(fam.alpha_at(t), _family_S(s, fam.S_matrix_at(t)))
+        pair = dc.CochainPair(fam.alpha_at(t), _family_S(s, fam.S_matrix_at(t)))
         for lhs, rhs in dc.levi_flat_mc_residual_pair(pair, s, ctx.points):
             acc.add(lhs, rhs)
 
@@ -642,7 +642,7 @@ def run_dfrak_squared(scenario, ctx, acc):
     rng = ctx.rng("dfrak_squared")
     for _ in range(8):
         f = random_scalar(s.chart, rng)
-        P = lc.XiValuedForm(0, {(): random_xi_field(s, rng)})
+        P = XiValuedForm(0, {(): random_xi_field(s, rng)})
         pair = dc.CochainPair(scalar_form(f), P)
         dd = dc.dfrak(dc.dfrak(pair, s), s)
         acc.add(dd.alpha)
@@ -668,7 +668,7 @@ def run_gauge_witness(scenario, ctx, acc):
     for _ in range(4):
         Y = random_vector_field(s.chart, rng)
         beta = random_z_form(s, 1, rng)
-        P = lc.XiValuedForm(1, {(i,): random_xi_field(s, rng) for i in range(s.n_leaf)})
+        P = XiValuedForm(1, {(i,): random_xi_field(s, rng) for i in range(s.n_leaf)})
         t = dc.CochainPair(beta, P)
         image = dc.tangent_witness_image(Y, s)
         t_prime = dc.CochainPair(beta - image.alpha, P - image.P)
@@ -730,15 +730,12 @@ def run_n_ntilde(scenario, ctx, acc):
     for _ in range(2):
         V = random_xi_field(s, rng)
         W = random_xi_field(s, rng)
-        SV = lc.xi_form_apply(s, S, [V])
-        SW = lc.xi_form_apply(s, S, [W])
-        lhs = lc.nijenhuis(s_tilde, V + SV, W + SW)
-        NJ = lc.nijenhuis(s, V, W)
-        NSS = lc.nijenhuis(s, SV, SW)
+        terms = lc.s_terms(s, S, V, W)
+        lhs = lc.nijenhuis(s_tilde, V + terms.SV, W + terms.SW)
         core = (
-            NJ
-            + lc.xi_form_apply(s, S, [NJ - NSS])
-            - (lc.dbarJ_S(s, S, V, W) + lc.square_bracket_SS(s, S, V, W).scaled(0.5)).scaled(4.0)
+            terms.n
+            + lc.xi_form_apply(s, S, [terms.n - terms.n_SS])
+            - (terms.dbar + terms.square.scaled(0.5)).scaled(4.0)
         )
         entries = [f for row in Smat for f in row]
         basis = s.frame + (s.X,)
@@ -766,14 +763,9 @@ def run_n_jtilde_identity(scenario, ctx, acc):
     for _ in range(2):
         V = random_xi_field(s, rng)
         W = random_xi_field(s, rng)
-        SV = lc.xi_form_apply(s, S, [V])
-        SW = lc.xi_form_apply(s, S, [W])
-        lhs = (
-            lc.dbarJ_S(s, S, V, W)
-            + lc.double_bracket_SS(s, S, V, W).scaled(0.5)
-            - lc.nijenhuis(s, V, W).scaled(0.25)
-        )
-        Ntilde = lc.nijenhuis(s_tilde, V + SV, W + SW)
+        terms = lc.s_terms(s, S, V, W)
+        lhs = terms.dbar + terms.double.scaled(0.5) - terms.n.scaled(0.25)
+        Ntilde = lc.nijenhuis(s_tilde, V + terms.SV, W + terms.SW)
         acc.add(lhs, -(Ntilde - lc.xi_form_apply(s, S, [Ntilde])).scaled(0.25))
 
 
@@ -928,7 +920,7 @@ def run_identity(spec, scenario, seed, n_points, tolerance=None):
     error = ""
     try:
         spec.runner(scenario, ctx, acc)
-    except (LeviFlatError, np.linalg.LinAlgError, ZeroDivisionError) as exc:
+    except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
     max_rel = float(acc.max_rel)
     return CheckReport(

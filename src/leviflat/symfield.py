@@ -685,6 +685,8 @@ def fix_coordinate(f, i, value):
 
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp}
 _CONSTANTS = {"pi": math.pi}
+# ASCII only: str.isdigit also accepts digits such as '²' that float rejects
+_DIGITS = frozenset("0123456789")
 
 
 class _Tokenizer:
@@ -703,10 +705,10 @@ class _Tokenizer:
             if c.isspace():
                 i += 1
                 continue
-            if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
                 j = i
                 seen_dot = False
-                while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+                while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                     seen_dot = seen_dot or text[j] == "."
                     j += 1
                 # exponent part like 1e-3
@@ -714,8 +716,8 @@ class _Tokenizer:
                     k = j + 1
                     if k < n and text[k] in "+-":
                         k += 1
-                    if k < n and text[k].isdigit():
-                        while k < n and text[k].isdigit():
+                    if k < n and text[k] in _DIGITS:
+                        while k < n and text[k] in _DIGITS:
                             k += 1
                         j = k
                 self.tokens.append(("num", text[i:j], i))

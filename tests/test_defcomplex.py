@@ -6,7 +6,6 @@ import pytest
 
 from leviflat.defcomplex import (
     CochainPair,
-    DeformationPair,
     dfrak,
     dbar_hY_residual,
     exactness_witness_check,
@@ -18,6 +17,7 @@ from leviflat.defcomplex import (
     tangent_witness_image,
 )
 from leviflat.excalc import (
+    XiValuedForm,
     form_components,
     one_form,
     scalar_form,
@@ -26,7 +26,6 @@ from leviflat.excalc import (
 )
 from leviflat.foliation_dgla import delta
 from leviflat.leafcx import (
-    XiValuedForm,
     dbar0,
     h_form,
     xi_form_from_matrix,
@@ -114,7 +113,7 @@ def test_tangent_witness_formula_seeded():
 
 
 def test_levi_flat_mc_zero_pair():
-    pair = DeformationPair(zero_form(FLAT.chart, 1), zero_pair(FLAT, 1).P)
+    pair = CochainPair(zero_form(FLAT.chart, 1), zero_pair(FLAT, 1).P)
     mc, *structure = levi_flat_mc_residual_pair(pair, FLAT, pts(FLAT))
     assert residual(pts(FLAT), mc).max_rel <= 1e-14
     assert residual(pts(FLAT), *structure).max_rel <= 1e-14
@@ -122,7 +121,7 @@ def test_levi_flat_mc_zero_pair():
 
 def test_levi_flat_mc_constant_tilt():
     alpha = one_form(FLAT.chart, [0.3, -0.2, 0.0])
-    pair = DeformationPair(alpha, zero_pair(FLAT, 1).P)
+    pair = CochainPair(alpha, zero_pair(FLAT, 1).P)
     mc, *structure = levi_flat_mc_residual_pair(pair, FLAT, pts(FLAT))
     assert residual(pts(FLAT), mc).max_rel <= 1e-12
     assert residual(pts(FLAT), *structure).max_rel <= 1e-12
@@ -138,7 +137,7 @@ def test_levi_flat_mc_constant_S_rotation_quadratic():
             [constant(FLAT.chart, q_ * eps), constant(FLAT.chart, -p_ * eps)],
         ]
         S = xi_form_from_matrix(FLAT, entries)
-        pair = DeformationPair(zero_form(FLAT.chart, 1), S)
+        pair = CochainPair(zero_form(FLAT.chart, 1), S)
         mc, *structure = levi_flat_mc_residual_pair(pair, FLAT, pts(FLAT))
         assert residual(pts(FLAT), mc).max_rel <= 1e-14
         assert residual(pts(FLAT), *structure).max_rel <= max(1.0 * eps**2, 1e-12)

@@ -8,13 +8,12 @@ import pytest
 
 from leviflat.errors import ConjugationSingularError, ScenarioError, ZMembershipError
 from leviflat.excalc import (
+    XiValuedForm,
     lie_bracket,
     one_form,
 )
 from leviflat.leafcx import (
-    AntiLinearScalarForm,
     LeviFlatStructure,
-    XiValuedForm,
     antilinearity_residual,
     beth,
     beth_conjugation_residual,
@@ -24,12 +23,10 @@ from leviflat.leafcx import (
     dbar0,
     dbar0_apply,
     dbar1,
-    dbarJ_S,
     dbar_scalar,
     deformed_bracket,
     deformed_bracket_expanded,
     derivation_pairing,
-    double_bracket_SS,
     h_apply,
     h_form,
     ix_dgamma01,
@@ -38,7 +35,7 @@ from leviflat.leafcx import (
     nijenhuis,
     proj01_scalar,
     s_from_structures,
-    square_bracket_SS,
+    s_terms,
     t_endo,
     wedge01,
     xi_form_apply,
@@ -261,20 +258,20 @@ def test_proj01_gamma_vanishes():
     for s in (FLAT, TWISTED, SHIFTED):
         A = proj01_scalar(s, s.gamma)
         for i in range(s.n_leaf):
-            assert np.all(np.abs(A.re[(i,)](pts(s))) <= 1e-14)
+            assert np.all(np.abs(A.values[(i,)](pts(s))) <= 1e-14)
 
 
 def test_ix_dgamma01_twisted_value():
     # (iota_X dgamma)^{0,1}(E1) has real part -eps sin(t) / 2 on the twisted couple
     A = ix_dgamma01(TWISTED)
     P = pts(TWISTED, 6)
-    assert A.re[(0,)](P) == pytest.approx(-0.5 * EPS * np.sin(P[:, 2]), abs=1e-13)
-    assert np.all(np.abs(A.re[(1,)](P)) <= 1e-14)
+    assert A.values[(0,)](P) == pytest.approx(-0.5 * EPS * np.sin(P[:, 2]), abs=1e-13)
+    assert np.all(np.abs(A.values[(1,)](P)) <= 1e-14)
 
 
 def test_wedge01_zero_cases():
     H = h_form(SHIFTED)
-    zero01 = AntiLinearScalarForm(1, {(i,): constant(SHIFTED.chart, 0.0) for i in range(2)})
+    zero01 = XiValuedForm(1, {(i,): constant(SHIFTED.chart, 0.0) for i in range(2)})
     out = wedge01(SHIFTED, zero01, H)
     vec_zero(out.value((0, 1)), pts(SHIFTED))
     gam01 = proj01_scalar(SHIFTED, SHIFTED.gamma)
@@ -509,7 +506,7 @@ def test_s_from_structures_rotation_roundtrip():
     chart = T5.chart
     from leviflat.excalc import matrix_mul
 
-    Jt = matrix_mul(chart, matrix_mul(chart, R, [list(r) for r in T5.Jmat]), Rinv)
+    Jt = matrix_mul(chart, matrix_mul(chart, R, T5.Jmat), Rinv)
     S = s_from_structures(T5, Jt, pts(T5))
     rebuilt = conjugate_J(T5, S, probe=pts(T5)[:1])
     ev = PointEvaluator(chart, pts(T5, 4))
@@ -519,7 +516,7 @@ def test_s_from_structures_rotation_roundtrip():
 
 
 def test_s_from_structures_singular():
-    minus_J = [[-f for f in row] for row in [list(r) for r in T5.Jmat]]
+    minus_J = [[-f for f in row] for row in T5.Jmat]
     with pytest.raises(ConjugationSingularError):
         s_from_structures(T5, minus_J, pts(T5))
 
@@ -530,9 +527,9 @@ def test_s_operators_vanish_at_zero():
     S0 = XiValuedForm(1, {(i,): zero_vector(T5.chart) for i in range(4)})
     rng = stream(67, "s0")
     V, W = random_xi_field(T5, rng), random_xi_field(T5, rng)
-    vec_zero(dbarJ_S(T5, S0, V, W), pts(T5))
-    vec_zero(square_bracket_SS(T5, S0, V, W), pts(T5))
-    vec_zero(double_bracket_SS(T5, S0, V, W), pts(T5))
+    terms = s_terms(T5, S0, V, W)
+    for term in (terms.n_SS, terms.dbar, terms.square, terms.double):
+        vec_zero(term, pts(T5))
 
 
 def test_double_bracket_equals_square_when_N_zero():
@@ -540,12 +537,8 @@ def test_double_bracket_equals_square_when_N_zero():
     Smat = random_anticommuting_S(T5, rng)
     S = xi_form_from_matrix(T5, Smat)
     V, W = random_xi_field(T5, rng), random_xi_field(T5, rng)
-    vec_close(
-        double_bracket_SS(T5, S, V, W),
-        square_bracket_SS(T5, S, V, W),
-        pts(T5),
-        tol=1e-11,
-    )
+    terms = s_terms(T5, S, V, W)
+    vec_close(terms.double, terms.square, pts(T5), tol=1e-11)
 
 
 def test_double_bracket_quarter_variant_fails_on_nonintegrable_J():
@@ -560,24 +553,35 @@ def test_double_bracket_quarter_variant_fails_on_nonintegrable_J():
     Jt = conjugate_J(s, Smat, probe=points[:1])
     s_tilde = s.with_J(Jt)
     V, W = random_xi_field(s, rng), random_xi_field(s, rng)
-    SV = xi_form_apply(s, S, [V])
-    SW = xi_form_apply(s, S, [W])
-    Ntilde = nijenhuis(s_tilde, V + SV, W + SW)
+    terms = s_terms(s, S, V, W)
+    Ntilde = nijenhuis(s_tilde, V + terms.SV, W + terms.SW)
     rhs = -(Ntilde - xi_form_apply(s, S, [Ntilde])).scaled(0.25)
-    inner = nijenhuis(s, V, W) - nijenhuis(s, SV, SW)
+    inner = terms.n - terms.n_SS
 
     def residual(double):
-        lhs = dbarJ_S(s, S, V, W) + double.scaled(0.5) - nijenhuis(s, V, W).scaled(0.25)
+        lhs = terms.dbar + double.scaled(0.5) - terms.n.scaled(0.25)
         ev = PointEvaluator(s.chart, points, lhs.components + rhs.components)
         return np.abs(lhs.at(points, ev) - rhs.at(points, ev)).max()
 
     def variant(correction):
         """[[S, S]] with another coefficient on S(N - N(S, S))."""
-        return square_bracket_SS(s, S, V, W) - xi_form_apply(s, S, [inner]).scaled(correction)
+        return terms.square - xi_form_apply(s, S, [inner]).scaled(correction)
 
-    assert residual(double_bracket_SS(s, S, V, W)) <= 1e-11
+    assert residual(terms.double) <= 1e-11
     assert residual(variant(0.5)) <= 1e-11
     assert residual(variant(0.25)) > 1e-4
+
+
+def _dbar_S_unshared(s, S, V, W, bk):
+    """dbar_J S (V, W) with every bracket, J-image and dbar built afresh."""
+    SV = xi_form_apply(s, S, [V])
+    SW = xi_form_apply(s, S, [W])
+    mixed = bk(V, W) - bk(s.apply_J(V), s.apply_J(W))
+    return (
+        _dbar0_apply_unshared(s, SW, V, bk)
+        - _dbar0_apply_unshared(s, SV, W, bk)
+        - xi_form_apply(s, S, [mixed]).scaled(0.5)
+    )
 
 
 def _square_bracket_unshared(s, S, V, W, bk):
@@ -587,9 +591,9 @@ def _square_bracket_unshared(s, S, V, W, bk):
     JSV, JSW = s.apply_J(SV), s.apply_J(SW)
     middle = bk(SV, W) + bk(V, SW) + s.apply_J(bk(V, JSW)) + s.apply_J(bk(JSV, W))
     n_terms = (
-        xi_form_apply(s, S, [nijenhuis(s, SV, W, bk)])
-        + xi_form_apply(s, S, [nijenhuis(s, V, SW, bk)])
-        - nijenhuis(s, SV, SW, bk)
+        xi_form_apply(s, S, [_nijenhuis_unshared(s, SV, W, bk)])
+        + xi_form_apply(s, S, [_nijenhuis_unshared(s, V, SW, bk)])
+        - _nijenhuis_unshared(s, SV, SW, bk)
     )
     return bk(SV, SW) - bk(JSV, JSW) - xi_form_apply(s, S, [middle]) - n_terms.scaled(0.5)
 
@@ -598,14 +602,14 @@ def _double_bracket_unshared(s, S, V, W, bk):
     """[[S, S]](V, W) with SV, SW and N(SV, SW) built again."""
     SV = xi_form_apply(s, S, [V])
     SW = xi_form_apply(s, S, [W])
-    inner = nijenhuis(s, V, W, bk) - nijenhuis(s, SV, SW, bk)
+    inner = _nijenhuis_unshared(s, V, W, bk) - _nijenhuis_unshared(s, SV, SW, bk)
     return _square_bracket_unshared(s, S, V, W, bk) - xi_form_apply(s, S, [inner]).scaled(0.5)
 
 
 @pytest.mark.parametrize("deformed", [False, True], ids=["lie", "deformed"])
 def test_shared_S_brackets_match_unshared_formula_bitwise(deformed):
-    """square_bracket_SS and double_bracket_SS build each bracket once; their
-    values must be the unshared formula's to the bit."""
+    """s_terms builds each bracket and J-image once; every term must be the
+    unshared formula's to the bit."""
     s = T5P
     rng = stream(74, "shared_S")
     bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, rng, amplitude=0.5)) if deformed else None
@@ -614,9 +618,16 @@ def test_shared_S_brackets_match_unshared_formula_bitwise(deformed):
     V, W = random_xi_field(s, rng), random_xi_field(s, rng)
     points = pts(s, 6)
     for A, B in ((V, W), (s.frame[0], s.frame[2])):
+        terms = s_terms(s, S, A, B, bracket)
+        SA, SB = xi_form_apply(s, S, [A]), xi_form_apply(s, S, [B])
         pairs = (
-            (square_bracket_SS(s, S, A, B, bracket), _square_bracket_unshared(s, S, A, B, bk)),
-            (double_bracket_SS(s, S, A, B, bracket), _double_bracket_unshared(s, S, A, B, bk)),
+            (terms.n, _nijenhuis_unshared(s, A, B, bk)),
+            (terms.n_SS, _nijenhuis_unshared(s, SA, SB, bk)),
+            (terms.dbar, _dbar_S_unshared(s, S, A, B, bk)),
+            (terms.square, _square_bracket_unshared(s, S, A, B, bk)),
+            (terms.double, _double_bracket_unshared(s, S, A, B, bk)),
+            (terms.SV, SA),
+            (terms.SW, SB),
         )
         for got, want in pairs:
             assert got.at(points).tobytes() == want.at(points).tobytes()

@@ -39,6 +39,34 @@ def test_unused_import_is_found():
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
 
 
+def function_level_imports(source):
+    """Line of each import statement inside a function or method of source,
+    nested functions included."""
+    return sorted(
+        {
+            node.lineno
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_function_level_import_in_package(path):
+    """An import inside a function hides an import cycle between modules."""
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_function_level_import_is_found():
+    source = (
+        "import os\n\n\ndef f():\n    from math import pi\n    return pi\n\n\n"
+        "class C:\n    def m(self):\n        import sys\n        return sys\n"
+    )
+    assert function_level_imports(source) == [5, 11]
+
+
 def unset_defaults(sources, callers):
     """(function, parameter) for each defaulted parameter of a module-level
     function of sources that no call in callers passes, by position or by

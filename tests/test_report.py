@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from leviflat.excalc import basis_vector, one_form
-from leviflat.leafcx import XiValuedForm
+from leviflat import suites
+from leviflat.cli import RunConfig, run
+from leviflat.excalc import XiValuedForm, basis_vector, one_form
 from leviflat.report import ResidualAccumulator
 from leviflat.scenarios import builtin
 from leviflat.suites import IdentitySpec, run_identity
@@ -45,7 +46,8 @@ def test_record_appends_in_order_and_keeps_max_abs():
 
 def test_symbolic_sides_give_one_sample_per_point():
     """A form is one value per point; a list of vector fields, or a
-    XiValuedForm matched by frame tuple, is one value per entry in turn."""
+    XiValuedForm, xi-valued or scalar, matched by frame tuple, is one value
+    per entry in turn."""
     x = coordinate(CHART, "x")
     acc = ResidualAccumulator(POINTS).add(one_form(CHART, [sin_of(x), 0.0, 2.0]))
     expected = [max(abs(math.sin(p[0])), 2.0) / (1.0 + max(abs(math.sin(p[0])), 2.0)) for p in POINTS]
@@ -60,6 +62,11 @@ def test_symbolic_sides_give_one_sample_per_point():
     rhs = XiValuedForm(1, {(1,): E[1], (0,): E[2]})
     acc = ResidualAccumulator(POINTS).add(lhs, rhs)
     assert acc.samples == [0.5, 0.5, 0.0, 0.0]
+
+    # a scalar XiValuedForm is one value per entry too
+    scalar = XiValuedForm(1, {(0,): x, (1,): x * 0.0})
+    acc = ResidualAccumulator(POINTS).add(scalar, XiValuedForm(1, {(1,): x, (0,): x}))
+    assert acc.samples == [0.0, 0.0] + [p[0] / (1.0 + p[0]) for p in POINTS]
 
 
 def test_nan_sample_fails():
@@ -77,3 +84,21 @@ def test_nan_sample_fails():
     report = run_identity(spec, builtin("t3_flat"), 42, 3)
     assert not report.passed and report.error == ""
     assert math.isnan(json.loads(json.dumps(report.to_dict()))["max_rel"])
+
+
+def test_runner_error_fails_its_identity_and_the_run_goes_on(monkeypatch):
+    """Any exception inside a runner fails that identity, recorded as
+    'Type: message'; the other identities still report and the run exits 1."""
+
+    def runner(scenario, ctx, acc):
+        raise IndexError("list index out of range")
+
+    spec = IdentitySpec("diag.index_error", "raises IndexError", 1e-9, lambda sc: True, runner)
+    monkeypatch.setattr(suites, "REGISTRY", [*suites.REGISTRY, spec])
+    status, document = run(RunConfig(scenario="t3_flat", suite="diag.*,excalc.d_squared", points=3))
+    assert status == 1
+    by_id = {r["identity"]: r for r in document["results"]}
+    assert by_id.keys() == {"diag.index_error", "excalc.d_squared"}
+    assert by_id["diag.index_error"]["error"] == "IndexError: list index out of range"
+    assert not by_id["diag.index_error"]["passed"]
+    assert by_id["excalc.d_squared"]["passed"]

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from leviflat.cli import RunConfig, run
 from leviflat.defcomplex import exactness_witness_check
 from leviflat.errors import ScenarioError
 from leviflat.excalc import form_components
@@ -19,6 +20,7 @@ from leviflat.scenarios import (
     resolve,
 )
 from leviflat.suites import REGISTRY
+from leviflat.symfield import ScalarField
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -148,10 +150,9 @@ def test_quadratic_S0_is_anticommuting_and_dbar_closed():
     sc = builtin("t5_product")
     s, entries = sc.structure, sc.quadratic_S0
     points = pts(s.chart, 6, "S0")
-    J = np.array([[float(v) for v in row] for row in s.Jmat])
-    ev = PointEvaluator(s.chart, points, [f for row in entries for f in row])
-    # (N, n, n): one S matrix per point
-    S = np.array([[ev(f) for f in row] for row in entries]).transpose(2, 0, 1)
+    ev = PointEvaluator(s.chart, points, [f for m in (entries, s.Jmat) for row in m for f in row])
+    # (N, n, n): one matrix per point
+    S, J = (np.array([[ev(f) for f in row] for row in m]).transpose(2, 0, 1) for m in (entries, s.Jmat))
     assert np.abs(S @ J + J @ S).max() <= 1e-14
     S_form = xi_form_from_matrix(s, entries)
     closed = dbar1(s, S_form)
@@ -227,6 +228,32 @@ def test_scenario_file_errors(tmp_path):
     bad4.write_text(text.replace("\nt = ", "\ns = "))
     with pytest.raises(ScenarioError, match="families need the parameter 's'"):
         load_scenario_file(str(bad4))
+
+
+def test_every_J_entry_is_a_scalar_field(tmp_path):
+    """J holds ScalarFields on the structure's chart, whether a scenario
+    gives numbers or expressions: every built-in, the scenario files, and a
+    J replaced by numbers."""
+    path = tmp_path / "twisted.scn"
+    path.write_text(SCENARIO_TEXT)
+    files = (str(path), str(ROOT / "bench" / "my_twisted.scn"))
+    structures = [resolve(name).structure for name in (*BUILTIN_NAMES, *files)]
+    structures.append(structures[0].with_J(((0.0, -1.0), (1.0, 0.0))))
+    for s in structures:
+        assert all(isinstance(f, ScalarField) and f.chart == s.chart for row in s.Jmat for f in row)
+
+
+def test_charts_that_differ_only_in_periodicity_share_no_field(tmp_path):
+    """A built-in 3-torus, then in the same process a scenario file on a
+    chart with the same coordinate names but t not periodic: both run."""
+    status, _ = run(RunConfig(scenario="t3_flat", suite="frobenius,lemma.dbarH", points=3))
+    assert status == 0
+    path = tmp_path / "aperiodic_t.scn"
+    text = (ROOT / "bench" / "my_twisted.scn").read_text()
+    path.write_text(text.replace("periodic = 1 1 1", "periodic = 1 1 0"))
+    status, document = run(RunConfig(scenario=str(path), suite="frobenius,lemma.dbarH", points=3))
+    assert status == 0, document.get("error")
+    assert len(document["results"]) == 2
 
 
 def test_family_jrotation_S_anticommutes_with_J():

@@ -80,6 +80,9 @@ def test_parse_syntax_error_reports_position():
         parse_expr("sin(x", CHART)
     with pytest.raises(ExprSyntaxError):
         parse_expr("x ? y", CHART)
+    # str.isdigit accepts '²', which float() rejects
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("2²", CHART)
 
 
 def test_parse_unknown_identifier():
