@@ -77,6 +77,9 @@ def run(config):
             raise ConfigError(f"--points must be at least 1, got {config.points}")
         if config.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {config.workers}")
+        unknown = sorted(set(config.tolerances) - {spec.identity for spec in REGISTRY})
+        if unknown:
+            raise ConfigError(f"--tol names no identity: {', '.join(unknown)}")
         scenario = resolve(config.scenario)
     except (ConfigError, ScenarioError) as exc:
         return 2, {"schema": SCHEMA_VERSION, "error": str(exc)}

@@ -49,18 +49,6 @@ def _merge_sign(left, right):
     return sign, tuple(merged)
 
 
-def _insert_sign(i, idx):
-    """Sign and result of inserting index i into increasing tuple idx."""
-    pos = 0
-    for k in idx:
-        if k == i:
-            return 0, None
-        if k < i:
-            pos += 1
-    out = idx[:pos] + (i,) + idx[pos:]
-    return (-1) ** pos, out
-
-
 class VectorField:
     """Vector field as a tuple of ScalarField chart components."""
 
@@ -304,7 +292,7 @@ def exterior_derivative(omega):
             df = f.diff(j)
             if df.is_zero:
                 continue
-            sign, new_idx = _insert_sign(j, idx)
+            sign, new_idx = _merge_sign((j,), idx)
             if sign == 0:
                 continue
             term = df if sign > 0 else -df

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConjugationSingularError, FlowParameterError, GaugeDomainError
 from .excalc import exterior_derivative, wedge
+from .leafcx import DET_GUARD
 from .symfield import PointEvaluator, Tape, first_flagged, point_batch
 
 DEFAULT_STEP = 1e-3
@@ -173,8 +174,6 @@ def _conjugated_S_matrix(Y, t, s, pts):
     against -H_Y, therefore checks d/dt S = H_Y in the S-calculus'
     convention."""
     n = s.n_leaf
-    if t == 0.0:
-        return np.zeros((len(pts), n, n))
     fields = [c for V in (*s.frame, s.X) for c in V.components]
     fields += [f for row in s.Jmat for f in row]
     pull = _Pullback(Y, t, s.couple, s.gamma, pts, fields)
@@ -193,7 +192,7 @@ def _conjugated_S_matrix(Y, t, s, pts):
     # transpose, as at one point, since the products below round by layout
     Jtilde = np.ascontiguousarray(np.transpose(cols, (1, 0, 2))).transpose(0, 2, 1)
     total = Jp + Jtilde
-    if (np.abs(np.linalg.det(total)) < 1e-6).any():
+    if (np.abs(np.linalg.det(total)) < DET_GUARD).any():
         raise ConjugationSingularError(f"det(J + Jtilde) too small at t={t!r}")
     return (Jp - Jtilde) @ np.linalg.inv(total)
 

@@ -37,10 +37,6 @@ class DefiningCouple:
     gamma: DifferentialForm
     X: VectorField
 
-    @property
-    def chart(self):
-        return self.gamma.chart
-
     def gamma_of(self, V):
         return self.gamma.apply_symbolic([V])
 

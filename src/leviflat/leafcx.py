@@ -97,9 +97,6 @@ class LeviFlatStructure:
     def with_J(self, Jmat):
         return replace(self, Jmat=Jmat, leafwise_integrable=False)
 
-    def with_couple(self, couple, coframe):
-        return replace(self, couple=couple, coframe=tuple(coframe))
-
     # -- frame bookkeeping ---------------------------------------------------
 
     def xi_coefficients(self, V):
@@ -242,15 +239,6 @@ def dbar1(s, omega):
     return XiValuedForm(2, values)
 
 
-def dbar_xi(s, form):
-    """Degree dispatch for dbar on XiValuedForms of degree 0 or 1."""
-    if form.degree == 0:
-        return dbar0(s, form.value(()))
-    if form.degree == 1:
-        return dbar1(s, form)
-    raise ValueError("dbar is implemented for degrees 0 and 1 only")
-
-
 # --------------------------------------------------------------------------
 # (0,q) projections and products
 # --------------------------------------------------------------------------
@@ -270,8 +258,8 @@ def _im01(s, A):
 
 
 def wedge01(s, A, P):
-    """Real wedge of a scalar (0,q)-form with a xi-valued (0,p)-form,
-    for q + p <= 2; multiplication by i acts as J on values."""
+    """Real wedge of a scalar (0,1)-form with a xi-valued (0,p)-form, p <= 1;
+    multiplication by i acts as J on values."""
     if A.degree == 1 and P.degree == 0:
         U = P.value(())
         JU = s.apply_J(U)
@@ -290,15 +278,6 @@ def wedge01(s, A, P):
                 + JP[(j,)].scaled(im[i])
                 - P.value((i,)).scaled(A.values[(j,)])
                 - JP[(i,)].scaled(im[j])
-            )
-        return XiValuedForm(2, values)
-    if A.degree == 2 and P.degree == 0:
-        U = P.value(())
-        JU = s.apply_J(U)
-        values = {}
-        for i, j in s.frame_pairs():
-            values[(i, j)] = U.scaled(A.values[(i, j)]) + JU.scaled(
-                xi_form_apply(s, A, [s.J_frame(i), s.frame[j]])
             )
         return XiValuedForm(2, values)
     raise ValueError(f"unsupported degrees q={A.degree}, p={P.degree}")
@@ -382,7 +361,8 @@ def beth(s, P):
     """Twisted derivative: dbar(P) - (iota_X d gamma)^{0,1} wedge P, p <= 1."""
     if P.degree > 1:
         raise ValueError("beth is implemented for degrees 0 and 1 only")
-    return dbar_xi(s, P) - wedge01(s, ix_dgamma01(s), P)
+    dbar = dbar0(s, P.value(())) if P.degree == 0 else dbar1(s, P)
+    return dbar - wedge01(s, ix_dgamma01(s), P)
 
 
 # --------------------------------------------------------------------------
@@ -551,7 +531,7 @@ def change_couple(s, lam, U):
     coframe = tuple(
         eta - gamma_hat.scaled(eta.apply_symbolic([U])) for eta in s.coframe
     )
-    return s.with_couple(couple, coframe)
+    return replace(s, couple=couple, coframe=coframe)
 
 
 def change_couple_h_residual(s, lam, U):
@@ -589,13 +569,9 @@ def n_alpha_residual(s, alpha, points):
 
 
 def antilinearity_residual(s, form):
-    """(0,p)-property: value at (J V, ...) equals -J (value at (V, ...)), as
-    (lhs, rhs) lists over the frame tuples."""
-    if form.degree == 1:
-        args = {(i,): [s.J_frame(i)] for i in range(s.n_leaf)}
-    elif form.degree == 2:
-        args = {(i, j): [s.J_frame(i), s.frame[j]] for i, j in s.frame_pairs()}
-    else:
-        raise ValueError("degree must be 1 or 2")
-    lhs = [xi_form_apply(s, form, a) for a in args.values()]
-    return lhs, [-s.apply_J(form.value(idx)) for idx in args]
+    """(0,1)-property: the value at J E_i equals -J (the value at E_i), as
+    (lhs, rhs) lists over the frame."""
+    if form.degree != 1:
+        raise ValueError("antilinearity is checked on (0,1)-forms only")
+    lhs = [xi_form_apply(s, form, [s.J_frame(i)]) for i in range(s.n_leaf)]
+    return lhs, [-s.apply_J(form.value((i,))) for i in range(s.n_leaf)]

@@ -9,14 +9,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LeviFlatError, ScenarioError
+from .defcomplex import CochainPair
 from .excalc import (
     DifferentialForm,
     VectorField,
+    XiValuedForm,
     basis_vector,
     one_form,
+    zero_vector,
 )
 from .foliation_dgla import DefiningCouple
-from .leafcx import DET_GUARD, LeviFlatStructure, change_couple
+from .leafcx import DET_GUARD, LeviFlatStructure, change_couple, xi_form_from_matrix
 from .sampling import sample_points, stream
 from .symfield import (
     Chart,
@@ -36,45 +39,34 @@ FAMILY_PARAMETER = "s"
 @dataclass
 class DeformationFamily:
     """Family t -> (alpha_t, S_t) held symbolically in an extra coordinate,
-    so values and the tangent at 0 are exact."""
+    so values and the tangent at 0 are exact.  A family without S entries
+    has S = 0."""
 
     name: str
     chart_ext: Chart
     alpha_coeffs: dict
     S_entries: list | None = None
 
-    @property
-    def _s_index(self):
-        return self.chart_ext.dim - 1
-
-    def _fix(self, f, t):
-        return fix_coordinate(f, self._s_index, t)
-
-    def alpha_at(self, t):
-        chart = Chart(self.chart_ext.names[:-1], self.chart_ext.periodic[:-1])
-        coeffs = {idx: self._fix(f, t) for idx, f in self.alpha_coeffs.items()}
-        return DifferentialForm(chart, 1, coeffs)
-
-    def alpha_tangent(self):
-        chart = Chart(self.chart_ext.names[:-1], self.chart_ext.periodic[:-1])
-        coeffs = {
-            idx: self._fix(f.diff(self._s_index), 0.0)
-            for idx, f in self.alpha_coeffs.items()
-        }
-        return DifferentialForm(chart, 1, coeffs)
-
-    def S_matrix_at(self, t):
+    def _pair(self, s, fix):
+        """The degree-1 CochainPair on the structure s from fix applied to
+        each alpha coefficient, then to each S entry."""
+        alpha = DifferentialForm(s.chart, 1, {idx: fix(f) for idx, f in self.alpha_coeffs.items()})
         if self.S_entries is None:
-            return None
-        return [[self._fix(f, t) for f in row] for row in self.S_entries]
+            P = XiValuedForm(1, {(i,): zero_vector(s.chart) for i in range(s.n_leaf)})
+        else:
+            P = xi_form_from_matrix(s, [[fix(f) for f in row] for row in self.S_entries])
+        return CochainPair(alpha, P)
 
-    def S_matrix_tangent(self):
-        if self.S_entries is None:
-            return None
-        return [
-            [self._fix(f.diff(self._s_index), 0.0) for f in row]
-            for row in self.S_entries
-        ]
+    def at(self, s, t):
+        """(alpha_t, S_t) on the structure s."""
+        i = self.chart_ext.dim - 1
+        return self._pair(s, lambda f: fix_coordinate(f, i, t))
+
+    def tangent(self, s):
+        """The tangent at t = 0, (d/dt alpha_t, d/dt S_t) at 0, on the
+        structure s."""
+        i = self.chart_ext.dim - 1
+        return self._pair(s, lambda f: fix_coordinate(f.diff(i), i, 0.0))
 
 
 @dataclass
@@ -132,17 +124,6 @@ def check(scenario, where):
     return scenario
 
 
-BUILTIN_NAMES = (
-    "t3_flat",
-    "t3_twisted",
-    "t3_twisted_shifted",
-    "t5_product",
-    "t5_perturbedJ",
-    "family_t3_tilt",
-    "family_t3_Jrotation",
-    "broken_nonintegrable",
-)
-
 _J2 = ((0.0, -1.0), (1.0, 0.0))
 
 
@@ -168,11 +149,12 @@ def _t3_twisted_structure():
     return LeviFlatStructure.build(chart, DefiningCouple(gamma, X), (E1, E2), _J2)
 
 
-def _t3_twisted_shifted_structure():
-    """The twisted couple with X shifted to X + sin(y) E1."""
+def _t3_twisted_shifted(name):
+    """The twisted couple with X shifted to X + U, U = sin(y) E1, which is
+    the scenario's exactness witness."""
     base = _t3_twisted_structure()
     U = base.frame[0].scaled(sin_of(coordinate(base.chart, "y")))
-    return change_couple(base, constant(base.chart, 0.0), U)
+    return Scenario(name, change_couple(base, constant(base.chart, 0.0), U), exact_witness=U)
 
 
 def _t5_chart():
@@ -265,33 +247,32 @@ def _quadratic_S0(structure):
     return entries
 
 
+def _t5_product(name):
+    structure = _t5_product_structure()
+    return Scenario(name, structure, quadratic_S0=_quadratic_S0(structure))
+
+
+# name -> constructor, in the order the CLI help lists the built-ins
+_BUILTINS = {
+    "t3_flat": lambda name: Scenario(name, _t3_flat_structure()),
+    "t3_twisted": lambda name: Scenario(name, _t3_twisted_structure()),
+    "t3_twisted_shifted": _t3_twisted_shifted,
+    "t5_product": _t5_product,
+    "t5_perturbedJ": lambda name: Scenario(name, _t5_perturbedJ_structure()),
+    "family_t3_tilt": lambda name: Scenario(name, _t3_flat_structure(), family=_family_tilt()),
+    "family_t3_Jrotation": lambda name: Scenario(
+        name, _t3_flat_structure(), family=_family_jrotation()
+    ),
+    "broken_nonintegrable": lambda name: Scenario(name, _broken_structure()),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin(name):
     """Construct a built-in scenario by name, through the load check."""
-    return check(_construct(name), name)
-
-
-def _construct(name):
-    if name == "t3_flat":
-        return Scenario(name=name, structure=_t3_flat_structure())
-    if name == "t3_twisted":
-        return Scenario(name=name, structure=_t3_twisted_structure())
-    if name == "t3_twisted_shifted":
-        structure = _t3_twisted_shifted_structure()
-        y = coordinate(structure.chart, "y")
-        witness = structure.frame[0].scaled(sin_of(y))
-        return Scenario(name=name, structure=structure, exact_witness=witness)
-    if name == "t5_product":
-        structure = _t5_product_structure()
-        return Scenario(name=name, structure=structure, quadratic_S0=_quadratic_S0(structure))
-    if name == "t5_perturbedJ":
-        return Scenario(name=name, structure=_t5_perturbedJ_structure())
-    if name == "family_t3_tilt":
-        return Scenario(name=name, structure=_t3_flat_structure(), family=_family_tilt())
-    if name == "family_t3_Jrotation":
-        return Scenario(name=name, structure=_t3_flat_structure(), family=_family_jrotation())
-    if name == "broken_nonintegrable":
-        return Scenario(name=name, structure=_broken_structure())
-    raise ScenarioError(f"unknown scenario {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
+    if name not in _BUILTINS:
+        raise ScenarioError(f"unknown scenario {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
+    return check(_BUILTINS[name](name), name)
 
 
 def resolve(name_or_path):
@@ -331,8 +312,8 @@ def load_scenario_file(path):
 
     Sections: [scenario] (optional name), [chart], [gamma], [X],
     [frame <name>] (one per frame vector, in order), [J] (row = e1, e2, ...),
-    [family <name>.alpha] and [family <name>.S] (expressions may use the
-    extra parameter 's').
+    [family <name>.alpha] and [family <name>.S] (one family a file, each
+    section at most once; expressions may use the extra parameter 's').
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -343,12 +324,11 @@ def load_scenario_file(path):
     for name, entries in sections:
         if name.startswith("frame"):
             frames.append((name, entries))
-        elif name.startswith("family"):
-            families.setdefault(name, entries)
-        else:
-            if name in by_name:
-                raise ScenarioError(f"{path}: duplicate section [{name}]")
-            by_name[name] = entries
+            continue
+        table = families if name.startswith("family") else by_name
+        if name in table:
+            raise ScenarioError(f"{path}: duplicate section [{name}]")
+        table[name] = entries
 
     if "chart" not in by_name:
         raise ScenarioError(f"{path}: missing [chart] section")
@@ -422,11 +402,14 @@ def load_scenario_file(path):
             chart_ext = chart.extend(FAMILY_PARAMETER)
         except ValueError as exc:
             raise ScenarioError(f"{path}: families need the parameter {FAMILY_PARAMETER!r}: {exc}") from None
+        parts = {name: name[len("family"):].strip().partition(".") for name in families}
+        if len({fam_name for fam_name, _, _ in parts.values()}) > 1:
+            listed = ", ".join(f"[{name}]" for name in families)
+            raise ScenarioError(f"{path}: sections {listed} name more than one family")
         fam_alpha = {}
         fam_S = None
-        fam_name = None
         for name, entries in families.items():
-            fam_name, _, part = name[len("family"):].strip().partition(".")
+            fam_name, _, part = parts[name]
             if part == "alpha":
                 for key, value, lineno in entries:
                     fam_alpha[(index(key, lineno, f"[{name}]"),)] = parse(value, lineno, chart_ext)

@@ -31,7 +31,6 @@ from .excalc import (
     matrix_mul,
     scalar_form,
     wedge,
-    zero_vector,
 )
 from .report import CheckReport, ResidualAccumulator
 from .sampling import random_form, random_scalar, random_vector_field, sample_points, stream
@@ -44,9 +43,8 @@ from .symfield import PointEvaluator, ScalarField, constant, exp_of, Coord, cons
 
 
 def random_z_form(s, k, rng, amplitude=1.0):
-    """Seeded element of Z^k: coefficients on wedges of the dual coframe."""
-    if k == 0:
-        return scalar_form(random_scalar(s.chart, rng, amplitude))
+    """Seeded element of Z^k, k >= 1: coefficients on wedges of the dual
+    coframe."""
     out = None
     for idx in combinations(range(s.n_leaf), k):
         f = random_scalar(s.chart, rng, amplitude)
@@ -114,13 +112,6 @@ def mc_flat_alpha(scenario, points):
             return alpha
     # the zero tilt is flat wherever the couple's fields are finite
     raise ZMembershipError("no tilt is Maurer-Cartan flat at the sample points")
-
-
-def _family_S(s, Smat):
-    """A family's S matrix as a (0,1) xi-form; zero for a family without S."""
-    if Smat is None:
-        return XiValuedForm(1, {(i,): zero_vector(s.chart) for i in range(s.n_leaf)})
-    return lc.xi_form_from_matrix(s, Smat)
 
 
 # --------------------------------------------------------------------------
@@ -608,32 +599,23 @@ def run_n_alpha(scenario, ctx, acc):
 
 def run_levi_flat_mc(scenario, ctx, acc):
     s = scenario.structure
-    fam = scenario.family
     for t in (0.0, 0.1, -0.1, 0.3, -0.3):
-        pair = dc.CochainPair(fam.alpha_at(t), _family_S(s, fam.S_matrix_at(t)))
+        pair = scenario.family.at(s, t)
         for lhs, rhs in dc.levi_flat_mc_residual_pair(pair, s, ctx.points):
             acc.add(lhs, rhs)
-
-
-def _family_tangent_pair(scenario):
-    s = scenario.structure
-    fam = scenario.family
-    return dc.CochainPair(fam.alpha_tangent(), _family_S(s, fam.S_matrix_tangent()))
 
 
 def run_tangent_eqP1(scenario, ctx, acc):
     """delta(beta) = 0 for the family tangent at the origin."""
     s = scenario.structure
-    pair = _family_tangent_pair(scenario)
-    acc.add(fd.delta(pair.alpha, s.couple))
+    acc.add(fd.delta(scenario.family.tangent(s).alpha, s.couple))
 
 
 def run_tangent_eqP2(scenario, ctx, acc):
     """dbar P = -beta^{0,1} ^ H for the family tangent; consistency with the
     full cocycle operator is asserted inside infinitesimal_residuals."""
     s = scenario.structure
-    pair = _family_tangent_pair(scenario)
-    for lhs, rhs in dc.infinitesimal_residuals(pair, s, ctx.points):
+    for lhs, rhs in dc.infinitesimal_residuals(scenario.family.tangent(s), s, ctx.points):
         acc.add(lhs, rhs)
 
 

@@ -618,17 +618,13 @@ class Tape:
 
 
 class PointEvaluator:
-    """Evaluates fields at an (N, dim) batch of points, each field's values
-    an (N,) array.
-
-    The fields given up front (or a Tape of their nodes) are evaluated
-    together, through one tape, on the first call; a field outside them gets
-    a tape of its own.
-    """
+    """Evaluates the fields it is given (or the roots of a Tape) at an (N,
+    dim) batch of points, together, through one tape, on the first call; each
+    field's values are an (N,) array.  It answers for those fields only."""
 
     __slots__ = ("coords", "zero", "tape", "values")
 
-    def __init__(self, chart, points, fields=()):
+    def __init__(self, chart, points, fields):
         pts = point_batch(chart, points)
         # coordinate columns, periodic ones reduced modulo 2*pi
         self.coords = tuple(
@@ -638,19 +634,15 @@ class PointEvaluator:
         # the values of the zero field
         self.zero = np.zeros(len(pts))
         self.tape = fields if isinstance(fields, Tape) else Tape(f.node for f in fields)
-        self.values = {}
+        self.values = None
 
     def __call__(self, f):
-        node = f.node
-        value = self.values.get(node)
+        if self.values is None:
+            self.values = dict(zip(self.tape.roots, self.tape.run(self.coords)))
+        value = self.values.get(f.node)
         if value is None:
-            tape = self.tape
-            if node in tape.roots:
-                self.tape = Tape(())
-            else:
-                tape = Tape((node,))
-            self.values.update(zip(tape.roots, tape.run(self.coords)))
-            value = self.values[node]
+            # not the node's repr: it expands the DAG into a tree
+            raise LookupError("field was not given to this evaluator")
         return value
 
 

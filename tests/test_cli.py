@@ -111,6 +111,18 @@ def test_tolerance_overrides():
     assert status == 1
 
 
+def test_tolerance_for_no_identity_is_a_config_error(capsys):
+    """A --tol id that names no identity ends with exit status 2 naming it,
+    from the flag and from a RunConfig built in code; a registry id that the
+    suite does not select stays allowed."""
+    argv = ["--scenario", "t3_flat", "--suite", "frobenius", "--points", "3"]
+    assert main([*argv, "--tol", "frobenuis=1e-30"]) == 2
+    assert "--tol names no identity: frobenuis" in capsys.readouterr().err
+    status, doc = run(RunConfig(scenario="t3_flat", suite="frobenius", points=3, tolerances={"nope": 1.0}))
+    assert status == 2 and "nope" in doc["error"]
+    assert main([*argv, "--tol", "lemma.dbarH=1e-6"]) == 0
+
+
 def test_env_overrides(monkeypatch):
     monkeypatch.setenv("LEVIFLAT_SEED", "99")
     monkeypatch.setenv("LEVIFLAT_POINTS", "5")
@@ -330,3 +342,17 @@ def test_non_integrable_file_runs_only_the_unconditional_identities(tmp_path, ca
         "excalc.leibniz_wedge": True,
         "frobenius": False,
     }
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["[family tilt.alpha]\ny = nonsense_ident\n", "[family other.S]\nrow = s, 0\nrow = 0, -s\n"],
+    ids=["repeated", "two_families"],
+)
+def test_repeated_or_mixed_family_sections_are_rejected(tmp_path, capsys, extra):
+    """A second [family tilt.alpha] section, or a section of another family,
+    ends with exit status 2 naming the sections, as a second [gamma] does."""
+    path = _bench_file_with(tmp_path, ("parameter s\n", "parameter s\n" + extra))
+    assert main(["--scenario", str(path), "--suite", "frobenius", "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {path}: " in err and "[family tilt.alpha]" in err

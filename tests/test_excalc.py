@@ -211,7 +211,7 @@ def test_invert_matrix_roundtrip():
     ]
     inv = invert_matrix(CHART, entries)
     product = matrix_mul(CHART, entries, inv)
-    ev = PointEvaluator(CHART, pts(6))
+    ev = PointEvaluator(CHART, pts(6), [f for row in product for f in row])
     for r in range(3):
         for c in range(3):
             assert ev(product[r][c]) == pytest.approx(1.0 if r == c else 0.0, abs=1e-13)
@@ -224,7 +224,7 @@ def test_invert_matrix_with_probe_handles_zero_diagonal():
     ]
     inv = invert_matrix(CHART, entries, probe=[(0.2, 0.0, 0.0)])
     product = matrix_mul(CHART, entries, inv)
-    ev = PointEvaluator(CHART, pts(5))
+    ev = PointEvaluator(CHART, pts(5), [f for row in product for f in row])
     for r in range(2):
         for c in range(2):
             assert ev(product[r][c]) == pytest.approx(1.0 if r == c else 0.0, abs=1e-13)

@@ -3,15 +3,19 @@
 The configurations cover every residual helper in ``leafcx`` and
 ``defcomplex`` that a runner calls, the family identities with a zero and a
 nonzero ``S``, the S-calculus runners and the non-integrable negative
-control.  A change that moves any sample by one ulp changes a hash; such a
+control, and the benchmark's scenario file, whose trees come from the parser.
+A change that moves any sample by one ulp changes a hash; such a
 change must re-record the hashes and say why.
 """
 
 import hashlib
+import pathlib
 
 import pytest
 
 from leviflat.cli import RunConfig, run, write_report
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # (scenario, suite, points, sha256 of the report)
 GOLDEN = [
@@ -45,11 +49,19 @@ GOLDEN = [
         3,
         "5d23ac86b7e074d055af81a5e8e1cdc8a2e1d5f950eb805c57ec7536016e1a74",
     ),
+    # a path relative to the repository root, as the report echoes it
+    (
+        "bench/my_twisted.scn",
+        "all",
+        3,
+        "04cd69728fc51c5bc26bcaeba73d235dbeb7de8fbc91d84b4e61c1596965fb58",
+    ),
 ]
 
 
 @pytest.mark.parametrize("scenario,suite,points,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_report_bytes_match_golden(tmp_path, scenario, suite, points, digest):
+def test_report_bytes_match_golden(tmp_path, monkeypatch, scenario, suite, points, digest):
+    monkeypatch.chdir(ROOT)
     _, document = run(RunConfig(scenario=scenario, suite=suite, seed=42, points=points))
     path = tmp_path / "report.json"
     write_report(document, str(path))

@@ -2,6 +2,7 @@
 deformed bracket and the S-parametrization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_structure_validation_rejects_bad_J():
 
 def test_structure_validation_rejects_bad_normalization():
     couple = DefiningCouple(FLAT.gamma.scaled(2.0), FLAT.X)
-    bad = FLAT.with_couple(couple, FLAT.coframe)
+    bad = replace(FLAT, couple=couple)
     with pytest.raises(ScenarioError, match="gamma_X"):
         _loaded(bad)
 
@@ -481,7 +482,7 @@ def test_n_alpha_rejects_non_mc():
 
 def test_s_from_structures_identity():
     S = s_from_structures(T5, T5.Jmat, pts(T5))
-    ev = PointEvaluator(T5.chart, pts(T5, 4))
+    ev = PointEvaluator(T5.chart, pts(T5, 4), [f for row in S for f in row])
     for row in S:
         for entry in row:
             assert np.all(np.abs(ev(entry)) <= 1e-14)
@@ -509,7 +510,7 @@ def test_s_from_structures_rotation_roundtrip():
     Jt = matrix_mul(chart, matrix_mul(chart, R, T5.Jmat), Rinv)
     S = s_from_structures(T5, Jt, pts(T5))
     rebuilt = conjugate_J(T5, S, probe=pts(T5)[:1])
-    ev = PointEvaluator(chart, pts(T5, 4))
+    ev = PointEvaluator(chart, pts(T5, 4), [f for m in (rebuilt, Jt) for row in m for f in row])
     for r in range(4):
         for col in range(4):
             assert ev(rebuilt[r][col]) == pytest.approx(ev(Jt[r][col]), abs=1e-11)

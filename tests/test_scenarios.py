@@ -71,7 +71,7 @@ def check_expectation(scenario, prop, points):
     if prop == "family_mc_flat":
         acc = ResidualAccumulator(points)
         for t in (0.0, 0.1, -0.1, 0.3, -0.3):
-            alpha = scenario.family.alpha_at(t)
+            alpha = scenario.family.at(s, t).alpha
             acc.add(mc_residual(alpha, s.couple, points))
         return acc.max_rel <= 1e-9, acc.max_rel
     raise ValueError(f"unknown expectation {prop!r}")
@@ -79,6 +79,13 @@ def check_expectation(scenario, prop, points):
 
 def pts(chart, n=8, label="sc"):
     return sample_points(chart, n, stream(101, label))
+
+
+def family_S_matrix(s, pair):
+    """The S matrix of a family's CochainPair, read back from its (0,1)-form
+    through the coframe: column i holds the frame coefficients of S E_i."""
+    cols = [s.xi_coefficients(pair.P.value((i,))) for i in range(s.n_leaf)]
+    return [[col[r] for col in cols] for r in range(s.n_leaf)]
 
 
 def test_unknown_name_raises():
@@ -128,19 +135,25 @@ def test_twisted_frobenius_residuals_tiny():
 
 
 def test_family_values_and_tangent():
-    fam = builtin("family_t3_tilt").family
-    a = fam.alpha_at(0.5)
-    assert a.coefficient((0,))(ORIGIN) == pytest.approx(0.35)
-    assert a.coefficient((1,))(ORIGIN) == pytest.approx(-0.2)
-    tangent = fam.alpha_tangent()
-    assert tangent.coefficient((0,))(ORIGIN) == pytest.approx(0.7)
-    assert fam.alpha_at(0.0).is_zero
+    sc = builtin("family_t3_tilt")
+    s, fam = sc.structure, sc.family
+    a = fam.at(s, 0.5)
+    assert a.degree == 1 and a.alpha.chart == s.chart
+    assert a.alpha.coefficient((0,))(ORIGIN) == pytest.approx(0.35)
+    assert a.alpha.coefficient((1,))(ORIGIN) == pytest.approx(-0.2)
+    # a family without S entries has S = 0
+    assert all(c.is_zero for V in a.P.values.values() for c in V.components)
+    tangent = fam.tangent(s)
+    assert tangent.alpha.coefficient((0,))(ORIGIN) == pytest.approx(0.7)
+    assert fam.at(s, 0.0).alpha.is_zero
 
-    fam2 = builtin("family_t3_Jrotation").family
-    S = fam2.S_matrix_at(0.2)
+    sc2 = builtin("family_t3_Jrotation")
+    s2 = sc2.structure
+    S = family_S_matrix(s2, sc2.family.at(s2, 0.2))
     assert S[0][0](ORIGIN) == pytest.approx(0.12)
-    St = fam2.S_matrix_tangent()
+    St = family_S_matrix(s2, sc2.family.tangent(s2))
     assert St[1][0](ORIGIN) == pytest.approx(-0.35)
+    assert sc2.family.tangent(s2).alpha.is_zero
 
 
 def test_quadratic_S0_is_anticommuting_and_dbar_closed():
@@ -205,7 +218,7 @@ def test_scenario_file_roundtrip(tmp_path):
     want = form_components(builtin_tw.gamma, points)
     assert got == pytest.approx(want, abs=1e-14)
     assert sc.family is not None
-    assert sc.family.alpha_at(0.1).coefficient((0,))(ORIGIN) == pytest.approx(0.07)
+    assert sc.family.at(sc.structure, 0.1).alpha.coefficient((0,))(ORIGIN) == pytest.approx(0.07)
     assert resolve(str(path)).name == "twisted_from_file"
 
 
@@ -261,7 +274,7 @@ def test_family_jrotation_S_anticommutes_with_J():
 
     sc = builtin("family_t3_Jrotation")
     s = sc.structure
-    Smat = sc.family.S_matrix_at(0.2)
+    Smat = family_S_matrix(s, sc.family.at(s, 0.2))
     acc = ResidualAccumulator(pts(s.chart, 6)).add(anticommutator_residual(s, Smat))
     assert acc.max_rel <= 1e-14
 

@@ -219,8 +219,28 @@ def test_parse_matches_operator_build(data):
 
 def test_point_evaluator_shares_cache():
     f = parse_expr("sin(x)*cos(y) + sin(x)", CHART)
-    ev = PointEvaluator(CHART, [(1.0, 2.0, 0.0)])
+    # the operands of f's top node are shared subtrees of f
+    left, right = (ScalarField(CHART, node) for node in (f.node.a, f.node.b))
+    ev = PointEvaluator(CHART, [(1.0, 2.0, 0.0)], [f, left, right])
     assert ev(f) == pytest.approx(math.sin(1.0) * math.cos(2.0) + math.sin(1.0))
+    assert ev(left) == pytest.approx(math.sin(1.0) * math.cos(2.0))
+    assert ev(right) == pytest.approx(math.sin(1.0))
+
+
+def test_point_evaluator_answers_only_for_its_fields():
+    """A field the evaluator was not given is an error, and its message does
+    not spell the field out: a node's repr expands the DAG into a tree, which
+    grows exponentially with depth."""
+    x = coordinate(CHART, "x")
+    f = x
+    for _ in range(8):
+        f = f * f + sin_of(f)
+    ev = PointEvaluator(CHART, [(1.0, 2.0, 0.0)], [x])
+    assert ev(x) == pytest.approx([1.0])
+    with pytest.raises(LookupError) as info:
+        ev(f)
+    message = str(info.value)
+    assert repr(f.node) not in message and len(message) < 80
 
 
 def test_fix_coordinate_substitution():
