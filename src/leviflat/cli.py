@@ -2,19 +2,21 @@
 deterministic JSON report.
 
 Exit status: 0 when all selected identities pass, 1 on any failing identity,
-2 on configuration errors, --points or --workers below 1 and malformed
-numbers included.  Every flag has an environment-variable override with the
-LEVIFLAT_ prefix (flags win over environment).
+2 on configuration errors, --points or --workers below 1, malformed numbers,
+a tolerance that is not a finite number >= 0, an unreadable scenario file and
+an unwritable report path included.  Every flag has an environment-variable
+override with the LEVIFLAT_ prefix (flags win over environment).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, ScenarioError
 from .scenarios import BUILTIN_NAMES, resolve
@@ -31,18 +33,7 @@ class RunConfig:
     seed: int = 42
     points: int = 20
     tolerances: dict = field(default_factory=dict)
-    report_path: str | None = None
     workers: int = 1
-
-    def header(self):
-        return {
-            "scenario": self.scenario,
-            "suite": self.suite,
-            "seed": self.seed,
-            "points": self.points,
-            "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-            "workers": self.workers,
-        }
 
 
 def parse_tolerances(text):
@@ -80,6 +71,9 @@ def run(config):
         unknown = sorted(set(config.tolerances) - {spec.identity for spec in REGISTRY})
         if unknown:
             raise ConfigError(f"--tol names no identity: {', '.join(unknown)}")
+        bad = [f"{k}={v}" for k, v in sorted(config.tolerances.items()) if not math.isfinite(v) or v < 0]
+        if bad:
+            raise ConfigError(f"--tol must be a finite number >= 0: {', '.join(bad)}")
         scenario = resolve(config.scenario)
     except (ConfigError, ScenarioError) as exc:
         return 2, {"schema": SCHEMA_VERSION, "error": str(exc)}
@@ -112,7 +106,7 @@ def run(config):
     all_passed = all(r.passed for r in reports)
     document = {
         "schema": SCHEMA_VERSION,
-        "config": config.header(),
+        "config": asdict(config),
         "results": [r.to_dict() for r in reports],
         "passed": all_passed,
     }
@@ -131,6 +125,7 @@ def _env(name, default):
 
 
 def build_parser():
+    defaults = RunConfig()
     parser = argparse.ArgumentParser(
         prog="leviflat",
         description="Run residual checks for foliation/leafwise-complex identities "
@@ -138,25 +133,25 @@ def build_parser():
     )
     parser.add_argument(
         "--scenario",
-        default=_env("SCENARIO", "t3_flat"),
+        default=_env("SCENARIO", defaults.scenario),
         help=f"built-in name ({', '.join(BUILTIN_NAMES)}) or scenario file path",
     )
     parser.add_argument(
         "--suite",
-        default=_env("SUITE", "all"),
+        default=_env("SUITE", defaults.suite),
         help="comma-separated identity-id globs, e.g. 'lemma.*,prop.beth*' (default: all)",
     )
-    # string defaults go through type, so a malformed environment value is a
-    # usage error like a malformed flag
-    parser.add_argument("--seed", type=int, default=_env("SEED", "42"))
-    parser.add_argument("--points", type=int, default=_env("POINTS", "20"))
+    # a string default goes through type, so a malformed environment value is
+    # a usage error like a malformed flag
+    parser.add_argument("--seed", type=int, default=_env("SEED", defaults.seed))
+    parser.add_argument("--points", type=int, default=_env("POINTS", defaults.points))
     parser.add_argument(
         "--tol",
         default=_env("TOL", ""),
         help="per-identity tolerance overrides, 'id=value,id=value'",
     )
     parser.add_argument("--report", default=_env("REPORT", None), help="report output path")
-    parser.add_argument("--workers", type=int, default=_env("WORKERS", "1"))
+    parser.add_argument("--workers", type=int, default=_env("WORKERS", defaults.workers))
     parser.add_argument("--list", action="store_true", help="print the identity catalogue and exit")
     return parser
 
@@ -174,7 +169,6 @@ def main(argv=None):
             seed=args.seed,
             points=args.points,
             tolerances=parse_tolerances(args.tol),
-            report_path=args.report,
             workers=args.workers,
         )
     except ConfigError as exc:
@@ -195,8 +189,13 @@ def main(argv=None):
         print(line)
     print(f"scenario={document['config']['scenario']} "
           f"passed={document['passed']} identities={len(document['results'])}")
-    if config.report_path:
-        write_report(document, config.report_path)
+    if args.report:
+        try:
+            write_report(document, args.report)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"configuration error: cannot write report {args.report}: {reason}", file=sys.stderr)
+            return 2
     return status
 
 

@@ -119,13 +119,13 @@ class DifferentialForm:
 
     __slots__ = ("chart", "degree", "coeffs")
 
-    def __init__(self, chart, degree, coeffs=None):
+    def __init__(self, chart, degree, coeffs):
         if degree < 0:
             raise ValueError("negative degree")
         self.chart = chart
         self.degree = degree
         clean = {}
-        for idx, f in (coeffs or {}).items():
+        for idx, f in coeffs.items():
             idx = tuple(idx)
             if len(idx) != degree:
                 raise ValueError(f"index {idx} has wrong length for degree {degree}")
@@ -163,10 +163,6 @@ class DifferentialForm:
 
     def __rmul__(self, f):
         return self.scaled(f)
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
 
     def apply_symbolic(self, args):
         """Evaluate on symbolic VectorField arguments, returning a ScalarField."""

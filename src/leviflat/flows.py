@@ -124,14 +124,13 @@ class _Pullback:
         return pulled - self.couple.gamma.at(self.pts, [v.T], self.ev_p)
 
 
-def gauge_action_numeric(Y, t, alpha, couple, points, arg):
-    """chi(Phi_t^Y)(alpha) evaluated at (p, arg) for p in an (N, dim) batch.
+def gauge_action_numeric(Y, t, couple, points, arg):
+    """chi(Phi_t^Y)(0) evaluated at (p, arg) for p in an (N, dim) batch.
 
-    chi(Phi)(alpha) = (Phi* (gamma+alpha)(X))^{-1} Phi*(gamma+alpha) - gamma
-    with the pullback taken along the inverse flow.
+    chi(Phi)(0) = (Phi* gamma(X))^{-1} Phi* gamma - gamma with the pullback
+    taken along the inverse flow.
     """
-    beta = couple.gamma if alpha is None or alpha.is_zero else couple.gamma + alpha
-    pull = _Pullback(Y, t, couple, beta, points, arg.components)
+    pull = _Pullback(Y, t, couple, couple.gamma, points, arg.components)
     return pull.chi(_columns(arg, points, pull.ev_p))
 
 
@@ -153,7 +152,7 @@ def gauge_derivative_fd(Y, couple, points, arg):
     """
 
     def value(t):
-        return gauge_action_numeric(Y, t, None, couple, points, arg)
+        return gauge_action_numeric(Y, t, couple, points, arg)
 
     return richardson(value, FD_OFFSET)
 
@@ -214,7 +213,7 @@ def gauge_mc_value(Y, t, alpha, couple, points, V, W):
     (N, dim) batch, through the exact identity MC(chi(alpha)) = iota_X (f^2
     Phi* (d(gamma+alpha) ^ (gamma+alpha))) with f the pullback
     normalization.  Avoids finite differencing the transported form."""
-    beta = couple.gamma if alpha is None or alpha.is_zero else couple.gamma + alpha
+    beta = couple.gamma + alpha
     three_form = wedge(exterior_derivative(beta), beta)
     fields = [*V.components, *W.components, *three_form.coeffs.values()]
     pull = _Pullback(Y, t, couple, beta, points, fields)

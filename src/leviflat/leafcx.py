@@ -193,11 +193,9 @@ def _dbar0_value(b, Jb_JV, N):
     return (b + Jb_JV).scaled(0.5) + N.scaled(0.25)
 
 
-def dbar0_apply(s, W, V, bracket=None):
+def dbar0_apply(s, W, V):
     """(dbar W)(V) = 1/2([V, W] + J[JV, W]) + 1/4 N(V, W)."""
-    b, _, Jb_JV, _, N = _nijenhuis_terms(
-        s, V, s.apply_J(V), W, s.apply_J(W), bracket or lie_bracket
-    )
+    b, _, Jb_JV, _, N = _nijenhuis_terms(s, V, s.apply_J(V), W, s.apply_J(W), lie_bracket)
     return _dbar0_value(b, Jb_JV, N)
 
 
@@ -444,14 +442,14 @@ def s_from_structures(s, Jtilde, points):
     return matrix_mul(s.chart, inv, diff)
 
 
-def conjugate_J(s, Smat, probe=None):
-    """(I + S) J (I + S)^{-1} as a frame matrix; probe, a batch of one
-    point, picks the pivots of the inverse (see invert_matrix)."""
+def conjugate_J(s, Smat, points):
+    """(I + S) J (I + S)^{-1} as a frame matrix; the first of the sample
+    points picks the pivots of the inverse (see invert_matrix)."""
     n = s.n_leaf
     one = constant(s.chart, 1.0)
     zero = constant(s.chart, 0.0)
     i_plus = [[Smat[r][c] + (one if r == c else zero) for c in range(n)] for r in range(n)]
-    inv = invert_matrix(s.chart, i_plus, probe=probe)
+    inv = invert_matrix(s.chart, i_plus, probe=points[:1])
     return matrix_mul(s.chart, matrix_mul(s.chart, i_plus, s.Jmat), inv)
 
 

@@ -11,7 +11,7 @@ runners and residual helpers hand it their two sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,13 +139,13 @@ class CheckReport:
     suite: str
     identity: str
     anchor: str
-    samples: list = field(default_factory=list)
-    max_abs: float = 0.0
-    max_rel: float = 0.0
-    tolerance: float = 0.0
-    passed: bool = False
-    seed: int = 0
-    error: str = ""
+    samples: list
+    max_abs: float
+    max_rel: float
+    tolerance: float
+    passed: bool
+    seed: int
+    error: str
 
     def to_dict(self):
         out = dict(vars(self))

@@ -42,7 +42,6 @@ class DeformationFamily:
     so values and the tangent at 0 are exact.  A family without S entries
     has S = 0."""
 
-    name: str
     chart_ext: Chart
     alpha_coeffs: dict
     S_entries: list | None = None
@@ -198,7 +197,6 @@ def _family_tilt():
     chart_ext = _t3_chart().extend(FAMILY_PARAMETER)
     s = coordinate(chart_ext, FAMILY_PARAMETER)
     return DeformationFamily(
-        name="family_t3_tilt",
         chart_ext=chart_ext,
         alpha_coeffs={(0,): 0.7 * s, (1,): -0.4 * s},
     )
@@ -214,7 +212,6 @@ def _family_jrotation():
         [q * s, (-p) * s],
     ]
     return DeformationFamily(
-        name="family_t3_Jrotation",
         chart_ext=chart_ext,
         alpha_coeffs=zero_alpha,
         S_entries=entries,
@@ -315,8 +312,11 @@ def load_scenario_file(path):
     [family <name>.alpha] and [family <name>.S] (one family a file, each
     section at most once; expressions may use the extra parameter 's').
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: cannot read scenario file: {exc}") from None
     sections = _parse_sections(text, path)
     by_name = {}
     frames = []
@@ -409,7 +409,7 @@ def load_scenario_file(path):
         fam_alpha = {}
         fam_S = None
         for name, entries in families.items():
-            fam_name, _, part = parts[name]
+            part = parts[name][2]
             if part == "alpha":
                 for key, value, lineno in entries:
                     fam_alpha[(index(key, lineno, f"[{name}]"),)] = parse(value, lineno, chart_ext)
@@ -418,7 +418,6 @@ def load_scenario_file(path):
             else:
                 raise ScenarioError(f"{path}: family section must end in .alpha or .S")
         family = DeformationFamily(
-            name=fam_name or "family",
             chart_ext=chart_ext,
             alpha_coeffs=fam_alpha,
             S_entries=fam_S,

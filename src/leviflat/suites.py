@@ -75,10 +75,10 @@ def small_scalar(chart, rng, amplitude):
     return ScalarField(chart, node)
 
 
-def random_anticommuting_S(s, rng, amplitude=0.03):
+def random_anticommuting_S(s, rng):
     """Seeded frame matrix anticommuting with J: C + J C J."""
     n = s.n_leaf
-    C = [[small_scalar(s.chart, rng, amplitude) for _ in range(n)] for _ in range(n)]
+    C = [[small_scalar(s.chart, rng, 0.03) for _ in range(n)] for _ in range(n)]
     JCJ = matrix_mul(s.chart, matrix_mul(s.chart, s.Jmat, C), s.Jmat)
     return [[C[r][c] + JCJ[r][c] for c in range(n)] for r in range(n)]
 
@@ -374,6 +374,9 @@ def run_gauge_chi(scenario, ctx, acc):
 
 
 def run_gauge_S(scenario, ctx, acc):
+    """The S-parametrization describes complex structures near a Levi flat
+    one, so this runs only where N_J = 0 too, although it passes on a
+    non-integrable J as well."""
     s = scenario.structure
     rng = ctx.rng("gauge_S")
     for _ in range(10):
@@ -692,7 +695,7 @@ def run_s_roundtrip(scenario, ctx, acc):
     s = scenario.structure
     rng = ctx.rng("s_roundtrip")
     Smat = random_anticommuting_S(s, rng)
-    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[:1])
+    Jt = lc.conjugate_J(s, Smat, ctx.points)
     recovered = lc.s_from_structures(s, Jt, ctx.points)
     acc.add([f for row in recovered for f in row], [f for row in Smat for f in row])
     # SJ + JS = 0 is one sample: its worst entry over the points
@@ -706,7 +709,7 @@ def run_n_ntilde(scenario, ctx, acc):
     rng = ctx.rng("n_ntilde")
     Smat = random_anticommuting_S(s, rng)
     S = lc.xi_form_from_matrix(s, Smat)
-    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[:1])
+    Jt = lc.conjugate_J(s, Smat, ctx.points)
     s_tilde = s.with_J(Jt)
     n = s.n_leaf
     for _ in range(2):
@@ -739,7 +742,7 @@ def run_n_jtilde_identity(scenario, ctx, acc):
     rng = ctx.rng("n_jtilde")
     Smat = random_anticommuting_S(s, rng)
     S = lc.xi_form_from_matrix(s, Smat)
-    Jt = lc.conjugate_J(s, Smat, probe=ctx.points[:1])
+    Jt = lc.conjugate_J(s, Smat, ctx.points)
     s_tilde = s.with_J(Jt)
     n = s.n_leaf
     for _ in range(2):
@@ -761,7 +764,7 @@ def run_n_jtilde_quadratic(scenario, ctx, acc):
     maxima = []
     for eps in (1e-2, 1e-3):
         Smat = [[entries[r][c] * eps for c in range(n)] for r in range(n)]
-        Jt = lc.conjugate_J(s, Smat, probe=ctx.points[:1])
+        Jt = lc.conjugate_J(s, Smat, ctx.points)
         s_tilde = s.with_J(Jt)
         fields = []
         for i, j in s.frame_pairs():
@@ -792,13 +795,6 @@ def _couple_ok(sc):
 
 def _leafcx_ok(sc):
     return sc.foliation_integrable and sc.structure.leafwise_integrable
-
-
-def _t3_couples(sc):
-    # not a hypothesis of the lemmas: the six flow and gauge identities pass
-    # on 5-tori too, but take about 1.9 s per 5-torus at 20 points, so they
-    # stay on 3-tori until that cost is weighed against their coverage
-    return sc.foliation_integrable and sc.structure.chart.dim == 3
 
 
 def _complex_dim_2(sc):
@@ -839,12 +835,12 @@ REGISTRY = [
     IdentitySpec("lemma.mc_oracle", "delta a + {a,a}/2 = i_X(d(gamma+a) ^ (gamma+a))", 1e-10, _couple_ok, run_mc_oracle),
     IdentitySpec("lemma.db_closed", "d_b(iota_X d gamma) = 0", 1e-9, _couple_ok, run_db_closed),
     IdentitySpec("lemma.omega_alpha", "omega_a^{-1} omega_a = id ; (gamma+a)(omega_a xi) = 0", 1e-10, _couple_ok, run_omega_alpha_inverse),
-    IdentitySpec("flow.group_law", "Phi_{s+t} = Phi_s o Phi_t", 1e-7, _t3_couples, run_flow_group_law),
-    IdentitySpec("flow.pullback_identity", "Phi_0^* omega = omega", 1e-12, _t3_couples, run_flow_pullback_identity),
-    IdentitySpec("flow.lie_oracle", "d/dt|0 Phi_t^* omega = L_Y omega", 1e-5, _t3_couples, run_flow_lie_oracle),
-    IdentitySpec("lemma.gauge_chi", "d/dt|0 chi(Phi_t^Y)(0) = -delta(gamma(Y))", 1e-4, _t3_couples, run_gauge_chi),
-    IdentitySpec("lemma.gauge_S", "d/dt|0 S_{chi(Phi_t^Y)(0)} = -H_Y", 1e-4, _t3_couples, run_gauge_S),
-    IdentitySpec("remark.gauge_mc", "MC(chi(Phi)(a)) stays within MC(a) + 1e-6", 1e-6, _t3_couples, run_gauge_preserves_mc),
+    IdentitySpec("flow.group_law", "Phi_{s+t} = Phi_s o Phi_t", 1e-7, _couple_ok, run_flow_group_law),
+    IdentitySpec("flow.pullback_identity", "Phi_0^* omega = omega", 1e-12, _couple_ok, run_flow_pullback_identity),
+    IdentitySpec("flow.lie_oracle", "d/dt|0 Phi_t^* omega = L_Y omega", 1e-5, _couple_ok, run_flow_lie_oracle),
+    IdentitySpec("lemma.gauge_chi", "d/dt|0 chi(Phi_t^Y)(0) = -delta(gamma(Y))", 1e-4, _couple_ok, run_gauge_chi),
+    IdentitySpec("lemma.gauge_S", "d/dt|0 S_{chi(Phi_t^Y)(0)} = -H_Y", 1e-4, _leafcx_ok, run_gauge_S),
+    IdentitySpec("remark.gauge_mc", "MC(chi(Phi)(a)) stays within MC(a) + 1e-6", 1e-6, _couple_ok, run_gauge_preserves_mc),
     IdentitySpec("dbar.antilinearity", "(dbar W)(JV) = -J (dbar W)(V)", 1e-9, _couple_ok, run_dbar_antilinearity),
     IdentitySpec("dbar.commutes_J", "dbar(JW) = J dbar(W)", 1e-9, _couple_ok, run_dbar_commutes_J),
     IdentitySpec("dbar.leibniz", "dbar(aW) = (dbar a)(x)W + a dbar(W)", 1e-9, _couple_ok, run_dbar_leibniz),

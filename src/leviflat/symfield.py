@@ -684,7 +684,6 @@ _DIGITS = frozenset("0123456789")
 class _Tokenizer:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.cursor = 0

@@ -123,6 +123,49 @@ def test_tolerance_for_no_identity_is_a_config_error(capsys):
     assert main([*argv, "--tol", "lemma.dbarH=1e-6"]) == 0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-9])
+def test_tolerance_not_finite_and_nonnegative_is_a_config_error(value):
+    status, doc = run(
+        RunConfig(scenario="t3_flat", suite="frobenius", points=3, tolerances={"frobenius": value})
+    )
+    assert status == 2
+    assert doc["error"] == f"--tol must be a finite number >= 0: frobenius={value}"
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_main_rejects_tolerance_flag_not_finite_and_nonnegative(tmp_path, capsys, text):
+    """The flag exits 2 naming the id, and no report with a bare NaN or
+    Infinity token is written."""
+    report = tmp_path / "out.json"
+    argv = ["--scenario", "t3_flat", "--suite", "frobenius", "--points", "3", "--report", str(report)]
+    assert main([*argv, "--tol", f"frobenius={text}"]) == 2
+    assert "--tol must be a finite number >= 0: frobenius=" in capsys.readouterr().err
+    assert not report.exists()
+    assert main([*argv, "--tol", "frobenius=0"]) == 0
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00bad"], ids=["directory", "undecodable"])
+def test_main_unreadable_scenario_exits_2(tmp_path, capsys, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "bytes.scn"
+        path.write_bytes(content)
+    assert main(["--scenario", str(path), "--suite", "frobenius", "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: cannot read scenario file")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_main_unwritable_report_exits_2(tmp_path, capsys, where):
+    report = tmp_path / "no" / "such" / "out.json" if where == "missing_dir" else tmp_path
+    argv = ["--scenario", "t3_flat", "--suite", "frobenius", "--points", "2", "--report", str(report)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "[PASS] frobenius" in captured.out
+    assert captured.err.startswith(f"configuration error: cannot write report {report}: ")
+
+
 def test_env_overrides(monkeypatch):
     monkeypatch.setenv("LEVIFLAT_SEED", "99")
     monkeypatch.setenv("LEVIFLAT_POINTS", "5")

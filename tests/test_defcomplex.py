@@ -68,7 +68,7 @@ def test_dfrak_of_vector_part_is_dbar():
     V = random_xi_field(FLAT, rng)
     pair = CochainPair(scalar_form(constant(FLAT.chart, 0.0)), XiValuedForm(0, {(): V}))
     image = dfrak(pair, FLAT)
-    assert image.alpha.is_zero
+    assert image.alpha.coeffs == {}
     expected = dbar0(FLAT, V)
     assert residual(pts(FLAT), (image.P, expected)).max_rel <= 1e-13
 

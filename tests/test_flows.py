@@ -148,16 +148,7 @@ def test_pullback_derivative_is_lie_derivative():
 def test_gauge_action_translation_preserves_flat():
     couple = FLAT.couple
     for t in (0.0, 0.05, -0.1):
-        assert gauge_action_numeric(E_X, t, None, couple, pts(3), E_X) == pytest.approx(
-            0.0, abs=1e-10
-        )
-
-
-def test_gauge_action_at_zero_returns_alpha():
-    couple = FLAT.couple
-    alpha = one_form(CHART, [0.3, 0.0, 0.0])
-    got = gauge_action_numeric(E_X, 0.0, alpha, couple, pts(3), E_X)
-    assert got == pytest.approx(0.3, abs=1e-14)
+        assert gauge_action_numeric(E_X, t, couple, pts(3), E_X) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gauge_derivative_hand_example():
@@ -198,7 +189,7 @@ def test_gauge_domain_guard():
     # beta = gamma + alpha nearly annihilates X: the normalization blows up
     alpha = DT.scaled(-1.0) + DX.scaled(1e-9)
     with pytest.raises(GaugeDomainError):
-        gauge_action_numeric(E_X, 0.01, alpha, couple, [(0.1, 0.2, 0.3)], E_X)
+        gauge_mc_value(E_X, 0.01, alpha, couple, [(0.1, 0.2, 0.3)], E_X, E_Y)
 
 
 def test_s_gauge_trivial_cases():

@@ -10,7 +10,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "leviflat").glob("*.py"))
 # __init__.py imports only to re-export
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
-CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
+# production code: the package and the benchmark, not the benchmark's tests
+PRODUCTION = PACKAGE + [p for p in BENCH if "tests" not in p.relative_to(ROOT / "bench").parts]
+CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + BENCH
 
 
 def unused_imports(source):
@@ -67,51 +70,202 @@ def test_function_level_import_is_found():
     assert function_level_imports(source) == [5, 11]
 
 
-def unset_defaults(sources, callers):
-    """(function, parameter) for each defaulted parameter of a module-level
-    function of sources that no call in callers passes, by position or by
-    keyword; calls are matched to functions by name."""
-    defaults = {}
+def _decorator_names(node):
+    return {
+        getattr(d, "id", None) or getattr(d, "attr", None)
+        for d in (getattr(dec, "func", dec) for dec in node.decorator_list)
+    }
+
+
+def _function_defaults(fn, skip):
+    """{parameter: positional index or None} for the defaulted parameters
+    of fn, the first skip positional parameters not counted."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = {arg.arg: i - skip for i, arg in enumerate(positional) if i >= first}
+    out.update(
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default
+    )
+    return out
+
+
+def _field_defaults(cls):
+    """{field: positional index} for the defaulted fields of a dataclass; a
+    field with init=False takes no argument and is skipped."""
+    out, index = {}, 0
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.AnnAssign):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            value = keywords.get("default") or keywords.get("default_factory")
+        if value is not None:
+            out[stmt.target.id] = index
+        index += 1
+    return out
+
+
+def defaulted_parameters(sources):
+    """{(qualified name, parameter): (called name, positional index or None,
+    whether a dataclass field)} for each defaulted parameter of a
+    module-level function, a method or a constructor of sources, and each
+    defaulted dataclass field; a constructor, __init__ or the dataclass's
+    own, is called by its class name."""
+    out = {}
     for source in sources:
         for stmt in ast.parse(source).body:
             if isinstance(stmt, ast.FunctionDef):
-                args = stmt.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                for i, arg in enumerate(positional[first:], first):
-                    defaults[stmt.name, arg.arg] = i
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        defaults[stmt.name, arg.arg] = None
-    passed = set()
-    for source in callers:
-        for call in ast.walk(ast.parse(source)):
-            if not isinstance(call, ast.Call):
+                for param, pos in _function_defaults(stmt, 0).items():
+                    out[stmt.name, param] = (stmt.name, pos, False)
+            if not isinstance(stmt, ast.ClassDef):
                 continue
-            name = getattr(call.func, "id", getattr(call.func, "attr", None))
-            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
-            keywords = {kw.arg for kw in call.keywords}
-            for (fn, param), pos in defaults.items():
-                if fn == name and (
-                    param in keywords
-                    or None in keywords
-                    or (pos is not None and (starred or pos < len(call.args)))
+            if "dataclass" in _decorator_names(stmt):
+                for param, pos in _field_defaults(stmt).items():
+                    out[stmt.name, param] = (stmt.name, pos, True)
+            for sub in stmt.body:
+                if not isinstance(sub, ast.FunctionDef) or (
+                    _is_dunder(sub.name) and sub.name != "__init__"
                 ):
-                    passed.add((fn, param))
-    return sorted(set(defaults) - passed)
+                    continue
+                called = stmt.name if sub.name == "__init__" else sub.name
+                skip = 0 if "staticmethod" in _decorator_names(sub) else 1
+                for param, pos in _function_defaults(sub, skip).items():
+                    out[f"{stmt.name}.{sub.name}", param] = (called, pos, False)
+    return out
 
 
-def test_every_default_is_passed_by_some_call():
-    def read(paths):
-        return [p.read_text(encoding="utf-8") for p in paths]
+def _calls(tree):
+    """(called name, call) for each call in tree; cls(...) inside a class
+    calls that class."""
+    owner = {
+        call: node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"
+    }
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            yield owner.get(call) or getattr(call.func, "id", getattr(call.func, "attr", None)), call
 
-    assert unset_defaults(read(PACKAGE), read(CALLERS)) == []
+
+def default_uses(defaults, callers):
+    """(passed, unpassed): the keys of defaults that some call in callers
+    may pass, and those that some call may leave unpassed.  Calls are
+    matched by name; a call with *args or **kwargs may do either, and
+    replace(obj, name=value) passes every dataclass field of that name."""
+    passed, unpassed = set(), set()
+    for source in callers:
+        for name, call in _calls(ast.parse(source)):
+            keywords = {kw.arg for kw in call.keywords}
+            stars = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            known = stars[0] if stars else len(call.args)
+            starred = None in keywords or bool(stars)
+            for key, (called, pos, is_field) in defaults.items():
+                if name == "replace" and is_field and key[1] in keywords:
+                    passed.add(key)
+                if called != name:
+                    continue
+                certain = key[1] in keywords or (pos is not None and pos < known)
+                if certain or starred:
+                    passed.add(key)
+                if not certain:
+                    unpassed.add(key)
+    return passed, unpassed
+
+
+def _read(paths):
+    return [p.read_text(encoding="utf-8") for p in paths]
+
+
+# Defaults that only tests override, each kept as a seam for a reason.
+SEAMS = {
+    ("main", "argv"): "the console script calls main(); tests drive the CLI through argv",
+    ("integrate_flow", "h"): "the RK4 step-count and parameter tests vary the step",
+}
+
+
+def test_every_default_is_passed_by_production_code():
+    """R1: a default that no production call overrides is an option only
+    tests set, or nobody."""
+    defaults = defaulted_parameters(_read(PACKAGE))
+    passed, _ = default_uses(defaults, _read(PRODUCTION))
+    unset = set(defaults) - passed
+    assert set(SEAMS) <= unset, "a seam is passed by production code; drop it from SEAMS"
+    assert sorted(unset - set(SEAMS)) == []
+
+
+def test_every_default_is_left_unpassed_by_some_call():
+    """R2: a default that every call overrides is dead."""
+    defaults = defaulted_parameters(_read(PACKAGE))
+    _, unpassed = default_uses(defaults, _read(CALLERS))
+    assert sorted(set(defaults) - unpassed) == []
+
+
+DOCTORED = """\
+from dataclasses import dataclass, field
+
+
+def f(a, b=1, c=2, *, d=3):
+    pass
+
+
+class C:
+    def __init__(self, x, y=0):
+        pass
+
+    def m(self, u, v=None):
+        pass
+
+    @staticmethod
+    def g(p, q=5):
+        pass
+
+
+@dataclass
+class D:
+    a: int
+    b: int = 0
+    c: list = field(default_factory=list)
+    n: int = field(default=0, init=False)
+    e: str = ""
+
+
+@dataclass
+class E:
+    a: int
+    f: bool = False
+
+    @classmethod
+    def make(cls):
+        return cls(1)
+"""
 
 
 def test_unset_default_is_found():
-    source = "def f(a, b=1, c=2, *, d=3):\n    pass\n\n\ndef g(x=0):\n    pass\n"
-    calls = "f(0, 1)\nm.f(0, d=4)\ng(*args)\n"
-    assert unset_defaults([source], [source, calls]) == [("f", "c")]
+    production = (
+        DOCTORED + "f(0, 1)\nC(1).m(0, v=2)\nC.g(*args)\nD(1, 2, e='x')\nC(1)\nreplace(E(0), f=True)\n"
+    )
+    defaults = defaulted_parameters([DOCTORED])
+    assert defaults[("C.__init__", "y")] == ("C", 1, False)
+    assert defaults[("C.g", "q")] == ("g", 1, False)
+    assert defaults[("D", "e")] == ("D", 3, True)
+    assert ("D", "n") not in defaults
+    passed, _ = default_uses(defaults, [production])
+    assert sorted(set(defaults) - passed) == [("C.__init__", "y"), ("D", "c"), ("f", "c"), ("f", "d")]
+
+
+def test_default_every_call_passes_is_found():
+    calls = "f(0, 1, c=2, d=4)\nf(0, *rest)\nC(1, 2)\nx.m(0)\nC.g(0)\nD(0, 1, e='')\n"
+    defaults = defaulted_parameters([DOCTORED])
+    _, unpassed = default_uses(defaults, [DOCTORED, calls])
+    assert sorted(set(defaults) - unpassed) == [("C.__init__", "y"), ("D", "b"), ("D", "e")]
+    # cls(1) inside E leaves E.f unpassed
+    assert ("E", "f") in unpassed
 
 
 def _is_dunder(name):

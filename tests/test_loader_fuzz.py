@@ -74,3 +74,23 @@ def test_generated_scenario_files_fail_only_as_package_errors(tmp_path, edits):
     status, document = run(RunConfig(scenario=str(path), suite="frobenius,cor.levi_flat_mc", points=2))
     assert status in (0, 1, 2)
     assert ("error" in document) == (status == 2)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.binary(max_size=200))
+def test_raw_byte_files_fail_only_as_package_errors(tmp_path, data):
+    """Any bytes, UTF-8 or not, load or fail as a package error."""
+    path = tmp_path / "bytes.scn"
+    path.write_bytes(data)
+    try:
+        load_scenario_file(str(path))
+    except LeviFlatError:
+        pass
+    status, document = run(RunConfig(scenario=str(path), suite="frobenius", points=2))
+    assert status in (0, 1, 2)
+    assert ("error" in document) == (status == 2)

@@ -145,7 +145,7 @@ def test_family_values_and_tangent():
     assert all(c.is_zero for V in a.P.values.values() for c in V.components)
     tangent = fam.tangent(s)
     assert tangent.alpha.coefficient((0,))(ORIGIN) == pytest.approx(0.7)
-    assert fam.at(s, 0.0).alpha.is_zero
+    assert fam.at(s, 0.0).alpha.coeffs == {}
 
     sc2 = builtin("family_t3_Jrotation")
     s2 = sc2.structure
@@ -153,7 +153,7 @@ def test_family_values_and_tangent():
     assert S[0][0](ORIGIN) == pytest.approx(0.12)
     St = family_S_matrix(s2, sc2.family.tangent(s2))
     assert St[1][0](ORIGIN) == pytest.approx(-0.35)
-    assert sc2.family.tangent(s2).alpha.is_zero
+    assert sc2.family.tangent(s2).alpha.coeffs == {}
 
 
 def test_quadratic_S0_is_anticommuting_and_dbar_closed():
@@ -243,6 +243,17 @@ def test_scenario_file_errors(tmp_path):
         load_scenario_file(str(bad4))
 
 
+def test_unreadable_scenario_file_is_a_scenario_error(tmp_path):
+    """A directory or a file that is not UTF-8 is a ScenarioError naming
+    the path, not an OSError or a UnicodeDecodeError."""
+    undecodable = tmp_path / "bytes.scn"
+    undecodable.write_bytes(b"\xff\xfe\x00bad")
+    for path in (tmp_path, undecodable):
+        with pytest.raises(ScenarioError, match="cannot read scenario file") as exc:
+            load_scenario_file(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_every_J_entry_is_a_scalar_field(tmp_path):
     """J holds ScalarFields on the structure's chart, whether a scenario
     gives numbers or expressions: every built-in, the scenario files, and a
@@ -327,21 +338,23 @@ SELECTED = {
         "cor.phiH", "dbar.antilinearity", "dbar.commutes_J", "dbar.leibniz", "dbar.squared",
         "defbracket.expansion", "defbracket.leibniz", "dgla.antisym", "dgla.delta_squared",
         "dgla.jacobi", "dgla.leibniz_d", "dgla.leibniz_delta", "excalc.d_squared",
-        "excalc.jacobi_vector", "excalc.leibniz_wedge", "frobenius", "lemma.bracket_alpha",
-        "lemma.db_closed", "lemma.dbarH", "lemma.hY_decomposition", "lemma.mc_oracle",
-        "lemma.omega_alpha", "nijenhuis.bilinear", "prop.bethH", "prop.beth_squared",
-        "prop.change_couple", "prop.dfrak_squared", "prop.iso_cohomology", "prop.n_ntilde",
-        "remark.h_alternative", "remark.h_linear", "remark.ixdgamma01_closed",
-        "scalc.s_roundtrip", "thm.moduli.gauge_witness", "thm.tangent.witness", "zsub.closure",
-        "zsub.reduced_bracket", "zsub.reduced_gamma",
+        "excalc.jacobi_vector", "excalc.leibniz_wedge", "flow.group_law", "flow.lie_oracle",
+        "flow.pullback_identity", "frobenius", "lemma.bracket_alpha", "lemma.db_closed",
+        "lemma.dbarH", "lemma.gauge_S", "lemma.gauge_chi", "lemma.hY_decomposition",
+        "lemma.mc_oracle", "lemma.omega_alpha", "nijenhuis.bilinear", "prop.bethH",
+        "prop.beth_squared", "prop.change_couple", "prop.dfrak_squared", "prop.iso_cohomology",
+        "prop.n_ntilde", "remark.gauge_mc", "remark.h_alternative", "remark.h_linear",
+        "remark.ixdgamma01_closed", "scalc.s_roundtrip", "thm.moduli.gauge_witness",
+        "thm.tangent.witness", "zsub.closure", "zsub.reduced_bracket", "zsub.reduced_gamma",
     ),
     "t5_perturbedJ": (
         "cor.n_jtilde_identity", "dbar.antilinearity", "dbar.commutes_J", "dbar.leibniz",
         "dgla.antisym", "dgla.delta_squared", "dgla.jacobi", "dgla.leibniz_d",
         "dgla.leibniz_delta", "excalc.d_squared", "excalc.jacobi_vector",
-        "excalc.leibniz_wedge", "frobenius", "lemma.db_closed", "lemma.mc_oracle",
-        "lemma.omega_alpha", "nijenhuis.bilinear", "prop.n_ntilde", "scalc.s_roundtrip",
-        "zsub.closure", "zsub.reduced_bracket", "zsub.reduced_gamma",
+        "excalc.leibniz_wedge", "flow.group_law", "flow.lie_oracle", "flow.pullback_identity",
+        "frobenius", "lemma.db_closed", "lemma.gauge_chi", "lemma.mc_oracle",
+        "lemma.omega_alpha", "nijenhuis.bilinear", "prop.n_ntilde", "remark.gauge_mc",
+        "scalc.s_roundtrip", "zsub.closure", "zsub.reduced_bracket", "zsub.reduced_gamma",
     ),
     "family_t3_tilt": (
         "cor.dbar_hY", "cor.levi_flat_mc", "cor.n_alpha", "cor.phiH", "dbar.antilinearity",
