@@ -4,7 +4,8 @@ The flow map and its Jacobian are integrated together with a classical
 4th-order one-step scheme (variational equation alongside the trajectory).
 Finite-difference derivatives of the gauge action use central differences at
 t in {+-h_fd, +-h_fd/2} with one Richardson level, so the documented
-tolerances are reproducible.
+tolerances are reproducible; the four offsets flow as one batch, one time per
+point.
 
 The pullback realizing the gauge action runs along the inverse flow: the
 normalized pullback of gamma + alpha by the time-(-t) map.  This matches the
@@ -38,55 +39,68 @@ def _columns(V, points, ev):
     return np.ascontiguousarray(V.at(points, ev).T)
 
 
-def integrate_flow(Y, t, points, h=DEFAULT_STEP):
+def integrate_flow(Y, t, points, h=DEFAULT_STEP, jacobian=True):
     """Integrate dp/ds = Y(p), dA/ds = DY(p) A from (p, I) for time t, for
     every p of an (N, dim) batch together.
 
     Returns (points, Jacobians) as numpy arrays of shapes (N, dim) and
-    (N, dim, dim); classical RK4, global error O(h^4).  One point of shape
-    (dim,) is flowed as a batch of one and comes back with shapes (dim,) and
-    (dim, dim), so a single trajectory needs no wrapping.
+    (N, dim, dim); classical RK4, global error O(h^4).  With jacobian=False
+    only the trajectory is integrated and the Jacobians come back as None.
+    t is one time for every point or an (N,) array of one time per point;
+    every point then takes the ceil(max|t| / h) steps of the longest time,
+    each of its own length.  One point of shape (dim,) is flowed as a batch
+    of one and comes back with shapes (dim,) and (dim, dim), so a single
+    trajectory needs no wrapping.
     """
     if h <= 0:
         raise FlowParameterError(f"step must be positive, got {h!r}")
-    if abs(t) / h > 1e6:
-        raise FlowParameterError(f"|t|/h = {abs(t) / h:.3e} exceeds 1e6")
     chart = Y.chart
     dim = chart.dim
     pts = np.array(points, dtype=float)
     one_point = pts.ndim == 1 and pts.size > 0
     x = point_batch(chart, pts[None] if one_point else pts)
-    A = np.tile(np.eye(dim), (len(x), 1, 1))
-    if t == 0.0:
-        return (x[0], A[0]) if one_point else (x, A)
-    jac = [[c.diff(j) for j in range(dim)] for c in Y.components]
+    times = np.asarray(t, dtype=float)
+    if times.shape not in ((), (len(x),)):
+        raise FlowParameterError(f"t must be one time or one per point, got shape {times.shape}")
+    span = float(np.abs(times).max()) if times.size else 0.0
+    if span / h > 1e6:
+        raise FlowParameterError(f"|t|/h = {span / h:.3e} exceeds 1e6")
+    A = np.tile(np.eye(dim), (len(x), 1, 1)) if jacobian else None
+    if span == 0.0:
+        return (x[0], None if A is None else A[0]) if one_point else (x, A)
+    jac = [[c.diff(j) for j in range(dim)] for c in Y.components] if jacobian else []
     tape = Tape([f.node for f in Y.components + tuple(f for row in jac for f in row)])
 
     def field(xv):
         ev = PointEvaluator(chart, xv, tape)
-        f = np.array([ev(c) for c in Y.components])
+        f = np.ascontiguousarray(np.array([ev(c) for c in Y.components]).T)
+        if not jacobian:
+            return f, None
         J = np.array([[ev(jac[i][j]) for j in range(dim)] for i in range(dim)])
-        return np.ascontiguousarray(f.T), np.ascontiguousarray(J.transpose(2, 0, 1))
+        return f, np.ascontiguousarray(J.transpose(2, 0, 1))
 
-    steps = max(1, math.ceil(abs(t) / h))
-    ds = t / steps
+    steps = max(1, math.ceil(span / h))
+    # one step length per point, shaped to scale its rows of x and of A
+    ds = (np.broadcast_to(times, len(x)) / steps)[:, None]
+    dA = ds[:, :, None]
     for _ in range(steps):
         f1, J1 = field(x)
-        K1 = J1 @ A
         f2, J2 = field(x + 0.5 * ds * f1)
-        K2 = J2 @ (A + 0.5 * ds * K1)
         f3, J3 = field(x + 0.5 * ds * f2)
-        K3 = J3 @ (A + 0.5 * ds * K2)
         f4, J4 = field(x + ds * f3)
-        K4 = J4 @ (A + ds * K3)
         x = x + (ds / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        A = A + (ds / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    return (x[0], A[0]) if one_point else (x, A)
+        if jacobian:
+            K1 = J1 @ A
+            K2 = J2 @ (A + 0.5 * dA * K1)
+            K3 = J3 @ (A + 0.5 * dA * K2)
+            K4 = J4 @ (A + dA * K3)
+            A = A + (dA / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    return (x[0], None if A is None else A[0]) if one_point else (x, A)
 
 
 def pullback_form_numeric(Y, t, omega, points, args):
     """((Phi_t^Y)* omega)(p; args) = omega(Phi_t(p); DPhi_t args) at an
-    (N, dim) batch of points p."""
+    (N, dim) batch of points p, for one time t or an (N,) array of them."""
     q, A = integrate_flow(Y, t, points)
     ev_p = PointEvaluator(omega.chart, points, [c for arg in args for c in arg.components])
     numeric = [matvec(A, _columns(arg, points, ev_p)).T for arg in args]
@@ -125,7 +139,8 @@ class _Pullback:
 
 
 def gauge_action_numeric(Y, t, couple, points, arg):
-    """chi(Phi_t^Y)(0) evaluated at (p, arg) for p in an (N, dim) batch.
+    """chi(Phi_t^Y)(0) evaluated at (p, arg) for p in an (N, dim) batch, for
+    one time t or an (N,) array of them.
 
     chi(Phi)(0) = (Phi* gamma(X))^{-1} Phi* gamma - gamma with the pullback
     taken along the inverse flow.
@@ -134,13 +149,21 @@ def gauge_action_numeric(Y, t, couple, points, arg):
     return pull.chi(_columns(arg, points, pull.ev_p))
 
 
-def richardson(values_at, tau):
-    """One Richardson level over central differences at tau and tau/2.
+def richardson(values_at, points, tau):
+    """One Richardson level over central differences at tau and tau/2, at an
+    (N, dim) batch of points.
 
-    values_at maps a time offset to a numpy array.
+    The four offsets run as one batch: values_at maps 4N points (the batch
+    four times over) and one time per point, tau, -tau, tau/2 and -tau/2 in
+    blocks of N, to a numpy array over those 4N points.
     """
-    d1 = (values_at(tau) - values_at(-tau)) / (2.0 * tau)
-    d2 = (values_at(0.5 * tau) - values_at(-0.5 * tau)) / tau
+    pts = np.asarray(points, dtype=float)
+    offsets = np.array([tau, -tau, 0.5 * tau, -0.5 * tau])
+    plus, minus, half_plus, half_minus = np.split(
+        values_at(np.tile(pts, (4, 1)), np.repeat(offsets, len(pts))), 4
+    )
+    d1 = (plus - minus) / (2.0 * tau)
+    d2 = (half_plus - half_minus) / tau
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -151,10 +174,10 @@ def gauge_derivative_fd(Y, couple, points, arg):
     Contract: equals -delta(iota_Y gamma) evaluated at (p, arg).
     """
 
-    def value(t):
-        return gauge_action_numeric(Y, t, couple, points, arg)
+    def value(pts, t):
+        return gauge_action_numeric(Y, t, couple, pts, arg)
 
-    return richardson(value, FD_OFFSET)
+    return richardson(value, points, FD_OFFSET)
 
 
 def _frame_matrices(s, ev, points):
@@ -165,7 +188,8 @@ def _frame_matrices(s, ev, points):
 
 
 def _conjugated_S_matrix(Y, t, s, pts):
-    """S_{chi(Phi_t^Y)(0)} on a batch, as (N, n, n) numeric frame matrices.
+    """S_{chi(Phi_t^Y)(0)} on a batch, as (N, n, n) numeric frame matrices,
+    with t an (N,) array of one time per point.
 
     Sign convention: this is (J - Jtilde)(J + Jtilde)^{-1}, which is -S for
     the S of leafcx.conjugate_J and leafcx.s_from_structures, where
@@ -191,8 +215,9 @@ def _conjugated_S_matrix(Y, t, s, pts):
     # transpose, as at one point, since the products below round by layout
     Jtilde = np.ascontiguousarray(np.transpose(cols, (1, 0, 2))).transpose(0, 2, 1)
     total = Jp + Jtilde
-    if (np.abs(np.linalg.det(total)) < DET_GUARD).any():
-        raise ConjugationSingularError(f"det(J + Jtilde) too small at t={t!r}")
+    k = first_flagged(np.abs(np.linalg.det(total)) < DET_GUARD)
+    if k is not None:
+        raise ConjugationSingularError(f"det(J + Jtilde) too small at t={float(t[k])!r}")
     return (Jp - Jtilde) @ np.linalg.inv(total)
 
 
@@ -203,7 +228,7 @@ def s_gauge_fd(Y, s, points, frame_index):
 
     Contract: equals -H_Y(E_frame_index) at p.
     """
-    Sdot = richardson(lambda t: _conjugated_S_matrix(Y, t, s, points), FD_OFFSET)
+    Sdot = richardson(lambda pts, t: _conjugated_S_matrix(Y, t, s, pts), points, FD_OFFSET)
     Mp = s.basis_matrix_at(points)
     return matvec(Mp[:, :, : s.n_leaf], Sdot[:, :, frame_index])
 

@@ -144,7 +144,7 @@ class LeviFlatStructure:
 
     def invariants(self, points):
         """Residuals of the structure's defining properties at a batch of
-        points, keyed by name, and the smallest |det(frame | X)| there."""
+        points, keyed by name."""
 
         def max_rel(lhs, rhs=0.0):
             return ResidualAccumulator(points).add(lhs, rhs).max_rel
@@ -159,7 +159,6 @@ class LeviFlatStructure:
             "gamma_X": max_rel([self.couple.gamma_of(self.X)], 1.0),
             "coframe_duality": max_rel(duality, np.eye(n, n + 1).reshape(-1, 1)),
             "J_squared": max_rel(jj, -np.eye(n).reshape(-1, 1)),
-            "frame_determinant": float(np.abs(np.linalg.det(self.basis_matrix_at(points))).min()),
             "gamma_frame": max_rel([self.couple.gamma_of(E) for E in self.frame]),
             "frobenius_iii": frob[0],
             "frobenius_iv": frob[1],

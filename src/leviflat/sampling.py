@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .excalc import DifferentialForm, VectorField, scalar_form
-from .symfield import ScalarField, const, cos as cos_node, sin as sin_node, Coord, add, mul
+from .symfield import ScalarField, const, coord, cos as cos_node, sin as sin_node, add, mul
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,16 +46,16 @@ def random_scalar(chart, rng, amplitude=1.0):
     coeff = lambda: rng.uniform(-amplitude, amplitude)
     node = const(coeff())
     for i in range(chart.dim):
-        node = add(node, mul(const(coeff()), sin_node(Coord(i))))
-        node = add(node, mul(const(coeff()), cos_node(Coord(i))))
+        node = add(node, mul(const(coeff()), sin_node(coord(i))))
+        node = add(node, mul(const(coeff()), cos_node(coord(i))))
     m = int(rng.integers(0, chart.dim))
-    node = add(node, mul(const(coeff()), cos_node(mul(const(2.0), Coord(m)))))
+    node = add(node, mul(const(coeff()), cos_node(mul(const(2.0), coord(m)))))
     if chart.dim >= 2:
         j = int(rng.integers(0, chart.dim))
         k = int(rng.integers(0, chart.dim - 1))
         if k >= j:
             k += 1
-        node = add(node, mul(const(coeff()), sin_node(add(Coord(j), Coord(k)))))
+        node = add(node, mul(const(coeff()), sin_node(add(coord(j), coord(k)))))
     return ScalarField(chart, node)
 
 

@@ -26,6 +26,7 @@ from .symfield import (
     constant,
     coordinate,
     cos_of,
+    first_flagged,
     fix_coordinate,
     parse_expr,
     sin_of,
@@ -94,14 +95,17 @@ def check(scenario, where):
     """The load check every scenario passes: measure the structure's
     invariants on the probe, reject a scenario that does not define a
     structure (a non-finite invariant, gamma(X) != 1, a failed coframe
-    duality, J^2 != -I, a near-singular (frame | X)), and set the two
-    measured flags that narrow the identities it runs."""
+    duality, J^2 != -I, a near-singular (frame | X) or one whose determinant
+    changes sign, so vanishes somewhere on the connected torus), and set the
+    two measured flags that narrow the identities it runs."""
     s = scenario.structure
     try:
         probe = [(0.0,) * s.chart.dim] + sample_points(s.chart, PROBE - 1, stream("probe"))
         inv = s.invariants(probe)
+        dets = np.linalg.det(s.basis_matrix_at(probe))
     except LeviFlatError as exc:
         raise ScenarioError(f"{where}: evaluating the structure on the probe points: {exc}") from None
+    inv["frame_determinant"] = float(np.abs(dets).min())
     for key, value in inv.items():
         if not np.isfinite(value):
             raise ScenarioError(f"{where}: non-finite invariant {key} = {value} on the probe points")
@@ -112,6 +116,12 @@ def check(scenario, where):
     ]
     if inv["frame_determinant"] < DET_GUARD:
         problems.append(f"frame_determinant = {inv['frame_determinant']:.3e}")
+    pos, neg = first_flagged(dets > 0), first_flagged(dets < 0)
+    if pos is not None and neg is not None:
+        problems.append(
+            "det(frame | X) changes sign: "
+            f"{dets[pos]:.3e} at {_point(probe[pos])}, {dets[neg]:.3e} at {_point(probe[neg])}"
+        )
     if problems:
         raise ScenarioError(f"{where}: not a Levi flat structure: {', '.join(problems)}")
     scenario.foliation_integrable = all(
@@ -121,6 +131,10 @@ def check(scenario, where):
     if inv["nijenhuis"] <= INVARIANT_TOL:
         scenario.structure = replace(s, leafwise_integrable=True)
     return scenario
+
+
+def _point(p):
+    return "(" + ", ".join(f"{v:.4f}" for v in p) + ")"
 
 
 _J2 = ((0.0, -1.0), (1.0, 0.0))

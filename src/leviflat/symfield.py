@@ -322,22 +322,41 @@ def powi(a, n):
     return Pow(a, n)
 
 
+# The one Coord node of each index, so fields built apart share their
+# coordinates and, through the memo below, the sin/cos/exp of them.
+_COORDS = {}
+
+
+def coord(i):
+    node = _COORDS.get(i)
+    return node if node is not None else _COORDS.setdefault(i, Coord(i))
+
+
+def _unary(kind, a):
+    """The one kind(a) node, kept in a's derivative cache under its type:
+    the same argument gives the same node.  neg is not memoized: it saves
+    little and holds on to more memory."""
+    cache = a._d
+    node = cache.get(kind)
+    return node if node is not None else cache.setdefault(kind, kind(a))
+
+
 def sin(a):
     if type(a) is Const:
         return _folded(math.sin, a.value)
-    return Sin(a)
+    return _unary(Sin, a)
 
 
 def cos(a):
     if type(a) is Const:
         return _folded(math.cos, a.value)
-    return Cos(a)
+    return _unary(Cos, a)
 
 
 def exp(a):
     if type(a) is Const:
         return _folded(math.exp, a.value)
-    return Exp(a)
+    return _unary(Exp, a)
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +448,7 @@ def coordinate(chart, name_or_index):
     i = name_or_index if isinstance(name_or_index, int) else chart.index(name_or_index)
     if not 0 <= i < chart.dim:
         raise IndexError(f"coordinate index {i} out of range")
-    return ScalarField(chart, Coord(i))
+    return ScalarField(chart, coord(i))
 
 
 def sin_of(f):
@@ -664,7 +683,7 @@ def fix_coordinate(f, i, value):
             new[node] = (
                 const(float(value))
                 if node.index == i
-                else Coord(node.index - 1 if node.index > i else node.index)
+                else coord(node.index - 1 if node.index > i else node.index)
             )
         else:
             new[node] = node
@@ -827,7 +846,7 @@ class _Parser:
                     raise ArityError(f"{val} takes 1 argument, got {len(args)}")
                 return fn(args[0])
             if val in self.chart.names:
-                return Coord(self.chart.index(val))
+                return coord(self.chart.index(val))
             if val in _CONSTANTS:
                 return const(_CONSTANTS[val])
             raise UnknownIdentifierError(f"unknown identifier {val!r} on chart {self.chart.names}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leviflat import flows
-from leviflat.errors import FlowParameterError, GaugeDomainError
+from leviflat.errors import ConjugationSingularError, FlowParameterError, GaugeDomainError
 from leviflat.excalc import (
     basis_vector,
     evaluate_form,
@@ -80,20 +80,63 @@ def test_one_point_flows_as_a_batch_of_one():
         integrate_flow(Y, 0.1, (0.2, 0.3))
 
 
-def test_each_rk4_step_builds_four_evaluators(monkeypatch):
-    built = []
+def test_flow_without_jacobian_gives_the_same_points():
+    Y = random_vector_field(CHART, stream(90, "nojac"), amplitude=0.6)
+    P = pts(4)
+    q, A = integrate_flow(Y, 0.07, P)
+    q_only, none = integrate_flow(Y, 0.07, P, jacobian=False)
+    assert none is None and np.array_equal(q_only, q)
+    assert integrate_flow(Y, 0.0, P, jacobian=False)[1] is None
 
-    class Counting(flows.PointEvaluator):
-        def __init__(self, *args):
-            built.append(args[1])
-            super().__init__(*args)
 
-    monkeypatch.setattr(flows, "PointEvaluator", Counting)
-    for t, h, steps in ((0.35, 0.05, 7), (0.0, 1e-3, 0), (-0.1, 0.03, 4)):
-        built.clear()
-        integrate_flow(E_X, t, pts(2), h=h)
-        assert len(built) == 4 * steps
-        assert all(len(x) == 2 for x in built)
+def test_per_point_times_equal_one_call_per_point():
+    # every time takes 3 steps of h = 0.01, alone and in the batch
+    Y = random_vector_field(CHART, stream(91, "times"), amplitude=0.6)
+    P = pts(4)
+    times = np.array([0.03, -0.025, 0.021, -0.03])
+    for jacobian in (True, False):
+        q, A = integrate_flow(Y, times, P, h=0.01, jacobian=jacobian)
+        for k, t in enumerate(times):
+            q1, A1 = integrate_flow(Y, float(t), P[k : k + 1], h=0.01, jacobian=jacobian)
+            assert np.array_equal(q[k : k + 1], q1)
+            assert (A is None and A1 is None) or np.array_equal(A[k : k + 1], A1)
+
+
+def _four_calls(value_at, tau):
+    """The Richardson formula with one call per time offset."""
+    d1 = (value_at(tau) - value_at(-tau)) / (2.0 * tau)
+    d2 = (value_at(0.5 * tau) - value_at(-0.5 * tau)) / tau
+    return (4.0 * d2 - d1) / 3.0
+
+
+def test_batched_stencils_equal_one_call_per_offset():
+    rng = stream(92, "stencil")
+    P = pts(3)
+    for s in (FLAT, TWISTED):
+        Y = random_vector_field(CHART, rng, amplitude=0.6)
+        arg = random_vector_field(CHART, rng)
+        chi = _four_calls(lambda t: gauge_action_numeric(Y, t, s.couple, P, arg), flows.FD_OFFSET)
+        assert np.array_equal(gauge_derivative_fd(Y, s.couple, P, arg), chi)
+        Sdot = _four_calls(
+            lambda t: flows._conjugated_S_matrix(Y, np.full(len(P), t), s, P), flows.FD_OFFSET
+        )
+        Mp = s.basis_matrix_at(P)
+        for idx in range(s.n_leaf):
+            want = flows.matvec(Mp[:, :, : s.n_leaf], Sdot[:, :, idx])
+            assert np.array_equal(s_gauge_fd(Y, s, P, idx), want)
+        omega = DX.scaled(cos_of(coordinate(CHART, "t")))
+        lie = _four_calls(lambda t: pullback_form_numeric(Y, t, omega, P, [arg]), 1e-3)
+        batched = flows.richardson(
+            lambda q, t: pullback_form_numeric(Y, t, omega, q, [arg]), P, 1e-3
+        )
+        assert np.array_equal(batched, lie)
+
+
+def test_singular_conjugation_names_one_time(monkeypatch):
+    # every row fails; the first is at t = +FD_OFFSET
+    monkeypatch.setattr(flows, "DET_GUARD", np.inf)
+    with pytest.raises(ConjugationSingularError, match=r"too small at t=0\.001$"):
+        s_gauge_fd(E_X, TWISTED, pts(2), 0)
 
 
 def test_flow_parameter_validation():
@@ -101,6 +144,8 @@ def test_flow_parameter_validation():
         integrate_flow(E_X, 1.0, [(0, 0, 0)], h=0.0)
     with pytest.raises(FlowParameterError):
         integrate_flow(E_X, 2e3, [(0, 0, 0)], h=1e-3)
+    with pytest.raises(FlowParameterError, match="one per point"):
+        integrate_flow(E_X, [0.1, 0.2], [(0, 0, 0)])
 
 
 def test_flow_group_law():

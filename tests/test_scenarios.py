@@ -243,6 +243,19 @@ def test_scenario_file_errors(tmp_path):
         load_scenario_file(str(bad4))
 
 
+def test_frame_determinant_changing_sign_is_rejected(tmp_path):
+    """|det(frame | X)| stays above the guard on the probe, but the signed
+    determinant takes both signs, so it vanishes somewhere on the torus."""
+    text = (ROOT / "bench" / "my_twisted.scn").read_text(encoding="utf-8")
+    path = tmp_path / "degenerate.scn"
+    path.write_text(text.replace("[frame E2]\ny = 1", "[frame E2]\ny = sin(x+0.1)"))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario_file(str(path))
+    message = str(exc.value)
+    assert "det(frame | X) changes sign: 9.983e-02 at (0.0000, 0.0000, 0.0000), -" in message
+    assert message.count(" at (") == 2
+
+
 def test_unreadable_scenario_file_is_a_scenario_error(tmp_path):
     """A directory or a file that is not UTF-8 is a ScenarioError naming
     the path, not an OSError or a UnicodeDecodeError."""

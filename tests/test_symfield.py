@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -435,11 +436,16 @@ def _ref_fold(fn, v):
         raise EvaluationRangeError("out of range") from None
 
 
+# the reference's own memo of sin/cos/exp nodes by (type, argument): the
+# factories give the same argument the same node
+_REF_UNARY = {}
+
+
 def _ref_unary(fn, node_type):
     def build(a):
         if _is_const(a):
             return _ref_fold(fn, a.value)
-        return node_type(a)
+        return _REF_UNARY.setdefault((node_type, a), node_type(a))
 
     return build
 
@@ -463,10 +469,10 @@ _SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5]
 
 
 def _leaf(kind, v):
-    # "x": a coordinate; "c": a fresh Const (0 and 1 not the shared ZERO and
-    # ONE); "k": through const, which shares them
+    # "x": the one coordinate node of its index; "c": a fresh Const (0 and 1
+    # not the shared ZERO and ONE); "k": through const, which shares them
     if kind == "x":
-        return sf.Coord(int(abs(v)) % 3)
+        return sf.coord(int(abs(v)) % 3)
     return sf.Const(v) if kind == "c" else sf.const(v)
 
 
@@ -503,6 +509,7 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 def test_factories_build_the_reference_trees(leaves, program):
     pool = [_leaf(kind, v) for kind, v in leaves]
+    assert all(_leaf(kind, v) is n for (kind, v), n in zip(leaves, pool) if kind == "x")
     ref_pool = list(pool)
     for fn, i, j in program:
         i %= len(pool)
@@ -525,8 +532,30 @@ def test_factories_build_the_reference_trees(leaves, program):
         assert [k for k, n in enumerate(pool) if n is got] == [
             k for k, n in enumerate(ref_pool) if n is want
         ]
+        if fn in (sf.sin, sf.cos, sf.exp) and type(got) is not sf.Const:
+            # the same argument gives the same node; a folded constant is new
+            assert fn(*args) is got
         pool.append(got)
         ref_pool.append(want)
+
+
+def test_threads_share_one_node_per_coordinate_and_argument():
+    """coord and the sin/cos/exp memo hand every thread of a pool the same
+    node, with thread switches forced between bytecodes."""
+    args = [sf.add(sf.coord(0), sf.const(float(k + 2))) for k in range(1000)]
+
+    def build(_):
+        return [(sf.coord(1000 + k), sf.sin(a), sf.cos(a), sf.exp(a)) for k, a in enumerate(args)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            built = list(pool.map(build, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    first = built[0]
+    assert all(n is m for other in built[1:] for row, row0 in zip(other, first) for n, m in zip(row, row0))
 
 
 ONE_POINT = (0.1, 0.2, 0.3)
