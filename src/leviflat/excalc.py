@@ -91,7 +91,8 @@ class VectorField:
         node = as_field(self.chart, f).node
         out = ZERO
         for i, comp in enumerate(self.components):
-            out = add(out, mul(comp.node, node.diff(i)))
+            if not comp.is_zero:
+                out = add(out, mul(comp.node, node.diff(i)))
         return ScalarField(self.chart, out)
 
     def at(self, points, ev=None):
@@ -285,11 +286,11 @@ def exterior_derivative(omega):
     out = {}
     for idx, f in omega.coeffs.items():
         for j in range(chart.dim):
-            df = f.diff(j)
-            if df.is_zero:
-                continue
             sign, new_idx = _merge_sign((j,), idx)
             if sign == 0:
+                continue
+            df = f.diff(j)
+            if df.is_zero:
                 continue
             term = df if sign > 0 else -df
             out[new_idx] = out[new_idx] + term if new_idx in out else term
@@ -362,10 +363,10 @@ def evaluate_form(omega, points, args):
     return omega.at(points, numeric, ev)
 
 
-def form_components(omega, points, ev=None):
-    """Numeric coefficients of omega on all increasing index tuples at an
-    (N, dim) batch of points, as a (components, N) array."""
-    ev = ev or PointEvaluator(omega.chart, points, omega.coeffs.values())
+def form_components(omega, ev):
+    """Numeric coefficients of omega on all increasing index tuples at the
+    points of ev, an evaluator holding omega's coefficients, as a
+    (components, N) array."""
     values = [
         ev(omega.coeffs[idx]) if idx in omega.coeffs else ev.zero
         for idx in combinations(range(omega.chart.dim), omega.degree)

@@ -110,10 +110,6 @@ def leafwise_d(alpha, couple):
     """Differential along the leaves: d(alpha) - gamma ^ iota_X d(alpha)."""
     alpha = _as_form(alpha)
     d_alpha = exterior_derivative(alpha)
-    if alpha.degree == 0:
-        # iota_X d(alpha) is the scalar X(alpha)
-        xf = interior_product(couple.X, d_alpha).coefficient(())
-        return d_alpha - couple.gamma.scaled(xf)
     return d_alpha - wedge(couple.gamma, interior_product(couple.X, d_alpha))
 
 

@@ -59,7 +59,7 @@ def _numeric(value, points, ev):
     if isinstance(value, VectorField):
         return value.at(points, ev)
     if isinstance(value, DifferentialForm):
-        return form_components(value, points, ev)
+        return form_components(value, ev)
     if _is_value(value):
         return np.array([ev(f) for f in value])
     return value
@@ -69,7 +69,7 @@ class ResidualAccumulator:
     """Collects the per-sample residuals of LHS = RHS pairs evaluated at its
     sample points."""
 
-    def __init__(self, points=None):
+    def __init__(self, points):
         self.points = points
         self.samples = []
         self.max_abs = 0.0

@@ -1,16 +1,17 @@
 """Catalogue of named identity checks.
 
 Each identity has a stable id, a human-readable anchor formula, a default
-tolerance, an applicability predicate over scenarios, and a runner that fills
-a ResidualAccumulator; run_identity turns the accumulator into the identity's
-CheckReport.  Seeds are derived per (seed, scenario, identity), so reports
-are reproducible and independent of execution order.
+tolerance, the named CONDITIONS it needs of a scenario, and a runner that
+fills a ResidualAccumulator; run_identity turns the accumulator into the
+identity's CheckReport.  Seeds are derived per (seed, scenario, identity),
+so reports are reproducible and independent of execution order.
 """
 
 from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -115,43 +116,22 @@ def mc_flat_alpha(scenario, points):
 
 
 # --------------------------------------------------------------------------
-# Runner context
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class RunContext:
-    scenario: object
-    identity: str
-    points: list
-    seed: int
-
-    def rng(self, label):
-        return stream(self.seed, self.scenario.name, self.identity, label)
-
-
-def _ctx_points(scenario, seed, identity, n_points):
-    rng = stream(seed, scenario.name, identity, "points")
-    return sample_points(scenario.structure.chart, n_points, rng)
-
-
-# --------------------------------------------------------------------------
 # Runners: exterior calculus and DGLA axioms
 # --------------------------------------------------------------------------
 
 
-def run_d_squared(scenario, ctx, acc):
+def run_d_squared(scenario, acc, streams):
     chart = scenario.structure.chart
-    rng = ctx.rng("d_squared")
+    rng = streams("d_squared")
     for k in range(0, chart.dim - 1):
         for _ in range(3):
             omega = random_form(chart, k, rng)
             acc.add(exterior_derivative(exterior_derivative(omega)))
 
 
-def run_leibniz_wedge(scenario, ctx, acc):
+def run_leibniz_wedge(scenario, acc, streams):
     chart = scenario.structure.chart
-    rng = ctx.rng("leibniz_wedge")
+    rng = streams("leibniz_wedge")
     for ka, kb in ((0, 1), (1, 1), (1, 2)):
         for _ in range(4):
             a = random_form(chart, ka, rng)
@@ -162,9 +142,9 @@ def run_leibniz_wedge(scenario, ctx, acc):
             acc.add(lhs, rhs + (signed if ka % 2 == 0 else -signed))
 
 
-def run_jacobi_vector(scenario, ctx, acc):
+def run_jacobi_vector(scenario, acc, streams):
     chart = scenario.structure.chart
-    rng = ctx.rng("jacobi_vector")
+    rng = streams("jacobi_vector")
     for _ in range(4):
         U = random_vector_field(chart, rng)
         V = random_vector_field(chart, rng)
@@ -177,10 +157,10 @@ def run_jacobi_vector(scenario, ctx, acc):
         acc.add(total)
 
 
-def run_bracket_antisym(scenario, ctx, acc):
+def run_bracket_antisym(scenario, acc, streams):
     couple = scenario.structure.couple
     chart = scenario.structure.chart
-    rng = ctx.rng("antisym")
+    rng = streams("antisym")
     for ka, kb in ((1, 1), (1, 2), (2, 2)):
         for _ in range(5):
             a = random_form(chart, ka, rng)
@@ -189,10 +169,10 @@ def run_bracket_antisym(scenario, ctx, acc):
             acc.add(lhs, fd.dgla_bracket(b, a, couple).scaled(-((-1.0) ** (ka * kb))))
 
 
-def run_bracket_jacobi(scenario, ctx, acc):
+def run_bracket_jacobi(scenario, acc, streams):
     couple = scenario.structure.couple
     chart = scenario.structure.chart
-    rng = ctx.rng("jacobi")
+    rng = streams("jacobi")
     for degrees, count in (((1, 1, 1), 8), ((1, 1, 2), 7)):
         for _ in range(count):
             a = random_form(chart, degrees[0], rng)
@@ -205,10 +185,10 @@ def run_bracket_jacobi(scenario, ctx, acc):
             acc.add(lhs, rhs + (signed if sign > 0 else -signed))
 
 
-def _run_leibniz(scenario, ctx, acc, use_delta):
+def run_leibniz(scenario, acc, streams, use_delta):
     couple = scenario.structure.couple
     chart = scenario.structure.chart
-    rng = ctx.rng("leibniz_delta" if use_delta else "leibniz_d")
+    rng = streams("leibniz_delta" if use_delta else "leibniz_d")
     diff = (lambda w: fd.delta(w, couple)) if use_delta else exterior_derivative
     for ka, kb in ((1, 1), (1, 2), (0, 1)):
         for _ in range(5):
@@ -220,28 +200,20 @@ def _run_leibniz(scenario, ctx, acc, use_delta):
             acc.add(lhs, rhs + (signed if ka % 2 == 0 else -signed))
 
 
-def run_leibniz_d(scenario, ctx, acc):
-    _run_leibniz(scenario, ctx, acc, use_delta=False)
-
-
-def run_leibniz_delta(scenario, ctx, acc):
-    _run_leibniz(scenario, ctx, acc, use_delta=True)
-
-
-def run_delta_squared(scenario, ctx, acc):
+def run_delta_squared(scenario, acc, streams):
     couple = scenario.structure.couple
     chart = scenario.structure.chart
-    rng = ctx.rng("delta_squared")
+    rng = streams("delta_squared")
     for k in (0, 1):
         for _ in range(5):
             a = random_form(chart, k, rng)
             acc.add(fd.delta(fd.delta(a, couple), couple))
 
 
-def run_z_closure(scenario, ctx, acc):
+def run_z_closure(scenario, acc, streams):
     s = scenario.structure
     couple = s.couple
-    rng = ctx.rng("z_closure")
+    rng = streams("z_closure")
     X = couple.X
     for _ in range(10):
         a = random_z_form(s, 1, rng)
@@ -252,10 +224,10 @@ def run_z_closure(scenario, ctx, acc):
             acc.add(form)
 
 
-def run_z_reduced_bracket(scenario, ctx, acc):
+def run_z_reduced_bracket(scenario, acc, streams):
     s = scenario.structure
     couple = s.couple
-    rng = ctx.rng("z_reduced")
+    rng = streams("z_reduced")
     for ka, kb in ((1, 1), (1, 2)):
         for _ in range(5):
             a = random_z_form(s, ka, rng)
@@ -264,10 +236,10 @@ def run_z_reduced_bracket(scenario, ctx, acc):
             acc.add(lhs, fd.dgla_bracket_reduced(a, b, couple))
 
 
-def run_z_reduced_gamma(scenario, ctx, acc):
+def run_z_reduced_gamma(scenario, acc, streams):
     s = scenario.structure
     couple = s.couple
-    rng = ctx.rng("z_gamma")
+    rng = streams("z_gamma")
     X, gamma = couple.X, couple.gamma
     d_gamma = exterior_derivative(gamma)
     for _ in range(8):
@@ -279,32 +251,32 @@ def run_z_reduced_gamma(scenario, ctx, acc):
         acc.add(lhs, rhs)
 
 
-def run_frobenius(scenario, ctx, acc):
+def run_frobenius(scenario, acc, streams):
     s = scenario.structure
-    residuals = fd.frobenius_residuals(s.gamma, s.X, ctx.points)
+    residuals = fd.frobenius_residuals(s.gamma, s.X, acc.points)
     acc.record(list(residuals), max(residuals))
 
 
-def run_mc_oracle(scenario, ctx, acc):
+def run_mc_oracle(scenario, acc, streams):
     """mc form of alpha against the independent integrability oracle
     iota_X(d(gamma+alpha) ^ (gamma+alpha))."""
     s = scenario.structure
     couple = s.couple
-    rng = ctx.rng("mc_oracle")
+    rng = streams("mc_oracle")
     for _ in range(6):
         a = random_z_form(s, 1, rng, amplitude=0.4)
-        mc = fd.mc_residual(a, couple, ctx.points)
+        mc = fd.mc_residual(a, couple, acc.points)
         acc.add(mc, interior_product(couple.X, fd.mc_oracle_form(a, couple)))
 
 
-def run_db_closed(scenario, ctx, acc):
+def run_db_closed(scenario, acc, streams):
     s = scenario.structure
     acc.add(fd.leafwise_d(lc.ix_dgamma(s), s.couple))
 
 
-def run_omega_alpha_inverse(scenario, ctx, acc):
+def run_omega_alpha_inverse(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("omega_alpha")
+    rng = streams("omega_alpha")
     for _ in range(6):
         a = random_z_form(s, 1, rng, amplitude=0.5)
         V = random_vector_field(s.chart, rng)
@@ -321,83 +293,83 @@ def run_omega_alpha_inverse(scenario, ctx, acc):
 # --------------------------------------------------------------------------
 
 
-def run_flow_group_law(scenario, ctx, acc):
+def run_flow_group_law(scenario, acc, streams):
     chart = scenario.structure.chart
-    rng = ctx.rng("flow_group")
+    rng = streams("flow_group")
     for _ in range(3):
         Y = random_vector_field(chart, rng, amplitude=0.6)
         t1, t2 = 0.07, -0.05
-        points = ctx.points[:4]
+        points = acc.points[:4]
         q1, _ = flows.integrate_flow(Y, t2, points, jacobian=False)
         q2, _ = flows.integrate_flow(Y, t1, q1, jacobian=False)
         q12, _ = flows.integrate_flow(Y, t1 + t2, points, jacobian=False)
         acc.add(q2.T, q12.T)
 
 
-def run_flow_pullback_identity(scenario, ctx, acc):
+def run_flow_pullback_identity(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("pullback_id")
+    rng = streams("pullback_id")
     Y = random_vector_field(s.chart, rng, amplitude=0.6)
     omega = random_form(s.chart, 1, rng)
     args = [random_vector_field(s.chart, rng)]
-    points = ctx.points[:6]
+    points = acc.points[:6]
     lhs = flows.pullback_form_numeric(Y, 0.0, omega, points, args)
     acc.add([lhs], [evaluate_form(omega, points, args)])
 
 
-def run_flow_lie_oracle(scenario, ctx, acc):
+def run_flow_lie_oracle(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("lie_oracle")
+    rng = streams("lie_oracle")
     for _ in range(3):
         Y = random_vector_field(s.chart, rng, amplitude=0.6)
         omega = random_form(s.chart, 1, rng)
         args = [random_vector_field(s.chart, rng)]
         lie = lie_derivative_form(Y, omega)
-        points = ctx.points[:4]
+        points = acc.points[:4]
         fd_val = flows.richardson(
             lambda pts, t: flows.pullback_form_numeric(Y, t, omega, pts, args), points, 1e-3
         )
         acc.add([fd_val], [evaluate_form(lie, points, args)])
 
 
-def run_gauge_chi(scenario, ctx, acc):
+def run_gauge_chi(scenario, acc, streams):
     s = scenario.structure
     couple = s.couple
-    rng = ctx.rng("gauge_chi")
+    rng = streams("gauge_chi")
     for _ in range(10):
         Y = random_vector_field(s.chart, rng, amplitude=0.6)
         target = -fd.delta(couple.gamma_of(Y), couple)
         arg = random_vector_field(s.chart, rng)
         tval = target.apply_symbolic([arg])
-        points = ctx.points[:3]
+        points = acc.points[:3]
         acc.add([flows.gauge_derivative_fd(Y, couple, points, arg)], [tval(points)])
 
 
-def run_gauge_S(scenario, ctx, acc):
+def run_gauge_S(scenario, acc, streams):
     """The S-parametrization describes complex structures near a Levi flat
     one, so this runs only where N_J = 0 too, although it passes on a
     non-integrable J as well."""
     s = scenario.structure
-    rng = ctx.rng("gauge_S")
+    rng = streams("gauge_S")
     for _ in range(10):
         Y = random_vector_field(s.chart, rng, amplitude=0.6)
         HY = lc.h_form(s, Y)
         idx = int(rng.integers(0, s.n_leaf))
         minus_HY = -HY.value((idx,))
-        points = ctx.points[:2]
+        points = acc.points[:2]
         acc.add(flows.s_gauge_fd(Y, s, points, idx).T, minus_HY.at(points))
 
 
-def run_gauge_preserves_mc(scenario, ctx, acc):
+def run_gauge_preserves_mc(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("gauge_mc")
-    alpha = mc_flat_alpha(scenario, ctx.points)
-    acc.add(fd.mc_residual(alpha, s.couple, ctx.points))
+    rng = streams("gauge_mc")
+    alpha = mc_flat_alpha(scenario, acc.points)
+    acc.add(fd.mc_residual(alpha, s.couple, acc.points))
     for _ in range(3):
         Y = random_vector_field(s.chart, rng, amplitude=0.6)
         V = random_vector_field(s.chart, rng)
         W = random_vector_field(s.chart, rng)
-        acc.add([flows.gauge_mc_value(Y, 0.05, alpha, s.couple, ctx.points[:3], V, W)], 0.0)
+        acc.add([flows.gauge_mc_value(Y, 0.05, alpha, s.couple, acc.points[:3], V, W)], 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -405,17 +377,17 @@ def run_gauge_preserves_mc(scenario, ctx, acc):
 # --------------------------------------------------------------------------
 
 
-def run_dbar_antilinearity(scenario, ctx, acc):
+def run_dbar_antilinearity(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("dbar_antilin")
+    rng = streams("dbar_antilin")
     for _ in range(4):
         W = random_xi_field(s, rng)
         acc.add(*lc.antilinearity_residual(s, lc.dbar0(s, W)))
 
 
-def run_dbar_commutes_J(scenario, ctx, acc):
+def run_dbar_commutes_J(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("dbar_J")
+    rng = streams("dbar_J")
     for _ in range(4):
         W = random_xi_field(s, rng)
         lhs = lc.dbar0(s, s.apply_J(W))
@@ -423,9 +395,9 @@ def run_dbar_commutes_J(scenario, ctx, acc):
         acc.add(lhs, [s.apply_J(rhs.value((i,))) for i in range(s.n_leaf)])
 
 
-def run_dbar_leibniz(scenario, ctx, acc):
+def run_dbar_leibniz(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("dbar_leibniz")
+    rng = streams("dbar_leibniz")
     for _ in range(4):
         a = random_scalar(s.chart, rng)
         W = random_xi_field(s, rng)
@@ -434,9 +406,9 @@ def run_dbar_leibniz(scenario, ctx, acc):
         acc.add(lhs, lc.dbar0(s, W).scaled(a) + lc.wedge01(s, da, XiValuedForm(0, {(): W})))
 
 
-def run_nijenhuis_bilinear(scenario, ctx, acc):
+def run_nijenhuis_bilinear(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("nijenhuis_bilinear")
+    rng = streams("nijenhuis_bilinear")
     for _ in range(4):
         f = random_scalar(s.chart, rng)
         V = random_xi_field(s, rng)
@@ -447,17 +419,17 @@ def run_nijenhuis_bilinear(scenario, ctx, acc):
         )
 
 
-def run_dbar_squared(scenario, ctx, acc):
+def run_dbar_squared(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("dbar_squared")
+    rng = streams("dbar_squared")
     for _ in range(3):
         W = random_xi_field(s, rng)
         acc.add(lc.dbar1(s, lc.dbar0(s, W)))
 
 
-def run_h_linear(scenario, ctx, acc):
+def run_h_linear(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("h_linear")
+    rng = streams("h_linear")
     for _ in range(4):
         Y = random_vector_field(s.chart, rng)
         f = random_scalar(s.chart, rng)
@@ -466,7 +438,7 @@ def run_h_linear(scenario, ctx, acc):
         acc.add(lhs, lc.h_apply(s, Y, V).scaled(f))
 
 
-def run_h_alternative(scenario, ctx, acc):
+def run_h_alternative(scenario, acc, streams):
     """H(V) = ([V,X] + J P [JV,X]) / 2 - iota_X dgamma(V) X / 2; the real
     encoding of the projected alternative formula."""
     s = scenario.structure
@@ -483,14 +455,14 @@ def run_h_alternative(scenario, ctx, acc):
     acc.add(H, rhs)
 
 
-def run_dbarH(scenario, ctx, acc):
+def run_dbarH(scenario, acc, streams):
     s = scenario.structure
     H = lc.h_form(s)
     lhs = lc.dbar1(s, H)
     acc.add(lhs, lc.wedge01(s, lc.ix_dgamma01(s), H))
 
 
-def run_ixdgamma01_closed(scenario, ctx, acc):
+def run_ixdgamma01_closed(scenario, acc, streams):
     s = scenario.structure
     closed = lc.dbar_scalar01(s, lc.ix_dgamma01(s))
     for i, j in s.frame_pairs():
@@ -499,30 +471,30 @@ def run_ixdgamma01_closed(scenario, ctx, acc):
         acc.add([[closed.values[(i, j)]], [g]])
 
 
-def run_beth_squared(scenario, ctx, acc):
+def run_beth_squared(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("beth_squared")
+    rng = streams("beth_squared")
     for _ in range(3):
         W = random_xi_field(s, rng)
         acc.add(lc.beth(s, lc.beth(s, XiValuedForm(0, {(): W}))))
 
 
-def run_bethH(scenario, ctx, acc):
+def run_bethH(scenario, acc, streams):
     s = scenario.structure
     acc.add(lc.beth(s, lc.h_form(s)))
 
 
-def run_change_couple(scenario, ctx, acc):
+def run_change_couple(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("change_couple")
+    rng = streams("change_couple")
     lam = random_scalar(s.chart, rng, amplitude=0.4)
     U = random_xi_field(s, rng, amplitude=0.5)
     acc.add(*lc.change_couple_h_residual(s, lam, U))
 
 
-def run_iso_cohomology(scenario, ctx, acc):
+def run_iso_cohomology(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("iso_cohomology")
+    rng = streams("iso_cohomology")
     lam = random_scalar(s.chart, rng, amplitude=0.4)
     U = random_xi_field(s, rng, amplitude=0.5)
     for degree in (0, 1):
@@ -533,16 +505,16 @@ def run_iso_cohomology(scenario, ctx, acc):
         acc.add(*lc.beth_conjugation_residual(s, lam, U, P))
 
 
-def run_exact_witness(scenario, ctx, acc):
+def run_exact_witness(scenario, acc, streams):
     s = scenario.structure
     for lhs, rhs in dc.exactness_witness_check(scenario.exact_witness, s):
         acc.add(lhs, rhs)
 
 
-def run_exact_transport(scenario, ctx, acc):
+def run_exact_transport(scenario, acc, streams):
     """Transported witness for (e^lam gamma, e^-lam X + U'): e^-lam U + U'."""
     s = scenario.structure
-    rng = ctx.rng("exact_transport")
+    rng = streams("exact_transport")
     lam = random_scalar(s.chart, rng, amplitude=0.3)
     U_prime = random_xi_field(s, rng, amplitude=0.4)
     s_hat = lc.change_couple(s, lam, U_prime)
@@ -556,11 +528,11 @@ def run_exact_transport(scenario, ctx, acc):
 # --------------------------------------------------------------------------
 
 
-def run_bracket_alpha(scenario, ctx, acc):
+def run_bracket_alpha(scenario, acc, streams):
     """[V,W]_alpha = [V,W] + (alpha ^ T)(V,W) for Maurer-Cartan flat alpha."""
     s = scenario.structure
-    rng = ctx.rng("bracket_alpha")
-    alpha = mc_flat_alpha(scenario, ctx.points)
+    rng = streams("bracket_alpha")
+    alpha = mc_flat_alpha(scenario, acc.points)
     for _ in range(4):
         V = random_xi_field(s, rng)
         W = random_xi_field(s, rng)
@@ -568,10 +540,10 @@ def run_bracket_alpha(scenario, ctx, acc):
         acc.add(lhs, lie_bracket(V, W) + lc.alpha_wedge_T(s, alpha, V, W))
 
 
-def run_bracket_alpha_expansion(scenario, ctx, acc):
+def run_bracket_alpha_expansion(scenario, acc, streams):
     """Conjugation route against the ten-term expansion (any alpha in Z^1)."""
     s = scenario.structure
-    rng = ctx.rng("bracket_expansion")
+    rng = streams("bracket_expansion")
     for _ in range(4):
         alpha = random_z_form(s, 1, rng, amplitude=0.4)
         V = random_xi_field(s, rng)
@@ -580,10 +552,10 @@ def run_bracket_alpha_expansion(scenario, ctx, acc):
         acc.add(lhs, lc.deformed_bracket_expanded(s.couple, alpha, V, W))
 
 
-def run_bracket_alpha_leibniz(scenario, ctx, acc):
+def run_bracket_alpha_leibniz(scenario, acc, streams):
     """[aV, W]_alpha = a [V,W]_alpha - <W, a>_alpha V."""
     s = scenario.structure
-    rng = ctx.rng("bracket_leibniz")
+    rng = streams("bracket_leibniz")
     for _ in range(4):
         alpha = random_z_form(s, 1, rng, amplitude=0.4)
         a = random_scalar(s.chart, rng)
@@ -594,37 +566,37 @@ def run_bracket_alpha_leibniz(scenario, ctx, acc):
         acc.add(lhs, lc.deformed_bracket(s.couple, alpha, V, W).scaled(a) - V.scaled(pairing))
 
 
-def run_n_alpha(scenario, ctx, acc):
+def run_n_alpha(scenario, acc, streams):
     s = scenario.structure
-    alpha = mc_flat_alpha(scenario, ctx.points)
-    acc.add(*lc.n_alpha_residual(s, alpha, ctx.points))
+    alpha = mc_flat_alpha(scenario, acc.points)
+    acc.add(*lc.n_alpha_residual(s, alpha, acc.points))
 
 
-def run_levi_flat_mc(scenario, ctx, acc):
+def run_levi_flat_mc(scenario, acc, streams):
     s = scenario.structure
     for t in (0.0, 0.1, -0.1, 0.3, -0.3):
         pair = scenario.family.at(s, t)
-        for lhs, rhs in dc.levi_flat_mc_residual_pair(pair, s, ctx.points):
+        for lhs, rhs in dc.levi_flat_mc_residual_pair(pair, s, acc.points):
             acc.add(lhs, rhs)
 
 
-def run_tangent_eqP1(scenario, ctx, acc):
+def run_tangent_eqP1(scenario, acc, streams):
     """delta(beta) = 0 for the family tangent at the origin."""
     s = scenario.structure
     acc.add(fd.delta(scenario.family.tangent(s).alpha, s.couple))
 
 
-def run_tangent_eqP2(scenario, ctx, acc):
+def run_tangent_eqP2(scenario, acc, streams):
     """dbar P = -beta^{0,1} ^ H for the family tangent; consistency with the
     full cocycle operator is asserted inside infinitesimal_residuals."""
     s = scenario.structure
-    for lhs, rhs in dc.infinitesimal_residuals(scenario.family.tangent(s), s, ctx.points):
+    for lhs, rhs in dc.infinitesimal_residuals(scenario.family.tangent(s), s, acc.points):
         acc.add(lhs, rhs)
 
 
-def run_dfrak_squared(scenario, ctx, acc):
+def run_dfrak_squared(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("dfrak_squared")
+    rng = streams("dfrak_squared")
     for _ in range(8):
         f = random_scalar(s.chart, rng)
         P = XiValuedForm(0, {(): random_xi_field(s, rng)})
@@ -634,12 +606,12 @@ def run_dfrak_squared(scenario, ctx, acc):
         acc.add(dd.P)
 
 
-def run_tangent_witness(scenario, ctx, acc):
+def run_tangent_witness(scenario, acc, streams):
     """d^0(gamma(Y), -(Y - gamma(Y)X)) = (delta gamma(Y), -H_Y), seeded Y."""
     s = scenario.structure
-    rng = ctx.rng("tangent_witness")
+    rng = streams("tangent_witness")
     # the first six points, as in the flow and gauge runners
-    acc.points = ctx.points[:6]
+    acc.points = acc.points[:6]
     for _ in range(10):
         Y = random_vector_field(s.chart, rng)
         image = dc.tangent_witness_image(Y, s)
@@ -647,9 +619,9 @@ def run_tangent_witness(scenario, ctx, acc):
         acc.add(image.P, -lc.h_form(s, Y))
 
 
-def run_gauge_witness(scenario, ctx, acc):
+def run_gauge_witness(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("gauge_witness")
+    rng = streams("gauge_witness")
     for _ in range(4):
         Y = random_vector_field(s.chart, rng)
         beta = random_z_form(s, 1, rng)
@@ -661,25 +633,25 @@ def run_gauge_witness(scenario, ctx, acc):
             acc.add(lhs, rhs)
 
 
-def run_hY_decomposition(scenario, ctx, acc):
+def run_hY_decomposition(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("hY_decomposition")
+    rng = streams("hY_decomposition")
     for _ in range(4):
         Y = random_vector_field(s.chart, rng)
         acc.add(*dc.hY_decomposition_residual(Y, s))
 
 
-def run_dbar_hY(scenario, ctx, acc):
+def run_dbar_hY(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("dbar_hY")
+    rng = streams("dbar_hY")
     for _ in range(3):
         Y = random_vector_field(s.chart, rng)
         acc.add(*dc.dbar_hY_residual(Y, s))
 
 
-def run_phiH(scenario, ctx, acc):
+def run_phiH(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("phiH")
+    rng = streams("phiH")
     for _ in range(3):
         beta = random_z_form(s, 1, rng)
         phi = random_scalar(s.chart, rng)
@@ -691,25 +663,25 @@ def run_phiH(scenario, ctx, acc):
 # --------------------------------------------------------------------------
 
 
-def run_s_roundtrip(scenario, ctx, acc):
+def run_s_roundtrip(scenario, acc, streams):
     s = scenario.structure
-    rng = ctx.rng("s_roundtrip")
+    rng = streams("s_roundtrip")
     Smat = random_anticommuting_S(s, rng)
-    Jt = lc.conjugate_J(s, Smat, ctx.points)
-    recovered = lc.s_from_structures(s, Jt, ctx.points)
+    Jt = lc.conjugate_J(s, Smat, acc.points)
+    recovered = lc.s_from_structures(s, Jt, acc.points)
     acc.add([f for row in recovered for f in row], [f for row in Smat for f in row])
     # SJ + JS = 0 is one sample: its worst entry over the points
-    anticommutator = ResidualAccumulator(ctx.points).add(lc.anticommutator_residual(s, recovered))
+    anticommutator = ResidualAccumulator(acc.points).add(lc.anticommutator_residual(s, recovered))
     acc.add(anticommutator.max_rel)
 
 
-def run_n_ntilde(scenario, ctx, acc):
+def run_n_ntilde(scenario, acc, streams):
     """The conjugated-Nijenhuis identity, both sides independently evaluated."""
     s = scenario.structure
-    rng = ctx.rng("n_ntilde")
+    rng = streams("n_ntilde")
     Smat = random_anticommuting_S(s, rng)
     S = lc.xi_form_from_matrix(s, Smat)
-    Jt = lc.conjugate_J(s, Smat, ctx.points)
+    Jt = lc.conjugate_J(s, Smat, acc.points)
     s_tilde = s.with_J(Jt)
     n = s.n_leaf
     for _ in range(2):
@@ -725,24 +697,24 @@ def run_n_ntilde(scenario, ctx, acc):
         entries = [f for row in Smat for f in row]
         basis = s.frame + (s.X,)
         fields = [*lhs.components, *core.components, *entries]
-        ev = PointEvaluator(s.chart, ctx.points, fields + [c for E in basis for c in E.components])
-        M = s.basis_matrix_at(ctx.points, ev)
+        ev = PointEvaluator(s.chart, acc.points, fields + [c for E in basis for c in E.components])
+        M = s.basis_matrix_at(acc.points, ev)
         Sp = np.array([ev(f) for f in entries]).T.reshape(-1, n, n)
-        coeffs = np.linalg.solve(M, core.at(ctx.points, ev).T[..., None])[..., 0]
+        coeffs = np.linalg.solve(M, core.at(acc.points, ev).T[..., None])[..., 0]
         transformed = np.linalg.solve(np.eye(n) - Sp, coeffs[:, :n, None])[..., 0]
         rhs_chart = flows.matvec(M[:, :, :n], transformed)
-        acc.add(lhs.at(ctx.points, ev), rhs_chart.T)
+        acc.add(lhs.at(acc.points, ev), rhs_chart.T)
 
 
-def run_n_jtilde_identity(scenario, ctx, acc):
+def run_n_jtilde_identity(scenario, acc, streams):
     """dbar_J S + [[S,S]]/2 - N_J/4 = -(I-S) N_Jt((I+S)V,(I+S)W)/4, the
     identity behind the integrability criterion for the conjugated J; it
     pins the -1/2 coefficient in [[S,S]]."""
     s = scenario.structure
-    rng = ctx.rng("n_jtilde")
+    rng = streams("n_jtilde")
     Smat = random_anticommuting_S(s, rng)
     S = lc.xi_form_from_matrix(s, Smat)
-    Jt = lc.conjugate_J(s, Smat, ctx.points)
+    Jt = lc.conjugate_J(s, Smat, acc.points)
     s_tilde = s.with_J(Jt)
     n = s.n_leaf
     for _ in range(2):
@@ -754,7 +726,7 @@ def run_n_jtilde_identity(scenario, ctx, acc):
         acc.add(lhs, -(Ntilde - lc.xi_form_apply(s, S, [Ntilde])).scaled(0.25))
 
 
-def run_n_jtilde_quadratic(scenario, ctx, acc):
+def run_n_jtilde_quadratic(scenario, acc, streams):
     """N of the conjugated structure must shrink quadratically with the size
     of a dbar-closed S0: the ratio of max |N| at eps=1e-2 vs 1e-3 sits near
     100.  The stored residual is |ratio/100 - 1|."""
@@ -764,12 +736,12 @@ def run_n_jtilde_quadratic(scenario, ctx, acc):
     maxima = []
     for eps in (1e-2, 1e-3):
         Smat = [[entries[r][c] * eps for c in range(n)] for r in range(n)]
-        Jt = lc.conjugate_J(s, Smat, ctx.points)
+        Jt = lc.conjugate_J(s, Smat, acc.points)
         s_tilde = s.with_J(Jt)
         fields = []
         for i, j in s.frame_pairs():
             fields += lc.nijenhuis(s_tilde, s.frame[i], s.frame[j]).components
-        ev = PointEvaluator(s.chart, ctx.points, fields)
+        ev = PointEvaluator(s.chart, acc.points, fields)
         maxima.append(max(float(np.abs(ev(f)).max()) for f in fields))
     ratio = maxima[0] / maxima[1]
     acc.record([maxima[0], maxima[1], abs(ratio / 100.0 - 1.0)], abs(ratio - 100.0))
@@ -785,94 +757,83 @@ class IdentitySpec:
     identity: str
     anchor: str
     tolerance: float
-    applies: object
+    needs: tuple
     runner: object
 
-
-def _couple_ok(sc):
-    return sc.foliation_integrable
-
-
-def _leafcx_ok(sc):
-    return sc.foliation_integrable and sc.structure.leafwise_integrable
+    def applies(self, sc):
+        return all(CONDITIONS[name](sc) for name in self.needs)
 
 
-def _complex_dim_2(sc):
+# The hypotheses an identity may need, each a test of the scenario; an
+# identity applies where every condition it needs holds.
+CONDITIONS = {
+    # xi = ker gamma is integrable, so Z*(L) is a DGLA
+    "couple": lambda sc: sc.foliation_integrable,
+    # N_J = 0 on the leaves, so dbar_J squares to zero
+    "J": lambda sc: sc.structure.leafwise_integrable,
     # N_J vanishes identically on complex curves, so the S-calculus is
     # informative only from complex dimension 2 on
-    return sc.foliation_integrable and sc.structure.n_leaf >= 4
-
-
-def _quadratic_S0(sc):
-    return sc.quadratic_S0 is not None
-
-
-def _family(sc):
-    return _leafcx_ok(sc) and sc.family is not None
-
-
-def _shifted(sc):
-    return sc.exact_witness is not None
-
-
-def _any(sc):
-    return True
+    "dim2": lambda sc: sc.structure.n_leaf >= 4,
+    "family": lambda sc: sc.family is not None,
+    "witness": lambda sc: sc.exact_witness is not None,
+    "S0": lambda sc: sc.quadratic_S0 is not None,
+}
 
 
 REGISTRY = [
-    IdentitySpec("excalc.d_squared", "d(d(omega)) = 0", 1e-10, _any, run_d_squared),
-    IdentitySpec("excalc.leibniz_wedge", "d(a^b) = da^b + (-1)^|a| a^db", 1e-10, _any, run_leibniz_wedge),
-    IdentitySpec("excalc.jacobi_vector", "[U,[V,W]] + [V,[W,U]] + [W,[U,V]] = 0", 1e-10, _any, run_jacobi_vector),
-    IdentitySpec("dgla.antisym", "{a,b} = -(-1)^{|a||b|} {b,a}", 1e-9, _couple_ok, run_bracket_antisym),
-    IdentitySpec("dgla.jacobi", "{a,{b,c}} = {{a,b},c} + (-1)^{|a||b|} {b,{a,c}}", 1e-9, _couple_ok, run_bracket_jacobi),
-    IdentitySpec("dgla.leibniz_d", "d{a,b} = {da,b} + (-1)^|a| {a,db}", 1e-9, _couple_ok, run_leibniz_d),
-    IdentitySpec("dgla.leibniz_delta", "delta{a,b} = {delta a,b} + (-1)^|a| {a,delta b}", 1e-9, _couple_ok, run_leibniz_delta),
-    IdentitySpec("dgla.delta_squared", "delta(delta(a)) = 0", 1e-9, _couple_ok, run_delta_squared),
-    IdentitySpec("zsub.closure", "iota_X delta(a) = 0 and iota_X {a,b} = 0 on Z*", 1e-10, _couple_ok, run_z_closure),
-    IdentitySpec("zsub.reduced_bracket", "{a,b} = i_X da ^ b - a ^ i_X db on Z*", 1e-10, _couple_ok, run_z_reduced_bracket),
-    IdentitySpec("zsub.reduced_gamma", "{gamma,a} = i_X dgamma ^ a - gamma ^ i_X da", 1e-10, _couple_ok, run_z_reduced_gamma),
-    IdentitySpec("frobenius", "d gamma ^ gamma = 0 ; d gamma = -i_X dgamma ^ gamma ; MC(gamma) = 0", 1e-9, _any, run_frobenius),
-    IdentitySpec("lemma.mc_oracle", "delta a + {a,a}/2 = i_X(d(gamma+a) ^ (gamma+a))", 1e-10, _couple_ok, run_mc_oracle),
-    IdentitySpec("lemma.db_closed", "d_b(iota_X d gamma) = 0", 1e-9, _couple_ok, run_db_closed),
-    IdentitySpec("lemma.omega_alpha", "omega_a^{-1} omega_a = id ; (gamma+a)(omega_a xi) = 0", 1e-10, _couple_ok, run_omega_alpha_inverse),
-    IdentitySpec("flow.group_law", "Phi_{s+t} = Phi_s o Phi_t", 1e-7, _couple_ok, run_flow_group_law),
-    IdentitySpec("flow.pullback_identity", "Phi_0^* omega = omega", 1e-12, _couple_ok, run_flow_pullback_identity),
-    IdentitySpec("flow.lie_oracle", "d/dt|0 Phi_t^* omega = L_Y omega", 1e-5, _couple_ok, run_flow_lie_oracle),
-    IdentitySpec("lemma.gauge_chi", "d/dt|0 chi(Phi_t^Y)(0) = -delta(gamma(Y))", 1e-4, _couple_ok, run_gauge_chi),
-    IdentitySpec("lemma.gauge_S", "d/dt|0 S_{chi(Phi_t^Y)(0)} = -H_Y", 1e-4, _leafcx_ok, run_gauge_S),
-    IdentitySpec("remark.gauge_mc", "MC(chi(Phi)(a)) stays within MC(a) + 1e-6", 1e-6, _couple_ok, run_gauge_preserves_mc),
-    IdentitySpec("dbar.antilinearity", "(dbar W)(JV) = -J (dbar W)(V)", 1e-9, _couple_ok, run_dbar_antilinearity),
-    IdentitySpec("dbar.commutes_J", "dbar(JW) = J dbar(W)", 1e-9, _couple_ok, run_dbar_commutes_J),
-    IdentitySpec("dbar.leibniz", "dbar(aW) = (dbar a)(x)W + a dbar(W)", 1e-9, _couple_ok, run_dbar_leibniz),
-    IdentitySpec("nijenhuis.bilinear", "N(fV,W) = f N(V,W) ; N(JV,W) = -J N(V,W)", 1e-10, _couple_ok, run_nijenhuis_bilinear),
-    IdentitySpec("dbar.squared", "dbar(dbar W) = 0 on integrable leaves", 1e-9, _leafcx_ok, run_dbar_squared),
-    IdentitySpec("remark.h_linear", "H_Y(fV) = f H_Y(V)", 1e-10, _leafcx_ok, run_h_linear),
-    IdentitySpec("remark.h_alternative", "H(V) = ([V,X] + J P[JV,X])/2 - (i_X dgamma)(V) X/2", 1e-9, _leafcx_ok, run_h_alternative),
-    IdentitySpec("lemma.dbarH", "dbar H = (i_X dgamma)^{0,1} ^ H", 1e-9, _leafcx_ok, run_dbarH),
-    IdentitySpec("remark.ixdgamma01_closed", "dbar (i_X dgamma)^{0,1} = 0", 1e-9, _leafcx_ok, run_ixdgamma01_closed),
-    IdentitySpec("prop.beth_squared", "beth(beth(W)) = 0", 1e-9, _leafcx_ok, run_beth_squared),
-    IdentitySpec("prop.bethH", "beth(H) = 0", 1e-9, _leafcx_ok, run_bethH),
-    IdentitySpec("prop.change_couple", "H(ghat,Xhat) = e^-lam H + dbar U - ((i_X dg)^{0,1} - dbar lam)(x)U", 1e-9, _leafcx_ok, run_change_couple),
-    IdentitySpec("prop.iso_cohomology", "beth(ghat,Xhat) e^-lam P = e^-lam beth(g,X) P", 1e-9, _leafcx_ok, run_iso_cohomology),
-    IdentitySpec("lemma.exact.witness", "H = beth(U); H = 0 for (gamma, X-U)", 1e-9, _shifted, run_exact_witness),
-    IdentitySpec("lemma.exact.transport", "beth(g,X)(e^lam U) = e^lam H(ghat,Xhat)", 1e-8, _shifted, run_exact_transport),
-    IdentitySpec("lemma.bracket_alpha", "[.,.]_a = [.,.] + a ^ T for MC-flat a", 1e-9, _leafcx_ok, run_bracket_alpha),
-    IdentitySpec("defbracket.expansion", "conjugated bracket = ten-term expansion", 1e-10, _leafcx_ok, run_bracket_alpha_expansion),
-    IdentitySpec("defbracket.leibniz", "[aV,W]_a = a[V,W]_a - <W,a>_a V", 1e-9, _leafcx_ok, run_bracket_alpha_leibniz),
-    IdentitySpec("cor.n_alpha", "N_J^a = -4 a^{0,1} ^ H", 1e-8, _leafcx_ok, run_n_alpha),
-    IdentitySpec("cor.levi_flat_mc", "delta a + {a,a}/2 = 0 ; dbar^a S + [[S,S]]_a/2 = -a^{0,1}^H", 1e-9, _family, run_levi_flat_mc),
-    IdentitySpec("thm.tangent.eqP1", "delta beta = 0 for family tangents", 1e-7, _family, run_tangent_eqP1),
-    IdentitySpec("thm.tangent.eqP2", "dbar P = -beta^{0,1} ^ H for family tangents", 1e-7, _family, run_tangent_eqP2),
-    IdentitySpec("prop.dfrak_squared", "d(d(a, P)) = 0", 1e-9, _leafcx_ok, run_dfrak_squared),
-    IdentitySpec("thm.tangent.witness", "d^0(gamma(Y), -(Y-gamma(Y)X)) = (delta gamma(Y), -H_Y)", 1e-9, _leafcx_ok, run_tangent_witness),
-    IdentitySpec("thm.moduli.gauge_witness", "beta - beta' = delta i_Y gamma ; P - P' = -H_Y", 1e-9, _leafcx_ok, run_gauge_witness),
-    IdentitySpec("lemma.hY_decomposition", "H_Y = dbar(Y - gamma(Y)X) + gamma(Y) H", 1e-9, _leafcx_ok, run_hY_decomposition),
-    IdentitySpec("cor.dbar_hY", "dbar H_Y = (delta gamma(Y))^{0,1} ^ H", 1e-9, _leafcx_ok, run_dbar_hY),
-    IdentitySpec("cor.phiH", "(beta + delta phi)^{0,1}^H = beta^{0,1}^H + dbar(phi H)", 1e-9, _leafcx_ok, run_phiH),
-    IdentitySpec("scalc.s_roundtrip", "S = (J - Jt)(J + Jt)^{-1} ; (I+S)J(I+S)^{-1} = Jt ; SJ+JS = 0", 1e-9, _complex_dim_2, run_s_roundtrip),
-    IdentitySpec("prop.n_ntilde", "N_Jt((I+S)V,(I+S)W) = (I-S)^{-1}(N + S(N - N(S,S)) - 4(dbar S + [S,S]/2))", 1e-8, _complex_dim_2, run_n_ntilde),
-    IdentitySpec("cor.n_jtilde_identity", "dbar S + [[S,S]]/2 - N/4 = -(I-S) N_Jt((I+S).,(I+S).)/4", 1e-8, _complex_dim_2, run_n_jtilde_identity),
-    IdentitySpec("cor.n_jtilde_quadratic", "max|N_Jt| scales as eps^2 for S = eps S0, dbar S0 = 0", 0.2, _quadratic_S0, run_n_jtilde_quadratic),
+    IdentitySpec("excalc.d_squared", "d(d(omega)) = 0", 1e-10, (), run_d_squared),
+    IdentitySpec("excalc.leibniz_wedge", "d(a^b) = da^b + (-1)^|a| a^db", 1e-10, (), run_leibniz_wedge),
+    IdentitySpec("excalc.jacobi_vector", "[U,[V,W]] + [V,[W,U]] + [W,[U,V]] = 0", 1e-10, (), run_jacobi_vector),
+    IdentitySpec("dgla.antisym", "{a,b} = -(-1)^{|a||b|} {b,a}", 1e-9, ("couple",), run_bracket_antisym),
+    IdentitySpec("dgla.jacobi", "{a,{b,c}} = {{a,b},c} + (-1)^{|a||b|} {b,{a,c}}", 1e-9, ("couple",), run_bracket_jacobi),
+    IdentitySpec("dgla.leibniz_d", "d{a,b} = {da,b} + (-1)^|a| {a,db}", 1e-9, ("couple",), partial(run_leibniz, use_delta=False)),
+    IdentitySpec("dgla.leibniz_delta", "delta{a,b} = {delta a,b} + (-1)^|a| {a,delta b}", 1e-9, ("couple",), partial(run_leibniz, use_delta=True)),
+    IdentitySpec("dgla.delta_squared", "delta(delta(a)) = 0", 1e-9, ("couple",), run_delta_squared),
+    IdentitySpec("zsub.closure", "iota_X delta(a) = 0 and iota_X {a,b} = 0 on Z*", 1e-10, ("couple",), run_z_closure),
+    IdentitySpec("zsub.reduced_bracket", "{a,b} = i_X da ^ b - a ^ i_X db on Z*", 1e-10, ("couple",), run_z_reduced_bracket),
+    IdentitySpec("zsub.reduced_gamma", "{gamma,a} = i_X dgamma ^ a - gamma ^ i_X da", 1e-10, ("couple",), run_z_reduced_gamma),
+    IdentitySpec("frobenius", "d gamma ^ gamma = 0 ; d gamma = -i_X dgamma ^ gamma ; MC(gamma) = 0", 1e-9, (), run_frobenius),
+    IdentitySpec("lemma.mc_oracle", "delta a + {a,a}/2 = i_X(d(gamma+a) ^ (gamma+a))", 1e-10, ("couple",), run_mc_oracle),
+    IdentitySpec("lemma.db_closed", "d_b(iota_X d gamma) = 0", 1e-9, ("couple",), run_db_closed),
+    IdentitySpec("lemma.omega_alpha", "omega_a^{-1} omega_a = id ; (gamma+a)(omega_a xi) = 0", 1e-10, ("couple",), run_omega_alpha_inverse),
+    IdentitySpec("flow.group_law", "Phi_{s+t} = Phi_s o Phi_t", 1e-7, ("couple",), run_flow_group_law),
+    IdentitySpec("flow.pullback_identity", "Phi_0^* omega = omega", 1e-12, ("couple",), run_flow_pullback_identity),
+    IdentitySpec("flow.lie_oracle", "d/dt|0 Phi_t^* omega = L_Y omega", 1e-5, ("couple",), run_flow_lie_oracle),
+    IdentitySpec("lemma.gauge_chi", "d/dt|0 chi(Phi_t^Y)(0) = -delta(gamma(Y))", 1e-4, ("couple",), run_gauge_chi),
+    IdentitySpec("lemma.gauge_S", "d/dt|0 S_{chi(Phi_t^Y)(0)} = -H_Y", 1e-4, ("couple", "J"), run_gauge_S),
+    IdentitySpec("remark.gauge_mc", "MC(chi(Phi)(a)) stays within MC(a) + 1e-6", 1e-6, ("couple",), run_gauge_preserves_mc),
+    IdentitySpec("dbar.antilinearity", "(dbar W)(JV) = -J (dbar W)(V)", 1e-9, ("couple",), run_dbar_antilinearity),
+    IdentitySpec("dbar.commutes_J", "dbar(JW) = J dbar(W)", 1e-9, ("couple",), run_dbar_commutes_J),
+    IdentitySpec("dbar.leibniz", "dbar(aW) = (dbar a)(x)W + a dbar(W)", 1e-9, ("couple",), run_dbar_leibniz),
+    IdentitySpec("nijenhuis.bilinear", "N(fV,W) = f N(V,W) ; N(JV,W) = -J N(V,W)", 1e-10, ("couple",), run_nijenhuis_bilinear),
+    IdentitySpec("dbar.squared", "dbar(dbar W) = 0 on integrable leaves", 1e-9, ("couple", "J"), run_dbar_squared),
+    IdentitySpec("remark.h_linear", "H_Y(fV) = f H_Y(V)", 1e-10, ("couple", "J"), run_h_linear),
+    IdentitySpec("remark.h_alternative", "H(V) = ([V,X] + J P[JV,X])/2 - (i_X dgamma)(V) X/2", 1e-9, ("couple", "J"), run_h_alternative),
+    IdentitySpec("lemma.dbarH", "dbar H = (i_X dgamma)^{0,1} ^ H", 1e-9, ("couple", "J"), run_dbarH),
+    IdentitySpec("remark.ixdgamma01_closed", "dbar (i_X dgamma)^{0,1} = 0", 1e-9, ("couple", "J"), run_ixdgamma01_closed),
+    IdentitySpec("prop.beth_squared", "beth(beth(W)) = 0", 1e-9, ("couple", "J"), run_beth_squared),
+    IdentitySpec("prop.bethH", "beth(H) = 0", 1e-9, ("couple", "J"), run_bethH),
+    IdentitySpec("prop.change_couple", "H(ghat,Xhat) = e^-lam H + dbar U - ((i_X dg)^{0,1} - dbar lam)(x)U", 1e-9, ("couple", "J"), run_change_couple),
+    IdentitySpec("prop.iso_cohomology", "beth(ghat,Xhat) e^-lam P = e^-lam beth(g,X) P", 1e-9, ("couple", "J"), run_iso_cohomology),
+    IdentitySpec("lemma.exact.witness", "H = beth(U); H = 0 for (gamma, X-U)", 1e-9, ("witness",), run_exact_witness),
+    IdentitySpec("lemma.exact.transport", "beth(g,X)(e^lam U) = e^lam H(ghat,Xhat)", 1e-8, ("witness",), run_exact_transport),
+    IdentitySpec("lemma.bracket_alpha", "[.,.]_a = [.,.] + a ^ T for MC-flat a", 1e-9, ("couple", "J"), run_bracket_alpha),
+    IdentitySpec("defbracket.expansion", "conjugated bracket = ten-term expansion", 1e-10, ("couple", "J"), run_bracket_alpha_expansion),
+    IdentitySpec("defbracket.leibniz", "[aV,W]_a = a[V,W]_a - <W,a>_a V", 1e-9, ("couple", "J"), run_bracket_alpha_leibniz),
+    IdentitySpec("cor.n_alpha", "N_J^a = -4 a^{0,1} ^ H", 1e-8, ("couple", "J"), run_n_alpha),
+    IdentitySpec("cor.levi_flat_mc", "delta a + {a,a}/2 = 0 ; dbar^a S + [[S,S]]_a/2 = -a^{0,1}^H", 1e-9, ("couple", "J", "family"), run_levi_flat_mc),
+    IdentitySpec("thm.tangent.eqP1", "delta beta = 0 for family tangents", 1e-7, ("couple", "J", "family"), run_tangent_eqP1),
+    IdentitySpec("thm.tangent.eqP2", "dbar P = -beta^{0,1} ^ H for family tangents", 1e-7, ("couple", "J", "family"), run_tangent_eqP2),
+    IdentitySpec("prop.dfrak_squared", "d(d(a, P)) = 0", 1e-9, ("couple", "J"), run_dfrak_squared),
+    IdentitySpec("thm.tangent.witness", "d^0(gamma(Y), -(Y-gamma(Y)X)) = (delta gamma(Y), -H_Y)", 1e-9, ("couple", "J"), run_tangent_witness),
+    IdentitySpec("thm.moduli.gauge_witness", "beta - beta' = delta i_Y gamma ; P - P' = -H_Y", 1e-9, ("couple", "J"), run_gauge_witness),
+    IdentitySpec("lemma.hY_decomposition", "H_Y = dbar(Y - gamma(Y)X) + gamma(Y) H", 1e-9, ("couple", "J"), run_hY_decomposition),
+    IdentitySpec("cor.dbar_hY", "dbar H_Y = (delta gamma(Y))^{0,1} ^ H", 1e-9, ("couple", "J"), run_dbar_hY),
+    IdentitySpec("cor.phiH", "(beta + delta phi)^{0,1}^H = beta^{0,1}^H + dbar(phi H)", 1e-9, ("couple", "J"), run_phiH),
+    IdentitySpec("scalc.s_roundtrip", "S = (J - Jt)(J + Jt)^{-1} ; (I+S)J(I+S)^{-1} = Jt ; SJ+JS = 0", 1e-9, ("couple", "dim2"), run_s_roundtrip),
+    IdentitySpec("prop.n_ntilde", "N_Jt((I+S)V,(I+S)W) = (I-S)^{-1}(N + S(N - N(S,S)) - 4(dbar S + [S,S]/2))", 1e-8, ("couple", "dim2"), run_n_ntilde),
+    IdentitySpec("cor.n_jtilde_identity", "dbar S + [[S,S]]/2 - N/4 = -(I-S) N_Jt((I+S).,(I+S).)/4", 1e-8, ("couple", "dim2"), run_n_jtilde_identity),
+    IdentitySpec("cor.n_jtilde_quadratic", "max|N_Jt| scales as eps^2 for S = eps S0, dbar S0 = 0", 0.2, ("S0",), run_n_jtilde_quadratic),
 ]
 
 def select_identities(selector):
@@ -892,12 +853,11 @@ def run_identity(spec, scenario, seed, n_points, tolerance=None):
     a runner are recorded as a failing report with the diagnostic.  An
     identity that recorded no sample does not pass."""
     tol = spec.tolerance if tolerance is None else tolerance
-    points = _ctx_points(scenario, seed, spec.identity, n_points)
-    ctx = RunContext(scenario=scenario, identity=spec.identity, points=points, seed=seed)
-    acc = ResidualAccumulator(points)
+    streams = partial(stream, seed, scenario.name, spec.identity)
+    acc = ResidualAccumulator(sample_points(scenario.structure.chart, n_points, streams("points")))
     error = ""
     try:
-        spec.runner(scenario, ctx, acc)
+        spec.runner(scenario, acc, streams)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
     max_rel = float(acc.max_rel)

@@ -289,24 +289,24 @@ def test_runner_records_singular_evaluation_as_failure():
     from leviflat.suites import IdentitySpec, run_identity
     from leviflat.symfield import constant, coordinate, cos_of, exp_of
 
-    def exploding_runner(scenario, ctx, acc):
+    def exploding_runner(scenario, acc, streams):
         chart = scenario.structure.chart
         f = constant(chart, 1.0) / (1.0 + cos_of(coordinate(chart, "t")))
         import math
 
         acc.add(f([(0.0, 0.0, math.pi)]), 0.0)
 
-    spec = IdentitySpec("diag.singular", "1/(1+cos t) at t=pi", 1e-9, lambda sc: True, exploding_runner)
+    spec = IdentitySpec("diag.singular", "1/(1+cos t) at t=pi", 1e-9, (), exploding_runner)
     report = run_identity(spec, builtin("t3_flat"), 42, 4)
     assert not report.passed
     assert "SingularEvaluationError" in report.error
 
-    def overflowing_runner(scenario, ctx, acc):
+    def overflowing_runner(scenario, acc, streams):
         t = coordinate(scenario.structure.chart, "t")
         f = 1e-300 * exp_of(750.0 * cos_of(t))
         acc.add(f([(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)]))
 
-    spec = IdentitySpec("diag.overflow", "exp(750 cos t) at t=0", 1e-9, lambda sc: True, overflowing_runner)
+    spec = IdentitySpec("diag.overflow", "exp(750 cos t) at t=0", 1e-9, (), overflowing_runner)
     report = run_identity(spec, builtin("t3_flat"), 42, 4)
     assert not report.passed
     assert report.error == "EvaluationRangeError: exp overflows at sample 1, argument 750.0"
@@ -316,7 +316,7 @@ def test_identity_without_samples_does_not_pass():
     from leviflat.scenarios import builtin
     from leviflat.suites import IdentitySpec, run_identity
 
-    spec = IdentitySpec("diag.empty", "nothing recorded", 1e-9, lambda sc: True, lambda *args: None)
+    spec = IdentitySpec("diag.empty", "nothing recorded", 1e-9, (), lambda *args: None)
     report = run_identity(spec, builtin("t3_flat"), 42, 4)
     assert report.samples == []
     assert not report.passed
@@ -330,12 +330,12 @@ def test_non_finite_values_fail_their_identities(tmp_path, monkeypatch, capsys):
     from leviflat.suites import IdentitySpec
     from leviflat.symfield import coordinate, cos_of, exp_of, sin_of
 
-    def nan_runner(scenario, ctx, acc):
+    def nan_runner(scenario, acc, streams):
         t = coordinate(scenario.structure.chart, "t")
         big = exp_of(700.0 * cos_of(t))
         acc.add([sin_of(big * big)], 0.0)
 
-    spec = IdentitySpec("diag.nan", "sin(exp(700 cos t)^2) = 0", 1e-9, lambda sc: True, nan_runner)
+    spec = IdentitySpec("diag.nan", "sin(exp(700 cos t)^2) = 0", 1e-9, (), nan_runner)
     monkeypatch.setattr(suites, "REGISTRY", [spec])
     report = tmp_path / "report.json"
     assert main(["--scenario", "t3_flat", "--suite", "diag.nan", "--report", str(report)]) == 1

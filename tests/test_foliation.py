@@ -8,7 +8,6 @@ from leviflat.excalc import (
     basis_vector,
     evaluate_form,
     exterior_derivative,
-    form_components,
     interior_product,
     one_form,
     scalar_form,
@@ -25,6 +24,7 @@ from leviflat.foliation_dgla import (
     omega_alpha_inverse,
     z_membership_residual,
 )
+from leviflat.report import ResidualAccumulator
 from leviflat.sampling import random_form, random_scalar, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.symfield import constant, coordinate, cos_of, sin_of, torus
@@ -68,7 +68,7 @@ def test_bracket_graded_antisymmetry_seeded():
         b = random_form(CHART, kb, rng)
         lhs = dgla_bracket(a, b, c)
         rhs = dgla_bracket(b, a, c).scaled(-((-1.0) ** (ka * kb)))
-        assert np.all(np.abs(form_components(lhs, pts(6)) - form_components(rhs, pts(6))) <= 1e-12)
+        assert ResidualAccumulator(pts(6)).add(lhs, rhs).max_abs <= 1e-12
 
 
 def test_reduced_bracket_formula_on_z():
@@ -81,7 +81,7 @@ def test_reduced_bracket_formula_on_z():
     b = random_z_form(s, 1, rng)
     lhs = dgla_bracket(a, b, c)
     rhs = dgla_bracket_reduced(a, b, c)
-    assert np.all(np.abs(form_components(lhs, pts(6)) - form_components(rhs, pts(6))) <= 1e-12)
+    assert ResidualAccumulator(pts(6)).add(lhs, rhs).max_abs <= 1e-12
 
 
 def test_delta_of_zero_form():
@@ -126,7 +126,7 @@ def test_mc_residual_zero_for_zero():
 def test_mc_residual_constant_alpha_flat():
     alpha = one_form(CHART, [0.4, -0.2, 0.0])
     mc = mc_residual(alpha, flat_couple(), pts())
-    assert np.all(np.abs(form_components(mc, pts(8))) <= 1e-14)
+    assert ResidualAccumulator(pts(8)).add(mc).max_abs <= 1e-14
 
 
 def test_mc_residual_rejects_non_z():
@@ -142,9 +142,8 @@ def test_mc_sin_t_dx_is_integrable_and_matches_oracle():
     alpha = DX.scaled(sin_of(coordinate(CHART, "t")))
     mc = mc_residual(alpha, c, pts())
     oracle = interior_product(c.X, mc_oracle_form(alpha, c))
-    u, v = form_components(mc, pts(10)), form_components(oracle, pts(10))
-    assert np.all(np.abs(u) <= 1e-13)
-    assert np.all(np.abs(u - v) <= 1e-13)
+    assert ResidualAccumulator(pts(10)).add(mc).max_abs <= 1e-13
+    assert ResidualAccumulator(pts(10)).add(mc, oracle).max_abs <= 1e-13
 
 
 def test_mc_sin_x_dy_is_not_integrable_and_matches_oracle():
@@ -153,11 +152,10 @@ def test_mc_sin_x_dy_is_not_integrable_and_matches_oracle():
     mc = mc_residual(alpha, c, pts())
     oracle = interior_product(c.X, mc_oracle_form(alpha, c))
     P = pts(10)
-    u, v = form_components(mc, P), form_components(oracle, P)
-    assert np.all(np.abs(u - v) <= 1e-12)
+    assert ResidualAccumulator(P).add(mc, oracle).max_abs <= 1e-12
     # the nonzero coefficient is cos(x) on dx^dy
     assert evaluate_form(mc, P, [E_X, E_Y]) == pytest.approx(np.cos(P[:, 0]), abs=1e-12)
-    assert np.abs(u).max() > 0.3
+    assert ResidualAccumulator(P).add(mc).max_abs > 0.3
 
 
 def test_frobenius_flat_and_twisted_pass():
@@ -188,7 +186,7 @@ def test_leafwise_d_of_ix_dgamma_closed():
         c = builtin(name).structure.couple
         ix = interior_product(c.X, exterior_derivative(c.gamma))
         closed = leafwise_d(ix, c)
-        assert np.all(np.abs(form_components(closed, pts(6))) <= 1e-13)
+        assert ResidualAccumulator(pts(6)).add(closed).max_abs <= 1e-13
 
 
 def test_leafwise_d_dx_flat():
@@ -241,7 +239,7 @@ def test_mc_flat_family_matches_frobenius_of_tilted_couple():
         points = pts(10, name)
         alpha = mc_flat_alpha(scenario, points)
         mc = mc_residual(alpha, c, points)
-        assert np.all(np.abs(form_components(mc, points)) <= 1e-12)
+        assert ResidualAccumulator(points).add(mc).max_abs <= 1e-12
         beta = c.gamma + alpha
         scale = beta.apply_symbolic([c.X])
         one = constant(CHART, 1.0)

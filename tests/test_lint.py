@@ -206,6 +206,14 @@ def test_every_default_is_left_unpassed_by_some_call():
     assert sorted(set(defaults) - unpassed) == []
 
 
+def test_every_default_is_left_unpassed_by_production_code():
+    """R3: a default that every production call overrides has a fallback
+    only tests use."""
+    defaults = defaulted_parameters(_read(PACKAGE))
+    _, unpassed = default_uses(defaults, _read(PRODUCTION))
+    assert sorted(set(defaults) - unpassed) == []
+
+
 DOCTORED = """\
 from dataclasses import dataclass, field
 
@@ -268,6 +276,18 @@ def test_default_every_call_passes_is_found():
     assert ("E", "f") in unpassed
 
 
+def test_default_only_tests_leave_unpassed_is_found():
+    """R3 reads production calls only, so a test that leaves C's y or D's b
+    and e unpassed does not save them."""
+    production = "f(0, 1, d=4)\nf(0, *rest)\nC(1, 2)\nx.m(0)\nC.g(0)\nD(0, 1, e='')\n"
+    tests = "C(1)\nD(0)\n"
+    defaults = defaulted_parameters([DOCTORED])
+    _, unpassed = default_uses(defaults, [DOCTORED, production])
+    assert sorted(set(defaults) - unpassed) == [("C.__init__", "y"), ("D", "b"), ("D", "e")]
+    _, unpassed = default_uses(defaults, [DOCTORED, production, tests])
+    assert sorted(set(defaults) - unpassed) == []
+
+
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
@@ -325,3 +345,39 @@ def test_name_used_only_by_tests_is_found():
     )
     caller = "def h():\n    return f() + C().n()\n"
     assert unreferenced_names([source, caller], {"h"}) == ["C.m", "Y"]
+
+
+def shared_method_names(sources):
+    """Non-dunder method names that more than one class of sources defines."""
+    owners = Counter(
+        name
+        for source in sources
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, ast.ClassDef)
+        for name in {
+            sub.name
+            for sub in stmt.body
+            if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name)
+        }
+    )
+    return sorted(name for name, count in owners.items() if count > 1)
+
+
+# unreferenced_names matches references by bare name, so a method only tests
+# call escapes it while another class's method of the same name is used.
+# Each of these was checked by hand to be read by production code on every
+# class that defines it; a new shared name needs the same check.
+SHARED_METHODS = ["_diff", "at", "diff", "scaled"]
+
+
+def test_shared_method_names_are_reviewed():
+    assert shared_method_names(_read(PACKAGE)) == SHARED_METHODS
+
+
+def test_shared_method_name_is_found():
+    source = (
+        "class A:\n    def m(self):\n        pass\n\n    def __eq__(self, o):\n        pass\n\n"
+        "class B:\n    def m(self):\n        pass\n\n    def n(self):\n        pass\n\n"
+        "    def __eq__(self, o):\n        pass\n"
+    )
+    assert shared_method_names([source, "class C:\n    def n(self):\n        pass\n"]) == ["m", "n"]

@@ -20,7 +20,7 @@ POINTS = [(0.5, 1.0, 2.0), (1.5, 0.0, 0.5)]
 
 def test_add_broadcasts_default_rhs_over_sequence():
     v = [1.0, -2.0, 0.5]
-    implicit, explicit = ResidualAccumulator(), ResidualAccumulator()
+    implicit, explicit = ResidualAccumulator(POINTS), ResidualAccumulator(POINTS)
     implicit.add(v)
     explicit.add(v, [0.0] * len(v))
     assert implicit.samples == explicit.samples == [2.0 / 3.0]
@@ -28,14 +28,14 @@ def test_add_broadcasts_default_rhs_over_sequence():
 
 
 def test_add_broadcasts_scalar_rhs():
-    acc = ResidualAccumulator()
+    acc = ResidualAccumulator(POINTS)
     acc.add([1.0, 3.0], 1.0)
     assert acc.samples == [0.5]
     assert acc.max_abs == 2.0
 
 
 def test_record_appends_in_order_and_keeps_max_abs():
-    acc = ResidualAccumulator()
+    acc = ResidualAccumulator(POINTS)
     acc.add(4.0)
     acc.record([0.5, 0.9], 9.0)
     acc.add([0.0, -1.0])
@@ -71,16 +71,16 @@ def test_symbolic_sides_give_one_sample_per_point():
 
 def test_nan_sample_fails():
     nan = float("nan")
-    acc = ResidualAccumulator().add([[nan, 0.5]])
+    acc = ResidualAccumulator(POINTS).add([[nan, 0.5]])
     assert math.isnan(acc.samples[0]) and acc.samples[1] == 0.5 / 1.5
     assert math.isnan(acc.max_rel) and math.isnan(acc.max_abs)
-    inf_rhs = ResidualAccumulator().add([1.0, 2.0], [1.0, float("inf")])
+    inf_rhs = ResidualAccumulator(POINTS).add([1.0, 2.0], [1.0, float("inf")])
     assert math.isnan(inf_rhs.max_rel)
 
-    def runner(scenario, ctx, acc):
+    def runner(scenario, acc, streams):
         acc.add(np.array([[0.0, nan, 0.0]]))
 
-    spec = IdentitySpec("diag.nan", "one NaN sample", 1e-9, lambda sc: True, runner)
+    spec = IdentitySpec("diag.nan", "one NaN sample", 1e-9, (), runner)
     report = run_identity(spec, builtin("t3_flat"), 42, 3)
     assert not report.passed and report.error == ""
     assert math.isnan(json.loads(json.dumps(report.to_dict()))["max_rel"])
@@ -90,10 +90,10 @@ def test_runner_error_fails_its_identity_and_the_run_goes_on(monkeypatch):
     """Any exception inside a runner fails that identity, recorded as
     'Type: message'; the other identities still report and the run exits 1."""
 
-    def runner(scenario, ctx, acc):
+    def runner(scenario, acc, streams):
         raise IndexError("list index out of range")
 
-    spec = IdentitySpec("diag.index_error", "raises IndexError", 1e-9, lambda sc: True, runner)
+    spec = IdentitySpec("diag.index_error", "raises IndexError", 1e-9, (), runner)
     monkeypatch.setattr(suites, "REGISTRY", [*suites.REGISTRY, spec])
     status, document = run(RunConfig(scenario="t3_flat", suite="diag.*,excalc.d_squared", points=3))
     assert status == 1
