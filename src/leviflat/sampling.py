@@ -33,7 +33,7 @@ def stream(*parts):
 
 def sample_points(chart, n, rng):
     """n uniform points on the chart's torus."""
-    return [tuple(rng.uniform(0.0, TWO_PI, chart.dim)) for _ in range(n)]
+    return [tuple(rng.uniform(0.0, TWO_PI, chart.dim).tolist()) for _ in range(n)]
 
 
 def random_scalar(chart, rng, amplitude=1.0):

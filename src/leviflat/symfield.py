@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -696,56 +697,35 @@ def fix_coordinate(f, i, value):
 
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp}
 _CONSTANTS = {"pi": math.pi}
-# ASCII only: str.isdigit also accepts digits such as '²' that float rejects
-_DIGITS = frozenset("0123456789")
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
+# After any whitespace: a number in ASCII digits (float rejects '²'), a name,
+# an operator or any other character.  \w also admits numerals such as '½',
+# so _tokens checks that a name starts with a letter or '_'.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>\w+)|(?P<op>[-+*/^(),])|(?P<other>\S))"
+)
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        self._scan()
+def _tokens(text):
+    """The (kind, text, position) triples of text, closed by ("end", "",
+    len(text)); kind is "num", "name" or the operator character itself."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, pos = m[kind], m.start(kind)
+        if kind == "other" or (kind == "name" and tok[0] != "_" and not tok[0].isalpha()):
+            raise ExprSyntaxError(f"unexpected character {tok[0]!r}", pos)
+        tokens.append((tok if kind == "op" else kind, tok, pos))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text, chart):
+        self.tokens = _tokens(text)
         self.cursor = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-                j = i
-                seen_dot = False
-                while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                    seen_dot = seen_dot or text[j] == "."
-                    j += 1
-                # exponent part like 1e-3
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k] in _DIGITS:
-                        while k < n and text[k] in _DIGITS:
-                            k += 1
-                        j = k
-                self.tokens.append(("num", text[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            if c in "+-*/^()," :
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", "", n))
+        self.chart = chart
 
     def peek(self):
         return self.tokens[self.cursor]
@@ -755,91 +735,68 @@ class _Tokenizer:
         self.cursor += 1
         return tok
 
-
-class _Parser:
-    def __init__(self, text, chart):
-        self.toks = _Tokenizer(text)
-        self.chart = chart
-
     def parse(self):
         node = self.expr()
-        kind, _, pos = self.toks.peek()
+        kind, val, pos = self.peek()
         if kind != "end":
-            raise ExprSyntaxError(f"unexpected token {self.toks.peek()[1]!r}", pos)
+            raise ExprSyntaxError(f"unexpected token {val!r}", pos)
         return node
 
     def expr(self):
         node = self.term()
-        while True:
-            kind, _, _ = self.toks.peek()
-            if kind == "+":
-                self.toks.next()
-                node = add(node, self.term())
-            elif kind == "-":
-                self.toks.next()
-                node = sub(node, self.term())
-            else:
-                return node
+        while self.peek()[0] in ("+", "-"):
+            node = _BINARY[self.next()[0]](node, self.term())
+        return node
 
     def term(self):
         node = self.unary()
-        while True:
-            kind, _, _ = self.toks.peek()
-            if kind == "*":
-                self.toks.next()
-                node = mul(node, self.unary())
-            elif kind == "/":
-                self.toks.next()
-                node = div(node, self.unary())
-            else:
-                return node
+        while self.peek()[0] in ("*", "/"):
+            node = _BINARY[self.next()[0]](node, self.unary())
+        return node
 
     def unary(self):
-        kind, _, _ = self.toks.peek()
-        if kind == "-":
-            self.toks.next()
-            return neg(self.unary())
-        if kind == "+":
-            self.toks.next()
-            return self.unary()
-        return self.power()
+        kind = self.peek()[0]
+        if kind not in ("+", "-"):
+            return self.power()
+        self.next()
+        return neg(self.unary()) if kind == "-" else self.unary()
 
     def power(self):
         base = self.atom()
-        kind, _, pos = self.toks.peek()
+        kind, _, pos = self.peek()
         if kind != "^":
             return base
-        self.toks.next()
+        self.next()
         sign = 1
-        kind, val, pos = self.toks.next()
+        kind, val, pos = self.next()
         if kind == "-":
             sign = -1
-            kind, val, pos = self.toks.next()
+            kind, val, pos = self.next()
         if kind != "num" or any(ch in val for ch in ".eE"):
             raise ExprSyntaxError("exponent must be an integer literal", pos)
         return powi(base, sign * int(val))
 
     def atom(self):
-        kind, val, pos = self.toks.next()
+        kind, val, pos = self.next()
         if kind == "num":
             return const(float(val))
         if kind == "(":
             node = self.expr()
-            kind, _, pos = self.toks.next()
+            kind, _, pos = self.next()
             if kind != ")":
                 raise ExprSyntaxError("expected ')'", pos)
             return node
         if kind == "name":
-            if self.toks.peek()[0] == "(":
+            if self.peek()[0] == "(":
                 fn = _FUNCTIONS.get(val)
                 if fn is None:
                     raise UnknownIdentifierError(f"unknown function {val!r}")
-                self.toks.next()
+                self.next()
                 args = [self.expr()]
-                while self.toks.peek()[0] == ",":
-                    self.toks.next()
+                while self.peek()[0] == ",":
+                    self.next()
                     args.append(self.expr())
-                kind, _, pos = self.toks.next()
+                kind, _, pos = self.next()
                 if kind != ")":
                     raise ExprSyntaxError("expected ')'", pos)
                 if len(args) != 1:

@@ -1,10 +1,15 @@
-"""The traced benchmark wraps functions by name: every target that
-bench/tracer.py lists must still be defined in its leviflat module, so a
-rename fails here instead of in `bench/run.py --trace 1`."""
+"""The benchmark names parts of leviflat, so a rename fails here instead of
+in `bench/run.py`: every target that bench/tracer.py wraps must still be
+defined in its leviflat module, and every identity id or glob that
+bench/workloads.py and bench/expected.json name must still be in the
+registry.  These tests read the files under bench/ and change none of them."""
 
+import fnmatch
 import importlib
 import importlib.util
+import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,18 +17,23 @@ import pytest
 from leviflat import flows
 from leviflat.excalc import basis_vector
 from leviflat.scenarios import builtin
+from leviflat.suites import CONDITIONS, REGISTRY
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "tracer.py")
-
-
-def _layers():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.LAYERS
+BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+IDS = {spec.identity for spec in REGISTRY}
 
 
-TARGETS = sorted(target for targets, _ in _layers().values() for target in targets)
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name, os.path.join(BENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+TARGETS = sorted(target for targets, _ in _bench_module("tracer").LAYERS.values() for target in targets)
+WORKLOADS = _bench_module("workloads")
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -71,3 +81,32 @@ def test_each_rk4_step_builds_four_evaluators(monkeypatch):
         flows.integrate_flow(E_X, t, points, h=h, jacobian=jacobian)
         assert len(built) == 4 * steps
         assert all(len(x) == 2 for x in built)
+
+
+def test_t5_identities_are_registry_ids():
+    assert set(WORKLOADS.T5_IDENTITIES) <= IDS
+
+
+def test_expected_identities_are_registry_ids():
+    with open(os.path.join(BENCH, "expected.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    named = {
+        identity
+        for scenarios in expected["workloads"].values()
+        for entry in scenarios.values()
+        for identity in entry["identities"]
+    }
+    assert len(named) >= 51
+    assert named <= IDS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_each_workload_glob_matches_an_identity(name):
+    # select_identities drops a glob that matches nothing
+    suite = WORKLOADS.WORKLOADS[name].suite
+    globs = [] if suite == "all" else suite.split(",")
+    assert all(any(fnmatch.fnmatchcase(i, pat) for i in IDS) for pat in globs)
+
+
+def test_identity_needs_name_conditions():
+    assert {name for spec in REGISTRY for name in spec.needs} <= set(CONDITIONS)

@@ -86,6 +86,52 @@ def test_parse_syntax_error_reports_position():
         parse_expr("2²", CHART)
 
 
+# text -> its value at POINT, or (exception class, position or None)
+POINT = (0.5, 1.25, 2.0)
+LEXICAL_CASES = {
+    "1.e5": 1e5,
+    ".5": 0.5,
+    "5.": 5.0,
+    "007": 7.0,
+    "2e-3": 2e-3,
+    "2E+2": 200.0,
+    "1e": (ExprSyntaxError, 1),
+    "1e+": (ExprSyntaxError, 1),
+    "1.2.3": (ExprSyntaxError, 3),
+    "1..2": (ExprSyntaxError, 2),
+    "2²": (ExprSyntaxError, 1),
+    "x²": (UnknownIdentifierError, None),
+    "é": (UnknownIdentifierError, None),
+    "½": (ExprSyntaxError, 0),
+    "٣": (ExprSyntaxError, 0),
+    "x٣": (UnknownIdentifierError, None),
+    "1٣": (ExprSyntaxError, 1),
+    "_a1": (UnknownIdentifierError, None),
+    "x\ty": (ExprSyntaxError, 2),
+    "x + y\n": 1.75,
+    "x ^ -2": 4.0,
+    "x^2.0": (ExprSyntaxError, 2),
+    "3x": (ExprSyntaxError, 1),
+    ".": (ExprSyntaxError, 0),
+    "x $": (ExprSyntaxError, 2),
+    "": (ExprSyntaxError, 0),
+    "  ": (ExprSyntaxError, 2),
+}
+
+
+@pytest.mark.parametrize("text", LEXICAL_CASES)
+def test_parse_lexical_rules(text):
+    expected = LEXICAL_CASES[text]
+    if isinstance(expected, float):
+        assert parse_expr(text, CHART)([POINT]).tolist() == [expected]
+        return
+    cls, position = expected
+    with pytest.raises(cls) as err:
+        parse_expr(text, CHART)
+    assert type(err.value) is cls
+    assert getattr(err.value, "position", None) == position
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(UnknownIdentifierError):
         parse_expr("z + 1", CHART)
@@ -581,6 +627,14 @@ def test_singular_division_names_first_offending_sample():
     with pytest.raises(SingularEvaluationError, match=repr(math.sin(math.pi))):
         f(points)
     assert f(points[2:3]).tolist() == [1.0 / math.sin(1.5)]
+
+
+def test_sample_points_are_python_floats():
+    # a message that names a point prints 2.5, not np.float64(2.5)
+    points = sample_points(CHART, 5, stream(3, "floats"))
+    assert len(points) == 5
+    assert all(type(p) is tuple and len(p) == 3 for p in points)
+    assert all(type(v) is float for p in points for v in p)
 
 
 def test_empty_batch_has_no_samples():
