@@ -7,13 +7,26 @@ immutable values.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import ChartMismatchError
-from .symfield import Const, PointEvaluator, ScalarField, ZERO, add, constant, mul
+from .symfield import (
+    ONE,
+    ZERO,
+    Const,
+    PointEvaluator,
+    ScalarField,
+    add,
+    constant,
+    is_zero_node,
+    mul,
+    neg,
+    sub,
+)
 
 
 def as_field(chart, v):
@@ -49,6 +62,48 @@ def _merge_sign(left, right):
     return sign, tuple(merged)
 
 
+def vector_of_nodes(chart, nodes):
+    """The VectorField whose components have these nodes.  The nodes are not
+    re-validated: they come from the factories, on the chart."""
+    V = object.__new__(VectorField)
+    V.chart = chart
+    V.components = tuple([ScalarField(chart, node) for node in nodes])
+    return V
+
+
+def _form_of_nodes(chart, degree, nodes):
+    """The DifferentialForm with these coefficient nodes on valid index
+    tuples, zero ones dropped, built without re-validation."""
+    omega = object.__new__(DifferentialForm)
+    omega.chart = chart
+    omega.degree = degree
+    omega.coeffs = {
+        idx: ScalarField(chart, node) for idx, node in nodes.items() if not is_zero_node(node)
+    }
+    return omega
+
+
+def _nodes(omega):
+    return {idx: f.node for idx, f in omega.coeffs.items()}
+
+
+def _summed(nodes, terms):
+    """nodes (index -> node) with each of terms added at its index."""
+    for idx, term in terms.items():
+        nodes[idx] = add(nodes[idx], term) if idx in nodes else term
+    return nodes
+
+
+def _derivative(V, node):
+    """The node of V(f), for the node of f."""
+    out = ZERO
+    for i, comp in enumerate(V.components):
+        comp = comp.node
+        if not is_zero_node(comp):
+            out = add(out, mul(comp, node.diff(i)))
+    return out
+
+
 class VectorField:
     """Vector field as a tuple of ScalarField chart components."""
 
@@ -66,34 +121,33 @@ class VectorField:
             return NotImplemented
         if other.chart != self.chart:
             raise ChartMismatchError("vector fields on different charts")
-        return VectorField(self.chart, [a + b for a, b in zip(self.components, other.components)])
+        return vector_of_nodes(
+            self.chart, [add(a.node, b.node) for a, b in zip(self.components, other.components)]
+        )
 
     def __sub__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
         if other.chart != self.chart:
             raise ChartMismatchError("vector fields on different charts")
-        return VectorField(self.chart, [a - b for a, b in zip(self.components, other.components)])
+        return vector_of_nodes(
+            self.chart, [sub(a.node, b.node) for a, b in zip(self.components, other.components)]
+        )
 
     def __neg__(self):
-        return VectorField(self.chart, [-a for a in self.components])
+        return vector_of_nodes(self.chart, [neg(a.node) for a in self.components])
 
     def scaled(self, f):
         """Multiply by a ScalarField or number."""
-        f = as_field(self.chart, f)
-        return VectorField(self.chart, [f * a for a in self.components])
+        f = as_field(self.chart, f).node
+        return vector_of_nodes(self.chart, [mul(f, a.node) for a in self.components])
 
     def __rmul__(self, f):
         return self.scaled(f)
 
     def apply(self, f):
         """Directional derivative V(f) as a ScalarField."""
-        node = as_field(self.chart, f).node
-        out = ZERO
-        for i, comp in enumerate(self.components):
-            if not comp.is_zero:
-                out = add(out, mul(comp.node, node.diff(i)))
-        return ScalarField(self.chart, out)
+        return ScalarField(self.chart, _derivative(self, as_field(self.chart, f).node))
 
     def at(self, points, ev=None):
         """Numeric components at an (N, dim) batch of points, as a (dim, N)
@@ -147,20 +201,21 @@ class DifferentialForm:
             return NotImplemented
         if other.chart != self.chart or other.degree != self.degree:
             raise ChartMismatchError("cannot add forms of different chart/degree")
-        coeffs = dict(self.coeffs)
-        for idx, f in other.coeffs.items():
-            coeffs[idx] = coeffs[idx] + f if idx in coeffs else f
-        return DifferentialForm(self.chart, self.degree, coeffs)
+        return _form_of_nodes(self.chart, self.degree, _summed(_nodes(self), _nodes(other)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return DifferentialForm(self.chart, self.degree, {i: -f for i, f in self.coeffs.items()})
+        return _form_of_nodes(
+            self.chart, self.degree, {i: neg(f.node) for i, f in self.coeffs.items()}
+        )
 
     def scaled(self, f):
-        f = as_field(self.chart, f)
-        return DifferentialForm(self.chart, self.degree, {i: f * g for i, g in self.coeffs.items()})
+        f = as_field(self.chart, f).node
+        return _form_of_nodes(
+            self.chart, self.degree, {i: mul(f, g.node) for i, g in self.coeffs.items()}
+        )
 
     def __rmul__(self, f):
         return self.scaled(f)
@@ -169,10 +224,11 @@ class DifferentialForm:
         """Evaluate on symbolic VectorField arguments, returning a ScalarField."""
         if len(args) != self.degree:
             raise ValueError(f"degree {self.degree} form applied to {len(args)} arguments")
-        out = ScalarField(self.chart, ZERO)
+        rows = [[c.node for c in arg.components] for arg in args]
+        out = ZERO
         for idx, f in self.coeffs.items():
-            out = out + f * minor([arg.components for arg in args], idx)
-        return out
+            out = add(out, mul(f.node, minor(rows, idx, _NODE_RING)))
+        return ScalarField(self.chart, out)
 
     def at(self, points, numeric_args, ev=None):
         """Values, an (N,) array, at an (N, dim) batch of points on numeric
@@ -231,22 +287,29 @@ class XiValuedForm:
         return XiValuedForm(self.degree, {idx: v.scaled(f) for idx, v in self.values.items()})
 
 
-def minor(rows, idx):
+# (one, add, sub, mul) of the entries minor multiplies: ScalarFields, floats
+# and (N,) arrays through their operators, or nodes through the factories
+_NUMBER_RING = (1.0, operator.add, operator.sub, operator.mul)
+_NODE_RING = (ONE, add, sub, mul)
+
+
+def minor(rows, idx, ring=_NUMBER_RING):
     """Determinant of the idx-entries of the argument vectors rows[0..k-1],
-    whose entries are ScalarFields, floats or (N,) arrays."""
+    in the arithmetic of ring."""
+    one, plus, minus, times = ring
     if not idx:
-        return 1.0
+        return one
     if len(idx) == 1:
         return rows[0][idx[0]]
     if len(idx) == 2:
         a, b = idx
-        return rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a]
+        return minus(times(rows[0][a], rows[1][b]), times(rows[0][b], rows[1][a]))
     det = None
     for perm, sign in _signed_permutations(len(idx)):
         term = rows[0][idx[perm[0]]]
         for r in range(1, len(idx)):
-            term = term * rows[r][idx[perm[r]]]
-        det = term if det is None else det + term if sign > 0 else det - term
+            term = times(term, rows[r][idx[perm[r]]])
+        det = term if det is None else plus(det, term) if sign > 0 else minus(det, term)
     return det
 
 
@@ -285,16 +348,17 @@ def exterior_derivative(omega):
         return zero_form(chart, omega.degree + 1)
     out = {}
     for idx, f in omega.coeffs.items():
+        node = f.node
         for j in range(chart.dim):
             sign, new_idx = _merge_sign((j,), idx)
             if sign == 0:
                 continue
-            df = f.diff(j)
-            if df.is_zero:
+            df = node.diff(j)
+            if is_zero_node(df):
                 continue
-            term = df if sign > 0 else -df
-            out[new_idx] = out[new_idx] + term if new_idx in out else term
-    return DifferentialForm(chart, omega.degree + 1, out)
+            term = df if sign > 0 else neg(df)
+            out[new_idx] = add(out[new_idx], term) if new_idx in out else term
+    return _form_of_nodes(chart, omega.degree + 1, out)
 
 
 def wedge(alpha, beta):
@@ -311,11 +375,11 @@ def wedge(alpha, beta):
             sign, merged = _merge_sign(i_idx, j_idx)
             if sign == 0:
                 continue
-            term = f * g
+            term = mul(f.node, g.node)
             if sign < 0:
-                term = -term
-            out[merged] = out[merged] + term if merged in out else term
-    return DifferentialForm(chart, degree, out)
+                term = neg(term)
+            out[merged] = add(out[merged], term) if merged in out else term
+    return _form_of_nodes(chart, degree, out)
 
 
 def interior_product(X, omega):
@@ -328,19 +392,22 @@ def interior_product(X, omega):
     for idx, f in omega.coeffs.items():
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
-            term = X.components[i] * f
+            term = mul(X.components[i].node, f.node)
             if pos % 2:
-                term = -term
-            if not term.is_zero:
-                out[rest] = out[rest] + term if rest in out else term
-    return DifferentialForm(omega.chart, omega.degree - 1, out)
+                term = neg(term)
+            if not is_zero_node(term):
+                out[rest] = add(out[rest], term) if rest in out else term
+    return _form_of_nodes(omega.chart, omega.degree - 1, out)
 
 
 def lie_bracket(V, W):
     """[V, W]^i = sum_j V^j d_j W^i - W^j d_j V^i."""
     if V.chart != W.chart:
         raise ChartMismatchError("bracket of fields on different charts")
-    return VectorField(V.chart, [V.apply(w) - W.apply(v) for v, w in zip(V.components, W.components)])
+    return vector_of_nodes(
+        V.chart,
+        [sub(_derivative(V, w.node), _derivative(W, v.node)) for v, w in zip(V.components, W.components)],
+    )
 
 
 def lie_derivative_form(X, omega):

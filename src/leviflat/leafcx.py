@@ -30,6 +30,7 @@ from .excalc import (
     minor,
     one_form,
     scalar_form,
+    vector_of_nodes,
 )
 from .foliation_dgla import (
     DefiningCouple,
@@ -40,7 +41,7 @@ from .foliation_dgla import (
     omega_alpha_inverse,
 )
 from .report import ResidualAccumulator
-from .symfield import PointEvaluator, constant, exp_of, first_flagged
+from .symfield import PointEvaluator, ScalarField, add, constant, exp_of, first_flagged, mul
 
 DET_GUARD = 1e-6
 
@@ -105,10 +106,13 @@ class LeviFlatStructure:
         return [eta.apply_symbolic([V]) for eta in self.coframe]
 
     def from_xi_coefficients(self, coeffs):
-        out = self.frame[0].scaled(coeffs[0])
-        for c, E in zip(coeffs[1:], self.frame[1:]):
-            out = out + E.scaled(c)
-        return out
+        chart = self.chart
+        out = None
+        for c, E in zip(coeffs, self.frame):
+            c = as_field(chart, c).node
+            term = [mul(c, e.node) for e in E.components]
+            out = term if out is None else [add(a, b) for a, b in zip(out, term)]
+        return vector_of_nodes(chart, out)
 
     def project_xi(self, V):
         return V - self.X.scaled(self.couple.gamma_of(V))
@@ -120,11 +124,14 @@ class LeviFlatStructure:
         return self.from_xi_coefficients(self.apply_matrix_coeffs(self.Jmat, coeffs))
 
     def apply_matrix_coeffs(self, mat, coeffs):
-        n = self.n_leaf
-        return [
-            sum((mat[r][c] * coeffs[c] for c in range(1, n)), mat[r][0] * coeffs[0])
-            for r in range(n)
-        ]
+        nodes = [c.node for c in coeffs]
+        out = []
+        for row in mat[: self.n_leaf]:
+            total = mul(row[0].node, nodes[0])
+            for f, node in zip(row[1:], nodes[1:]):
+                total = add(total, mul(f.node, node))
+            out.append(ScalarField(self.chart, total))
+        return out
 
     def J_frame(self, i):
         """J E_i, assembled directly from the J-matrix column."""

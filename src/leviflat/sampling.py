@@ -32,8 +32,9 @@ def stream(*parts):
 
 
 def sample_points(chart, n, rng):
-    """n uniform points on the chart's torus."""
-    return [tuple(rng.uniform(0.0, TWO_PI, chart.dim).tolist()) for _ in range(n)]
+    """n uniform points on the chart's torus, drawn as one (n, dim) array:
+    the same stream, in the same order, as n draws of dim values."""
+    return [tuple(p) for p in rng.uniform(0.0, TWO_PI, (n, chart.dim)).tolist()]
 
 
 def random_scalar(chart, rng, amplitude=1.0):
@@ -41,13 +42,16 @@ def random_scalar(chart, rng, amplitude=1.0):
 
     Coefficients are uniform in [-amplitude, amplitude]; one second harmonic
     and one cross harmonic keep mixed second derivatives nontrivial without
-    bloating the expression tree.
+    bloating the expression tree.  The constant and the first harmonics'
+    coefficients are drawn together: one array of 2*dim+1 values takes the
+    same stream, in the same order, as that many single draws.
     """
     coeff = lambda: rng.uniform(-amplitude, amplitude)
-    node = const(coeff())
+    first = rng.uniform(-amplitude, amplitude, 2 * chart.dim + 1).tolist()
+    node = const(first[0])
     for i in range(chart.dim):
-        node = add(node, mul(const(coeff()), sin_node(coord(i))))
-        node = add(node, mul(const(coeff()), cos_node(coord(i))))
+        node = add(node, mul(const(first[2 * i + 1]), sin_node(coord(i))))
+        node = add(node, mul(const(first[2 * i + 2]), cos_node(coord(i))))
     m = int(rng.integers(0, chart.dim))
     node = add(node, mul(const(coeff()), cos_node(mul(const(2.0), coord(m)))))
     if chart.dim >= 2:

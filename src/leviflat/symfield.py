@@ -13,6 +13,7 @@ operation over all sample points at once.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -79,24 +80,36 @@ def torus(*names):
 
 
 class Node:
-    __slots__ = ("_d",)
+    """An expression node.  mask has bit i set when the subtree mentions
+    coordinate i; a non-finite constant sets every bit (-1), since inf * 0
+    folds to NaN, not to zero.  serial is the creation order: a child always
+    exists before its parent, so increasing serial is a topological order."""
 
-    def __init__(self):
-        self._d = {}
+    __slots__ = ("_d", "mask", "serial")
 
     def diff(self, i):
+        # with finite constants, every rule folds zero operand derivatives
+        # to ZERO, so a subtree without coordinate i has derivative ZERO
+        if not self.mask >> i & 1:
+            return ZERO
         cache = self._d
-        if i not in cache:
-            cache[i] = self._diff(i)
-        return cache[i]
+        d = cache.get(i)
+        if d is None:
+            d = cache[i] = self._diff(i)
+        return d
+
+
+_SERIAL = itertools.count()
 
 
 class Const(Node):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        super().__init__()
-        self.value = float(value)
+        self._d = {}
+        self.serial = next(_SERIAL)
+        self.value = v = float(value)
+        self.mask = 0 if math.isfinite(v) else -1
 
     def _diff(self, i):
         return ZERO
@@ -109,8 +122,10 @@ class Coord(Node):
     __slots__ = ("index",)
 
     def __init__(self, index):
-        super().__init__()
+        self._d = {}
+        self.serial = next(_SERIAL)
         self.index = index
+        self.mask = 1 << index
 
     def _diff(self, i):
         return ONE if i == self.index else ZERO
@@ -123,8 +138,10 @@ class _Unary(Node):
     __slots__ = ("a",)
 
     def __init__(self, a):
-        super().__init__()
+        self._d = {}
+        self.serial = next(_SERIAL)
         self.a = a
+        self.mask = a.mask
 
     def __repr__(self):
         return f"{self.symbol}({self.a!r})"
@@ -134,8 +151,10 @@ class _Binary(Node):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        super().__init__()
+        self._d = {}
+        self.serial = next(_SERIAL)
         self.a, self.b = a, b
+        self.mask = a.mask | b.mask
 
     def __repr__(self):
         return f"({self.a!r} {self.symbol} {self.b!r})"
@@ -186,8 +205,10 @@ class Pow(Node):
     __slots__ = ("a", "n")
 
     def __init__(self, a, n):
-        super().__init__()
+        self._d = {}
+        self.serial = next(_SERIAL)
         self.a, self.n = a, int(n)
+        self.mask = a.mask
 
     def _diff(self, i):
         return mul(mul(Const(self.n), powi(self.a, self.n - 1)), self.a.diff(i))
@@ -237,6 +258,10 @@ def _folded(fn, *args):
     except (OverflowError, ValueError):
         text = ", ".join(map(repr, args))
         raise EvaluationRangeError(f"{fn.__name__}({text}) is out of range") from None
+
+
+def is_zero_node(node):
+    return type(node) is Const and node.value == 0.0
 
 
 def const(v):
@@ -434,8 +459,7 @@ class ScalarField:
 
     @property
     def is_zero(self):
-        node = self.node
-        return type(node) is Const and node.value == 0.0
+        return is_zero_node(self.node)
 
     def __repr__(self):
         return f"ScalarField({self.node!r})"
@@ -543,43 +567,40 @@ _RULES = {
 }
 
 
+_by_serial = operator.attrgetter("serial")
+
+
 def _topological(roots):
-    """Distinct nodes under the roots, children before parents, in the
-    depth-first post-order of the roots taken in turn.  Also returns, for
-    each interior node, its rule and operands (None for leaves), and how many
-    entries use each node."""
-    done = set()
+    """Distinct nodes under the roots, children before parents, in creation
+    order.  Also returns, for each interior node, its rule and operands (None
+    for leaves), and how many entries use each node."""
     info = {}
     uses = {}
-    order = []
-    stack = list(reversed(roots))
-    push, pop, emit, finish = stack.append, stack.pop, order.append, done.add
+    stack = list(roots)
+    push, pop, rules = stack.append, stack.pop, _RULES
     while stack:
-        node = stack[-1]
-        if node in done:
-            pop()
-        elif node in info:
-            # expanded earlier: every child pushed above it is done by now
-            pop()
-            finish(node)
-            emit(node)
-        else:
-            rule = _RULES.get(type(node))
-            ops = rule[0](node) if rule else ()
-            info[node] = (rule, ops) if rule else None
-            for k in reversed(ops):
-                if type(k) is not int:
-                    uses[k] = uses.get(k, 0) + 1
-                    if k not in done:
-                        push(k)
-    return order, info, uses
+        node = pop()
+        if node in info:
+            continue
+        rule = rules.get(type(node))
+        if rule is None:
+            info[node] = None
+            continue
+        ops = rule[0](node)
+        info[node] = (rule, ops)
+        for k in ops:
+            if type(k) is not int:
+                uses[k] = uses.get(k, 0) + 1
+                if k not in info:
+                    push(k)
+    return sorted(info, key=_by_serial), info, uses
 
 
 class Tape:
     """The DAG of some root nodes as a straight-line program, compiled on the
-    first run: one entry per distinct node, in topological order.  An
-    interior value's register is reused once its last consumer has run, so
-    only the roots' values outlive a run."""
+    first run: one entry per distinct node, in creation order.  An interior
+    value's register is reused once its last consumer has run, so only the
+    roots' values outlive a run."""
 
     __slots__ = ("roots", "program")
 
@@ -588,34 +609,50 @@ class Tape:
         self.program = None
 
     def _compile(self):
-        order, info, uses = _topological(list(self.roots))
-        keep = self.roots
+        order, info, uses = _topological(self.roots)
+        # a root's register and a leaf's are never reused: neither is counted
+        for root in self.roots:
+            uses.pop(root, None)
         template, loads, code, free = [], [], [], []
         reg = {}
         for node in order:
-            if info[node] is None:
+            entry = info[node]
+            if entry is None:
+                uses.pop(node, None)
                 if type(node) is Coord:
                     loads.append((len(template), node.index))
                 reg[node] = len(template)
                 template.append(getattr(node, "value", None))
                 continue
-            rule, ops = info[node]
-            args = []
-            for k in ops:
+            rule, ops = entry
+            k = ops[0]
+            a = reg[k]
+            left = uses.get(k)
+            if left == 1:
+                free.append(a)
+            elif left:
+                uses[k] = left - 1
+            b = -1
+            if len(ops) == 2:
+                k = ops[1]
                 if type(k) is int:
-                    args.append(len(template))
+                    b = len(template)
                     template.append(k)
-                    continue
-                args.append(reg[k])
-                left = uses[k] = uses[k] - 1
-                if not left and info[k] is not None and k not in keep:
-                    free.append(reg[k])
-            reg[node] = free.pop() if free else len(template)
-            if reg[node] == len(template):
+                else:
+                    b = reg[k]
+                    left = uses.get(k)
+                    if left == 1:
+                        free.append(b)
+                    elif left:
+                        uses[k] = left - 1
+            if free:
+                out = free.pop()
+            else:
+                out = len(template)
                 template.append(None)
-            args.append(-1)
-            code.append((rule[1], reg[node], args[0], args[1]))
-        return template, loads, code, [reg[r] for r in keep]
+            reg[node] = out
+            code.append((rule[1], out, a, b))
+        return template, loads, code, [reg[r] for r in self.roots]
 
     def run(self, coords):
         """Root values, as (N,) arrays, at the N points whose coordinate

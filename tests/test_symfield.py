@@ -515,10 +515,11 @@ _SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5]
 
 
 def _leaf(kind, v):
-    # "x": the one coordinate node of its index; "c": a fresh Const (0 and 1
-    # not the shared ZERO and ONE); "k": through const, which shares them
+    # "x": the one coordinate node of its index (x0 for a non-finite v);
+    # "c": a fresh Const (0 and 1 not the shared ZERO and ONE); "k": through
+    # const, which shares them
     if kind == "x":
-        return sf.coord(int(abs(v)) % 3)
+        return sf.coord(int(abs(v)) % 3 if math.isfinite(v) else 0)
     return sf.Const(v) if kind == "c" else sf.const(v)
 
 
@@ -529,20 +530,32 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@given(
-    leaves=st.lists(
-        st.tuples(
-            st.sampled_from("xck"),
-            st.one_of(st.sampled_from(_SPECIAL), st.floats(-3, 3, allow_nan=False)),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    program=st.lists(
-        st.tuples(st.sampled_from(list(_FACTORIES)), st.integers(0, 40), st.integers(-3, 40)),
-        max_size=40,
-    ),
+def _factory_leaves(values):
+    return st.lists(st.tuples(st.sampled_from("xck"), values), min_size=1, max_size=6)
+
+
+_FACTORY_LEAVES = _factory_leaves(
+    st.one_of(st.sampled_from(_SPECIAL), st.floats(-3, 3, allow_nan=False))
 )
+_FACTORY_PROGRAM = st.lists(
+    st.tuples(st.sampled_from(list(_FACTORIES)), st.integers(0, 40), st.integers(-3, 40)),
+    max_size=40,
+)
+
+
+def _step_args(fn, i, j, pool):
+    """The arguments of one program step (fn, i, j) over the node pool."""
+    i %= len(pool)
+    if fn is sf.const:
+        return (float(j),)
+    if fn is sf.powi:
+        return (pool[i], j)
+    if fn in _BINARY:
+        return (pool[i], pool[j % len(pool)])
+    return (pool[i],)
+
+
+@given(leaves=_FACTORY_LEAVES, program=_FACTORY_PROGRAM)
 # one pinned program per rule: folding, 0/1 absorption, constants moved left
 # and nested constant factors folded, neg(neg(a)), sub(a, a), division by a
 # constant and by constant zero
@@ -558,16 +571,7 @@ def test_factories_build_the_reference_trees(leaves, program):
     assert all(_leaf(kind, v) is n for (kind, v), n in zip(leaves, pool) if kind == "x")
     ref_pool = list(pool)
     for fn, i, j in program:
-        i %= len(pool)
-        if fn is sf.const:
-            args = ref_args = (float(j),)
-        elif fn is sf.powi:
-            args, ref_args = (pool[i], j), (ref_pool[i], j)
-        elif fn in _BINARY:
-            j %= len(pool)
-            args, ref_args = (pool[i], pool[j]), (ref_pool[i], ref_pool[j])
-        else:
-            args, ref_args = (pool[i],), (ref_pool[i],)
+        args, ref_args = _step_args(fn, i, j, pool), _step_args(fn, i, j, ref_pool)
         got, want = _outcome(fn, *args), _outcome(_FACTORIES[fn], *ref_args)
         if isinstance(want, type):
             assert got is want
@@ -583,6 +587,109 @@ def test_factories_build_the_reference_trees(leaves, program):
             assert fn(*args) is got
         pool.append(got)
         ref_pool.append(want)
+
+
+# --------------------------------------------------------------------------
+# Support masks: Node.diff skips a subtree without the coordinate
+# --------------------------------------------------------------------------
+
+
+def _unpruned_diff(node, i, memo):
+    """d/dx_i by the rules of each node's _diff, recursing into every
+    operand whatever its support mask, built with the smart factories."""
+    if node in memo:
+        return memo[node]
+    kind = type(node)
+    if kind is sf.Const:
+        d = sf.ZERO
+    elif kind is sf.Coord:
+        d = sf.ONE if node.index == i else sf.ZERO
+    else:
+        a, da = node.a, _unpruned_diff(node.a, i, memo)
+        if kind is sf.Neg:
+            d = sf.neg(da)
+        elif kind is sf.Sin:
+            d = sf.mul(sf.cos(a), da)
+        elif kind is sf.Cos:
+            d = sf.neg(sf.mul(sf.sin(a), da))
+        elif kind is sf.Exp:
+            d = sf.mul(node, da)
+        elif kind is sf.Pow:
+            d = sf.mul(sf.mul(sf.Const(node.n), sf.powi(a, node.n - 1)), da)
+        else:
+            b, db = node.b, _unpruned_diff(node.b, i, memo)
+            if kind is sf.Add:
+                d = sf.add(da, db)
+            elif kind is sf.Sub:
+                d = sf.sub(da, db)
+            elif kind is sf.Mul:
+                d = sf.add(sf.mul(da, b), sf.mul(a, db))
+            else:
+                d = sf.div(sf.sub(sf.mul(da, b), sf.mul(a, db)), sf.mul(b, b))
+    memo[node] = d
+    return d
+
+
+def _tree_ids():
+    """A function from nodes to ids that are equal exactly when the nodes'
+    reprs are: it interns each tree by its type, its constant, index or
+    exponent and its operands' ids, so shared subtrees are not expanded."""
+    table, ids = {}, {}
+
+    def tree_id(node):
+        if node not in ids:
+            kind = type(node)
+            if kind is sf.Const:
+                key = (kind, repr(node.value))
+            elif kind is sf.Coord:
+                key = (kind, node.index)
+            elif kind is sf.Pow:
+                key = (kind, tree_id(node.a), node.n)
+            elif isinstance(node, sf._Binary):
+                key = (kind, tree_id(node.a), tree_id(node.b))
+            else:
+                key = (kind, tree_id(node.a))
+            ids[node] = table.setdefault(key, len(table))
+        return ids[node]
+
+    return tree_id
+
+
+_NON_FINITE = [math.inf, -math.inf, math.nan, 1e200]
+
+
+@given(
+    leaves=_factory_leaves(
+        st.one_of(st.sampled_from(_SPECIAL + _NON_FINITE), st.floats(-3, 3, allow_nan=False))
+    ),
+    program=_FACTORY_PROGRAM,
+)
+# 1e200 * 1e200 * sin(y): the folded inf times the zero derivative of sin(y)
+# is NaN, so the product's mask must hold x as well
+@example(leaves=[("c", 1e200), ("x", 1)],
+         program=[(sf.mul, 0, 0), (sf.sin, 1, 0), (sf.mul, 2, 3)])
+@settings(max_examples=300, deadline=None)
+def test_support_mask_prunes_only_zero_derivatives(leaves, program):
+    pool = [_leaf(kind, v) for kind, v in leaves]
+    for fn, i, j in program:
+        got = _outcome(fn, *_step_args(fn, i, j, pool))
+        if not isinstance(got, type):
+            pool.append(got)
+    tree_id = _tree_ids()
+    for i in range(3):
+        memo = {}
+        for node in pool:
+            got, want = node.diff(i), _unpruned_diff(node, i, memo)
+            assert tree_id(got) == tree_id(want)
+            assert (got is sf.ZERO) == (want is sf.ZERO)
+
+
+def test_derivative_through_a_non_finite_constant_stays_nan():
+    f = parse_expr("1e200*1e200*sin(y)", CHART)
+    assert f.node.mask == -1
+    d = f.diff(0).node
+    assert type(d) is sf.Const and math.isnan(d.value)
+    assert parse_expr("2*sin(y)", CHART).diff(0).node is sf.ZERO
 
 
 def test_threads_share_one_node_per_coordinate_and_argument():
@@ -602,6 +709,131 @@ def test_threads_share_one_node_per_coordinate_and_argument():
         sys.setswitchinterval(interval)
     first = built[0]
     assert all(n is m for other in built[1:] for row, row0 in zip(other, first) for n, m in zip(row, row0))
+
+
+# --------------------------------------------------------------------------
+# Tapes compiled in creation order
+# --------------------------------------------------------------------------
+
+_DAG_KINDS = (sf.Add, sf.Sub, sf.Mul, sf.Neg, sf.Sin, sf.Cos)
+
+
+def _dag_plan(rng, first, size):
+    """size interior nodes (kind, operand ids); node id first + k takes its
+    operands among the ids below it, so operands often repeat."""
+    plan = []
+    for k in range(size):
+        kind = _DAG_KINDS[int(rng.integers(len(_DAG_KINDS)))]
+        arity = 2 if issubclass(kind, sf._Binary) else 1
+        plan.append((kind, [int(rng.integers(first + k)) for _ in range(arity)]))
+    return plan
+
+
+def _build_shuffled(plan, nodes, rng):
+    """Build the plan's nodes on top of nodes (id -> node), each as soon as
+    a random pick among those whose operands exist chooses it, with the node
+    constructors, so neither folding nor the memo merges any of them."""
+    first = len(nodes)
+    waiting = list(range(len(plan)))
+    while waiting:
+        ready = [k for k in waiting if all(o in nodes for o in plan[k][1])]
+        k = ready[int(rng.integers(len(ready)))]
+        waiting.remove(k)
+        kind, ops = plan[k]
+        nodes[first + k] = kind(*(nodes[o] for o in ops))
+    return nodes
+
+
+def _dag_values(node, coords, memo):
+    """Recursive reference: each node's batch operation on its operands'
+    values, numbers for constants."""
+    if node not in memo:
+        kind = type(node)
+        if kind is sf.Const:
+            memo[node] = node.value
+        elif kind is sf.Coord:
+            memo[node] = coords[node.index]
+        else:
+            ops = sf._RULES[kind][0](node)
+            memo[node] = sf._RULES[kind][1](*(_dag_values(k, coords, memo) for k in ops))
+    return memo[node]
+
+
+def _interior_nodes(roots):
+    seen, todo = set(), list(roots)
+    while todo:
+        node = todo.pop()
+        if node not in seen and type(node) not in (sf.Const, sf.Coord):
+            seen.add(node)
+            todo.extend(sf._RULES[type(node)][0](node))
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_creation_order_tapes_compute_every_value_before_reading_it(seed):
+    """Shared subtrees built in a shuffled order, then two threads building
+    on them at once: the tape writes each register before reading it, never
+    reuses one that still holds a live value, matches the recursive
+    reference bitwise, and has one instruction per distinct interior node."""
+    rng = np.random.default_rng(seed)
+    leaves = [sf.coord(0), sf.coord(1), sf.coord(2), sf.Const(0.5), sf.Const(-1.25)]
+    shared = _build_shuffled(_dag_plan(rng, len(leaves), 60), dict(enumerate(leaves)), rng)
+    plans = [_dag_plan(rng, len(shared), 400) for _ in range(2)]
+    rngs = [np.random.default_rng([seed, t]) for t in range(2)]
+
+    def build(t):
+        return _build_shuffled(plans[t], dict(shared), rngs[t])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            built = list(pool.map(build, range(2), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    tops = [nodes[max(nodes)] for nodes in built]
+    # a join of both threads' nodes, nodes of one thread and of the shared
+    # part, a coordinate and a constant
+    roots = [sf.Add(*tops), *tops, built[0][len(shared) + 7], shared[len(shared) - 1]]
+    roots += [leaves[1], leaves[3]]
+
+    tape = sf.Tape(roots)
+    template, loads, code, outputs = tape._compile()
+    assert len(code) == len(_interior_nodes(roots))
+
+    # symbolic run: each register holds the id of the operation it computed
+    interned = {}
+    regs = [None if v is None else ("value", repr(v)) for v in template]
+    for r, i in loads:
+        regs[r] = ("coord", i)
+    for op, out, a, b in code:
+        assert regs[a] is not None and (b < 0 or regs[b] is not None)
+        regs[out] = interned.setdefault((op, regs[a], regs[b] if b >= 0 else None), len(interned))
+    ids = {}
+
+    def expected(node):
+        if node not in ids:
+            kind = type(node)
+            if kind is sf.Const:
+                ids[node] = ("value", repr(node.value))
+            elif kind is sf.Coord:
+                ids[node] = ("coord", node.index)
+            else:
+                a, *b = (expected(k) for k in sf._RULES[kind][0](node))
+                key = (sf._RULES[kind][1], a, b[0] if b else None)
+                ids[node] = interned.setdefault(key, len(interned))
+        return ids[node]
+
+    assert [regs[r] for r in outputs] == [expected(n) for n in roots]
+
+    points = rng.uniform(-4.0, 4.0, (7, 3))
+    coords = tuple(np.ascontiguousarray(points[:, i]) for i in range(3))
+    got = tape.run(coords)
+    memo = {}
+    with np.errstate(all="ignore"):
+        for node, value in zip(roots, got):
+            want = np.broadcast_to(np.asarray(_dag_values(node, coords, memo), dtype=float), (7,))
+            assert value.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 ONE_POINT = (0.1, 0.2, 0.3)
@@ -635,6 +867,40 @@ def test_sample_points_are_python_floats():
     assert len(points) == 5
     assert all(type(p) is tuple and len(p) == 3 for p in points)
     assert all(type(v) is float for p in points for v in p)
+
+
+def _per_draw_points(chart, n, rng):
+    # one draw of dim values per point
+    return [tuple(rng.uniform(0.0, 2.0 * math.pi, chart.dim).tolist()) for _ in range(n)]
+
+
+def _per_draw_scalar(chart, rng, amplitude):
+    # random_scalar with one draw per coefficient
+    coeff = lambda: rng.uniform(-amplitude, amplitude)
+    node = sf.const(coeff())
+    for i in range(chart.dim):
+        node = sf.add(node, sf.mul(sf.const(coeff()), sf.sin(sf.coord(i))))
+        node = sf.add(node, sf.mul(sf.const(coeff()), sf.cos(sf.coord(i))))
+    m = int(rng.integers(0, chart.dim))
+    node = sf.add(node, sf.mul(sf.const(coeff()), sf.cos(sf.mul(sf.const(2.0), sf.coord(m)))))
+    j = int(rng.integers(0, chart.dim))
+    k = int(rng.integers(0, chart.dim - 1))
+    if k >= j:
+        k += 1
+    return sf.add(node, sf.mul(sf.const(coeff()), sf.sin(sf.add(sf.coord(j), sf.coord(k)))))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 6])
+def test_batched_draws_take_the_per_draw_stream(dim):
+    # repr prints every float so that it reads back to the same bits
+    chart = torus(*(f"x{i}" for i in range(dim)))
+    for seed in range(50):
+        rng, ref = stream(seed, "draws"), stream(seed, "draws")
+        assert repr(sample_points(chart, 7, rng)) == repr(_per_draw_points(chart, 7, ref))
+        for amplitude in (1.0, 0.3):
+            f = random_scalar(chart, rng, amplitude)
+            assert repr(f.node) == repr(_per_draw_scalar(chart, ref, amplitude))
+        assert rng.uniform() == ref.uniform()
 
 
 def test_empty_batch_has_no_samples():

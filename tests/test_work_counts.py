@@ -1,0 +1,63 @@
+"""Work counts of a few bracket-heavy identities, pinned as upper bounds.
+
+Reports alone do not show wrapper churn or a derivative that recurses into
+subtrees without the coordinate: both leave every value the same and only
+cost time.  These counts do show them, without a benchmark run.
+"""
+
+from __future__ import annotations
+
+from leviflat import symfield as sf
+from leviflat.scenarios import builtin
+from leviflat.suites import REGISTRY, run_identity
+
+IDENTITIES = ("excalc.d_squared", "dgla.jacobi", "dbar.squared", "nijenhuis.bilinear")
+
+# Counts on t5_product at 1 point and seed 42, from a fresh interpreter
+# (warm derivative and sin/cos/exp caches only lower them).  The parent of
+# the bare-node carriers, support masks and creation-order tapes counted
+# 61,655 ScalarFields, 100,577 _diff executions, 73,778 nodes and 54,323
+# tape instructions.
+MAX_COUNTS = {
+    "ScalarField constructions": 17_609,
+    "Node._diff executions": 39_585,
+    "nodes built": 73_662,
+    "tape instructions": 54_323,
+}
+
+
+def test_bracket_heavy_identities_do_no_more_work(monkeypatch):
+    scenario = builtin("t5_product")
+    specs = [spec for spec in REGISTRY if spec.identity in IDENTITIES]
+    assert len(specs) == len(IDENTITIES)
+    counts = dict.fromkeys(MAX_COUNTS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        sf.ScalarField, "__init__", counted("ScalarField constructions", sf.ScalarField.__init__)
+    )
+    for cls in (sf.Const, sf.Coord, sf.Add, sf.Sub, sf.Mul, sf.Div, sf.Neg, sf.Pow, sf.Sin, sf.Cos, sf.Exp):
+        monkeypatch.setattr(cls, "_diff", counted("Node._diff executions", cls._diff))
+    compile_ = sf.Tape._compile
+
+    def compiled(tape):
+        program = compile_(tape)
+        counts["tape instructions"] += len(program[2])
+        return program
+
+    monkeypatch.setattr(sf.Tape, "_compile", compiled)
+    first = next(sf._SERIAL)
+    for spec in specs:
+        report = run_identity(spec, scenario, 42, 1)
+        assert report.passed, report
+    counts["nodes built"] = next(sf._SERIAL) - first - 1
+    for name, bound in MAX_COUNTS.items():
+        assert counts[name] <= bound, name
+    assert counts["tape instructions"] > 0
+
