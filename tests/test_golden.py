@@ -49,6 +49,13 @@ GOLDEN = [
         3,
         "5d23ac86b7e074d055af81a5e8e1cdc8a2e1d5f950eb805c57ec7536016e1a74",
     ),
+    # the dimension-5 identities whose runners draw several instances
+    (
+        "t5_product",
+        "dbar.*,nijenhuis.*,zsub.*,prop.beth_squared,remark.h_linear,defbracket.*",
+        2,
+        "b68a00949f019c1a33a7080c3b02ac19063340509dbd6f34ad5eea42dd35c582",
+    ),
     # a path relative to the repository root, as the report echoes it
     (
         "bench/my_twisted.scn",
@@ -59,7 +66,14 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("scenario,suite,points,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+# a scenario's first entry is named after it, a later one after its points too
+IDS = [
+    g[0] if [h[0] for h in GOLDEN].index(g[0]) == k else f"{g[0]}-{g[2]}points"
+    for k, g in enumerate(GOLDEN)
+]
+
+
+@pytest.mark.parametrize("scenario,suite,points,digest", GOLDEN, ids=IDS)
 def test_report_bytes_match_golden(tmp_path, monkeypatch, scenario, suite, points, digest):
     monkeypatch.chdir(ROOT)
     _, document = run(RunConfig(scenario=scenario, suite=suite, seed=42, points=points))
