@@ -41,9 +41,10 @@ def _columns(V, points, ev):
 
 def integrate_flow(Y, t, points, h=DEFAULT_STEP, jacobian=True):
     """Integrate dp/ds = Y(p), dA/ds = DY(p) A from (p, I) for time t, for
-    every p of an (N, dim) batch together.
+    every p of an (N, dim + P) batch together; a point's parameter values
+    ride along unmoved.
 
-    Returns (points, Jacobians) as numpy arrays of shapes (N, dim) and
+    Returns (points, Jacobians) as numpy arrays of shapes (N, dim + P) and
     (N, dim, dim); classical RK4, global error O(h^4).  With jacobian=False
     only the trajectory is integrated and the Jacobians come back as None.
     t is one time for every point or an (N,) array of one time per point;
@@ -59,6 +60,9 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP, jacobian=True):
     pts = np.array(points, dtype=float)
     one_point = pts.ndim == 1 and pts.size > 0
     x = point_batch(chart, pts[None] if one_point else pts)
+    # the parameter columns: fixed along the flow
+    fixed = x[:, dim:]
+    x = x[:, :dim]
     times = np.asarray(t, dtype=float)
     if times.shape not in ((), (len(x),)):
         raise FlowParameterError(f"t must be one time or one per point, got shape {times.shape}")
@@ -67,12 +71,13 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP, jacobian=True):
         raise FlowParameterError(f"|t|/h = {span / h:.3e} exceeds 1e6")
     A = np.tile(np.eye(dim), (len(x), 1, 1)) if jacobian else None
     if span == 0.0:
+        x = np.hstack([x, fixed])
         return (x[0], None if A is None else A[0]) if one_point else (x, A)
     jac = [[c.diff(j) for j in range(dim)] for c in Y.components] if jacobian else []
     tape = Tape([f.node for f in Y.components + tuple(f for row in jac for f in row)])
 
     def field(xv):
-        ev = PointEvaluator(chart, xv, tape)
+        ev = PointEvaluator(chart, np.hstack([xv, fixed]) if fixed.size else xv, tape)
         f = np.ascontiguousarray(np.array([ev(c) for c in Y.components]).T)
         if not jacobian:
             return f, None
@@ -95,6 +100,7 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP, jacobian=True):
             K3 = J3 @ (A + 0.5 * dA * K2)
             K4 = J4 @ (A + dA * K3)
             A = A + (dA / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    x = np.hstack([x, fixed])
     return (x[0], None if A is None else A[0]) if one_point else (x, A)
 
 
@@ -223,14 +229,15 @@ def _conjugated_S_matrix(Y, t, s, pts):
 
 def s_gauge_fd(Y, s, points, frame_index):
     """Richardson central difference of t -> S_{chi(Phi_t^Y)(0)} at t = 0,
-    applied to the frame vector; returned in chart components, an (N, dim)
-    array at an (N, dim) batch of points.
+    applied to the frame vector, one index or an (N,) array of one index per
+    point; returned in chart components, an (N, dim) array at an (N, dim)
+    batch of points.
 
     Contract: equals -H_Y(E_frame_index) at p.
     """
     Sdot = richardson(lambda pts, t: _conjugated_S_matrix(Y, t, s, pts), points, FD_OFFSET)
     Mp = s.basis_matrix_at(points)
-    return matvec(Mp[:, :, : s.n_leaf], Sdot[:, :, frame_index])
+    return matvec(Mp[:, :, : s.n_leaf], Sdot[np.arange(len(Sdot)), :, frame_index])
 
 
 def gauge_mc_value(Y, t, alpha, couple, points, V, W):

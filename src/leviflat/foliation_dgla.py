@@ -16,7 +16,7 @@ from .excalc import (
     scalar_form,
     wedge,
 )
-from .report import ResidualAccumulator
+from .report import ONE_INSTANCE, ResidualAccumulator
 from .symfield import ScalarField
 
 MEMBERSHIP_TOL = 1e-8
@@ -66,24 +66,27 @@ def delta(alpha, couple):
     return exterior_derivative(alpha) + dgla_bracket(couple.gamma, alpha, couple)
 
 
-def z_membership_residual(alpha, couple, points):
+def z_membership_residual(alpha, couple, points, rows):
     """Max absolute value of iota_X alpha over the sample points (the raw
-    deviation from Z^* membership; 0-forms always belong to Z^0)."""
+    deviation from Z^* membership; 0-forms always belong to Z^0), for each
+    row of alpha's parameter values."""
     alpha = _as_form(alpha)
     if alpha.degree == 0:
         return 0.0
-    return ResidualAccumulator(points).add(interior_product(couple.X, alpha)).max_abs
+    residual = [(interior_product(couple.X, alpha), 0.0)]
+    return ResidualAccumulator(points).add_each(rows, residual).max_abs
 
 
-def mc_residual(alpha, couple, points):
+def mc_residual(alpha, couple, points, rows=ONE_INSTANCE):
     """Maurer-Cartan 2-form delta(alpha) + 1/2 {alpha, alpha}.
 
     Zero iff ker(gamma + alpha) is integrable.  Raises when alpha is not in
-    Z^1 within MEMBERSHIP_TOL at the points.
+    Z^1 within MEMBERSHIP_TOL at the points, for some row of its parameter
+    values.
     """
     if alpha.degree != 1:
         raise ZMembershipError("Maurer-Cartan input must be a 1-form")
-    zres = z_membership_residual(alpha, couple, points)
+    zres = z_membership_residual(alpha, couple, points, rows)
     if not zres <= MEMBERSHIP_TOL:
         raise ZMembershipError(f"iota_X alpha residual {zres:.3e} exceeds {MEMBERSHIP_TOL:.1e}")
     bracket = dgla_bracket(alpha, alpha, couple)

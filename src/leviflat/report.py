@@ -6,7 +6,9 @@ componentwise for vector and form values.  A NaN or an infinity on either
 side makes its sample NaN, and a NaN sample fails its identity.
 
 ResidualAccumulator.add is the only code that evaluates a residual pair:
-runners and residual helpers hand it their two sides.
+runners and residual helpers hand it their two sides, or hand add_each the
+pairs of fields built over parameters with one row of parameter values per
+instance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excalc import DifferentialForm, VectorField, XiValuedForm, form_components
-from .symfield import PointEvaluator, ScalarField
+from .symfield import PointEvaluator, ScalarField, Tape
+
+# The parameter values of one instance of fields without parameters.
+ONE_INSTANCE = np.zeros((1, 0))
+
+# Samples, points times instances, that one tape run of add_each evaluates
+# at most: instances batch up to it, which bounds the registers' memory.
+BATCH_SAMPLES = 1024
 
 
 def _is_value(x):
@@ -51,6 +60,29 @@ def _fields(value):
 
 def _chart(value):
     return (value[0] if type(value) is list else value).chart
+
+
+def _instance(side, k, count):
+    """Instance k's columns of a side evaluated for count instances."""
+    if isinstance(side, np.ndarray):
+        n = side.shape[-1] // count
+        return side[..., k * n : (k + 1) * n]
+    return side
+
+
+def _value_pairs(lhs, rhs):
+    """The (lhs, rhs) values of a pair of symbolic sides, or None when lhs
+    is numeric."""
+    if isinstance(rhs, XiValuedForm):
+        keys = (lhs if isinstance(lhs, XiValuedForm) else rhs).values
+        rhs = [_entry(rhs.values[k]) for k in keys]
+    if isinstance(lhs, XiValuedForm):
+        lhs = [_entry(v) for v in lhs.values.values()]
+    lhs_values = _values(lhs)
+    if lhs_values is None:
+        return None
+    rhs_values = _values(rhs) or [rhs] * len(lhs_values)
+    return list(zip(lhs_values, rhs_values, strict=True))
 
 
 def _numeric(value, points, ev):
@@ -91,23 +123,35 @@ class ResidualAccumulator:
         components are its entries, or a 2-d array of shape (components, N),
         N samples, one per column.  rhs broadcasts against lhs.
         """
-        if isinstance(rhs, XiValuedForm):
-            keys = (lhs if isinstance(lhs, XiValuedForm) else rhs).values
-            rhs = [_entry(rhs.values[k]) for k in keys]
-        if isinstance(lhs, XiValuedForm):
-            lhs = [_entry(v) for v in lhs.values.values()]
-        lhs_values = _values(lhs)
-        if lhs_values is None:
+        pairs = _value_pairs(lhs, rhs)
+        if pairs is None:
             lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
             if lhs.ndim < 2:
                 lhs, rhs = lhs.reshape(-1, 1), rhs.reshape(-1, 1)
             return self._compare(lhs, rhs)
-        rhs_values = _values(rhs) or [rhs] * len(lhs_values)
-        pairs = list(zip(lhs_values, rhs_values, strict=True))
+        return self._add_values(ONE_INSTANCE, pairs)
+
+    def add_each(self, rows, pairs):
+        """Record the samples of every symbolic (lhs, rhs) pair, as add
+        does, for each row of parameter values in turn: instance by
+        instance, and pair by pair within an instance.  Every field of the
+        pairs is compiled into one tape, which runs on up to BATCH_SAMPLES
+        samples of the instances at a time."""
+        return self._add_values(rows, [p for lhs, rhs in pairs for p in _value_pairs(lhs, rhs)])
+
+    def _add_values(self, rows, pairs):
         values = [v for pair in pairs for v in pair if _is_value(v)]
-        ev = PointEvaluator(_chart(values[0]), self.points, [f for v in values for f in _fields(v)])
-        for pair in pairs:
-            self._compare(*(_numeric(v, self.points, ev) for v in pair))
+        chart = _chart(values[0])
+        tape = Tape(f.node for v in values for f in _fields(v))
+        step = max(1, BATCH_SAMPLES // max(1, len(self.points)))
+        for start in range(0, len(rows), step):
+            batch = rows[start : start + step]
+            ev = PointEvaluator(chart, self.points, tape, batch if batch.shape[1] else ())
+            # each side as (components, K*N), or a number
+            sides = [[_numeric(v, self.points, ev) for v in pair] for pair in pairs]
+            for k in range(len(batch)):
+                for lhs, rhs in sides:
+                    self._compare(_instance(lhs, k, len(batch)), _instance(rhs, k, len(batch)))
         return self
 
     def _compare(self, lhs, rhs):

@@ -34,8 +34,8 @@ from .excalc import (
     wedge,
 )
 from .report import CheckReport, ResidualAccumulator
-from .sampling import random_form, random_scalar, random_vector_field, sample_points, stream
-from .symfield import PointEvaluator, ScalarField, constant, exp_of, coord, const, add, mul, sin as sin_node, cos as cos_node
+from .sampling import Drawn, Parameters, combination, random_form, random_scalar, random_vector_field, sample_points, stream
+from .symfield import PointEvaluator, ScalarField, Tape, add, constant, coord, cos as cos_node, exp_of, sin as sin_node
 
 
 # --------------------------------------------------------------------------
@@ -43,12 +43,12 @@ from .symfield import PointEvaluator, ScalarField, constant, exp_of, coord, cons
 # --------------------------------------------------------------------------
 
 
-def random_z_form(s, k, rng, amplitude=1.0):
+def random_z_form(s, k, draws, amplitude=1.0):
     """Seeded element of Z^k, k >= 1: coefficients on wedges of the dual
     coframe."""
     out = None
     for idx in combinations(range(s.n_leaf), k):
-        f = random_scalar(s.chart, rng, amplitude)
+        f = random_scalar(s.chart, draws, amplitude)
         term = s.coframe[idx[0]]
         for i in idx[1:]:
             term = wedge(term, s.coframe[i])
@@ -57,29 +57,34 @@ def random_z_form(s, k, rng, amplitude=1.0):
     return out
 
 
-def random_xi_field(s, rng, amplitude=1.0):
-    coeffs = [random_scalar(s.chart, rng, amplitude) for _ in range(s.n_leaf)]
+def random_xi_field(s, draws, amplitude=1.0):
+    coeffs = [random_scalar(s.chart, draws, amplitude) for _ in range(s.n_leaf)]
     return s.from_xi_coefficients(coeffs)
 
 
-def small_scalar(chart, rng, amplitude):
-    """Compact random field for matrix entries: constant + two harmonics."""
-    j = int(rng.integers(0, chart.dim))
-    k = int(rng.integers(0, chart.dim))
-    node = add(
-        const(rng.uniform(-amplitude, amplitude)),
-        add(
-            mul(const(rng.uniform(-amplitude, amplitude)), sin_node(coord(j))),
-            mul(const(rng.uniform(-amplitude, amplitude)), cos_node(coord(k))),
-        ),
-    )
-    return ScalarField(chart, node)
+def small_scalar(chart, draws, amplitude):
+    """Compact random field for matrix entries: a constant plus sin(x_j) and
+    cos(x_k), each harmonic a one-hot row over the coordinates."""
+    dim = chart.dim
+
+    def values(rng):
+        j = int(rng.integers(0, dim))
+        k = int(rng.integers(0, dim))
+        out = [rng.uniform(-amplitude, amplitude)] + [0.0] * (2 * dim)
+        out[1 + j] = rng.uniform(-amplitude, amplitude)
+        out[1 + dim + k] = rng.uniform(-amplitude, amplitude)
+        return out
+
+    c = draws.draw(2 * dim + 1, values)
+    sines = combination(c[1 : 1 + dim], lambda i: sin_node(coord(i)))
+    cosines = combination(c[1 + dim :], lambda i: cos_node(coord(i)))
+    return ScalarField(chart, add(c[0], add(sines, cosines)))
 
 
-def random_anticommuting_S(s, rng):
+def random_anticommuting_S(s, draws):
     """Seeded frame matrix anticommuting with J: C + J C J."""
     n = s.n_leaf
-    C = [[small_scalar(s.chart, rng, 0.03) for _ in range(n)] for _ in range(n)]
+    C = [[small_scalar(s.chart, draws, 0.03) for _ in range(n)] for _ in range(n)]
     JCJ = matrix_mul(s.chart, matrix_mul(s.chart, s.Jmat, C), s.Jmat)
     return [[C[r][c] + JCJ[r][c] for c in range(n)] for r in range(n)]
 
@@ -118,43 +123,53 @@ def mc_flat_alpha(scenario, points):
 # --------------------------------------------------------------------------
 # Runners: exterior calculus and DGLA axioms
 # --------------------------------------------------------------------------
+#
+# A runner that checks an identity on several random instances builds its
+# fields once over Parameters and hands the accumulator one row of
+# parameter values per instance; a runner of one instance draws constants.
+
+
+def _batch(points, rows):
+    """The points once per instance, each followed by its instance's
+    parameter row: a K*N batch of points that carry their parameters."""
+    pts = np.asarray(points, dtype=float)
+    return np.hstack([np.tile(pts, (len(rows), 1)), np.repeat(rows, len(pts), axis=0)])
 
 
 def run_d_squared(scenario, acc, streams):
     chart = scenario.structure.chart
     rng = streams("d_squared")
     for k in range(0, chart.dim - 1):
-        for _ in range(3):
-            omega = random_form(chart, k, rng)
-            acc.add(exterior_derivative(exterior_derivative(omega)))
+        draws = Parameters()
+        omega = random_form(chart, k, draws)
+        acc.add_each(draws.rows(rng, 3), [(exterior_derivative(exterior_derivative(omega)), 0.0)])
 
 
 def run_leibniz_wedge(scenario, acc, streams):
     chart = scenario.structure.chart
     rng = streams("leibniz_wedge")
     for ka, kb in ((0, 1), (1, 1), (1, 2)):
-        for _ in range(4):
-            a = random_form(chart, ka, rng)
-            b = random_form(chart, kb, rng)
-            lhs = exterior_derivative(wedge(a, b))
-            rhs = wedge(exterior_derivative(a), b)
-            signed = wedge(a, exterior_derivative(b))
-            acc.add(lhs, rhs + (signed if ka % 2 == 0 else -signed))
+        draws = Parameters()
+        a = random_form(chart, ka, draws)
+        b = random_form(chart, kb, draws)
+        lhs = exterior_derivative(wedge(a, b))
+        rhs = wedge(exterior_derivative(a), b)
+        signed = wedge(a, exterior_derivative(b))
+        acc.add_each(draws.rows(rng, 4), [(lhs, rhs + (signed if ka % 2 == 0 else -signed))])
 
 
 def run_jacobi_vector(scenario, acc, streams):
     chart = scenario.structure.chart
-    rng = streams("jacobi_vector")
-    for _ in range(4):
-        U = random_vector_field(chart, rng)
-        V = random_vector_field(chart, rng)
-        W = random_vector_field(chart, rng)
-        total = (
-            lie_bracket(U, lie_bracket(V, W))
-            + lie_bracket(V, lie_bracket(W, U))
-            + lie_bracket(W, lie_bracket(U, V))
-        )
-        acc.add(total)
+    draws = Parameters()
+    U = random_vector_field(chart, draws)
+    V = random_vector_field(chart, draws)
+    W = random_vector_field(chart, draws)
+    total = (
+        lie_bracket(U, lie_bracket(V, W))
+        + lie_bracket(V, lie_bracket(W, U))
+        + lie_bracket(W, lie_bracket(U, V))
+    )
+    acc.add_each(draws.rows(streams("jacobi_vector"), 4), [(total, 0.0)])
 
 
 def run_bracket_antisym(scenario, acc, streams):
@@ -162,11 +177,12 @@ def run_bracket_antisym(scenario, acc, streams):
     chart = scenario.structure.chart
     rng = streams("antisym")
     for ka, kb in ((1, 1), (1, 2), (2, 2)):
-        for _ in range(5):
-            a = random_form(chart, ka, rng)
-            b = random_form(chart, kb, rng)
-            lhs = fd.dgla_bracket(a, b, couple)
-            acc.add(lhs, fd.dgla_bracket(b, a, couple).scaled(-((-1.0) ** (ka * kb))))
+        draws = Parameters()
+        a = random_form(chart, ka, draws)
+        b = random_form(chart, kb, draws)
+        lhs = fd.dgla_bracket(a, b, couple)
+        rhs = fd.dgla_bracket(b, a, couple).scaled(-((-1.0) ** (ka * kb)))
+        acc.add_each(draws.rows(rng, 5), [(lhs, rhs)])
 
 
 def run_bracket_jacobi(scenario, acc, streams):
@@ -174,15 +190,15 @@ def run_bracket_jacobi(scenario, acc, streams):
     chart = scenario.structure.chart
     rng = streams("jacobi")
     for degrees, count in (((1, 1, 1), 8), ((1, 1, 2), 7)):
-        for _ in range(count):
-            a = random_form(chart, degrees[0], rng)
-            b = random_form(chart, degrees[1], rng)
-            c = random_form(chart, degrees[2], rng)
-            lhs = fd.dgla_bracket(a, fd.dgla_bracket(b, c, couple), couple)
-            rhs = fd.dgla_bracket(fd.dgla_bracket(a, b, couple), c, couple)
-            signed = fd.dgla_bracket(b, fd.dgla_bracket(a, c, couple), couple)
-            sign = (-1.0) ** (degrees[0] * degrees[1])
-            acc.add(lhs, rhs + (signed if sign > 0 else -signed))
+        draws = Parameters()
+        a = random_form(chart, degrees[0], draws)
+        b = random_form(chart, degrees[1], draws)
+        c = random_form(chart, degrees[2], draws)
+        lhs = fd.dgla_bracket(a, fd.dgla_bracket(b, c, couple), couple)
+        rhs = fd.dgla_bracket(fd.dgla_bracket(a, b, couple), c, couple)
+        signed = fd.dgla_bracket(b, fd.dgla_bracket(a, c, couple), couple)
+        sign = (-1.0) ** (degrees[0] * degrees[1])
+        acc.add_each(draws.rows(rng, count), [(lhs, rhs + (signed if sign > 0 else -signed))])
 
 
 def run_leibniz(scenario, acc, streams, use_delta):
@@ -191,13 +207,13 @@ def run_leibniz(scenario, acc, streams, use_delta):
     rng = streams("leibniz_delta" if use_delta else "leibniz_d")
     diff = (lambda w: fd.delta(w, couple)) if use_delta else exterior_derivative
     for ka, kb in ((1, 1), (1, 2), (0, 1)):
-        for _ in range(5):
-            a = random_form(chart, ka, rng)
-            b = random_form(chart, kb, rng)
-            lhs = diff(fd.dgla_bracket(a, b, couple))
-            rhs = fd.dgla_bracket(diff(a), b, couple)
-            signed = fd.dgla_bracket(a, diff(b), couple)
-            acc.add(lhs, rhs + (signed if ka % 2 == 0 else -signed))
+        draws = Parameters()
+        a = random_form(chart, ka, draws)
+        b = random_form(chart, kb, draws)
+        lhs = diff(fd.dgla_bracket(a, b, couple))
+        rhs = fd.dgla_bracket(diff(a), b, couple)
+        signed = fd.dgla_bracket(a, diff(b), couple)
+        acc.add_each(draws.rows(rng, 5), [(lhs, rhs + (signed if ka % 2 == 0 else -signed))])
 
 
 def run_delta_squared(scenario, acc, streams):
@@ -205,23 +221,24 @@ def run_delta_squared(scenario, acc, streams):
     chart = scenario.structure.chart
     rng = streams("delta_squared")
     for k in (0, 1):
-        for _ in range(5):
-            a = random_form(chart, k, rng)
-            acc.add(fd.delta(fd.delta(a, couple), couple))
+        draws = Parameters()
+        a = random_form(chart, k, draws)
+        acc.add_each(draws.rows(rng, 5), [(fd.delta(fd.delta(a, couple), couple), 0.0)])
 
 
 def run_z_closure(scenario, acc, streams):
     s = scenario.structure
     couple = s.couple
-    rng = streams("z_closure")
     X = couple.X
-    for _ in range(10):
-        a = random_z_form(s, 1, rng)
-        b = random_z_form(s, 1, rng)
-        da = fd.delta(a, couple)
-        bracket = fd.dgla_bracket(a, b, couple)
-        for form in (interior_product(X, da), interior_product(X, bracket)):
-            acc.add(form)
+    draws = Parameters()
+    a = random_z_form(s, 1, draws)
+    b = random_z_form(s, 1, draws)
+    da = fd.delta(a, couple)
+    bracket = fd.dgla_bracket(a, b, couple)
+    acc.add_each(
+        draws.rows(streams("z_closure"), 10),
+        [(interior_product(X, da), 0.0), (interior_product(X, bracket), 0.0)],
+    )
 
 
 def run_z_reduced_bracket(scenario, acc, streams):
@@ -229,26 +246,25 @@ def run_z_reduced_bracket(scenario, acc, streams):
     couple = s.couple
     rng = streams("z_reduced")
     for ka, kb in ((1, 1), (1, 2)):
-        for _ in range(5):
-            a = random_z_form(s, ka, rng)
-            b = random_z_form(s, kb, rng)
-            lhs = fd.dgla_bracket(a, b, couple)
-            acc.add(lhs, fd.dgla_bracket_reduced(a, b, couple))
+        draws = Parameters()
+        a = random_z_form(s, ka, draws)
+        b = random_z_form(s, kb, draws)
+        lhs = fd.dgla_bracket(a, b, couple)
+        acc.add_each(draws.rows(rng, 5), [(lhs, fd.dgla_bracket_reduced(a, b, couple))])
 
 
 def run_z_reduced_gamma(scenario, acc, streams):
     s = scenario.structure
     couple = s.couple
-    rng = streams("z_gamma")
     X, gamma = couple.X, couple.gamma
     d_gamma = exterior_derivative(gamma)
-    for _ in range(8):
-        a = random_z_form(s, 1, rng)
-        lhs = fd.dgla_bracket(gamma, a, couple)
-        rhs = wedge(interior_product(X, d_gamma), a) - wedge(
-            gamma, interior_product(X, exterior_derivative(a))
-        )
-        acc.add(lhs, rhs)
+    draws = Parameters()
+    a = random_z_form(s, 1, draws)
+    lhs = fd.dgla_bracket(gamma, a, couple)
+    rhs = wedge(interior_product(X, d_gamma), a) - wedge(
+        gamma, interior_product(X, exterior_derivative(a))
+    )
+    acc.add_each(draws.rows(streams("z_gamma"), 8), [(lhs, rhs)])
 
 
 def run_frobenius(scenario, acc, streams):
@@ -262,11 +278,11 @@ def run_mc_oracle(scenario, acc, streams):
     iota_X(d(gamma+alpha) ^ (gamma+alpha))."""
     s = scenario.structure
     couple = s.couple
-    rng = streams("mc_oracle")
-    for _ in range(6):
-        a = random_z_form(s, 1, rng, amplitude=0.4)
-        mc = fd.mc_residual(a, couple, acc.points)
-        acc.add(mc, interior_product(couple.X, fd.mc_oracle_form(a, couple)))
+    draws = Parameters()
+    a = random_z_form(s, 1, draws, amplitude=0.4)
+    rows = draws.rows(streams("mc_oracle"), 6)
+    mc = fd.mc_residual(a, couple, acc.points, rows)
+    acc.add_each(rows, [(mc, interior_product(couple.X, fd.mc_oracle_form(a, couple)))])
 
 
 def run_db_closed(scenario, acc, streams):
@@ -276,42 +292,48 @@ def run_db_closed(scenario, acc, streams):
 
 def run_omega_alpha_inverse(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("omega_alpha")
-    for _ in range(6):
-        a = random_z_form(s, 1, rng, amplitude=0.5)
-        V = random_vector_field(s.chart, rng)
-        round_trip = fd.omega_alpha_inverse(fd.omega_alpha(V, a, s.couple), a, s.couple)
-        acc.add(round_trip, V)
-        # omega_alpha maps xi into ker(gamma + alpha)
-        W = random_xi_field(s, rng)
-        beta = s.gamma + a
-        acc.add([beta.apply_symbolic([fd.omega_alpha(W, a, s.couple)])])
+    draws = Parameters()
+    a = random_z_form(s, 1, draws, amplitude=0.5)
+    V = random_vector_field(s.chart, draws)
+    round_trip = fd.omega_alpha_inverse(fd.omega_alpha(V, a, s.couple), a, s.couple)
+    # omega_alpha maps xi into ker(gamma + a)
+    W = random_xi_field(s, draws)
+    beta = s.gamma + a
+    acc.add_each(
+        draws.rows(streams("omega_alpha"), 6),
+        [(round_trip, V), ([beta.apply_symbolic([fd.omega_alpha(W, a, s.couple)])], 0.0)],
+    )
 
 
 # --------------------------------------------------------------------------
 # Runners: flows and the gauge action
 # --------------------------------------------------------------------------
+#
+# Every instance flows in one batch of points that carry their instance's
+# parameter values; the values are split back into instances to record.
 
 
 def run_flow_group_law(scenario, acc, streams):
     chart = scenario.structure.chart
-    rng = streams("flow_group")
-    for _ in range(3):
-        Y = random_vector_field(chart, rng, amplitude=0.6)
-        t1, t2 = 0.07, -0.05
-        points = acc.points[:4]
-        q1, _ = flows.integrate_flow(Y, t2, points, jacobian=False)
-        q2, _ = flows.integrate_flow(Y, t1, q1, jacobian=False)
-        q12, _ = flows.integrate_flow(Y, t1 + t2, points, jacobian=False)
-        acc.add(q2.T, q12.T)
+    draws = Parameters()
+    Y = random_vector_field(chart, draws, amplitude=0.6)
+    rows = draws.rows(streams("flow_group"), 3)
+    t1, t2 = 0.07, -0.05
+    points = _batch(acc.points[:4], rows)
+    q1, _ = flows.integrate_flow(Y, t2, points, jacobian=False)
+    q2, _ = flows.integrate_flow(Y, t1, q1, jacobian=False)
+    q12, _ = flows.integrate_flow(Y, t1 + t2, points, jacobian=False)
+    dim = chart.dim
+    for lhs, rhs in zip(np.split(q2[:, :dim].T, len(rows), axis=1), np.split(q12[:, :dim].T, len(rows), axis=1)):
+        acc.add(lhs, rhs)
 
 
 def run_flow_pullback_identity(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("pullback_id")
-    Y = random_vector_field(s.chart, rng, amplitude=0.6)
-    omega = random_form(s.chart, 1, rng)
-    args = [random_vector_field(s.chart, rng)]
+    draws = Drawn(streams("pullback_id"))
+    Y = random_vector_field(s.chart, draws, amplitude=0.6)
+    omega = random_form(s.chart, 1, draws)
+    args = [random_vector_field(s.chart, draws)]
     points = acc.points[:6]
     lhs = flows.pullback_form_numeric(Y, 0.0, omega, points, args)
     acc.add([lhs], [evaluate_form(omega, points, args)])
@@ -319,30 +341,35 @@ def run_flow_pullback_identity(scenario, acc, streams):
 
 def run_flow_lie_oracle(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("lie_oracle")
-    for _ in range(3):
-        Y = random_vector_field(s.chart, rng, amplitude=0.6)
-        omega = random_form(s.chart, 1, rng)
-        args = [random_vector_field(s.chart, rng)]
-        lie = lie_derivative_form(Y, omega)
-        points = acc.points[:4]
-        fd_val = flows.richardson(
-            lambda pts, t: flows.pullback_form_numeric(Y, t, omega, pts, args), points, 1e-3
-        )
-        acc.add([fd_val], [evaluate_form(lie, points, args)])
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws, amplitude=0.6)
+    omega = random_form(s.chart, 1, draws)
+    args = [random_vector_field(s.chart, draws)]
+    rows = draws.rows(streams("lie_oracle"), 3)
+    lie = lie_derivative_form(Y, omega)
+    points = _batch(acc.points[:4], rows)
+    fd_val = flows.richardson(
+        lambda pts, t: flows.pullback_form_numeric(Y, t, omega, pts, args), points, 1e-3
+    )
+    exact = evaluate_form(lie, points, args)
+    for lhs, rhs in zip(np.split(fd_val, len(rows)), np.split(exact, len(rows))):
+        acc.add([lhs], [rhs])
 
 
 def run_gauge_chi(scenario, acc, streams):
     s = scenario.structure
     couple = s.couple
-    rng = streams("gauge_chi")
-    for _ in range(10):
-        Y = random_vector_field(s.chart, rng, amplitude=0.6)
-        target = -fd.delta(couple.gamma_of(Y), couple)
-        arg = random_vector_field(s.chart, rng)
-        tval = target.apply_symbolic([arg])
-        points = acc.points[:3]
-        acc.add([flows.gauge_derivative_fd(Y, couple, points, arg)], [tval(points)])
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws, amplitude=0.6)
+    target = -fd.delta(couple.gamma_of(Y), couple)
+    arg = random_vector_field(s.chart, draws)
+    tval = target.apply_symbolic([arg])
+    rows = draws.rows(streams("gauge_chi"), 10)
+    points = _batch(acc.points[:3], rows)
+    lhs = flows.gauge_derivative_fd(Y, couple, points, arg)
+    rhs = tval(points)
+    for lhs_k, rhs_k in zip(np.split(lhs, len(rows)), np.split(rhs, len(rows))):
+        acc.add([lhs_k], [rhs_k])
 
 
 def run_gauge_S(scenario, acc, streams):
@@ -350,26 +377,35 @@ def run_gauge_S(scenario, acc, streams):
     one, so this runs only where N_J = 0 too, although it passes on a
     non-integrable J as well."""
     s = scenario.structure
-    rng = streams("gauge_S")
-    for _ in range(10):
-        Y = random_vector_field(s.chart, rng, amplitude=0.6)
-        HY = lc.h_form(s, Y)
-        idx = int(rng.integers(0, s.n_leaf))
-        minus_HY = -HY.value((idx,))
-        points = acc.points[:2]
-        acc.add(flows.s_gauge_fd(Y, s, points, idx).T, minus_HY.at(points))
+    n = s.n_leaf
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws, amplitude=0.6)
+    # which frame vector; a value read back, in no field
+    pick = draws.draw(1, lambda rng: [int(rng.integers(0, n))])[0]
+    HY = lc.h_form(s, Y)
+    minus_HY = [-HY.value((i,)) for i in range(n)]
+    rows = draws.rows(streams("gauge_S"), 10)
+    idx = rows[:, pick.index].astype(int)
+    own = acc.points[:2]
+    points = _batch(own, rows)
+    lhs = flows.s_gauge_fd(Y, s, points, np.repeat(idx, len(own))).T
+    rhs = [np.split(V.at(points), len(rows), axis=1) for V in minus_HY]
+    for k, lhs_k in enumerate(np.split(lhs, len(rows), axis=1)):
+        acc.add(lhs_k, rhs[idx[k]][k])
 
 
 def run_gauge_preserves_mc(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("gauge_mc")
     alpha = mc_flat_alpha(scenario, acc.points)
     acc.add(fd.mc_residual(alpha, s.couple, acc.points))
-    for _ in range(3):
-        Y = random_vector_field(s.chart, rng, amplitude=0.6)
-        V = random_vector_field(s.chart, rng)
-        W = random_vector_field(s.chart, rng)
-        acc.add([flows.gauge_mc_value(Y, 0.05, alpha, s.couple, acc.points[:3], V, W)], 0.0)
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws, amplitude=0.6)
+    V = random_vector_field(s.chart, draws)
+    W = random_vector_field(s.chart, draws)
+    rows = draws.rows(streams("gauge_mc"), 3)
+    values = flows.gauge_mc_value(Y, 0.05, alpha, s.couple, _batch(acc.points[:3], rows), V, W)
+    for value in np.split(values, len(rows)):
+        acc.add([value], 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -379,63 +415,61 @@ def run_gauge_preserves_mc(scenario, acc, streams):
 
 def run_dbar_antilinearity(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("dbar_antilin")
-    for _ in range(4):
-        W = random_xi_field(s, rng)
-        acc.add(*lc.antilinearity_residual(s, lc.dbar0(s, W)))
+    draws = Parameters()
+    W = random_xi_field(s, draws)
+    pair = lc.antilinearity_residual(s, lc.dbar0(s, W))
+    acc.add_each(draws.rows(streams("dbar_antilin"), 4), [pair])
 
 
 def run_dbar_commutes_J(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("dbar_J")
-    for _ in range(4):
-        W = random_xi_field(s, rng)
-        lhs = lc.dbar0(s, s.apply_J(W))
-        rhs = lc.dbar0(s, W)
-        acc.add(lhs, [s.apply_J(rhs.value((i,))) for i in range(s.n_leaf)])
+    draws = Parameters()
+    W = random_xi_field(s, draws)
+    lhs = lc.dbar0(s, s.apply_J(W))
+    rhs = lc.dbar0(s, W)
+    pair = (lhs, [s.apply_J(rhs.value((i,))) for i in range(s.n_leaf)])
+    acc.add_each(draws.rows(streams("dbar_J"), 4), [pair])
 
 
 def run_dbar_leibniz(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("dbar_leibniz")
-    for _ in range(4):
-        a = random_scalar(s.chart, rng)
-        W = random_xi_field(s, rng)
-        lhs = lc.dbar0(s, W.scaled(a))
-        da = lc.dbar_scalar(s, a)
-        acc.add(lhs, lc.dbar0(s, W).scaled(a) + lc.wedge01(s, da, XiValuedForm(0, {(): W})))
+    draws = Parameters()
+    a = random_scalar(s.chart, draws)
+    W = random_xi_field(s, draws)
+    lhs = lc.dbar0(s, W.scaled(a))
+    da = lc.dbar_scalar(s, a)
+    rhs = lc.dbar0(s, W).scaled(a) + lc.wedge01(s, da, XiValuedForm(0, {(): W}))
+    acc.add_each(draws.rows(streams("dbar_leibniz"), 4), [(lhs, rhs)])
 
 
 def run_nijenhuis_bilinear(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("nijenhuis_bilinear")
-    for _ in range(4):
-        f = random_scalar(s.chart, rng)
-        V = random_xi_field(s, rng)
-        W = random_xi_field(s, rng)
-        acc.add(
-            [lc.nijenhuis(s, V.scaled(f), W), lc.nijenhuis(s, s.apply_J(V), W)],
-            [lc.nijenhuis(s, V, W).scaled(f), -s.apply_J(lc.nijenhuis(s, V, W))],
-        )
+    draws = Parameters()
+    f = random_scalar(s.chart, draws)
+    V = random_xi_field(s, draws)
+    W = random_xi_field(s, draws)
+    pair = (
+        [lc.nijenhuis(s, V.scaled(f), W), lc.nijenhuis(s, s.apply_J(V), W)],
+        [lc.nijenhuis(s, V, W).scaled(f), -s.apply_J(lc.nijenhuis(s, V, W))],
+    )
+    acc.add_each(draws.rows(streams("nijenhuis_bilinear"), 4), [pair])
 
 
 def run_dbar_squared(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("dbar_squared")
-    for _ in range(3):
-        W = random_xi_field(s, rng)
-        acc.add(lc.dbar1(s, lc.dbar0(s, W)))
+    draws = Parameters()
+    W = random_xi_field(s, draws)
+    acc.add_each(draws.rows(streams("dbar_squared"), 3), [(lc.dbar1(s, lc.dbar0(s, W)), 0.0)])
 
 
 def run_h_linear(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("h_linear")
-    for _ in range(4):
-        Y = random_vector_field(s.chart, rng)
-        f = random_scalar(s.chart, rng)
-        V = random_xi_field(s, rng)
-        lhs = lc.h_apply(s, Y, V.scaled(f))
-        acc.add(lhs, lc.h_apply(s, Y, V).scaled(f))
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws)
+    f = random_scalar(s.chart, draws)
+    V = random_xi_field(s, draws)
+    lhs = lc.h_apply(s, Y, V.scaled(f))
+    acc.add_each(draws.rows(streams("h_linear"), 4), [(lhs, lc.h_apply(s, Y, V).scaled(f))])
 
 
 def run_h_alternative(scenario, acc, streams):
@@ -473,10 +507,10 @@ def run_ixdgamma01_closed(scenario, acc, streams):
 
 def run_beth_squared(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("beth_squared")
-    for _ in range(3):
-        W = random_xi_field(s, rng)
-        acc.add(lc.beth(s, lc.beth(s, XiValuedForm(0, {(): W}))))
+    draws = Parameters()
+    W = random_xi_field(s, draws)
+    twice = lc.beth(s, lc.beth(s, XiValuedForm(0, {(): W})))
+    acc.add_each(draws.rows(streams("beth_squared"), 3), [(twice, 0.0)])
 
 
 def run_bethH(scenario, acc, streams):
@@ -486,22 +520,22 @@ def run_bethH(scenario, acc, streams):
 
 def run_change_couple(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("change_couple")
-    lam = random_scalar(s.chart, rng, amplitude=0.4)
-    U = random_xi_field(s, rng, amplitude=0.5)
+    draws = Drawn(streams("change_couple"))
+    lam = random_scalar(s.chart, draws, amplitude=0.4)
+    U = random_xi_field(s, draws, amplitude=0.5)
     acc.add(*lc.change_couple_h_residual(s, lam, U))
 
 
 def run_iso_cohomology(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("iso_cohomology")
-    lam = random_scalar(s.chart, rng, amplitude=0.4)
-    U = random_xi_field(s, rng, amplitude=0.5)
+    draws = Drawn(streams("iso_cohomology"))
+    lam = random_scalar(s.chart, draws, amplitude=0.4)
+    U = random_xi_field(s, draws, amplitude=0.5)
     for degree in (0, 1):
         if degree == 0:
-            P = XiValuedForm(0, {(): random_xi_field(s, rng)})
+            P = XiValuedForm(0, {(): random_xi_field(s, draws)})
         else:
-            P = XiValuedForm(1, {(i,): random_xi_field(s, rng) for i in range(s.n_leaf)})
+            P = XiValuedForm(1, {(i,): random_xi_field(s, draws) for i in range(s.n_leaf)})
         acc.add(*lc.beth_conjugation_residual(s, lam, U, P))
 
 
@@ -514,9 +548,9 @@ def run_exact_witness(scenario, acc, streams):
 def run_exact_transport(scenario, acc, streams):
     """Transported witness for (e^lam gamma, e^-lam X + U'): e^-lam U + U'."""
     s = scenario.structure
-    rng = streams("exact_transport")
-    lam = random_scalar(s.chart, rng, amplitude=0.3)
-    U_prime = random_xi_field(s, rng, amplitude=0.4)
+    draws = Drawn(streams("exact_transport"))
+    lam = random_scalar(s.chart, draws, amplitude=0.3)
+    U_prime = random_xi_field(s, draws, amplitude=0.4)
     s_hat = lc.change_couple(s, lam, U_prime)
     witness = scenario.exact_witness.scaled(exp_of(-lam)) + U_prime
     for lhs, rhs in dc.exactness_witness_check(witness, s_hat):
@@ -531,39 +565,39 @@ def run_exact_transport(scenario, acc, streams):
 def run_bracket_alpha(scenario, acc, streams):
     """[V,W]_alpha = [V,W] + (alpha ^ T)(V,W) for Maurer-Cartan flat alpha."""
     s = scenario.structure
-    rng = streams("bracket_alpha")
     alpha = mc_flat_alpha(scenario, acc.points)
-    for _ in range(4):
-        V = random_xi_field(s, rng)
-        W = random_xi_field(s, rng)
-        lhs = lc.deformed_bracket(s.couple, alpha, V, W)
-        acc.add(lhs, lie_bracket(V, W) + lc.alpha_wedge_T(s, alpha, V, W))
+    draws = Parameters()
+    V = random_xi_field(s, draws)
+    W = random_xi_field(s, draws)
+    lhs = lc.deformed_bracket(s.couple, alpha, V, W)
+    rhs = lie_bracket(V, W) + lc.alpha_wedge_T(s, alpha, V, W)
+    acc.add_each(draws.rows(streams("bracket_alpha"), 4), [(lhs, rhs)])
 
 
 def run_bracket_alpha_expansion(scenario, acc, streams):
     """Conjugation route against the ten-term expansion (any alpha in Z^1)."""
     s = scenario.structure
-    rng = streams("bracket_expansion")
-    for _ in range(4):
-        alpha = random_z_form(s, 1, rng, amplitude=0.4)
-        V = random_xi_field(s, rng)
-        W = random_xi_field(s, rng)
-        lhs = lc.deformed_bracket(s.couple, alpha, V, W)
-        acc.add(lhs, lc.deformed_bracket_expanded(s.couple, alpha, V, W))
+    draws = Parameters()
+    alpha = random_z_form(s, 1, draws, amplitude=0.4)
+    V = random_xi_field(s, draws)
+    W = random_xi_field(s, draws)
+    lhs = lc.deformed_bracket(s.couple, alpha, V, W)
+    rhs = lc.deformed_bracket_expanded(s.couple, alpha, V, W)
+    acc.add_each(draws.rows(streams("bracket_expansion"), 4), [(lhs, rhs)])
 
 
 def run_bracket_alpha_leibniz(scenario, acc, streams):
     """[aV, W]_alpha = a [V,W]_alpha - <W, a>_alpha V."""
     s = scenario.structure
-    rng = streams("bracket_leibniz")
-    for _ in range(4):
-        alpha = random_z_form(s, 1, rng, amplitude=0.4)
-        a = random_scalar(s.chart, rng)
-        V = random_xi_field(s, rng)
-        W = random_xi_field(s, rng)
-        lhs = lc.deformed_bracket(s.couple, alpha, V.scaled(a), W)
-        pairing = lc.derivation_pairing(s.couple, alpha, W, a)
-        acc.add(lhs, lc.deformed_bracket(s.couple, alpha, V, W).scaled(a) - V.scaled(pairing))
+    draws = Parameters()
+    alpha = random_z_form(s, 1, draws, amplitude=0.4)
+    a = random_scalar(s.chart, draws)
+    V = random_xi_field(s, draws)
+    W = random_xi_field(s, draws)
+    lhs = lc.deformed_bracket(s.couple, alpha, V.scaled(a), W)
+    pairing = lc.derivation_pairing(s.couple, alpha, W, a)
+    rhs = lc.deformed_bracket(s.couple, alpha, V, W).scaled(a) - V.scaled(pairing)
+    acc.add_each(draws.rows(streams("bracket_leibniz"), 4), [(lhs, rhs)])
 
 
 def run_n_alpha(scenario, acc, streams):
@@ -596,66 +630,59 @@ def run_tangent_eqP2(scenario, acc, streams):
 
 def run_dfrak_squared(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("dfrak_squared")
-    for _ in range(8):
-        f = random_scalar(s.chart, rng)
-        P = XiValuedForm(0, {(): random_xi_field(s, rng)})
-        pair = dc.CochainPair(scalar_form(f), P)
-        dd = dc.dfrak(dc.dfrak(pair, s), s)
-        acc.add(dd.alpha)
-        acc.add(dd.P)
+    draws = Parameters()
+    f = random_scalar(s.chart, draws)
+    P = XiValuedForm(0, {(): random_xi_field(s, draws)})
+    dd = dc.dfrak(dc.dfrak(dc.CochainPair(scalar_form(f), P), s), s)
+    acc.add_each(draws.rows(streams("dfrak_squared"), 8), [(dd.alpha, 0.0), (dd.P, 0.0)])
 
 
 def run_tangent_witness(scenario, acc, streams):
     """d^0(gamma(Y), -(Y - gamma(Y)X)) = (delta gamma(Y), -H_Y), seeded Y."""
     s = scenario.structure
-    rng = streams("tangent_witness")
     # the first six points, as in the flow and gauge runners
     acc.points = acc.points[:6]
-    for _ in range(10):
-        Y = random_vector_field(s.chart, rng)
-        image = dc.tangent_witness_image(Y, s)
-        acc.add(image.alpha, fd.delta(s.couple.gamma_of(Y), s.couple))
-        acc.add(image.P, -lc.h_form(s, Y))
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws)
+    image = dc.tangent_witness_image(Y, s)
+    pairs = [(image.alpha, fd.delta(s.couple.gamma_of(Y), s.couple)), (image.P, -lc.h_form(s, Y))]
+    acc.add_each(draws.rows(streams("tangent_witness"), 10), pairs)
 
 
 def run_gauge_witness(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("gauge_witness")
-    for _ in range(4):
-        Y = random_vector_field(s.chart, rng)
-        beta = random_z_form(s, 1, rng)
-        P = XiValuedForm(1, {(i,): random_xi_field(s, rng) for i in range(s.n_leaf)})
-        t = dc.CochainPair(beta, P)
-        image = dc.tangent_witness_image(Y, s)
-        t_prime = dc.CochainPair(beta - image.alpha, P - image.P)
-        for lhs, rhs in dc.gauge_witness_residual(t, t_prime, Y, s):
-            acc.add(lhs, rhs)
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws)
+    beta = random_z_form(s, 1, draws)
+    P = XiValuedForm(1, {(i,): random_xi_field(s, draws) for i in range(s.n_leaf)})
+    t = dc.CochainPair(beta, P)
+    image = dc.tangent_witness_image(Y, s)
+    t_prime = dc.CochainPair(beta - image.alpha, P - image.P)
+    pairs = dc.gauge_witness_residual(t, t_prime, Y, s)
+    acc.add_each(draws.rows(streams("gauge_witness"), 4), pairs)
 
 
 def run_hY_decomposition(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("hY_decomposition")
-    for _ in range(4):
-        Y = random_vector_field(s.chart, rng)
-        acc.add(*dc.hY_decomposition_residual(Y, s))
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws)
+    pair = dc.hY_decomposition_residual(Y, s)
+    acc.add_each(draws.rows(streams("hY_decomposition"), 4), [pair])
 
 
 def run_dbar_hY(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("dbar_hY")
-    for _ in range(3):
-        Y = random_vector_field(s.chart, rng)
-        acc.add(*dc.dbar_hY_residual(Y, s))
+    draws = Parameters()
+    Y = random_vector_field(s.chart, draws)
+    acc.add_each(draws.rows(streams("dbar_hY"), 3), [dc.dbar_hY_residual(Y, s)])
 
 
 def run_phiH(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("phiH")
-    for _ in range(3):
-        beta = random_z_form(s, 1, rng)
-        phi = random_scalar(s.chart, rng)
-        acc.add(*dc.phiH_residual(beta, phi, s))
+    draws = Parameters()
+    beta = random_z_form(s, 1, draws)
+    phi = random_scalar(s.chart, draws)
+    acc.add_each(draws.rows(streams("phiH"), 3), [dc.phiH_residual(beta, phi, s)])
 
 
 # --------------------------------------------------------------------------
@@ -665,8 +692,7 @@ def run_phiH(scenario, acc, streams):
 
 def run_s_roundtrip(scenario, acc, streams):
     s = scenario.structure
-    rng = streams("s_roundtrip")
-    Smat = random_anticommuting_S(s, rng)
+    Smat = random_anticommuting_S(s, Drawn(streams("s_roundtrip")))
     Jt = lc.conjugate_J(s, Smat, acc.points)
     recovered = lc.s_from_structures(s, Jt, acc.points)
     acc.add([f for row in recovered for f in row], [f for row in Smat for f in row])
@@ -679,25 +705,27 @@ def run_n_ntilde(scenario, acc, streams):
     """The conjugated-Nijenhuis identity, both sides independently evaluated."""
     s = scenario.structure
     rng = streams("n_ntilde")
-    Smat = random_anticommuting_S(s, rng)
+    Smat = random_anticommuting_S(s, Drawn(rng))
     S = lc.xi_form_from_matrix(s, Smat)
     Jt = lc.conjugate_J(s, Smat, acc.points)
     s_tilde = s.with_J(Jt)
     n = s.n_leaf
-    for _ in range(2):
-        V = random_xi_field(s, rng)
-        W = random_xi_field(s, rng)
-        terms = lc.s_terms(s, S, V, W)
-        lhs = lc.nijenhuis(s_tilde, V + terms.SV, W + terms.SW)
-        core = (
-            terms.n
-            + lc.xi_form_apply(s, S, [terms.n - terms.n_SS])
-            - (terms.dbar + terms.square.scaled(0.5)).scaled(4.0)
-        )
-        entries = [f for row in Smat for f in row]
-        basis = s.frame + (s.X,)
-        fields = [*lhs.components, *core.components, *entries]
-        ev = PointEvaluator(s.chart, acc.points, fields + [c for E in basis for c in E.components])
+    draws = Parameters()
+    V = random_xi_field(s, draws)
+    W = random_xi_field(s, draws)
+    terms = lc.s_terms(s, S, V, W)
+    lhs = lc.nijenhuis(s_tilde, V + terms.SV, W + terms.SW)
+    core = (
+        terms.n
+        + lc.xi_form_apply(s, S, [terms.n - terms.n_SS])
+        - (terms.dbar + terms.square.scaled(0.5)).scaled(4.0)
+    )
+    entries = [f for row in Smat for f in row]
+    basis = s.frame + (s.X,)
+    fields = [*lhs.components, *core.components, *entries]
+    tape = Tape(f.node for f in fields + [c for E in basis for c in E.components])
+    for row in draws.rows(rng, 2):
+        ev = PointEvaluator(s.chart, acc.points, tape, row[None])
         M = s.basis_matrix_at(acc.points, ev)
         Sp = np.array([ev(f) for f in entries]).T.reshape(-1, n, n)
         coeffs = np.linalg.solve(M, core.at(acc.points, ev).T[..., None])[..., 0]
@@ -712,18 +740,18 @@ def run_n_jtilde_identity(scenario, acc, streams):
     pins the -1/2 coefficient in [[S,S]]."""
     s = scenario.structure
     rng = streams("n_jtilde")
-    Smat = random_anticommuting_S(s, rng)
+    Smat = random_anticommuting_S(s, Drawn(rng))
     S = lc.xi_form_from_matrix(s, Smat)
     Jt = lc.conjugate_J(s, Smat, acc.points)
     s_tilde = s.with_J(Jt)
-    n = s.n_leaf
-    for _ in range(2):
-        V = random_xi_field(s, rng)
-        W = random_xi_field(s, rng)
-        terms = lc.s_terms(s, S, V, W)
-        lhs = terms.dbar + terms.double.scaled(0.5) - terms.n.scaled(0.25)
-        Ntilde = lc.nijenhuis(s_tilde, V + terms.SV, W + terms.SW)
-        acc.add(lhs, -(Ntilde - lc.xi_form_apply(s, S, [Ntilde])).scaled(0.25))
+    draws = Parameters()
+    V = random_xi_field(s, draws)
+    W = random_xi_field(s, draws)
+    terms = lc.s_terms(s, S, V, W)
+    lhs = terms.dbar + terms.double.scaled(0.5) - terms.n.scaled(0.25)
+    Ntilde = lc.nijenhuis(s_tilde, V + terms.SV, W + terms.SW)
+    rhs = -(Ntilde - lc.xi_form_apply(s, S, [Ntilde])).scaled(0.25)
+    acc.add_each(draws.rows(rng, 2), [(lhs, rhs)])
 
 
 def run_n_jtilde_quadratic(scenario, acc, streams):

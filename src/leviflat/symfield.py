@@ -9,6 +9,14 @@ evaluate quickly.
 Evaluation is batched: the DAG of every field a check needs is linearised
 into one tape, in topological order, and each tape entry is one numpy
 operation over all sample points at once.
+
+A random coefficient is a parameter leaf (Param): a tape loads it from an
+input column of its own, so one tree, built and compiled once, serves every
+instance of a random field.  A point of a batch carries the parameter values
+of its instance after its coordinates.  A parameter-only subtree stands for the
+constant that folding would have made of it and rounds as folding does,
+except sin and cos, which numpy computes: no builder takes the sine of a
+coefficient.
 """
 
 from __future__ import annotations
@@ -134,6 +142,26 @@ class Coord(Node):
         return f"x{self.index}"
 
 
+class Param(Node):
+    """A random coefficient: input column index of a tape run, one value per
+    point.  It mentions no coordinate, so its mask is 0 and its derivative
+    ZERO; an interior node of mask 0 is a parameter expression."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        self._d = {}
+        self.serial = next(_SERIAL)
+        self.index = index
+        self.mask = 0
+
+    def _diff(self, i):
+        return ZERO
+
+    def __repr__(self):
+        return f"p{self.index}"
+
+
 class _Unary(Node):
     __slots__ = ("a",)
 
@@ -249,6 +277,9 @@ ONE = Const(1.0)
 # normal forms are attempted.  Each operand's type is tested once; the rules
 # apply in this order: fold two constants, absorb 0 and 1, then (mul) keep
 # the constant factor on the left and fold it into a nested constant factor.
+# A parameter expression (mask 0) takes a constant's place in mul and div,
+# and where two constants would fold it builds the node that computes the
+# folded value, so a tree over parameters rounds as its constant copy does.
 
 
 def _folded(fn, *args):
@@ -302,16 +333,25 @@ def mul(a, b):
             return const(a.value * b.value)
     elif type(b) is Const:
         a, b = b, a
-    else:
+    elif a.mask and b.mask or not (a.mask or b.mask):
+        # no parameter expression, or two: a product of constants
         return Mul(a, b)
+    else:
+        return _scaled(b, a) if a.mask else _scaled(a, b)
     # a is the one constant factor
     v = a.value
     if v == 0.0:
         return ZERO
     if v == 1.0:
         return b
-    if type(b) is Mul and type(b.a) is Const:
-        return mul(const(v * b.a.value), b.b)
+    return Mul(a, b) if not b.mask else _scaled(a, b)
+
+
+def _scaled(a, b):
+    """a * b for a constant factor a (a Const or a parameter expression) and
+    a b that mentions a coordinate: a folds into b's constant factor."""
+    if type(b) is Mul and (type(b.a) is Const or not b.a.mask):
+        return mul(mul(a, b.a), b.b)
     return Mul(a, b)
 
 
@@ -324,6 +364,9 @@ def div(a, b):
         return mul(const(1.0 / b.value), a)
     if type(a) is Const and a.value == 0.0:
         return ZERO
+    if not b.mask and a.mask and type(a) is not Const:
+        # a parameter divisor: its reciprocal is the constant factor
+        return mul(Div(ONE, b), a)
     return Div(a, b)
 
 
@@ -494,34 +537,39 @@ def exp_of(f):
 
 
 def point_batch(chart, points):
-    """points as a float (N, dim) array; an empty sequence is an empty batch."""
+    """points as a float (N, dim + P) array: each point's dim coordinates,
+    then the values of its P parameters; an empty sequence is an empty
+    batch."""
     pts = np.array(points, dtype=float)
     if pts.size == 0:
         pts = pts.reshape(0, chart.dim)
-    if pts.ndim != 2 or pts.shape[1] != chart.dim:
-        raise ValueError(f"points must be an (N, {chart.dim}) batch, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] < chart.dim:
+        raise ValueError(
+            f"points must be an (N, {chart.dim}) batch, with any parameter values after"
+            f" the coordinates, got shape {pts.shape}"
+        )
     return pts
 
 
 def first_flagged(bad):
-    """Index of the first True entry of a boolean batch, in point order, or
-    None."""
+    """Index of the first True entry of a boolean batch, in point order
+    (instance by instance for a batch of instances), or None."""
     return int(np.argmax(bad)) if bad.any() else None
 
 
 def _div(a, b):
     k = first_flagged(np.abs(b) < DIVISION_GUARD)
     if k is not None:
-        raise SingularEvaluationError(f"division by {float(b[k])!r}")
+        raise SingularEvaluationError(f"division by {float(b.flat[k])!r}")
     return a / b
 
 
 def _each(fn, a, name):
     """fn element by element over Python floats; an OverflowError becomes an
     EvaluationRangeError naming the first sample that overflows."""
-    values = a.tolist()
+    values = a.ravel().tolist()
     try:
-        return np.array([fn(v) for v in values])
+        return np.array([fn(v) for v in values]).reshape(a.shape)
     except OverflowError:
         pass
     for k, v in enumerate(values):
@@ -535,7 +583,7 @@ def _pow(a, n):
     # Python's float power, bit for bit unlike numpy's, overflows with an error
     k = first_flagged(np.abs(a) < DIVISION_GUARD) if n < 0 else None
     if k is not None:
-        raise SingularEvaluationError(f"negative power of {float(a[k])!r}")
+        raise SingularEvaluationError(f"negative power of {float(a.flat[k])!r}")
     return _each(lambda v: v**n, a, f"power {n}")
 
 
@@ -600,7 +648,8 @@ class Tape:
     """The DAG of some root nodes as a straight-line program, compiled on the
     first run: one entry per distinct node, in creation order.  An interior
     value's register is reused once its last consumer has run, so only the
-    roots' values outlive a run."""
+    roots' values outlive a run.  A tape compiles once and runs on any
+    number of point batches and parameter values."""
 
     __slots__ = ("roots", "program")
 
@@ -613,7 +662,7 @@ class Tape:
         # a root's register and a leaf's are never reused: neither is counted
         for root in self.roots:
             uses.pop(root, None)
-        template, loads, code, free = [], [], [], []
+        template, loads, params, code, free = [], [], [], [], []
         reg = {}
         for node in order:
             entry = info[node]
@@ -621,6 +670,8 @@ class Tape:
                 uses.pop(node, None)
                 if type(node) is Coord:
                     loads.append((len(template), node.index))
+                elif type(node) is Param:
+                    params.append((len(template), node.index))
                 reg[node] = len(template)
                 template.append(getattr(node, "value", None))
                 continue
@@ -652,50 +703,66 @@ class Tape:
                 template.append(None)
             reg[node] = out
             code.append((rule[1], out, a, b))
-        return template, loads, code, [reg[r] for r in self.roots]
+        return template, loads, params, code, [reg[r] for r in self.roots]
 
-    def run(self, coords):
-        """Root values, as (N,) arrays, at the N points whose coordinate
-        columns are coords."""
+    def run(self, coords, params, shape):
+        """Root values, as arrays of shape, at the N points whose coordinate
+        columns are coords: shape (N,), with parameter k's (N,) column
+        params[k], or (K, N) for K instances, with params[k] the (K, 1)
+        column of its values, shared by the points."""
         if self.program is None:
             self.program = self._compile()
-        template, loads, code, outputs = self.program
+        template, loads, param_loads, code, outputs = self.program
         regs = list(template)
         for r, i in loads:
             regs[r] = coords[i]
+        for r, k in param_loads:
+            regs[r] = params[k]
         with np.errstate(all="ignore"):
             for op, out, a, b in code:
                 regs[out] = op(regs[a]) if b < 0 else op(regs[a], regs[b])
-        size = len(coords[0])
-        # a constant root's register holds a number
+        # a root's register holds a number, or an array that broadcasts
         return [
-            v if isinstance(v, np.ndarray) else np.full(size, float(v))
+            v if isinstance(v, np.ndarray) and v.shape == shape else np.array(np.broadcast_to(v, shape))
             for v in (regs[r] for r in outputs)
         ]
 
 
 class PointEvaluator:
     """Evaluates the fields it is given (or the roots of a Tape) at an (N,
-    dim) batch of points, together, through one tape, on the first call; each
-    field's values are an (N,) array.  It answers for those fields only."""
+    dim + P) batch of points, together, through one tape, on the first call;
+    each field's values are an (N,) array.  It answers for those fields only.
 
-    __slots__ = ("coords", "zero", "tape", "values")
+    The fields' parameter values follow each point's coordinates.  Or rows,
+    a (K, P) array, holds K instances' values, each shared by every point:
+    the evaluator then answers for the K*N samples, instance by instance, and
+    a subtree without parameters is computed once for all K."""
 
-    def __init__(self, chart, points, fields):
+    __slots__ = ("coords", "params", "shape", "zero", "tape", "values")
+
+    def __init__(self, chart, points, fields, rows=()):
         pts = point_batch(chart, points)
         # coordinate columns, periodic ones reduced modulo 2*pi
         self.coords = tuple(
             np.remainder(pts[:, i], TWO_PI) if per else np.ascontiguousarray(pts[:, i])
             for i, per in enumerate(chart.periodic)
         )
+        if len(rows):
+            # (K, 1) parameter columns broadcast against (N,) coordinates
+            self.params = np.asarray(rows, dtype=float).T[:, :, None]
+            self.shape = (len(rows), len(pts))
+        else:
+            self.params = pts[:, chart.dim :].T
+            self.shape = (len(pts),)
         # the values of the zero field
-        self.zero = np.zeros(len(pts))
+        self.zero = np.zeros(math.prod(self.shape))
         self.tape = fields if isinstance(fields, Tape) else Tape(f.node for f in fields)
         self.values = None
 
     def __call__(self, f):
         if self.values is None:
-            self.values = dict(zip(self.tape.roots, self.tape.run(self.coords)))
+            values = self.tape.run(self.coords, self.params, self.shape)
+            self.values = dict(zip(self.tape.roots, (v.reshape(-1) for v in values)))
         value = self.values.get(f.node)
         if value is None:
             # not the node's repr: it expands the DAG into a tree

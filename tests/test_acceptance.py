@@ -12,8 +12,8 @@ from leviflat.foliation_dgla import (
     frobenius_residuals,
     z_membership_residual,
 )
-from leviflat.report import ResidualAccumulator
-from leviflat.sampling import random_form, sample_points, stream
+from leviflat.report import ONE_INSTANCE, ResidualAccumulator
+from leviflat.sampling import Drawn, random_form, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.suites import REGISTRY, random_z_form, run_identity
 
@@ -47,9 +47,9 @@ def test_criterion_01_dgla_axiom_suite():
         acc = ResidualAccumulator(points)
         for k in range(30):
             degrees = (1, 1, 1) if k < 15 else (1, 1, 2)
-            a = random_form(chart, degrees[0], rng)
-            b = random_form(chart, degrees[1], rng)
-            c = random_form(chart, degrees[2], rng)
+            a = random_form(chart, degrees[0], Drawn(rng))
+            b = random_form(chart, degrees[1], Drawn(rng))
+            c = random_form(chart, degrees[2], Drawn(rng))
             # antisymmetry on (b, c)
             lhs = dgla_bracket(b, c, couple)
             rhs = dgla_bracket(c, b, couple).scaled(-((-1.0) ** (degrees[1] * degrees[2])))
@@ -97,11 +97,11 @@ def test_criterion_03_sub_dgla_closure():
         rng = stream(SEED, name, "closure")
         points = sample_points(s.chart, POINTS, rng)
         for _ in range(10):
-            a = random_z_form(s, 1, rng)
-            b = random_z_form(s, 1, rng)
-            worst = max(worst, z_membership_residual(delta(a, couple), couple, points))
+            a = random_z_form(s, 1, Drawn(rng))
+            b = random_z_form(s, 1, Drawn(rng))
+            worst = max(worst, z_membership_residual(delta(a, couple), couple, points, ONE_INSTANCE))
             worst = max(
-                worst, z_membership_residual(dgla_bracket(a, b, couple), couple, points)
+                worst, z_membership_residual(dgla_bracket(a, b, couple), couple, points, ONE_INSTANCE)
             )
     ok = worst <= 1e-10
     _line(3, ok, f"delta and bracket keep iota_X-annihilation, max={worst:.3e} (tol 1e-10)")

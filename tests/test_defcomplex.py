@@ -29,7 +29,7 @@ from leviflat.leafcx import (
     xi_form_from_matrix,
 )
 from leviflat.report import ResidualAccumulator
-from leviflat.sampling import random_scalar, random_vector_field, sample_points, stream
+from leviflat.sampling import Drawn, random_scalar, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.suites import random_xi_field, random_z_form
 from leviflat.symfield import constant, coordinate, cos_of, sin_of
@@ -63,7 +63,7 @@ def zero_pair(s, degree):
 
 def test_dfrak_of_vector_part_is_dbar():
     rng = stream(92, "d0")
-    V = random_xi_field(FLAT, rng)
+    V = random_xi_field(FLAT, Drawn(rng))
     pair = CochainPair(scalar_form(constant(FLAT.chart, 0.0)), XiValuedForm(0, {(): V}))
     image = dfrak(pair, FLAT)
     assert image.alpha.coeffs == {}
@@ -89,8 +89,8 @@ def test_dfrak_squared_seeded():
     rng = stream(93, "dd")
     for s in (FLAT, SHIFTED):
         for _ in range(4):
-            f = random_scalar(s.chart, rng)
-            pair = CochainPair(scalar_form(f), XiValuedForm(0, {(): random_xi_field(s, rng)}))
+            f = random_scalar(s.chart, Drawn(rng))
+            pair = CochainPair(scalar_form(f), XiValuedForm(0, {(): random_xi_field(s, Drawn(rng))}))
             dd = dfrak(dfrak(pair, s), s)
             assert ResidualAccumulator(pts(s)).add(dd.alpha).max_abs <= 1e-11
             assert ResidualAccumulator(pts(s)).add(dd.P).max_rel <= 1e-11
@@ -100,7 +100,7 @@ def test_tangent_witness_formula_seeded():
     rng = stream(94, "witness")
     for s in (FLAT, SHIFTED):
         for _ in range(4):
-            Y = random_vector_field(s.chart, rng)
+            Y = random_vector_field(s.chart, Drawn(rng))
             image = tangent_witness_image(Y, s)
             target_alpha = delta(s.couple.gamma_of(Y), s.couple)
             HY = h_form(s, Y)
@@ -163,9 +163,9 @@ def test_gauge_witness_trivial():
 def test_gauge_witness_constructed_pairs():
     rng = stream(95, "gw")
     s = SHIFTED
-    Y = random_vector_field(s.chart, rng)
-    beta = random_z_form(s, 1, rng)
-    P = XiValuedForm(1, {(i,): random_xi_field(s, rng) for i in range(s.n_leaf)})
+    Y = random_vector_field(s.chart, Drawn(rng))
+    beta = random_z_form(s, 1, Drawn(rng))
+    P = XiValuedForm(1, {(i,): random_xi_field(s, Drawn(rng)) for i in range(s.n_leaf)})
     t = CochainPair(beta, P)
     image = tangent_witness_image(Y, s)
     t_prime = CochainPair(beta - image.alpha, P - image.P)
@@ -177,7 +177,7 @@ def test_gauge_witness_tangential_Y():
     """Y in xi: the form parts agree and P - P' = -dbar(Y)."""
     rng = stream(96, "gwt")
     s = SHIFTED
-    Y = random_xi_field(s, rng)
+    Y = random_xi_field(s, Drawn(rng))
     image = tangent_witness_image(Y, s)
     assert ResidualAccumulator(pts(s, 5)).add(image.alpha).max_abs <= 1e-12
     expected = dbar0(s, Y)
@@ -188,7 +188,7 @@ def test_hY_decomposition_cases():
     s = SHIFTED
     rng = stream(97, "hy")
     # Y in xi reduces to H_V = dbar V; Y = X gives the identity H = H
-    for Y in (random_xi_field(s, rng), s.X):
+    for Y in (random_xi_field(s, Drawn(rng)), s.X):
         assert residual(pts(s), hY_decomposition_residual(Y, s)).max_rel <= 1e-11
     t = coordinate(s.chart, "t")
     y = coordinate(s.chart, "y")
@@ -199,15 +199,15 @@ def test_hY_decomposition_cases():
 def test_dbar_hY_cases():
     rng = stream(98, "dhy")
     # H = 0 scenario: both sides vanish
-    Y = random_vector_field(FLAT.chart, rng)
+    Y = random_vector_field(FLAT.chart, Drawn(rng))
     report = residual(pts(FLAT), dbar_hY_residual(Y, FLAT))
     assert report.max_rel <= 1e-12
     # tangential Y on the shifted couple
-    report = residual(pts(SHIFTED), dbar_hY_residual(random_xi_field(SHIFTED, rng), SHIFTED))
+    report = residual(pts(SHIFTED), dbar_hY_residual(random_xi_field(SHIFTED, Drawn(rng)), SHIFTED))
     assert report.max_rel <= 1e-11
     # generic Y on the shifted couple
     report = residual(
-        pts(SHIFTED), dbar_hY_residual(random_vector_field(SHIFTED.chart, rng), SHIFTED)
+        pts(SHIFTED), dbar_hY_residual(random_vector_field(SHIFTED.chart, Drawn(rng)), SHIFTED)
     )
     assert report.max_rel <= 1e-11
 
@@ -215,12 +215,12 @@ def test_dbar_hY_cases():
 def test_phiH_cases():
     rng = stream(99, "phiH")
     s = SHIFTED
-    beta = random_z_form(s, 1, rng)
+    beta = random_z_form(s, 1, Drawn(rng))
     zero_phi = constant(s.chart, 0.0)
     assert residual(pts(s), phiH_residual(beta, zero_phi, s)).max_rel <= 1e-14
     x = coordinate(s.chart, "x")
     assert residual(pts(s), phiH_residual(zero_form(s.chart, 1), sin_of(x), s)).max_rel <= 1e-11
-    assert residual(pts(FLAT), phiH_residual(beta, random_scalar(s.chart, rng), FLAT)).max_rel <= 1e-12
+    assert residual(pts(FLAT), phiH_residual(beta, random_scalar(s.chart, Drawn(rng)), FLAT)).max_rel <= 1e-12
 
 
 def test_exactness_witness_flat_zero():

@@ -21,7 +21,7 @@ from leviflat.flows import (
 )
 from leviflat.foliation_dgla import delta
 from leviflat.leafcx import h_form
-from leviflat.sampling import random_vector_field, sample_points, stream
+from leviflat.sampling import Drawn, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.symfield import coordinate, cos_of, sin_of
 
@@ -49,7 +49,7 @@ def test_zero_field_flow_is_identity():
 
 
 def test_flow_at_time_zero_exactly_identity():
-    Y = random_vector_field(CHART, stream(82, "t0"))
+    Y = random_vector_field(CHART, Drawn(stream(82, "t0")))
     q, A = integrate_flow(Y, 0.0, [(0.5, 0.6, 0.7)])
     assert q.tolist() == [[0.5, 0.6, 0.7]]
     assert (A == np.eye(3)).all()
@@ -69,7 +69,7 @@ def test_small_time_taylor_expansion():
 
 
 def test_one_point_flows_as_a_batch_of_one():
-    Y = random_vector_field(CHART, stream(83, "one"))
+    Y = random_vector_field(CHART, Drawn(stream(83, "one")))
     p = (0.2, 0.3, 0.4)
     for t in (0.35, 0.0):
         q, A = integrate_flow(Y, t, p, h=0.05)
@@ -81,7 +81,7 @@ def test_one_point_flows_as_a_batch_of_one():
 
 
 def test_flow_without_jacobian_gives_the_same_points():
-    Y = random_vector_field(CHART, stream(90, "nojac"), amplitude=0.6)
+    Y = random_vector_field(CHART, Drawn(stream(90, "nojac")), amplitude=0.6)
     P = pts(4)
     q, A = integrate_flow(Y, 0.07, P)
     q_only, none = integrate_flow(Y, 0.07, P, jacobian=False)
@@ -91,7 +91,7 @@ def test_flow_without_jacobian_gives_the_same_points():
 
 def test_per_point_times_equal_one_call_per_point():
     # every time takes 3 steps of h = 0.01, alone and in the batch
-    Y = random_vector_field(CHART, stream(91, "times"), amplitude=0.6)
+    Y = random_vector_field(CHART, Drawn(stream(91, "times")), amplitude=0.6)
     P = pts(4)
     times = np.array([0.03, -0.025, 0.021, -0.03])
     for jacobian in (True, False):
@@ -113,8 +113,8 @@ def test_batched_stencils_equal_one_call_per_offset():
     rng = stream(92, "stencil")
     P = pts(3)
     for s in (FLAT, TWISTED):
-        Y = random_vector_field(CHART, rng, amplitude=0.6)
-        arg = random_vector_field(CHART, rng)
+        Y = random_vector_field(CHART, Drawn(rng), amplitude=0.6)
+        arg = random_vector_field(CHART, Drawn(rng))
         chi = _four_calls(lambda t: gauge_action_numeric(Y, t, s.couple, P, arg), flows.FD_OFFSET)
         assert np.array_equal(gauge_derivative_fd(Y, s.couple, P, arg), chi)
         Sdot = _four_calls(
@@ -150,7 +150,7 @@ def test_flow_parameter_validation():
 
 def test_flow_group_law():
     rng = stream(84, "group")
-    Y = random_vector_field(CHART, rng, amplitude=0.6)
+    Y = random_vector_field(CHART, Drawn(rng), amplitude=0.6)
     P = pts(3)
     q1, _ = integrate_flow(Y, 0.04, P)
     q2, _ = integrate_flow(Y, 0.06, q1)
@@ -166,7 +166,7 @@ def test_pullback_of_dt_along_translation():
 def test_pullback_at_zero_is_identity():
     rng = stream(85, "pb0")
     omega = one_form(CHART, [0.3, -1.2, 0.7])
-    arg = random_vector_field(CHART, rng)
+    arg = random_vector_field(CHART, Drawn(rng))
     P = pts(4)
     assert pullback_form_numeric(E_X, 0.0, omega, P, [arg]) == pytest.approx(
         evaluate_form(omega, P, [arg]), abs=1e-14
@@ -220,9 +220,9 @@ def test_gauge_derivative_matches_delta_seeded():
     for s in (FLAT, TWISTED):
         couple = s.couple
         for _ in range(3):
-            Y = random_vector_field(CHART, rng, amplitude=0.6)
+            Y = random_vector_field(CHART, Drawn(rng), amplitude=0.6)
             target = -delta(couple.gamma_of(Y), couple)
-            arg = random_vector_field(CHART, rng)
+            arg = random_vector_field(CHART, Drawn(rng))
             tval = target.apply_symbolic([arg])
             assert gauge_derivative_fd(Y, couple, pts(2), arg) == pytest.approx(
                 tval(pts(2)), abs=1e-4
@@ -259,7 +259,7 @@ def test_s_gauge_seeded_against_h_form():
     rng = stream(87, "sg")
     for s in (FLAT, TWISTED):
         for _ in range(2):
-            Y = random_vector_field(CHART, rng, amplitude=0.6)
+            Y = random_vector_field(CHART, Drawn(rng), amplitude=0.6)
             HY = h_form(s, Y)
             idx = int(rng.integers(0, 2))
             got = s_gauge_fd(Y, s, pts(2), idx)
@@ -270,8 +270,8 @@ def test_gauge_mc_value_integrable_alpha_stays_flat():
     couple = FLAT.couple
     alpha = one_form(CHART, [0.2, 0.1, 0.0])
     rng = stream(88, "mcv")
-    Y = random_vector_field(CHART, rng, amplitude=0.6)
-    V, W = random_vector_field(CHART, rng), random_vector_field(CHART, rng)
+    Y = random_vector_field(CHART, Drawn(rng), amplitude=0.6)
+    V, W = random_vector_field(CHART, Drawn(rng)), random_vector_field(CHART, Drawn(rng))
     assert np.abs(gauge_mc_value(Y, 0.05, alpha, couple, pts(3), V, W)).max() <= 1e-6
 
 
@@ -279,6 +279,6 @@ def test_gauge_mc_value_detects_nonintegrable_alpha():
     couple = FLAT.couple
     alpha = DY.scaled(sin_of(coordinate(CHART, "x")))
     rng = stream(89, "mcv2")
-    Y = random_vector_field(CHART, rng, amplitude=0.6)
+    Y = random_vector_field(CHART, Drawn(rng), amplitude=0.6)
     worst = np.abs(gauge_mc_value(Y, 0.05, alpha, couple, pts(4), E_X, E_Y)).max()
     assert worst > 0.1

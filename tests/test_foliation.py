@@ -24,8 +24,8 @@ from leviflat.foliation_dgla import (
     omega_alpha_inverse,
     z_membership_residual,
 )
-from leviflat.report import ResidualAccumulator
-from leviflat.sampling import random_form, random_scalar, sample_points, stream
+from leviflat.report import ONE_INSTANCE, ResidualAccumulator
+from leviflat.sampling import Drawn, random_form, random_scalar, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.symfield import constant, coordinate, cos_of, sin_of, torus
 
@@ -64,8 +64,8 @@ def test_bracket_graded_antisymmetry_seeded():
     c = twisted_couple()
     rng = stream(32, "anti")
     for ka, kb in ((1, 1), (1, 2)):
-        a = random_form(CHART, ka, rng)
-        b = random_form(CHART, kb, rng)
+        a = random_form(CHART, ka, Drawn(rng))
+        b = random_form(CHART, kb, Drawn(rng))
         lhs = dgla_bracket(a, b, c)
         rhs = dgla_bracket(b, a, c).scaled(-((-1.0) ** (ka * kb)))
         assert ResidualAccumulator(pts(6)).add(lhs, rhs).max_abs <= 1e-12
@@ -77,8 +77,8 @@ def test_reduced_bracket_formula_on_z():
     from leviflat.suites import random_z_form
 
     rng = stream(33, "reduced")
-    a = random_z_form(s, 1, rng)
-    b = random_z_form(s, 1, rng)
+    a = random_z_form(s, 1, Drawn(rng))
+    b = random_z_form(s, 1, Drawn(rng))
     lhs = dgla_bracket(a, b, c)
     rhs = dgla_bracket_reduced(a, b, c)
     assert ResidualAccumulator(pts(6)).add(lhs, rhs).max_abs <= 1e-12
@@ -98,7 +98,7 @@ def test_delta_dy_twisted():
 def test_delta_scalar_flat():
     c = flat_couple()
     rng = stream(34, "scalar")
-    f = random_scalar(CHART, rng)
+    f = random_scalar(CHART, Drawn(rng))
     d = delta(f, c)
     # delta f = df - (d_t f) dt on the flat couple
     P = pts(8)
@@ -109,11 +109,11 @@ def test_delta_scalar_flat():
 
 def test_z_membership_values():
     c = flat_couple()
-    assert z_membership_residual(DX, c, pts()) == 0.0
-    assert z_membership_residual(DT, c, pts()) == pytest.approx(1.0)
+    assert z_membership_residual(DX, c, pts(), ONE_INSTANCE) == 0.0
+    assert z_membership_residual(DT, c, pts(), ONE_INSTANCE) == pytest.approx(1.0)
     tw = twisted_couple()
     a = DX.scaled(cos_of(coordinate(CHART, "t")))
-    assert z_membership_residual(a, tw, pts()) <= 1e-15
+    assert z_membership_residual(a, tw, pts(), ONE_INSTANCE) <= 1e-15
 
 
 def test_mc_residual_zero_for_zero():
@@ -174,7 +174,7 @@ def test_frobenius_broken_fails_condition_iii():
 def test_leafwise_d_scalar_flat():
     c = flat_couple()
     rng = stream(35, "db")
-    f = random_scalar(CHART, rng)
+    f = random_scalar(CHART, Drawn(rng))
     db = leafwise_d(f, c)
     P = pts(6)
     assert evaluate_form(db, P, [E_X]) == pytest.approx(f.diff(0)(P), abs=1e-12)
@@ -207,8 +207,8 @@ def test_omega_alpha_lands_in_deformed_kernel():
     from leviflat.suites import random_z_form, random_xi_field
 
     rng = stream(36, "omega")
-    alpha = random_z_form(s, 1, rng, amplitude=0.5)
-    V = random_xi_field(s, rng)
+    alpha = random_z_form(s, 1, Drawn(rng), amplitude=0.5)
+    V = random_xi_field(s, Drawn(rng))
     beta = c.gamma + alpha
     val = beta.apply_symbolic([omega_alpha(V, alpha, c)])
     assert np.all(np.abs(val(pts(8))) <= 1e-10)
@@ -221,8 +221,8 @@ def test_omega_alpha_round_trip():
 
     scenario = builtin("t3_flat")
     rng = stream(37, "roundtrip")
-    alpha = random_z_form(scenario.structure, 1, rng)
-    V = random_vector_field(CHART, rng)
+    alpha = random_z_form(scenario.structure, 1, Drawn(rng))
+    V = random_vector_field(CHART, Drawn(rng))
     back = omega_alpha_inverse(omega_alpha(V, alpha, c), alpha, c)
     assert np.all(np.abs(back.at(pts(6)) - V.at(pts(6))) <= 1e-12)
 

@@ -44,7 +44,7 @@ from leviflat.leafcx import (
 )
 from leviflat.report import ResidualAccumulator
 from leviflat.foliation_dgla import DefiningCouple
-from leviflat.sampling import random_scalar, random_vector_field, sample_points, stream
+from leviflat.sampling import Drawn, random_scalar, random_vector_field, sample_points, stream
 from leviflat.scenarios import Scenario, builtin, check
 from leviflat.suites import random_anticommuting_S, random_xi_field, random_z_form
 from leviflat.symfield import PointEvaluator, constant, coordinate, cos_of, sin_of
@@ -130,7 +130,7 @@ def test_replaced_J_is_not_assumed_integrable():
 
 def test_nijenhuis_vanishes_on_flat():
     rng = stream(52, "nflat")
-    V, W = random_xi_field(FLAT, rng), random_xi_field(FLAT, rng)
+    V, W = random_xi_field(FLAT, Drawn(rng)), random_xi_field(FLAT, Drawn(rng))
     vec_zero(nijenhuis(FLAT, V, W), pts(FLAT), tol=1e-13)
 
 
@@ -144,8 +144,8 @@ def test_nijenhuis_nonzero_on_perturbed_t5():
 
 def test_nijenhuis_function_bilinear():
     rng = stream(53, "nbil")
-    f = random_scalar(T5P.chart, rng)
-    V, W = random_xi_field(T5P, rng), random_xi_field(T5P, rng)
+    f = random_scalar(T5P.chart, Drawn(rng))
+    V, W = random_xi_field(T5P, Drawn(rng)), random_xi_field(T5P, Drawn(rng))
     vec_close(nijenhuis(T5P, V.scaled(f), W), nijenhuis(T5P, V, W).scaled(f), pts(T5P), tol=1e-10)
     vec_close(
         nijenhuis(T5P, T5P.apply_J(V), W),
@@ -195,9 +195,9 @@ def test_shared_brackets_match_six_bracket_formula_bitwise(deformed):
     bracket reaches dbar through s_terms, checked below."""
     s = T5
     rng = stream(72, "shared")
-    bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, rng, amplitude=0.5)) if deformed else None
+    bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, Drawn(rng), amplitude=0.5)) if deformed else None
     bk = bracket or lie_bracket
-    V, W = random_xi_field(s, rng), random_xi_field(s, rng)
+    V, W = random_xi_field(s, Drawn(rng)), random_xi_field(s, Drawn(rng))
     points = pts(s, 6)
     for A, B in ((V, W), (s.frame[0], W), (s.frame[1], s.frame[3])):
         pairs = [(nijenhuis(s, A, B, bracket), _nijenhuis_unshared(s, A, B, bk))]
@@ -210,7 +210,7 @@ def test_shared_brackets_match_six_bracket_formula_bitwise(deformed):
 def test_dbar_commutes_with_J():
     rng = stream(54, "dbarJ")
     for s in (FLAT, TWISTED, SHIFTED):
-        W = random_xi_field(s, rng)
+        W = random_xi_field(s, Drawn(rng))
         lhs = dbar0(s, s.apply_J(W))
         rhs = dbar0(s, W)
         for i in range(s.n_leaf):
@@ -220,7 +220,7 @@ def test_dbar_commutes_with_J():
 def test_dbar0_antilinearity_property():
     rng = stream(55, "dbar01")
     for s in (FLAT, SHIFTED, T5):
-        W = random_xi_field(s, rng)
+        W = random_xi_field(s, Drawn(rng))
         acc = ResidualAccumulator(pts(s)).add(*antilinearity_residual(s, dbar0(s, W)))
         assert acc.max_rel <= 1e-11
 
@@ -228,7 +228,7 @@ def test_dbar0_antilinearity_property():
 def test_dbar1_squared_zero_seeded():
     rng = stream(56, "dbarsq")
     for s in (FLAT, TWISTED, SHIFTED, T5):
-        W = random_xi_field(s, rng)
+        W = random_xi_field(s, Drawn(rng))
         dd = dbar1(s, dbar0(s, W))
         for ij in s.frame_pairs():
             vec_zero(dd.value(ij), pts(s), tol=1e-11)
@@ -238,7 +238,7 @@ def test_dbar1_leibniz_with_H():
     """dbar(f H) = dbar f ^ H + f dbar H on the shifted couple (H != 0)."""
     s = SHIFTED
     rng = stream(57, "leibH")
-    f = random_scalar(s.chart, rng)
+    f = random_scalar(s.chart, Drawn(rng))
     H = h_form(s)
     lhs = dbar1(s, H.scaled(f))
     rhs = wedge01(s, dbar_scalar(s, f), H) + dbar1(s, H).scaled(f)
@@ -330,7 +330,7 @@ def test_H_nonzero_on_shifted_and_matches_change_couple():
 def test_H_of_tangent_field_is_dbar():
     rng = stream(58, "HV")
     for s in (FLAT, SHIFTED):
-        V = random_xi_field(s, rng)
+        V = random_xi_field(s, Drawn(rng))
         for i in range(s.n_leaf):
             lhs = h_apply(s, V, s.frame[i])
             rhs = dbar0_apply(s, V, s.frame[i])
@@ -340,9 +340,9 @@ def test_H_of_tangent_field_is_dbar():
 def test_h_linearity():
     rng = stream(59, "hlin")
     s = SHIFTED
-    Y = random_vector_field(s.chart, rng)
-    f = random_scalar(s.chart, rng)
-    V = random_xi_field(s, rng)
+    Y = random_vector_field(s.chart, Drawn(rng))
+    f = random_scalar(s.chart, Drawn(rng))
+    V = random_xi_field(s, Drawn(rng))
     vec_close(h_apply(s, Y, V.scaled(f)), h_apply(s, Y, V).scaled(f), pts(s), tol=1e-11)
 
 
@@ -351,7 +351,7 @@ def test_h_linearity():
 
 def test_beth_equals_dbar_when_untwisted():
     rng = stream(60, "beth")
-    W = random_xi_field(FLAT, rng)
+    W = random_xi_field(FLAT, Drawn(rng))
     P = XiValuedForm(0, {(): W})
     lhs = beth(FLAT, P)
     rhs = dbar0(FLAT, W)
@@ -362,7 +362,7 @@ def test_beth_equals_dbar_when_untwisted():
 def test_beth_squared_and_bethH():
     rng = stream(61, "beth2")
     for s in (FLAT, TWISTED, SHIFTED, T5):
-        W = random_xi_field(s, rng)
+        W = random_xi_field(s, Drawn(rng))
         bb = beth(s, beth(s, XiValuedForm(0, {(): W})))
         assert ResidualAccumulator(pts(s)).add(bb).max_rel <= 1e-11
         bH = beth(s, h_form(s))
@@ -370,7 +370,7 @@ def test_beth_squared_and_bethH():
 
 
 def test_beth_rejects_degree_two():
-    W = random_xi_field(FLAT, stream(62, "b3"))
+    W = random_xi_field(FLAT, Drawn(stream(62, "b3")))
     P2 = XiValuedForm(2, {(0, 1): W})
     with pytest.raises(ValueError):
         beth(FLAT, P2)
@@ -398,17 +398,17 @@ def test_beth_conjugation_cases():
     from leviflat.excalc import zero_vector
 
     zero = constant(TWISTED.chart, 0.0)
-    U = random_xi_field(TWISTED, rng, amplitude=0.5)
-    P0 = XiValuedForm(0, {(): random_xi_field(TWISTED, rng)})
+    U = random_xi_field(TWISTED, Drawn(rng), amplitude=0.5)
+    P0 = XiValuedForm(0, {(): random_xi_field(TWISTED, Drawn(rng))})
     r0 = beth_conjugation_residual(TWISTED, zero, U, P0)
     assert ResidualAccumulator(pts(TWISTED)).add(*r0).max_rel <= 1e-11
     x, y = coordinate(FLAT.chart, "x"), coordinate(FLAT.chart, "y")
     lam = sin_of(x + y)
-    P0_flat = XiValuedForm(0, {(): random_xi_field(FLAT, rng)})
+    P0_flat = XiValuedForm(0, {(): random_xi_field(FLAT, Drawn(rng))})
     r1 = beth_conjugation_residual(FLAT, lam, zero_vector(FLAT.chart), P0_flat)
     assert ResidualAccumulator(pts(FLAT)).add(*r1).max_rel <= 1e-11
-    P1 = XiValuedForm(1, {(i,): random_xi_field(FLAT, rng) for i in range(2)})
-    r2 = beth_conjugation_residual(FLAT, lam, random_xi_field(FLAT, rng, 0.4), P1)
+    P1 = XiValuedForm(1, {(i,): random_xi_field(FLAT, Drawn(rng)) for i in range(2)})
+    r2 = beth_conjugation_residual(FLAT, lam, random_xi_field(FLAT, Drawn(rng), 0.4), P1)
     assert ResidualAccumulator(pts(FLAT)).add(*r2).max_rel <= 1e-11
 
 
@@ -419,7 +419,7 @@ def test_deformed_bracket_at_zero_is_lie():
     from leviflat.excalc import zero_form
 
     rng = stream(64, "dbz")
-    V, W = random_xi_field(FLAT, rng), random_xi_field(FLAT, rng)
+    V, W = random_xi_field(FLAT, Drawn(rng)), random_xi_field(FLAT, Drawn(rng))
     vec_close(
         deformed_bracket(FLAT.couple, zero_form(FLAT.chart, 1), V, W),
         lie_bracket(V, W),
@@ -438,8 +438,8 @@ def test_deformed_bracket_flat_constant_alpha():
 def test_deformed_bracket_expansion_oracle():
     rng = stream(65, "dbx")
     for s in (FLAT, TWISTED, SHIFTED):
-        alpha = random_z_form(s, 1, rng, amplitude=0.5)
-        V, W = random_xi_field(s, rng), random_xi_field(s, rng)
+        alpha = random_z_form(s, 1, Drawn(rng), amplitude=0.5)
+        V, W = random_xi_field(s, Drawn(rng)), random_xi_field(s, Drawn(rng))
         vec_close(
             deformed_bracket(s.couple, alpha, V, W),
             deformed_bracket_expanded(s.couple, alpha, V, W),
@@ -451,9 +451,9 @@ def test_deformed_bracket_expansion_oracle():
 def test_deformed_bracket_leibniz():
     rng = stream(66, "dbl")
     s = TWISTED
-    alpha = random_z_form(s, 1, rng, amplitude=0.5)
-    a = random_scalar(s.chart, rng)
-    V, W = random_xi_field(s, rng), random_xi_field(s, rng)
+    alpha = random_z_form(s, 1, Drawn(rng), amplitude=0.5)
+    a = random_scalar(s.chart, Drawn(rng))
+    V, W = random_xi_field(s, Drawn(rng)), random_xi_field(s, Drawn(rng))
     lhs = deformed_bracket(s.couple, alpha, V.scaled(a), W)
     rhs = deformed_bracket(s.couple, alpha, V, W).scaled(a) - V.scaled(
         derivation_pairing(s.couple, alpha, W, a)
@@ -527,7 +527,7 @@ def test_s_operators_vanish_at_zero():
 
     S0 = XiValuedForm(1, {(i,): zero_vector(T5.chart) for i in range(4)})
     rng = stream(67, "s0")
-    V, W = random_xi_field(T5, rng), random_xi_field(T5, rng)
+    V, W = random_xi_field(T5, Drawn(rng)), random_xi_field(T5, Drawn(rng))
     terms = s_terms(T5, S0, V, W)
     for term in (terms.n_SS, terms.dbar, terms.square, terms.double):
         vec_zero(term, pts(T5))
@@ -535,9 +535,9 @@ def test_s_operators_vanish_at_zero():
 
 def test_double_bracket_equals_square_when_N_zero():
     rng = stream(68, "dbss")
-    Smat = random_anticommuting_S(T5, rng)
+    Smat = random_anticommuting_S(T5, Drawn(rng))
     S = xi_form_from_matrix(T5, Smat)
-    V, W = random_xi_field(T5, rng), random_xi_field(T5, rng)
+    V, W = random_xi_field(T5, Drawn(rng)), random_xi_field(T5, Drawn(rng))
     terms = s_terms(T5, S, V, W)
     vec_close(terms.double, terms.square, pts(T5), tol=1e-11)
 
@@ -545,7 +545,7 @@ def test_double_bracket_equals_square_when_N_zero():
 def _larger_S(s, rng):
     """A seeded S of amplitude 0.05: random_anticommuting_S draws amplitude
     0.03."""
-    return [[f * (0.05 / 0.03) for f in row] for row in random_anticommuting_S(s, rng)]
+    return [[f * (0.05 / 0.03) for f in row] for row in random_anticommuting_S(s, Drawn(rng))]
 
 
 def test_double_bracket_quarter_variant_fails_on_nonintegrable_J():
@@ -559,7 +559,7 @@ def test_double_bracket_quarter_variant_fails_on_nonintegrable_J():
     S = xi_form_from_matrix(s, Smat)
     Jt = conjugate_J(s, Smat, points)
     s_tilde = s.with_J(Jt)
-    V, W = random_xi_field(s, rng), random_xi_field(s, rng)
+    V, W = random_xi_field(s, Drawn(rng)), random_xi_field(s, Drawn(rng))
     terms = s_terms(s, S, V, W)
     Ntilde = nijenhuis(s_tilde, V + terms.SV, W + terms.SW)
     rhs = -(Ntilde - xi_form_apply(s, S, [Ntilde])).scaled(0.25)
@@ -619,10 +619,10 @@ def test_shared_S_brackets_match_unshared_formula_bitwise(deformed):
     unshared formula's to the bit."""
     s = T5P
     rng = stream(74, "shared_S")
-    bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, rng, amplitude=0.5)) if deformed else None
+    bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, Drawn(rng), amplitude=0.5)) if deformed else None
     bk = bracket or lie_bracket
     S = xi_form_from_matrix(s, _larger_S(s, rng))
-    V, W = random_xi_field(s, rng), random_xi_field(s, rng)
+    V, W = random_xi_field(s, Drawn(rng)), random_xi_field(s, Drawn(rng))
     points = pts(s, 6)
     for A, B in ((V, W), (s.frame[0], s.frame[2])):
         terms = s_terms(s, S, A, B, bracket)
@@ -646,8 +646,8 @@ def test_dbar_leibniz_display_variant_is_inconsistent():
     along JV satisfies the Leibniz rule."""
     s = FLAT
     rng = stream(70, "display")
-    a = random_scalar(s.chart, rng)
-    W = random_xi_field(s, rng)
+    a = random_scalar(s.chart, Drawn(rng))
+    W = random_xi_field(s, Drawn(rng))
     lhs = dbar0(s, W.scaled(a))
     corrected = dbar0(s, W).scaled(a) + wedge01(
         s, dbar_scalar(s, a), XiValuedForm(0, {(): W})
@@ -662,7 +662,7 @@ def test_dbar_leibniz_display_variant_is_inconsistent():
 def test_xi_form_values_stay_in_xi():
     rng = stream(71, "xivals")
     for s in (TWISTED, SHIFTED):
-        W = random_xi_field(s, rng)
+        W = random_xi_field(s, Drawn(rng))
         for form in (dbar0(s, W), h_form(s), beth(s, XiValuedForm(0, {(): W}))):
             for idx, val in form.values.items():
                 gv = s.couple.gamma_of(val)
@@ -672,16 +672,16 @@ def test_xi_form_values_stay_in_xi():
 def test_antilinearity_of_dbar1_output():
     rng = stream(72, "anti2")
     s = T5
-    W = random_xi_field(s, rng)
+    W = random_xi_field(s, Drawn(rng))
     out = dbar1(s, dbar0(s, W))
     # trivially antilinear (it is ~0); use H_Y instead for substance
-    Y = random_vector_field(s.chart, rng)
+    Y = random_vector_field(s.chart, Drawn(rng))
     HY = h_form(s, Y)
     acc = ResidualAccumulator(pts(s, 5)).add(*antilinearity_residual(s, HY))
     assert acc.max_rel <= 1e-11
 
 def test_dbar1_rejects_nonintegrable_structure():
     rng = stream(73, "guard")
-    omega = dbar0(T5P, random_xi_field(T5P, rng))
+    omega = dbar0(T5P, random_xi_field(T5P, Drawn(rng)))
     with pytest.raises(ValueError):
         dbar1(T5P, omega)

@@ -367,7 +367,7 @@ def shared_method_names(sources):
 # call escapes it while another class's method of the same name is used.
 # Each of these was checked by hand to be read by production code on every
 # class that defines it; a new shared name needs the same check.
-SHARED_METHODS = ["_diff", "at", "diff", "scaled"]
+SHARED_METHODS = ["_diff", "at", "diff", "draw", "scaled"]
 
 
 def test_shared_method_names_are_reviewed():

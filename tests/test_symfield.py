@@ -20,7 +20,7 @@ from leviflat.errors import (
     UnknownIdentifierError,
 )
 from leviflat.report import ResidualAccumulator
-from leviflat.sampling import sample_points, stream, random_scalar
+from leviflat.sampling import Drawn, sample_points, stream, random_scalar
 from leviflat.symfield import (
     Chart,
     PointEvaluator,
@@ -195,7 +195,7 @@ def test_finite_difference_consistency():
     points = sample_points(CHART, 100, rng)
     h = 1e-3
     for k, p in enumerate(points):
-        f = random_scalar(CHART, rng)
+        f = random_scalar(CHART, Drawn(rng))
         i = k % CHART.dim
         # p shifted along coordinate i by h, -h, h/2, -h/2
         shifted = np.tile(p, (4, 1))
@@ -211,8 +211,8 @@ def test_finite_difference_consistency():
 def test_linearity_exact():
     rng = stream(203, "lin")
     points = sample_points(CHART, 20, rng)
-    f = random_scalar(CHART, rng)
-    g = random_scalar(CHART, rng)
+    f = random_scalar(CHART, Drawn(rng))
+    g = random_scalar(CHART, Drawn(rng))
     a, b = 1.7, -0.3
     combo = a * f + b * g
     for i in range(CHART.dim):
@@ -225,7 +225,7 @@ def test_clairaut_symmetry():
     rng = stream(204, "clairaut")
     points = sample_points(CHART, 20, rng)
     for _ in range(10):
-        f = random_scalar(CHART, rng)
+        f = random_scalar(CHART, Drawn(rng))
         for i in range(CHART.dim):
             for j in range(i + 1, CHART.dim):
                 dij = f.diff(i).diff(j)
@@ -798,7 +798,8 @@ def test_creation_order_tapes_compute_every_value_before_reading_it(seed):
     roots += [leaves[1], leaves[3]]
 
     tape = sf.Tape(roots)
-    template, loads, code, outputs = tape._compile()
+    template, loads, params, code, outputs = tape._compile()
+    assert params == []
     assert len(code) == len(_interior_nodes(roots))
 
     # symbolic run: each register holds the id of the operation it computed
@@ -828,7 +829,7 @@ def test_creation_order_tapes_compute_every_value_before_reading_it(seed):
 
     points = rng.uniform(-4.0, 4.0, (7, 3))
     coords = tuple(np.ascontiguousarray(points[:, i]) for i in range(3))
-    got = tape.run(coords)
+    got = tape.run(coords, (), (7,))
     memo = {}
     with np.errstate(all="ignore"):
         for node, value in zip(roots, got):
@@ -875,7 +876,8 @@ def _per_draw_points(chart, n, rng):
 
 
 def _per_draw_scalar(chart, rng, amplitude):
-    # random_scalar with one draw per coefficient
+    # random_scalar with one draw per coefficient; the cross harmonic takes
+    # its pair in increasing order, as a one-hot row over unordered pairs does
     coeff = lambda: rng.uniform(-amplitude, amplitude)
     node = sf.const(coeff())
     for i in range(chart.dim):
@@ -887,6 +889,7 @@ def _per_draw_scalar(chart, rng, amplitude):
     k = int(rng.integers(0, chart.dim - 1))
     if k >= j:
         k += 1
+    j, k = min(j, k), max(j, k)
     return sf.add(node, sf.mul(sf.const(coeff()), sf.sin(sf.add(sf.coord(j), sf.coord(k)))))
 
 
@@ -898,7 +901,7 @@ def test_batched_draws_take_the_per_draw_stream(dim):
         rng, ref = stream(seed, "draws"), stream(seed, "draws")
         assert repr(sample_points(chart, 7, rng)) == repr(_per_draw_points(chart, 7, ref))
         for amplitude in (1.0, 0.3):
-            f = random_scalar(chart, rng, amplitude)
+            f = random_scalar(chart, Drawn(rng), amplitude)
             assert repr(f.node) == repr(_per_draw_scalar(chart, ref, amplitude))
         assert rng.uniform() == ref.uniform()
 

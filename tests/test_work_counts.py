@@ -48,7 +48,7 @@ def test_bracket_heavy_identities_do_no_more_work(monkeypatch):
 
     def compiled(tape):
         program = compile_(tape)
-        counts["tape instructions"] += len(program[2])
+        counts["tape instructions"] += len(program[3])
         return program
 
     monkeypatch.setattr(sf.Tape, "_compile", compiled)
