@@ -227,7 +227,8 @@ def xi_form_apply(s, form, args):
 def dbar1(s, omega):
     """dbar of a (0,1)-form on integrable leaves:
     dbar(omega)(V, W) = dbar(omega(W))(V) - dbar(omega(V))(W)
-                        - 1/2 omega([V, W] - [JV, JW])."""
+                        - 1/2 omega([V, W] - [JV, JW]).
+    The rule the identities use; s_terms' dbar is its oracle."""
     if not s.leafwise_integrable:
         raise ValueError("dbar on (0,1)-forms needs leafwise integrability (N_J = 0)")
     values = {}
@@ -495,7 +496,8 @@ def s_terms(s, S, V, W, bracket=None):
         [S, S](V, W) = [SV,SW] - [JSV,JSW]
                        - S([SV,W] + [V,SW] + J[V,JSW] + J[JSV,W])
                        - (S N(SV,W) + S N(V,SW) - N(SV,SW)) / 2
-        [[S, S]] = [S, S] - S(N - N(SV, SW)) / 2."""
+        [[S, S]] = [S, S] - S(N - N(SV, SW)) / 2.
+    Its dbar, from apply_J and the given bracket, is the oracle for dbar1."""
     bk = bracket or lie_bracket
     SV = xi_form_apply(s, S, [V])
     SW = xi_form_apply(s, S, [W])

@@ -146,7 +146,7 @@ class ResidualAccumulator:
         step = max(1, BATCH_SAMPLES // max(1, len(self.points)))
         for start in range(0, len(rows), step):
             batch = rows[start : start + step]
-            ev = PointEvaluator(chart, self.points, tape, batch if batch.shape[1] else ())
+            ev = PointEvaluator(chart, self.points, tape, batch)
             # each side as (components, K*N), or a number
             sides = [[_numeric(v, self.points, ev) for v in pair] for pair in pairs]
             for k in range(len(batch)):

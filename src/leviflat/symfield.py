@@ -333,11 +333,14 @@ def mul(a, b):
             return const(a.value * b.value)
     elif type(b) is Const:
         a, b = b, a
-    elif a.mask and b.mask or not (a.mask or b.mask):
-        # no parameter expression, or two: a product of constants
+    elif a.mask and b.mask:
         return Mul(a, b)
-    else:
+    elif a.mask or b.mask:
+        # one parameter expression: it is the constant factor
         return _scaled(b, a) if a.mask else _scaled(a, b)
+    else:
+        # two parameter expressions: a product of constants
+        return Mul(a, b)
     # a is the one constant factor
     v = a.value
     if v == 0.0:
@@ -747,7 +750,7 @@ class PointEvaluator:
             np.remainder(pts[:, i], TWO_PI) if per else np.ascontiguousarray(pts[:, i])
             for i, per in enumerate(chart.periodic)
         )
-        if len(rows):
+        if np.size(rows):
             # (K, 1) parameter columns broadcast against (N,) coordinates
             self.params = np.asarray(rows, dtype=float).T[:, :, None]
             self.shape = (len(rows), len(pts))

@@ -685,3 +685,23 @@ def test_dbar1_rejects_nonintegrable_structure():
     omega = dbar0(T5P, random_xi_field(T5P, Drawn(rng)))
     with pytest.raises(ValueError):
         dbar1(T5P, omega)
+
+
+@pytest.mark.parametrize("s", [T5, SHIFTED], ids=["t5_product", "t3_twisted_shifted"])
+def test_dbar1_matches_its_s_terms_oracle_on_every_frame_pair(s):
+    """dbar1 and s_terms' dbar are two rules for dbar_J of a (0,1)-form: J
+    images of frame vectors with the Lie bracket, and apply_J with the
+    given bracket.  On random (0,1)-forms, the frame matrices C + JCJ, they
+    agree on every frame pair.  On a 3-torus every (0,2)-form vanishes, so
+    there both rules must give 0."""
+    rng = stream(71, "dbar1_oracle", s.chart.names)
+    for _ in range(3):
+        omega = xi_form_from_matrix(s, random_anticommuting_S(s, Drawn(rng)))
+        got = dbar1(s, omega)
+        pairs = s.frame_pairs()
+        want = [s_terms(s, omega, s.frame[i], s.frame[j]).dbar for i, j in pairs]
+        sides = [got.value(ij) for ij in pairs]
+        acc = ResidualAccumulator(pts(s, 6)).add(sides, want)
+        assert len(acc.samples) == 6 * len(pairs) and acc.max_rel <= 1e-12
+        size = ResidualAccumulator(pts(s, 6)).add(sides).max_abs
+        assert size > 1e-3 if s.n_leaf >= 4 else size <= 1e-15

@@ -381,3 +381,59 @@ def test_shared_method_name_is_found():
         "    def __eq__(self, o):\n        pass\n"
     )
     assert shared_method_names([source, "class C:\n    def n(self):\n        pass\n"]) == ["m", "n"]
+
+
+def _called_name(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def builds_in_instance_loops(source):
+    """R4: (runner, line) of each call to a random_* builder, small_scalar or
+    streams inside a `for _ in range(...)` loop of a run_* function.  A
+    runner builds its fields once over Parameters and draws one row of
+    values per instance, so an instance loop never builds."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("run_")):
+            continue
+        for loop in ast.walk(fn):
+            if not (
+                isinstance(loop, ast.For)
+                and isinstance(loop.target, ast.Name)
+                and loop.target.id == "_"
+                and isinstance(loop.iter, ast.Call)
+                and _called_name(loop.iter) == "range"
+            ):
+                continue
+            for call in ast.walk(loop):
+                name = _called_name(call) if isinstance(call, ast.Call) else None
+                if name and (name.startswith("random_") or name in ("small_scalar", "streams")):
+                    found.append((fn.name, call.lineno))
+    return sorted(set(found))
+
+
+def test_no_instance_loop_builds_random_fields():
+    assert builds_in_instance_loops((ROOT / "src" / "leviflat" / "suites.py").read_text(encoding="utf-8")) == []
+
+
+def test_build_in_instance_loop_is_found():
+    source = (
+        "def run_a(scenario, acc, streams):\n"
+        "    rng = streams('a')\n"
+        "    for _ in range(3):\n"
+        "        f = random_scalar(chart, Drawn(rng))\n"
+        "        g = sampling.random_form(chart, 1, draws)\n"
+        "        acc.add(f)\n"
+        "\n"
+        "def run_b(scenario, acc, streams):\n"
+        "    for _ in range(2):\n"
+        "        if True:\n"
+        "            S = small_scalar(chart, Drawn(streams('b')), 0.1)\n"
+        "    for k in range(2):\n"
+        "        f = random_scalar(chart, draws)\n"
+        "\n"
+        "def helper(streams):\n"
+        "    for _ in range(2):\n"
+        "        random_scalar(chart, draws)\n"
+    )
+    assert builds_in_instance_loops(source) == [("run_a", 4), ("run_a", 5), ("run_b", 11)]

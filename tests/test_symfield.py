@@ -2,6 +2,7 @@
 
 import math
 import os
+from itertools import combinations
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,10 @@ from leviflat.errors import (
     UnknownIdentifierError,
 )
 from leviflat.report import ResidualAccumulator
-from leviflat.sampling import Drawn, sample_points, stream, random_scalar
+from leviflat.excalc import matrix_mul, wedge
+from leviflat.sampling import Drawn, Parameters, random_form, random_scalar, random_vector_field, sample_points, stream
+from leviflat.scenarios import builtin
+from leviflat.suites import random_anticommuting_S, random_xi_field, random_z_form, small_scalar
 from leviflat.symfield import (
     Chart,
     PointEvaluator,
@@ -903,6 +907,109 @@ def test_batched_draws_take_the_per_draw_stream(dim):
         for amplitude in (1.0, 0.3):
             f = random_scalar(chart, Drawn(rng), amplitude)
             assert repr(f.node) == repr(_per_draw_scalar(chart, ref, amplitude))
+        assert rng.uniform() == ref.uniform()
+
+
+# The builders as they drew before parameters: each call draws from rng and
+# builds constants, and the cross harmonic takes its pair in drawn order.
+
+
+def _ref_scalar(chart, rng, amplitude=1.0):
+    coeff = lambda: rng.uniform(-amplitude, amplitude)
+    first = rng.uniform(-amplitude, amplitude, 2 * chart.dim + 1).tolist()
+    node = sf.const(first[0])
+    for i in range(chart.dim):
+        node = sf.add(node, sf.mul(sf.const(first[2 * i + 1]), sf.sin(sf.coord(i))))
+        node = sf.add(node, sf.mul(sf.const(first[2 * i + 2]), sf.cos(sf.coord(i))))
+    m = int(rng.integers(0, chart.dim))
+    node = sf.add(node, sf.mul(sf.const(coeff()), sf.cos(sf.mul(sf.const(2.0), sf.coord(m)))))
+    if chart.dim >= 2:
+        j = int(rng.integers(0, chart.dim))
+        k = int(rng.integers(0, chart.dim - 1))
+        if k >= j:
+            k += 1
+        node = sf.add(node, sf.mul(sf.const(coeff()), sf.sin(sf.add(sf.coord(j), sf.coord(k)))))
+    return sf.ScalarField(chart, node)
+
+
+def _ref_small_scalar(chart, rng, amplitude):
+    j = int(rng.integers(0, chart.dim))
+    k = int(rng.integers(0, chart.dim))
+    node = sf.add(
+        sf.const(rng.uniform(-amplitude, amplitude)),
+        sf.add(
+            sf.mul(sf.const(rng.uniform(-amplitude, amplitude)), sf.sin(sf.coord(j))),
+            sf.mul(sf.const(rng.uniform(-amplitude, amplitude)), sf.cos(sf.coord(k))),
+        ),
+    )
+    return sf.ScalarField(chart, node)
+
+
+def _ref_z_form(s, k, rng, amplitude=1.0):
+    out = None
+    for idx in combinations(range(s.n_leaf), k):
+        term = s.coframe[idx[0]]
+        f = _ref_scalar(s.chart, rng, amplitude)
+        for i in idx[1:]:
+            term = wedge(term, s.coframe[i])
+        term = term.scaled(f)
+        out = term if out is None else out + term
+    return out
+
+
+def _ref_anticommuting_S(s, rng):
+    n = s.n_leaf
+    C = [[_ref_small_scalar(s.chart, rng, 0.03) for _ in range(n)] for _ in range(n)]
+    JCJ = matrix_mul(s.chart, matrix_mul(s.chart, s.Jmat, C), s.Jmat)
+    return [[C[r][c] + JCJ[r][c] for c in range(n)] for r in range(n)]
+
+
+def _builder_fields(chart, s, draws):
+    fields = [random_scalar(chart, draws), *random_vector_field(chart, draws, 0.6).components]
+    fields += [f for k in (1, 2) for f in random_form(chart, k, draws).coeffs.values()]
+    fields.append(small_scalar(chart, draws, 0.03))
+    if s is not None:
+        fields += random_z_form(s, 1, draws, amplitude=0.4).coeffs.values()
+        fields += random_xi_field(s, draws, amplitude=0.5).components
+        fields += [f for row in random_anticommuting_S(s, draws) for f in row]
+    return fields
+
+
+def _ref_builder_fields(chart, s, rng):
+    fields = [_ref_scalar(chart, rng), *(_ref_scalar(chart, rng, 0.6) for _ in range(chart.dim))]
+    for k in (1, 2):
+        fields += [_ref_scalar(chart, rng) for _ in combinations(range(chart.dim), k)]
+    fields.append(_ref_small_scalar(chart, rng, 0.03))
+    if s is not None:
+        fields += _ref_z_form(s, 1, rng, amplitude=0.4).coeffs.values()
+        fields += s.from_xi_coefficients([_ref_scalar(chart, rng, 0.5) for _ in range(s.n_leaf)]).components
+        fields += [f for row in _ref_anticommuting_S(s, rng) for f in row]
+    return fields
+
+
+@pytest.mark.parametrize("where", ["t3_twisted_shifted", "t5_product", 6])
+def test_one_parameter_build_gives_every_instance_bitwise(where):
+    """Every builder built once over Parameters, with K rows of values
+    replayed from a stream, gives each instance's values bit for bit as K
+    builds that draw constants from the same stream, and leaves the stream
+    where they leave it."""
+    s = None if where == 6 else builtin(where).structure
+    chart = torus(*(f"x{i}" for i in range(where))) if s is None else s.chart
+    draws = Parameters()
+    fields = _builder_fields(chart, s, draws)
+    tape = sf.Tape(f.node for f in fields)
+    points = sample_points(chart, 3, stream("builders", "points"))
+    K = 3
+    for seed in range(50):
+        rng, ref = stream(seed, "builders"), stream(seed, "builders")
+        ev = PointEvaluator(chart, points, tape, draws.rows(rng, K))
+        got = np.array([ev(f) for f in fields]).reshape(len(fields), K, len(points))
+        builds = [_ref_builder_fields(chart, s, ref) for _ in range(K)]
+        want = PointEvaluator(chart, points, [f for build in builds for f in build])
+        for k, build in enumerate(builds):
+            assert len(build) == len(fields)
+            for f, g in zip(build, got[:, k]):
+                assert want(f).tobytes() == g.tobytes()
         assert rng.uniform() == ref.uniform()
 
 
