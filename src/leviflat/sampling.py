@@ -3,13 +3,13 @@
 One named PRNG stream per (seed, labels...) so that every suite, scenario and
 sample index draws from its own reproducible stream.
 
-A builder takes its random coefficients from an allocator.  Drawn hands out
-constants drawn at once: the fields of one instance.  Coefficients hands out
-parameter leaves and records the draws, so a runner builds and compiles its
-fields once and replays the draws once per instance, from the same stream
-and in the same order as one build per instance.  A random choice (which
-harmonic, which frame vector) is a one-hot row of coefficients over every
-choice: drawn at once, the zero ones fold away.
+A builder takes its random coefficients from an allocator through draw.
+Drawn hands out constants drawn at once: the fields of one instance.
+Parameters hands out parameter leaves and records the draws, so a runner
+builds and compiles its fields once and replays the draws once per
+instance, from the same stream and in the same order as one build per
+instance.  A random choice (the coordinates of a harmonic, a frame vector)
+is a one-hot row over every choice: drawn at once, its zeros fold away.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class Drawn:
         self.rng = rng
 
     def draw(self, count, values):
-        """The constants of values(rng), a list of count floats."""
+        """The count constants of values(rng), a list of floats."""
         return [const(v) for v in values(self.rng)]
 
 

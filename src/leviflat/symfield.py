@@ -750,7 +750,7 @@ class PointEvaluator:
             np.remainder(pts[:, i], TWO_PI) if per else np.ascontiguousarray(pts[:, i])
             for i, per in enumerate(chart.periodic)
         )
-        if np.size(rows):
+        if len(rows) and len(rows[0]):
             # (K, 1) parameter columns broadcast against (N,) coordinates
             self.params = np.asarray(rows, dtype=float).T[:, :, None]
             self.shape = (len(rows), len(pts))
@@ -765,7 +765,10 @@ class PointEvaluator:
     def __call__(self, f):
         if self.values is None:
             values = self.tape.run(self.coords, self.params, self.shape)
-            self.values = dict(zip(self.tape.roots, (v.reshape(-1) for v in values)))
+            if len(self.shape) > 1:
+                # K instances' values of a field, instance by instance
+                values = [v.reshape(-1) for v in values]
+            self.values = dict(zip(self.tape.roots, values))
         value = self.values.get(f.node)
         if value is None:
             # not the node's repr: it expands the DAG into a tree
