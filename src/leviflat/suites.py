@@ -136,6 +136,14 @@ def _batch(points, rows):
     return np.hstack([np.tile(pts, (len(rows), 1)), np.repeat(rows, len(pts), axis=0)])
 
 
+def _add_by_instance(acc, lhs, rhs, count):
+    """Record numeric sides of shape (components, K*N), computed on a _batch
+    of count instances, one instance at a time; a number rhs stays whole."""
+    rhs = np.split(rhs, count, axis=-1) if np.ndim(rhs) else [rhs] * count
+    for lhs_k, rhs_k in zip(np.split(lhs, count, axis=-1), rhs):
+        acc.add(lhs_k, rhs_k)
+
+
 def run_d_squared(scenario, acc, streams):
     chart = scenario.structure.chart
     rng = streams("d_squared")
@@ -324,8 +332,7 @@ def run_flow_group_law(scenario, acc, streams):
     q2, _ = flows.integrate_flow(Y, t1, q1, jacobian=False)
     q12, _ = flows.integrate_flow(Y, t1 + t2, points, jacobian=False)
     dim = chart.dim
-    for lhs, rhs in zip(np.split(q2[:, :dim].T, len(rows), axis=1), np.split(q12[:, :dim].T, len(rows), axis=1)):
-        acc.add(lhs, rhs)
+    _add_by_instance(acc, q2[:, :dim].T, q12[:, :dim].T, len(rows))
 
 
 def run_flow_pullback_identity(scenario, acc, streams):
@@ -351,9 +358,7 @@ def run_flow_lie_oracle(scenario, acc, streams):
     fd_val = flows.richardson(
         lambda pts, t: flows.pullback_form_numeric(Y, t, omega, pts, args), points, 1e-3
     )
-    exact = evaluate_form(lie, points, args)
-    for lhs, rhs in zip(np.split(fd_val, len(rows)), np.split(exact, len(rows))):
-        acc.add([lhs], [rhs])
+    _add_by_instance(acc, fd_val[None], evaluate_form(lie, points, args)[None], len(rows))
 
 
 def run_gauge_chi(scenario, acc, streams):
@@ -367,9 +372,7 @@ def run_gauge_chi(scenario, acc, streams):
     rows = draws.rows(streams("gauge_chi"), 10)
     points = _batch(acc.points[:3], rows)
     lhs = flows.gauge_derivative_fd(Y, couple, points, arg)
-    rhs = tval(points)
-    for lhs_k, rhs_k in zip(np.split(lhs, len(rows)), np.split(rhs, len(rows))):
-        acc.add([lhs_k], [rhs_k])
+    _add_by_instance(acc, lhs[None], tval(points)[None], len(rows))
 
 
 def run_gauge_S(scenario, acc, streams):
@@ -388,10 +391,11 @@ def run_gauge_S(scenario, acc, streams):
     idx = rows[:, pick.index].astype(int)
     own = acc.points[:2]
     points = _batch(own, rows)
-    lhs = flows.s_gauge_fd(Y, s, points, np.repeat(idx, len(own))).T
-    rhs = [np.split(V.at(points), len(rows), axis=1) for V in minus_HY]
-    for k, lhs_k in enumerate(np.split(lhs, len(rows), axis=1)):
-        acc.add(lhs_k, rhs[idx[k]][k])
+    frame_index = np.repeat(idx, len(own))
+    lhs = flows.s_gauge_fd(Y, s, points, frame_index).T
+    # each point's instance picks its frame vector's -H_Y
+    rhs = np.array([V.at(points) for V in minus_HY])[frame_index, :, np.arange(len(points))].T
+    _add_by_instance(acc, lhs, rhs, len(rows))
 
 
 def run_gauge_preserves_mc(scenario, acc, streams):
@@ -404,8 +408,7 @@ def run_gauge_preserves_mc(scenario, acc, streams):
     W = random_vector_field(s.chart, draws)
     rows = draws.rows(streams("gauge_mc"), 3)
     values = flows.gauge_mc_value(Y, 0.05, alpha, s.couple, _batch(acc.points[:3], rows), V, W)
-    for value in np.split(values, len(rows)):
-        acc.add([value], 0.0)
+    _add_by_instance(acc, values[None], 0.0, len(rows))
 
 
 # --------------------------------------------------------------------------
