@@ -143,8 +143,8 @@ class Coord(Node):
 
 
 class Param(Node):
-    """A random coefficient: input column index of a tape run, one value per
-    point.  It mentions no coordinate, so its mask is 0 and its derivative
+    """A random coefficient, loaded from parameter column index of a tape
+    run.  It mentions no coordinate, so its mask is 0 and its derivative
     ZERO; an interior node of mask 0 is a parameter expression."""
 
     __slots__ = ("index",)

@@ -998,8 +998,8 @@ def test_one_parameter_build_gives_every_instance_bitwise(where):
     draws = Parameters()
     fields = _builder_fields(chart, s, draws)
     tape = sf.Tape(f.node for f in fields)
-    points = sample_points(chart, 3, stream("builders", "points"))
-    K = 3
+    points = sample_points(chart, 2, stream("builders", "points"))
+    K = 2
     for seed in range(50):
         rng, ref = stream(seed, "builders"), stream(seed, "builders")
         ev = PointEvaluator(chart, points, tape, draws.rows(rng, K))
