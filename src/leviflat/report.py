@@ -8,7 +8,7 @@ side makes its sample NaN, and a NaN sample fails its identity.
 ResidualAccumulator.add is the only code that evaluates a residual pair:
 runners and residual helpers hand it their two sides, or hand add_each the
 pairs of fields built over parameters with one row of parameter values per
-instance.
+instance, or hand add_instances the sides they evaluated on an instance_batch.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ def _fields(value):
 
 def _chart(value):
     return (value[0] if type(value) is list else value).chart
+
+
+def instance_batch(points, rows):
+    """The points once per instance, each followed by its instance's
+    parameter row: a K*N batch of points that carry their parameters."""
+    pts = np.asarray(points, dtype=float)
+    return np.hstack([np.tile(pts, (len(rows), 1)), np.repeat(rows, len(pts), axis=0)])
 
 
 def _instance(side, k, count):
@@ -147,11 +154,17 @@ class ResidualAccumulator:
         for start in range(0, len(rows), step):
             batch = rows[start : start + step]
             ev = PointEvaluator(chart, self.points, tape, batch)
-            # each side as (components, K*N), or a number
-            sides = [[_numeric(v, self.points, ev) for v in pair] for pair in pairs]
-            for k in range(len(batch)):
-                for lhs, rhs in sides:
-                    self._compare(_instance(lhs, k, len(batch)), _instance(rhs, k, len(batch)))
+            self.add_instances(len(batch), [[_numeric(v, self.points, ev) for v in pair] for pair in pairs])
+        return self
+
+    def add_instances(self, count, pairs):
+        """Record numeric (lhs, rhs) pairs evaluated for count instances at
+        once, instance by instance and pair by pair within an instance.  A
+        side is a (components, count*N) array, instance-major as in an
+        instance_batch, or a number compared with every component."""
+        for k in range(count):
+            for lhs, rhs in pairs:
+                self._compare(_instance(lhs, k, count), _instance(rhs, k, count))
         return self
 
     def _compare(self, lhs, rhs):

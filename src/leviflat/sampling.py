@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .excalc import DifferentialForm, VectorField, scalar_form
-from .symfield import ZERO, Param, ScalarField, add, const, coord, cos as cos_node, is_zero_node, mul, sin as sin_node
+from .symfield import ZERO, Param, ScalarField, add, const, coord, cos as cos_node, mul, sin as sin_node
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,12 +85,11 @@ def _uniform(amplitude, count):
 
 
 def combination(coeffs, term):
-    """The sum of coeffs[i] * term(i) in order of i; a literal zero
-    coefficient adds nothing and builds no term."""
+    """The sum of coeffs[i] * term(i) in order of i; the factories fold a
+    literal zero coefficient's term away."""
     node = ZERO
     for i, c in enumerate(coeffs):
-        if not is_zero_node(c):
-            node = add(node, mul(c, term(i)))
+        node = add(node, mul(c, term(i)))
     return node
 
 

@@ -33,9 +33,9 @@ from .excalc import (
     scalar_form,
     wedge,
 )
-from .report import CheckReport, ResidualAccumulator
+from .report import ONE_INSTANCE, CheckReport, ResidualAccumulator, instance_batch
 from .sampling import Drawn, Parameters, combination, random_form, random_scalar, random_vector_field, sample_points, stream
-from .symfield import PointEvaluator, ScalarField, Tape, add, constant, coord, cos as cos_node, exp_of, sin as sin_node
+from .symfield import PointEvaluator, ScalarField, add, constant, coord, cos as cos_node, exp_of, sin as sin_node
 
 
 # --------------------------------------------------------------------------
@@ -127,21 +127,7 @@ def mc_flat_alpha(scenario, points):
 # A runner that checks an identity on several random instances builds its
 # fields once over Parameters and hands the accumulator one row of
 # parameter values per instance; a runner of one instance draws constants.
-
-
-def _batch(points, rows):
-    """The points once per instance, each followed by its instance's
-    parameter row: a K*N batch of points that carry their parameters."""
-    pts = np.asarray(points, dtype=float)
-    return np.hstack([np.tile(pts, (len(rows), 1)), np.repeat(rows, len(pts), axis=0)])
-
-
-def _add_by_instance(acc, lhs, rhs, count):
-    """Record numeric sides of shape (components, K*N), computed on a _batch
-    of count instances, one instance at a time; a number rhs stays whole."""
-    rhs = np.split(rhs, count, axis=-1) if np.ndim(rhs) else [rhs] * count
-    for lhs_k, rhs_k in zip(np.split(lhs, count, axis=-1), rhs):
-        acc.add(lhs_k, rhs_k)
+# Either hands each instance set's pairs over in one call.
 
 
 def run_d_squared(scenario, acc, streams):
@@ -317,8 +303,9 @@ def run_omega_alpha_inverse(scenario, acc, streams):
 # Runners: flows and the gauge action
 # --------------------------------------------------------------------------
 #
-# Every instance flows in one batch of points that carry their instance's
-# parameter values; the values are split back into instances to record.
+# Every instance flows in one instance_batch of points that carry their
+# instance's parameter values; add_instances splits the values back into
+# instances to record.
 
 
 def run_flow_group_law(scenario, acc, streams):
@@ -327,15 +314,19 @@ def run_flow_group_law(scenario, acc, streams):
     Y = random_vector_field(chart, draws, amplitude=0.6)
     rows = draws.rows(streams("flow_group"), 3)
     t1, t2 = 0.07, -0.05
-    points = _batch(acc.points[:4], rows)
+    points = instance_batch(acc.points[:4], rows)
     q1, _ = flows.integrate_flow(Y, t2, points, jacobian=False)
     q2, _ = flows.integrate_flow(Y, t1, q1, jacobian=False)
     q12, _ = flows.integrate_flow(Y, t1 + t2, points, jacobian=False)
     dim = chart.dim
-    _add_by_instance(acc, q2[:, :dim].T, q12[:, :dim].T, len(rows))
+    acc.add_instances(len(rows), [(q2[:, :dim].T, q12[:, :dim].T)])
 
 
 def run_flow_pullback_identity(scenario, acc, streams):
+    """Phi_0^* omega = omega.  At t = 0 integrate_flow returns (x, I) without
+    an RK4 step, so this guards that zero-time exit and pullback_form_numeric's
+    evaluation of omega on the pushed arguments against evaluate_form; the RK4
+    steps are checked by flow.group_law and flow.lie_oracle."""
     s = scenario.structure
     draws = Drawn(streams("pullback_id"))
     Y = random_vector_field(s.chart, draws, amplitude=0.6)
@@ -354,11 +345,11 @@ def run_flow_lie_oracle(scenario, acc, streams):
     args = [random_vector_field(s.chart, draws)]
     rows = draws.rows(streams("lie_oracle"), 3)
     lie = lie_derivative_form(Y, omega)
-    points = _batch(acc.points[:4], rows)
+    points = instance_batch(acc.points[:4], rows)
     fd_val = flows.richardson(
         lambda pts, t: flows.pullback_form_numeric(Y, t, omega, pts, args), points, 1e-3
     )
-    _add_by_instance(acc, fd_val[None], evaluate_form(lie, points, args)[None], len(rows))
+    acc.add_instances(len(rows), [(fd_val[None], evaluate_form(lie, points, args)[None])])
 
 
 def run_gauge_chi(scenario, acc, streams):
@@ -370,9 +361,9 @@ def run_gauge_chi(scenario, acc, streams):
     arg = random_vector_field(s.chart, draws)
     tval = target.apply_symbolic([arg])
     rows = draws.rows(streams("gauge_chi"), 10)
-    points = _batch(acc.points[:3], rows)
+    points = instance_batch(acc.points[:3], rows)
     lhs = flows.gauge_derivative_fd(Y, couple, points, arg)
-    _add_by_instance(acc, lhs[None], tval(points)[None], len(rows))
+    acc.add_instances(len(rows), [(lhs[None], tval(points)[None])])
 
 
 def run_gauge_S(scenario, acc, streams):
@@ -390,12 +381,12 @@ def run_gauge_S(scenario, acc, streams):
     rows = draws.rows(streams("gauge_S"), 10)
     idx = rows[:, pick.index].astype(int)
     own = acc.points[:2]
-    points = _batch(own, rows)
+    points = instance_batch(own, rows)
     frame_index = np.repeat(idx, len(own))
     lhs = flows.s_gauge_fd(Y, s, points, frame_index).T
     # each point's instance picks its frame vector's -H_Y
     rhs = np.array([V.at(points) for V in minus_HY])[frame_index, :, np.arange(len(points))].T
-    _add_by_instance(acc, lhs, rhs, len(rows))
+    acc.add_instances(len(rows), [(lhs, rhs)])
 
 
 def run_gauge_preserves_mc(scenario, acc, streams):
@@ -407,8 +398,8 @@ def run_gauge_preserves_mc(scenario, acc, streams):
     V = random_vector_field(s.chart, draws)
     W = random_vector_field(s.chart, draws)
     rows = draws.rows(streams("gauge_mc"), 3)
-    values = flows.gauge_mc_value(Y, 0.05, alpha, s.couple, _batch(acc.points[:3], rows), V, W)
-    _add_by_instance(acc, values[None], 0.0, len(rows))
+    values = flows.gauge_mc_value(Y, 0.05, alpha, s.couple, instance_batch(acc.points[:3], rows), V, W)
+    acc.add_instances(len(rows), [(values[None], 0.0)])
 
 
 # --------------------------------------------------------------------------
@@ -502,10 +493,11 @@ def run_dbarH(scenario, acc, streams):
 def run_ixdgamma01_closed(scenario, acc, streams):
     s = scenario.structure
     closed = lc.dbar_scalar01(s, lc.ix_dgamma01(s))
+    parts = []
     for i, j in s.frame_pairs():
         # the real part, then the imaginary part
-        g = lc.xi_form_apply(s, closed, [s.J_frame(i), s.frame[j]])
-        acc.add([[closed.values[(i, j)]], [g]])
+        parts += [[closed.values[(i, j)]], [lc.xi_form_apply(s, closed, [s.J_frame(i), s.frame[j]])]]
+    acc.add(parts)
 
 
 def run_beth_squared(scenario, acc, streams):
@@ -534,18 +526,14 @@ def run_iso_cohomology(scenario, acc, streams):
     draws = Drawn(streams("iso_cohomology"))
     lam = random_scalar(s.chart, draws, amplitude=0.4)
     U = random_xi_field(s, draws, amplitude=0.5)
-    for degree in (0, 1):
-        if degree == 0:
-            P = XiValuedForm(0, {(): random_xi_field(s, draws)})
-        else:
-            P = XiValuedForm(1, {(i,): random_xi_field(s, draws) for i in range(s.n_leaf)})
-        acc.add(*lc.beth_conjugation_residual(s, lam, U, P))
+    P0 = XiValuedForm(0, {(): random_xi_field(s, draws)})
+    P1 = XiValuedForm(1, {(i,): random_xi_field(s, draws) for i in range(s.n_leaf)})
+    acc.add_each(ONE_INSTANCE, [lc.beth_conjugation_residual(s, lam, U, P) for P in (P0, P1)])
 
 
 def run_exact_witness(scenario, acc, streams):
     s = scenario.structure
-    for lhs, rhs in dc.exactness_witness_check(scenario.exact_witness, s):
-        acc.add(lhs, rhs)
+    acc.add_each(ONE_INSTANCE, dc.exactness_witness_check(scenario.exact_witness, s))
 
 
 def run_exact_transport(scenario, acc, streams):
@@ -556,8 +544,7 @@ def run_exact_transport(scenario, acc, streams):
     U_prime = random_xi_field(s, draws, amplitude=0.4)
     s_hat = lc.change_couple(s, lam, U_prime)
     witness = scenario.exact_witness.scaled(exp_of(-lam)) + U_prime
-    for lhs, rhs in dc.exactness_witness_check(witness, s_hat):
-        acc.add(lhs, rhs)
+    acc.add_each(ONE_INSTANCE, dc.exactness_witness_check(witness, s_hat))
 
 
 # --------------------------------------------------------------------------
@@ -611,10 +598,10 @@ def run_n_alpha(scenario, acc, streams):
 
 def run_levi_flat_mc(scenario, acc, streams):
     s = scenario.structure
+    pairs = []
     for t in (0.0, 0.1, -0.1, 0.3, -0.3):
-        pair = scenario.family.at(s, t)
-        for lhs, rhs in dc.levi_flat_mc_residual_pair(pair, s, acc.points):
-            acc.add(lhs, rhs)
+        pairs += dc.levi_flat_mc_residual_pair(scenario.family.at(s, t), s, acc.points)
+    acc.add_each(ONE_INSTANCE, pairs)
 
 
 def run_tangent_eqP1(scenario, acc, streams):
@@ -627,8 +614,7 @@ def run_tangent_eqP2(scenario, acc, streams):
     """dbar P = -beta^{0,1} ^ H for the family tangent; consistency with the
     full cocycle operator is asserted inside infinitesimal_residuals."""
     s = scenario.structure
-    for lhs, rhs in dc.infinitesimal_residuals(scenario.family.tangent(s), s, acc.points):
-        acc.add(lhs, rhs)
+    acc.add_each(ONE_INSTANCE, dc.infinitesimal_residuals(scenario.family.tangent(s), s, acc.points))
 
 
 def run_dfrak_squared(scenario, acc, streams):
@@ -724,17 +710,16 @@ def run_n_ntilde(scenario, acc, streams):
         - (terms.dbar + terms.square.scaled(0.5)).scaled(4.0)
     )
     entries = [f for row in Smat for f in row]
-    basis = s.frame + (s.X,)
     fields = [*lhs.components, *core.components, *entries]
-    tape = Tape(f.node for f in fields + [c for E in basis for c in E.components])
-    for row in draws.rows(rng, 2):
-        ev = PointEvaluator(s.chart, acc.points, tape, row[None])
-        M = s.basis_matrix_at(acc.points, ev)
-        Sp = np.array([ev(f) for f in entries]).T.reshape(-1, n, n)
-        coeffs = np.linalg.solve(M, core.at(acc.points, ev).T[..., None])[..., 0]
-        transformed = np.linalg.solve(np.eye(n) - Sp, coeffs[:, :n, None])[..., 0]
-        rhs_chart = flows.matvec(M[:, :, :n], transformed)
-        acc.add(lhs.at(acc.points, ev), rhs_chart.T)
+    fields += [c for E in (*s.frame, s.X) for c in E.components]
+    rows = draws.rows(rng, 2)
+    ev = PointEvaluator(s.chart, acc.points, fields, rows)
+    M = s.basis_matrix_at(acc.points, ev)
+    Sp = np.array([ev(f) for f in entries]).T.reshape(-1, n, n)
+    coeffs = np.linalg.solve(M, core.at(acc.points, ev).T[..., None])[..., 0]
+    transformed = np.linalg.solve(np.eye(n) - Sp, coeffs[:, :n, None])[..., 0]
+    rhs_chart = flows.matvec(M[:, :, :n], transformed)
+    acc.add_instances(len(rows), [(lhs.at(acc.points, ev), rhs_chart.T)])
 
 
 def run_n_jtilde_identity(scenario, acc, streams):
@@ -772,8 +757,8 @@ def run_n_jtilde_quadratic(scenario, acc, streams):
         fields = []
         for i, j in s.frame_pairs():
             fields += lc.nijenhuis(s_tilde, s.frame[i], s.frame[j]).components
-        ev = PointEvaluator(s.chart, acc.points, fields)
-        maxima.append(max(float(np.abs(ev(f)).max()) for f in fields))
+        # max |N| over every field and point; a NaN anywhere stays NaN
+        maxima.append(ResidualAccumulator(acc.points).add(fields).max_abs)
     ratio = maxima[0] / maxima[1]
     acc.record([maxima[0], maxima[1], abs(ratio / 100.0 - 1.0)], abs(ratio - 100.0))
 

@@ -437,3 +437,56 @@ def test_build_in_instance_loop_is_found():
         "        random_scalar(chart, draws)\n"
     )
     assert builds_in_instance_loops(source) == [("run_a", 4), ("run_a", 5), ("run_b", 11)]
+
+
+def adds_in_loops(source):
+    """R5: (runner, line) of each acc.add call inside a `for` statement of a
+    run_* function.  A runner hands each instance set's pairs over in one
+    call, so an add per loop turn splits one evaluation into many tapes.
+    A comprehension is no `for` statement, and add_each, one call per
+    Parameters set, may sit in a loop over those sets."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("run_")):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, ast.For):
+                continue
+            for call in ast.walk(loop):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "add"
+                    and getattr(call.func.value, "id", None) == "acc"
+                ):
+                    found.append((fn.name, call.lineno))
+    return sorted(set(found))
+
+
+def test_no_runner_adds_in_a_loop():
+    assert adds_in_loops((ROOT / "src" / "leviflat" / "suites.py").read_text(encoding="utf-8")) == []
+
+
+def test_add_in_a_loop_is_found():
+    source = (
+        "def run_a(scenario, acc, streams):\n"
+        "    for lhs, rhs in pairs:\n"
+        "        acc.add(lhs, rhs)\n"
+        "    for t in times:\n"
+        "        if t:\n"
+        "            for k in range(2):\n"
+        "                acc.add(t)\n"
+        "\n"
+        "def run_b(scenario, acc, streams):\n"
+        "    [acc.add(lhs) for lhs in sides]\n"
+        "    for k in (1, 2):\n"
+        "        draws = Parameters()\n"
+        "        acc.add_each(draws.rows(rng, 3), pairs)\n"
+        "        node = add(node, other.add(k))\n"
+        "    acc.add(sides)\n"
+        "\n"
+        "def helper(acc):\n"
+        "    for side in sides:\n"
+        "        acc.add(side)\n"
+    )
+    assert adds_in_loops(source) == [("run_a", 3), ("run_a", 7)]

@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 
-from leviflat import suites
+from leviflat import leafcx, suites
 from leviflat.cli import RunConfig, run
-from leviflat.excalc import XiValuedForm, basis_vector, one_form
-from leviflat.report import ResidualAccumulator
+from leviflat.excalc import VectorField, XiValuedForm, basis_vector, one_form
+from leviflat.report import ResidualAccumulator, instance_batch
 from leviflat.scenarios import builtin
-from leviflat.suites import IdentitySpec, run_identity
-from leviflat.symfield import coordinate, sin_of, torus
+from leviflat.suites import REGISTRY, IdentitySpec, run_identity
+from leviflat.symfield import constant, coordinate, sin_of, torus
 
 CHART = torus("x", "y", "t")
 POINTS = [(0.5, 1.0, 2.0), (1.5, 0.0, 0.5)]
@@ -84,6 +84,55 @@ def test_nan_sample_fails():
     report = run_identity(spec, builtin("t3_flat"), 42, 3)
     assert not report.passed and report.error == ""
     assert math.isnan(json.loads(json.dumps(report.to_dict()))["max_rel"])
+
+
+def test_add_instances_records_as_one_add_per_instance():
+    """K instances recorded at once give the samples and max_abs of K
+    separate adds, instance by instance and pair by pair, a NaN included."""
+    K, N = 3, len(POINTS)
+    rng = np.random.default_rng(5)
+    lhs, rhs = rng.normal(size=(2, K * N)), rng.normal(size=(2, K * N))
+    lhs[1, N + 1] = float("nan")
+    scalar = rng.normal(size=(1, K * N))
+    batched = ResidualAccumulator(POINTS).add_instances(K, [(lhs, rhs), (scalar, 0.0)])
+    separate = ResidualAccumulator(POINTS)
+    for k in range(K):
+        columns = slice(k * N, (k + 1) * N)
+        separate.add(lhs[:, columns], rhs[:, columns]).add(scalar[:, columns], 0.0)
+    np.testing.assert_array_equal(batched.samples, separate.samples)
+    # instance 1's first pair follows instance 0's two pairs
+    assert len(batched.samples) == 2 * K * N and math.isnan(batched.samples[2 * N + 1])
+    assert math.isnan(batched.max_abs) and math.isnan(separate.max_abs)
+    finite = ResidualAccumulator(POINTS).add_instances(K, [(scalar, 0.0)])
+    assert finite.max_abs == np.abs(scalar).max()
+
+
+def test_instance_batch_is_instance_major():
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    batch = instance_batch(POINTS, rows)
+    assert batch.tolist() == [[*p, *row] for row in rows.tolist() for p in POINTS]
+
+
+def test_nan_nijenhuis_component_fails_the_quadratic_scaling(monkeypatch):
+    """max |N| keeps a NaN from any field, not only from the first one."""
+    nijenhuis = leafcx.nijenhuis
+    calls = []
+
+    def second_has_nan(s, V, W, *args):
+        N = nijenhuis(s, V, W, *args)
+        calls.append(None)
+        if len(calls) != 2:
+            return N
+        return VectorField(N.chart, [*N.components[:-1], constant(N.chart, float("nan"))])
+
+    spec = next(spec for spec in REGISTRY if spec.identity == "cor.n_jtilde_quadratic")
+    # the load check evaluates N_J too
+    scenario = builtin("t5_product")
+    assert run_identity(spec, scenario, 42, 1).passed
+    monkeypatch.setattr(leafcx, "nijenhuis", second_has_nan)
+    report = run_identity(spec, scenario, 42, 1)
+    assert len(calls) > 2
+    assert not report.passed and math.isnan(report.max_rel)
 
 
 def test_runner_error_fails_its_identity_and_the_run_goes_on(monkeypatch):

@@ -457,7 +457,7 @@ def test_every_identity_checks_a_live_side_on_some_builtin(monkeypatch):
     helpers build for their own checks do not count."""
     run = {"acc": None, "live": False}
     init, add, record = ResidualAccumulator.__init__, ResidualAccumulator.add, ResidualAccumulator.record
-    add_each = ResidualAccumulator.add_each
+    add_each, add_instances = ResidualAccumulator.add_each, ResidualAccumulator.add_instances
 
     def watched_init(self, points):
         init(self, points)
@@ -474,6 +474,11 @@ def test_every_identity_checks_a_live_side_on_some_builtin(monkeypatch):
             run["live"] = run["live"] or any(_live(side) for pair in pairs for side in pair)
         return add_each(self, rows, pairs)
 
+    def watched_add_instances(self, count, pairs):
+        if self is run["acc"]:
+            run["live"] = run["live"] or any(_live(side) for pair in pairs for side in pair)
+        return add_instances(self, count, pairs)
+
     def watched_record(self, samples, max_abs):
         if self is run["acc"]:
             run["live"] = run["live"] or any(v != 0 for v in samples) or max_abs != 0
@@ -482,6 +487,7 @@ def test_every_identity_checks_a_live_side_on_some_builtin(monkeypatch):
     monkeypatch.setattr(ResidualAccumulator, "__init__", watched_init)
     monkeypatch.setattr(ResidualAccumulator, "add", watched_add)
     monkeypatch.setattr(ResidualAccumulator, "add_each", watched_add_each)
+    monkeypatch.setattr(ResidualAccumulator, "add_instances", watched_add_instances)
     monkeypatch.setattr(ResidualAccumulator, "record", watched_record)
     pending = {spec.identity: spec for spec in REGISTRY}
     for name in LIVENESS_ORDER + tuple(n for n in BUILTIN_NAMES if n not in LIVENESS_ORDER):

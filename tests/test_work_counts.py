@@ -65,3 +65,33 @@ def test_bracket_heavy_identities_do_no_more_work(monkeypatch):
         assert counts[name] <= bound, name
     assert counts["tape instructions"] > 0
 
+
+# Tapes compiled by one run of each identity at 1 point and seed 42.  Each
+# runner hands every pair of its instance set over in one call, which
+# compiles one tape; an add per pair compiled 5, 2, 2, 2 and 6.
+MAX_TAPES = {
+    ("cor.levi_flat_mc", "family_t3_Jrotation"): 1,
+    ("lemma.exact.witness", "t3_twisted_shifted"): 1,
+    ("lemma.exact.transport", "t3_twisted_shifted"): 1,
+    ("prop.iso_cohomology", "t3_twisted_shifted"): 1,
+    ("remark.ixdgamma01_closed", "t5_product"): 1,
+}
+
+
+def test_one_hand_over_compiles_one_tape(monkeypatch):
+    specs = {spec.identity: spec for spec in REGISTRY}
+    compile_ = sf.Tape._compile
+    count = [0]
+
+    def compiled(tape):
+        count[0] += 1
+        return compile_(tape)
+
+    monkeypatch.setattr(sf.Tape, "_compile", compiled)
+    for (identity, name), bound in MAX_TAPES.items():
+        # the load check compiles tapes of its own
+        scenario = builtin(name)
+        count[0] = 0
+        report = run_identity(specs[identity], scenario, 42, 1)
+        assert report.passed and report.samples, report
+        assert 0 < count[0] <= bound, (identity, count[0])
