@@ -18,6 +18,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, ScenarioError
 from .scenarios import BUILTIN_NAMES, resolve
 from .suites import REGISTRY, run_identity, select_identities
@@ -113,11 +115,30 @@ def run(config):
     return (0 if all_passed else 1), document
 
 
+# The encoder of json.dumps(..., sort_keys=True, separators=(",", ":")) that
+# also writes a samples array as the list of its floats.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+
+
 def write_report(document, path):
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    """Write document to path as the bytes of
+    json.dumps(document, sort_keys=True, separators=(",", ":")) + "\\n", with
+    each samples array written as the list of its floats.  The top-level
+    keys go in sorted order and the results one at a time, so the text of
+    only one result is held at once."""
+    encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write("{")
+        for i, key in enumerate(sorted(document)):
+            fh.write(("," if i else "") + encode(key) + ":")
+            if key == "results":
+                fh.write("[")
+                for j, result in enumerate(document[key]):
+                    fh.write(("," if j else "") + encode(result))
+                fh.write("]")
+            else:
+                fh.write(encode(document[key]))
+        fh.write("}\n")
 
 
 def _env(name, default):

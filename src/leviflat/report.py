@@ -191,12 +191,16 @@ class ResidualAccumulator:
 
 @dataclass
 class CheckReport:
-    """Residual statistics for one identity on one scenario."""
+    """Residual statistics for one identity on one scenario.
+
+    samples is a 1-d float64 array of the per-sample residuals in the order
+    they were recorded, a NaN sample included; cli.write_report writes it as
+    a list of floats."""
 
     suite: str
     identity: str
     anchor: str
-    samples: list
+    samples: np.ndarray
     max_abs: float
     max_rel: float
     tolerance: float

@@ -881,7 +881,7 @@ def run_identity(spec, scenario, seed, n_points, tolerance=None):
         suite=scenario.name,
         identity=spec.identity,
         anchor=spec.anchor,
-        samples=[float(v) for v in acc.samples],
+        samples=np.array(acc.samples, dtype=float),
         max_abs=float(acc.max_abs),
         max_rel=max_rel,
         tolerance=float(tol),

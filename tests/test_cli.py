@@ -3,12 +3,16 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from leviflat import suites
 from leviflat.cli import RunConfig, build_parser, list_suites, main, parse_tolerances, run, write_report
 from leviflat.errors import ConfigError
-from leviflat.suites import REGISTRY, select_identities
+from leviflat.scenarios import builtin
+from leviflat.suites import REGISTRY, IdentitySpec, run_identity, select_identities
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FAST_SUITE = "frobenius,lemma.db_closed,zsub.*"
@@ -64,18 +68,124 @@ def test_reports_are_byte_identical(tmp_path):
     assert paths[0] == paths[1]
 
 
+def _dumped(document):
+    """The report text json.dumps gives a document whose samples are lists
+    of floats."""
+    if "results" in document:
+        results = [{**r, "samples": [float(v) for v in r["samples"]]} for r in document["results"]]
+        document = {**document, "results": results}
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _nan_and_error_document(monkeypatch):
+    """A run document on broken_nonintegrable at one point with a NaN
+    sample and an error entry among its results."""
+    nan = float("nan")
+
+    def nan_runner(scenario, acc, streams):
+        acc.add(np.array([[0.0, nan, 0.0]]))
+
+    def raising_runner(scenario, acc, streams):
+        acc.add(np.array([[0.25]]))
+        raise ValueError("stopped after one sample")
+
+    extra = [
+        IdentitySpec("diag.nan", "one NaN sample", 1e-9, (), nan_runner),
+        IdentitySpec("diag.raise", "an error after one sample", 1e-9, (), raising_runner),
+    ]
+    monkeypatch.setattr(suites, "REGISTRY", suites.REGISTRY + extra)
+    status, doc = run(RunConfig(scenario="broken_nonintegrable", seed=42, points=1))
+    assert status == 1
+    by_id = {r["identity"]: r for r in doc["results"]}
+    assert math.isnan(by_id["diag.nan"]["samples"][1])
+    assert by_id["diag.raise"]["error"] == "ValueError: stopped after one sample"
+    return doc
+
+
+def _error_document(monkeypatch):
+    _, doc = run(RunConfig(scenario="t3_flat", suite=FAST_SUITE, points=0))
+    assert set(doc) == {"schema", "error"}
+    return doc
+
+
+def _no_samples_document(monkeypatch):
+    empty = IdentitySpec("diag.empty", "nothing recorded", 1e-9, (), lambda *args: None)
+    report = run_identity(empty, builtin("t3_flat"), 42, 4)
+    return {"schema": 1, "config": {}, "results": [report.to_dict()], "passed": False}
+
+
+def _list_samples_document(monkeypatch):
+    return {
+        "schema": 1,
+        "config": {"scenario": "by_hand", "tolerances": {"b": 1.0, "a": 0.5}},
+        "results": [
+            {"identity": "b", "samples": [0.1, float("nan"), float("inf"), -0.0, 1e-300, 5e-324]},
+            {"identity": "a", "samples": [], "error": "\u00e9"},
+        ],
+        "passed": False,
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_error_document, _nan_and_error_document, _no_samples_document, _list_samples_document],
+    ids=["error", "nan_and_error", "no_samples", "list_samples"],
+)
+def test_streamed_report_matches_one_shot_dumps(build, tmp_path, monkeypatch):
+    document = build(monkeypatch)
+    path = tmp_path / "report.json"
+    write_report(document, path)
+    assert path.read_bytes() == _dumped(document).encode("utf-8")
+
+
+def test_report_samples_are_float64_arrays():
+    spec = next(spec for spec in REGISTRY if spec.identity == "frobenius")
+    report = run_identity(spec, builtin("t3_flat"), 42, 3)
+    assert isinstance(report.samples, np.ndarray)
+    assert report.samples.ndim == 1 and report.samples.dtype == np.float64
+    assert len(report.samples) > 0
+
+
+def test_write_report_memory_is_bounded_by_one_result(tmp_path):
+    """Writing 40 results of 5,000 samples each holds the text of one
+    result at a time.  A one-shot json.dumps of the same document with list
+    samples peaks at about 8 MB traced."""
+    rng = np.random.default_rng(0)
+    document = {
+        "schema": 1,
+        "config": {},
+        "results": [{"identity": f"id{k:02d}", "samples": rng.random(5000)} for k in range(40)],
+        "passed": True,
+    }
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_report(document, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    assert path.read_bytes() == _dumped(document).encode("utf-8")
+
+
 def test_different_seed_changes_samples():
     _, doc1 = run(RunConfig(scenario="t3_flat", suite="zsub.closure", seed=1, points=6))
     _, doc2 = run(RunConfig(scenario="t3_flat", suite="zsub.closure", seed=2, points=6))
     assert doc1["results"][0]["seed"] != doc2["results"][0]["seed"]
 
 
-def test_workers_do_not_change_results():
+def test_workers_do_not_change_results(tmp_path):
     _, serial = run(RunConfig(scenario="t3_flat", suite=FAST_SUITE, seed=5, points=6))
     _, parallel = run(RunConfig(scenario="t3_flat", suite=FAST_SUITE, seed=5, points=6, workers=3))
-    # worker count is echoed only in the config header; results agree exactly
-    assert serial["results"] == parallel["results"]
-    assert serial["passed"] == parallel["passed"]
+    # worker count is echoed only in the config header; the rest of the
+    # reports agrees byte for byte
+    assert parallel["config"]["workers"] == 3
+    parallel["config"]["workers"] = serial["config"]["workers"]
+    written = []
+    for name, doc in (("serial", serial), ("parallel", parallel)):
+        write_report(doc, tmp_path / f"{name}.json")
+        written.append((tmp_path / f"{name}.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_selector_globs():
@@ -318,7 +428,7 @@ def test_identity_without_samples_does_not_pass():
 
     spec = IdentitySpec("diag.empty", "nothing recorded", 1e-9, (), lambda *args: None)
     report = run_identity(spec, builtin("t3_flat"), 42, 4)
-    assert report.samples == []
+    assert len(report.samples) == 0
     assert not report.passed
     assert report.error == ""
 

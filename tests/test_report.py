@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from leviflat import leafcx, suites
-from leviflat.cli import RunConfig, run
+from leviflat.cli import RunConfig, run, write_report
 from leviflat.excalc import VectorField, XiValuedForm, basis_vector, one_form
 from leviflat.report import ResidualAccumulator, instance_batch
 from leviflat.scenarios import builtin
@@ -69,7 +69,7 @@ def test_symbolic_sides_give_one_sample_per_point():
     assert acc.samples == [0.0, 0.0] + [p[0] / (1.0 + p[0]) for p in POINTS]
 
 
-def test_nan_sample_fails():
+def test_nan_sample_fails(tmp_path):
     nan = float("nan")
     acc = ResidualAccumulator(POINTS).add([[nan, 0.5]])
     assert math.isnan(acc.samples[0]) and acc.samples[1] == 0.5 / 1.5
@@ -83,7 +83,10 @@ def test_nan_sample_fails():
     spec = IdentitySpec("diag.nan", "one NaN sample", 1e-9, (), runner)
     report = run_identity(spec, builtin("t3_flat"), 42, 3)
     assert not report.passed and report.error == ""
-    assert math.isnan(json.loads(json.dumps(report.to_dict()))["max_rel"])
+    write_report(report.to_dict(), tmp_path / "report.json")
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        written = json.load(fh)
+    assert math.isnan(written["max_rel"]) and math.isnan(written["samples"][1])
 
 
 def test_add_instances_records_as_one_add_per_instance():

@@ -93,5 +93,5 @@ def test_one_hand_over_compiles_one_tape(monkeypatch):
         scenario = builtin(name)
         count[0] = 0
         report = run_identity(specs[identity], scenario, 42, 1)
-        assert report.passed and report.samples, report
+        assert report.passed and len(report.samples) > 0, report
         assert 0 < count[0] <= bound, (identity, count[0])
