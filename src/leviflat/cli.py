@@ -18,8 +18,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError, ScenarioError
 from .scenarios import BUILTIN_NAMES, resolve
 from .suites import REGISTRY, run_identity, select_identities
@@ -115,17 +113,16 @@ def run(config):
     return (0 if all_passed else 1), document
 
 
-# The encoder of json.dumps(..., sort_keys=True, separators=(",", ":")) that
-# also writes a samples array as the list of its floats.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+# The encoder of json.dumps(..., sort_keys=True, separators=(",", ":")).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def write_report(document, path):
     """Write document to path as the bytes of
-    json.dumps(document, sort_keys=True, separators=(",", ":")) + "\\n", with
-    each samples array written as the list of its floats.  The top-level
-    keys go in sorted order and the results one at a time, so the text of
-    only one result is held at once."""
+    json.dumps(document, sort_keys=True, separators=(",", ":")) + "\\n".
+    The top-level keys go in sorted order and the results one at a time, so
+    the text of only one result is held at once.  json.dump would hold as
+    little, but its pure-Python encoder takes twice as long."""
     encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")

@@ -189,13 +189,23 @@ class ResidualAccumulator:
         return float(np.max(self.samples, initial=0.0))
 
 
+def _shared_floats(samples):
+    """samples as a list of floats in which samples of equal bits are one
+    float object, so -0.0 stays apart from 0.0.  Most residuals are exact
+    zeros (38,090 of the 59,907 samples of t5_product at 200 points), so a
+    report's list holds one float per distinct value, not one per sample."""
+    values, index = np.unique(np.asarray(samples, dtype=float).view(np.int64), return_inverse=True)
+    return list(map(values.view(float).tolist().__getitem__, index.tolist()))
+
+
 @dataclass
 class CheckReport:
     """Residual statistics for one identity on one scenario.
 
     samples is a 1-d float64 array of the per-sample residuals in the order
-    they were recorded, a NaN sample included; cli.write_report writes it as
-    a list of floats."""
+    they were recorded, a NaN sample included.  A report with more than one
+    sample cannot be compared with ==, since an array's comparison has no
+    single truth value."""
 
     suite: str
     identity: str
@@ -209,7 +219,9 @@ class CheckReport:
     error: str
 
     def to_dict(self):
+        """The report as plain JSON values, samples as a list of floats."""
         out = dict(vars(self))
+        out["samples"] = _shared_floats(self.samples)
         if not self.error:
             del out["error"]
         return out

@@ -69,11 +69,7 @@ def test_reports_are_byte_identical(tmp_path):
 
 
 def _dumped(document):
-    """The report text json.dumps gives a document whose samples are lists
-    of floats."""
-    if "results" in document:
-        results = [{**r, "samples": [float(v) for v in r["samples"]]} for r in document["results"]]
-        document = {**document, "results": results}
+    """The report text of the one-shot json.dumps."""
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -148,13 +144,13 @@ def test_report_samples_are_float64_arrays():
 
 def test_write_report_memory_is_bounded_by_one_result(tmp_path):
     """Writing 40 results of 5,000 samples each holds the text of one
-    result at a time.  A one-shot json.dumps of the same document with list
-    samples peaks at about 8 MB traced."""
+    result at a time.  A one-shot json.dumps of the same document peaks at
+    about 8 MB traced."""
     rng = np.random.default_rng(0)
     document = {
         "schema": 1,
         "config": {},
-        "results": [{"identity": f"id{k:02d}", "samples": rng.random(5000)} for k in range(40)],
+        "results": [{"identity": f"id{k:02d}", "samples": rng.random(5000).tolist()} for k in range(40)],
         "passed": True,
     }
     path = tmp_path / "report.json"
@@ -174,18 +170,12 @@ def test_different_seed_changes_samples():
     assert doc1["results"][0]["seed"] != doc2["results"][0]["seed"]
 
 
-def test_workers_do_not_change_results(tmp_path):
+def test_workers_do_not_change_results():
     _, serial = run(RunConfig(scenario="t3_flat", suite=FAST_SUITE, seed=5, points=6))
     _, parallel = run(RunConfig(scenario="t3_flat", suite=FAST_SUITE, seed=5, points=6, workers=3))
-    # worker count is echoed only in the config header; the rest of the
-    # reports agrees byte for byte
-    assert parallel["config"]["workers"] == 3
-    parallel["config"]["workers"] = serial["config"]["workers"]
-    written = []
-    for name, doc in (("serial", serial), ("parallel", parallel)):
-        write_report(doc, tmp_path / f"{name}.json")
-        written.append((tmp_path / f"{name}.json").read_bytes())
-    assert written[0] == written[1]
+    # worker count is echoed only in the config header; results agree exactly
+    assert serial["results"] == parallel["results"]
+    assert serial["passed"] == parallel["passed"]
 
 
 def test_selector_globs():

@@ -7,9 +7,9 @@ import math
 import numpy as np
 
 from leviflat import leafcx, suites
-from leviflat.cli import RunConfig, run, write_report
+from leviflat.cli import RunConfig, run
 from leviflat.excalc import VectorField, XiValuedForm, basis_vector, one_form
-from leviflat.report import ResidualAccumulator, instance_batch
+from leviflat.report import CheckReport, ResidualAccumulator, instance_batch
 from leviflat.scenarios import builtin
 from leviflat.suites import REGISTRY, IdentitySpec, run_identity
 from leviflat.symfield import constant, coordinate, sin_of, torus
@@ -69,7 +69,7 @@ def test_symbolic_sides_give_one_sample_per_point():
     assert acc.samples == [0.0, 0.0] + [p[0] / (1.0 + p[0]) for p in POINTS]
 
 
-def test_nan_sample_fails(tmp_path):
+def test_nan_sample_fails():
     nan = float("nan")
     acc = ResidualAccumulator(POINTS).add([[nan, 0.5]])
     assert math.isnan(acc.samples[0]) and acc.samples[1] == 0.5 / 1.5
@@ -83,10 +83,19 @@ def test_nan_sample_fails(tmp_path):
     spec = IdentitySpec("diag.nan", "one NaN sample", 1e-9, (), runner)
     report = run_identity(spec, builtin("t3_flat"), 42, 3)
     assert not report.passed and report.error == ""
-    write_report(report.to_dict(), tmp_path / "report.json")
-    with open(tmp_path / "report.json", encoding="utf-8") as fh:
-        written = json.load(fh)
-    assert math.isnan(written["max_rel"]) and math.isnan(written["samples"][1])
+    assert math.isnan(json.loads(json.dumps(report.to_dict()))["max_rel"])
+
+
+def test_report_dict_shares_one_float_per_value():
+    nan = float("nan")
+    samples = np.array([0.0, -0.0, 1.5, 0.0, nan, 1.5, -nan, 2.0**-1074])
+    report = CheckReport("s", "i", "a", samples, 1.0, nan, 1e-9, False, 42, "")
+    listed = report.to_dict()["samples"]
+    assert type(listed) is list and all(type(v) is float for v in listed)
+    np.testing.assert_array_equal(np.array(listed).view(np.int64), samples.view(np.int64))
+    assert listed[0] is listed[3] and listed[2] is listed[5]
+    assert listed[0] is not listed[1] and listed[4] is not listed[6]
+    assert CheckReport("s", "i", "a", np.array([]), 0.0, 0.0, 1e-9, False, 42, "").to_dict()["samples"] == []
 
 
 def test_add_instances_records_as_one_add_per_instance():
