@@ -194,8 +194,9 @@ def _shared_floats(samples):
     float object, so -0.0 stays apart from 0.0.  Most residuals are exact
     zeros (38,090 of the 59,907 samples of t5_product at 200 points), so a
     report's list holds one float per distinct value, not one per sample."""
-    values, index = np.unique(np.asarray(samples, dtype=float).view(np.int64), return_inverse=True)
-    return list(map(values.view(float).tolist().__getitem__, index.tolist()))
+    samples = np.asarray(samples, dtype=float)
+    shared = {}
+    return [shared.setdefault(b, v) for b, v in zip(samples.view(np.int64).tolist(), samples.tolist())]
 
 
 @dataclass
