@@ -3,9 +3,10 @@ deterministic JSON report.
 
 Exit status: 0 when all selected identities pass, 1 on any failing identity,
 2 on configuration errors, --points or --workers below 1, malformed numbers,
-a tolerance that is not a finite number >= 0, an unreadable scenario file and
-an unwritable report path included.  Every flag has an environment-variable
-override with the LEVIFLAT_ prefix (flags win over environment).
+a tolerance that is not a finite number >= 0, a --suite glob that matches no
+identity, an unreadable scenario file and an unwritable report path
+included.  Every flag has an environment-variable override with the
+LEVIFLAT_ prefix (flags win over environment).
 """
 
 from __future__ import annotations
@@ -74,14 +75,11 @@ def run(config):
         bad = [f"{k}={v}" for k, v in sorted(config.tolerances.items()) if not math.isfinite(v) or v < 0]
         if bad:
             raise ConfigError(f"--tol must be a finite number >= 0: {', '.join(bad)}")
+        selected = select_identities(config.suite)
         scenario = resolve(config.scenario)
     except (ConfigError, ScenarioError) as exc:
         return 2, {"schema": SCHEMA_VERSION, "error": str(exc)}
-    specs = [
-        spec
-        for spec in select_identities(config.suite)
-        if spec.applies(scenario)
-    ]
+    specs = [spec for spec in selected if spec.applies(scenario)]
     if not specs:
         return 2, {
             "schema": SCHEMA_VERSION,

@@ -22,6 +22,8 @@ from .symfield import (
     ScalarField,
     add,
     constant,
+    div,
+    dot,
     is_zero_node,
     mul,
     neg,
@@ -94,14 +96,17 @@ def _summed(nodes, terms):
     return nodes
 
 
-def _derivative(V, node):
-    """The node of V(f), for the node of f."""
-    out = ZERO
-    for i, comp in enumerate(V.components):
-        comp = comp.node
-        if not is_zero_node(comp):
-            out = add(out, mul(comp, node.diff(i)))
-    return out
+def _support(V):
+    """V's nonzero component nodes and their coordinate indices: V(f) takes
+    the derivatives of f along these only, so no other one is built."""
+    live = [i for i, c in enumerate(V.components) if not is_zero_node(c.node)]
+    return [V.components[i].node for i in live], live
+
+
+def _derivative(support, node):
+    """The node of V(f), for the _support of V and the node of f."""
+    comps, live = support
+    return dot(comps, [node.diff(i) for i in live])
 
 
 class VectorField:
@@ -147,7 +152,7 @@ class VectorField:
 
     def apply(self, f):
         """Directional derivative V(f) as a ScalarField."""
-        return ScalarField(self.chart, _derivative(self, as_field(self.chart, f).node))
+        return ScalarField(self.chart, _derivative(_support(self), as_field(self.chart, f).node))
 
     def at(self, points, ev=None):
         """Numeric components at an (N, dim) batch of points, as a (dim, N)
@@ -225,10 +230,8 @@ class DifferentialForm:
         if len(args) != self.degree:
             raise ValueError(f"degree {self.degree} form applied to {len(args)} arguments")
         rows = [[c.node for c in arg.components] for arg in args]
-        out = ZERO
-        for idx, f in self.coeffs.items():
-            out = add(out, mul(f.node, minor(rows, idx, _NODE_RING)))
-        return ScalarField(self.chart, out)
+        minors = [minor(rows, idx, _NODE_RING) for idx in self.coeffs]
+        return ScalarField(self.chart, dot([f.node for f in self.coeffs.values()], minors))
 
     def at(self, points, numeric_args, ev=None):
         """Values, an (N,) array, at an (N, dim) batch of points on numeric
@@ -404,9 +407,10 @@ def lie_bracket(V, W):
     """[V, W]^i = sum_j V^j d_j W^i - W^j d_j V^i."""
     if V.chart != W.chart:
         raise ChartMismatchError("bracket of fields on different charts")
+    sv, sw = _support(V), _support(W)
     return vector_of_nodes(
         V.chart,
-        [sub(_derivative(V, w.node), _derivative(W, v.node)) for v, w in zip(V.components, W.components)],
+        [sub(_derivative(sv, w.node), _derivative(sw, v.node)) for v, w in zip(V.components, W.components)],
     )
 
 
@@ -442,36 +446,39 @@ def form_components(omega, ev):
 
 
 def invert_matrix(chart, entries, probe=None):
-    """Symbolic Gauss-Jordan inverse of a matrix of ScalarFields.
+    """Symbolic Gauss-Jordan inverse of a matrix of ScalarFields or numbers,
+    as rows of ScalarFields.  The row operations run on bare nodes, and each
+    entry of the inverse is wrapped once.
 
     Pivots prefer nonzero-constant entries so that the near-identity frames
     used by the built-in scenarios invert without division nodes.  When a
     probe (a batch of one point) is supplied, the pivot with the largest
     magnitude there is chosen instead, which keeps division nodes away from
     zero crossings for matrices like J + Jtilde whose diagonal vanishes.
+    Failing both, the first nonzero entry is the pivot.
     """
     n = len(entries)
-    a = [[as_field(chart, entries[r][c]) for c in range(n)] for r in range(n)]
-    inv = [[constant(chart, 1.0 if r == c else 0.0) for c in range(n)] for r in range(n)]
+    a = [[as_field(chart, entries[r][c]).node for c in range(n)] for r in range(n)]
+    inv = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
     for col in range(n):
         pivot_row = None
         if probe is not None:
             best = 0.0
             for r in range(col, n):
-                if a[r][col].is_zero:
+                if is_zero_node(a[r][col]):
                     continue
-                mag = abs(float(a[r][col](probe)[0]))
+                mag = abs(float(ScalarField(chart, a[r][col])(probe)[0]))
                 if mag > best:
                     best, pivot_row = mag, r
         if pivot_row is None:
             for r in range(col, n):
-                node = a[r][col].node
-                if isinstance(node, Const) and node.value != 0.0:
+                node = a[r][col]
+                if type(node) is Const and node.value != 0.0:
                     pivot_row = r
                     break
         if pivot_row is None:
             for r in range(col, n):
-                if not a[r][col].is_zero:
+                if not is_zero_node(a[r][col]):
                     pivot_row = r
                     break
         if pivot_row is None:
@@ -480,21 +487,21 @@ def invert_matrix(chart, entries, probe=None):
             a[col], a[pivot_row] = a[pivot_row], a[col]
             inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
         pivot = a[col][col]
-        if not (isinstance(pivot.node, Const) and pivot.node.value == 1.0):
-            a[col] = [f / pivot for f in a[col]]
-            inv[col] = [f / pivot for f in inv[col]]
+        if not (type(pivot) is Const and pivot.value == 1.0):
+            a[col] = [div(f, pivot) for f in a[col]]
+            inv[col] = [div(f, pivot) for f in inv[col]]
         for r in range(n):
-            if r == col or a[r][col].is_zero:
-                continue
             factor = a[r][col]
-            a[r] = [f - factor * g for f, g in zip(a[r], a[col])]
-            inv[r] = [f - factor * g for f, g in zip(inv[r], inv[col])]
-    return inv
+            if r == col or is_zero_node(factor):
+                continue
+            a[r] = [sub(f, mul(factor, g)) for f, g in zip(a[r], a[col])]
+            inv[r] = [sub(f, mul(factor, g)) for f, g in zip(inv[r], inv[col])]
+    return [[ScalarField(chart, node) for node in row] for row in inv]
 
 
 def matrix_mul(chart, A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [
-        [sum((A[r][t] * B[t][c] for t in range(k)), ScalarField(chart, ZERO)) for c in range(m)]
-        for r in range(n)
-    ]
+    """The product of two matrices of ScalarFields or numbers, as rows of
+    ScalarFields: each entry one dot of a row of A with a column of B."""
+    A = [[as_field(chart, f).node for f in row] for row in A]
+    B = [[as_field(chart, f).node for f in row] for row in B]
+    return [[ScalarField(chart, dot(row, col)) for col in zip(*B)] for row in A]

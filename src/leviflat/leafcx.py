@@ -41,7 +41,7 @@ from .foliation_dgla import (
     omega_alpha_inverse,
 )
 from .report import ResidualAccumulator
-from .symfield import PointEvaluator, ScalarField, add, constant, exp_of, first_flagged, mul
+from .symfield import PointEvaluator, ScalarField, constant, dot, exp_of, first_flagged
 
 DET_GUARD = 1e-6
 
@@ -106,13 +106,11 @@ class LeviFlatStructure:
         return [eta.apply_symbolic([V]) for eta in self.coframe]
 
     def from_xi_coefficients(self, coeffs):
-        chart = self.chart
-        out = None
-        for c, E in zip(coeffs, self.frame):
-            c = as_field(chart, c).node
-            term = [mul(c, e.node) for e in E.components]
-            out = term if out is None else [add(a, b) for a, b in zip(out, term)]
-        return vector_of_nodes(chart, out)
+        """The vector field sum_i coeffs[i] E_i; a coefficient is a
+        ScalarField or a number."""
+        c = [as_field(self.chart, f).node for f in coeffs]
+        columns = zip(*[E.components for E in self.frame])
+        return vector_of_nodes(self.chart, [dot(c, [f.node for f in col]) for col in columns])
 
     def project_xi(self, V):
         return V - self.X.scaled(self.couple.gamma_of(V))
@@ -120,18 +118,10 @@ class LeviFlatStructure:
     def apply_J(self, V):
         """J acting through the coframe expansion; the gamma-component of V
         is discarded, so this composes J with the projection onto xi."""
-        coeffs = self.xi_coefficients(V)
-        return self.from_xi_coefficients(self.apply_matrix_coeffs(self.Jmat, coeffs))
-
-    def apply_matrix_coeffs(self, mat, coeffs):
-        nodes = [c.node for c in coeffs]
-        out = []
-        for row in mat[: self.n_leaf]:
-            total = mul(row[0].node, nodes[0])
-            for f, node in zip(row[1:], nodes[1:]):
-                total = add(total, mul(f.node, node))
-            out.append(ScalarField(self.chart, total))
-        return out
+        nodes = [c.node for c in self.xi_coefficients(V)]
+        return self.from_xi_coefficients(
+            [ScalarField(self.chart, dot([f.node for f in row], nodes)) for row in self.Jmat]
+        )
 
     def J_frame(self, i):
         """J E_i, assembled directly from the J-matrix column."""

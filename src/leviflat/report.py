@@ -189,11 +189,12 @@ class ResidualAccumulator:
         return float(np.max(self.samples, initial=0.0))
 
 
-def _shared_floats(samples):
+def shared_floats(samples):
     """samples as a list of floats in which samples of equal bits are one
-    float object, so -0.0 stays apart from 0.0.  Most residuals are exact
-    zeros (38,090 of the 59,907 samples of t5_product at 200 points), so a
-    report's list holds one float per distinct value, not one per sample."""
+    float object, so -0.0 stays apart from 0.0 and each NaN keeps its bits.
+    Most residuals are exact zeros (38,090 of the 59,907 samples of
+    t5_product at 200 points), so a report's list holds one float per
+    distinct value, not one per sample."""
     samples = np.asarray(samples, dtype=float)
     shared = {}
     return [shared.setdefault(b, v) for b, v in zip(samples.view(np.int64).tolist(), samples.tolist())]
@@ -203,15 +204,13 @@ def _shared_floats(samples):
 class CheckReport:
     """Residual statistics for one identity on one scenario.
 
-    samples is a 1-d float64 array of the per-sample residuals in the order
-    they were recorded, a NaN sample included.  A report with more than one
-    sample cannot be compared with ==, since an array's comparison has no
-    single truth value."""
+    samples lists the per-sample residuals in the order they were recorded,
+    a NaN sample included, as shared_floats makes them."""
 
     suite: str
     identity: str
     anchor: str
-    samples: np.ndarray
+    samples: list
     max_abs: float
     max_rel: float
     tolerance: float
@@ -220,9 +219,8 @@ class CheckReport:
     error: str
 
     def to_dict(self):
-        """The report as plain JSON values, samples as a list of floats."""
+        """The report as plain JSON values."""
         out = dict(vars(self))
-        out["samples"] = _shared_floats(self.samples)
         if not self.error:
             del out["error"]
         return out

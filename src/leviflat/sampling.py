@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .excalc import DifferentialForm, VectorField, scalar_form
-from .symfield import ZERO, Param, ScalarField, add, const, coord, cos as cos_node, mul, sin as sin_node
+from .symfield import Param, ScalarField, add, const, coord, cos as cos_node, dot, mul, sin as sin_node
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,15 +84,6 @@ def _uniform(amplitude, count):
     return lambda rng: rng.uniform(-amplitude, amplitude, count).tolist()
 
 
-def combination(coeffs, term):
-    """The sum of coeffs[i] * term(i) in order of i; the factories fold a
-    literal zero coefficient's term away."""
-    node = ZERO
-    for i, c in enumerate(coeffs):
-        node = add(node, mul(c, term(i)))
-    return node
-
-
 def _harmonic(dim, amplitude, pick):
     """Values of a harmonic's coefficient and of its one-hot selector over
     the dim coordinates: pick(rng) chooses the coordinates, then a uniform
@@ -122,12 +113,14 @@ def random_scalar(chart, draws, amplitude=1.0):
     """
     dim = chart.dim
     first = draws.draw(2 * dim + 1, _uniform(amplitude, 2 * dim + 1))
+    # not dot(first, [ONE, *waves]): a drawn constant times ONE would fold
+    # into a second Const node
     node = first[0]
     for i in range(dim):
         node = add(node, mul(first[2 * i + 1], sin_node(coord(i))))
         node = add(node, mul(first[2 * i + 2], cos_node(coord(i))))
     second = draws.draw(dim + 1, _harmonic(dim, amplitude, lambda rng: [int(rng.integers(0, dim))]))
-    node = add(node, mul(second[0], cos_node(mul(const(2.0), combination(second[1:], coord)))))
+    node = add(node, mul(second[0], cos_node(mul(const(2.0), dot(second[1:], map(coord, range(dim)))))))
     if dim >= 2:
 
         def pair(rng):
@@ -136,7 +129,7 @@ def random_scalar(chart, draws, amplitude=1.0):
             return [j, k + 1 if k >= j else k]
 
         cross = draws.draw(dim + 1, _harmonic(dim, amplitude, pair))
-        node = add(node, mul(cross[0], sin_node(combination(cross[1:], coord))))
+        node = add(node, mul(cross[0], sin_node(dot(cross[1:], map(coord, range(dim))))))
     return ScalarField(chart, node)
 
 

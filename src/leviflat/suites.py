@@ -20,7 +20,7 @@ from . import defcomplex as dc
 from . import flows
 from . import foliation_dgla as fd
 from . import leafcx as lc
-from .errors import ZMembershipError
+from .errors import ConfigError, ZMembershipError
 from .excalc import (
     DifferentialForm,
     XiValuedForm,
@@ -33,9 +33,9 @@ from .excalc import (
     scalar_form,
     wedge,
 )
-from .report import ONE_INSTANCE, CheckReport, ResidualAccumulator, instance_batch
-from .sampling import Drawn, Parameters, combination, random_form, random_scalar, random_vector_field, sample_points, stream
-from .symfield import PointEvaluator, ScalarField, add, constant, coord, cos as cos_node, exp_of, sin as sin_node
+from .report import ONE_INSTANCE, CheckReport, ResidualAccumulator, instance_batch, shared_floats
+from .sampling import Drawn, Parameters, random_form, random_scalar, random_vector_field, sample_points, stream
+from .symfield import PointEvaluator, ScalarField, add, constant, coord, cos as cos_node, dot, exp_of, sin as sin_node
 
 
 # --------------------------------------------------------------------------
@@ -76,8 +76,8 @@ def small_scalar(chart, draws, amplitude):
         return out
 
     c = draws.draw(2 * dim + 1, values)
-    sines = combination(c[1 : 1 + dim], lambda i: sin_node(coord(i)))
-    cosines = combination(c[1 + dim :], lambda i: cos_node(coord(i)))
+    sines = dot(c[1 : 1 + dim], (sin_node(coord(i)) for i in range(dim)))
+    cosines = dot(c[1 + dim :], (cos_node(coord(i)) for i in range(dim)))
     return ScalarField(chart, add(c[0], add(sines, cosines)))
 
 
@@ -853,15 +853,15 @@ REGISTRY = [
 ]
 
 def select_identities(selector):
-    """Comma-separated identity-id globs; 'all' selects everything."""
+    """Comma-separated identity-id globs; 'all' selects everything.  A glob
+    that matches no identity id raises ConfigError naming it."""
     if not selector or selector == "all":
         return list(REGISTRY)
-    chosen = []
     patterns = [pat.strip() for pat in selector.split(",") if pat.strip()]
-    for spec in REGISTRY:
-        if any(fnmatch.fnmatchcase(spec.identity, pat) for pat in patterns):
-            chosen.append(spec)
-    return chosen
+    unmatched = [pat for pat in patterns if not any(fnmatch.fnmatchcase(spec.identity, pat) for spec in REGISTRY)]
+    if unmatched:
+        raise ConfigError(f"--suite names no identity: {', '.join(unmatched)}")
+    return [spec for spec in REGISTRY if any(fnmatch.fnmatchcase(spec.identity, pat) for pat in patterns)]
 
 
 def run_identity(spec, scenario, seed, n_points, tolerance=None):
@@ -881,7 +881,7 @@ def run_identity(spec, scenario, seed, n_points, tolerance=None):
         suite=scenario.name,
         identity=spec.identity,
         anchor=spec.anchor,
-        samples=np.array(acc.samples, dtype=float),
+        samples=shared_floats(acc.samples),
         max_abs=float(acc.max_abs),
         max_rel=max_rel,
         tolerance=float(tol),

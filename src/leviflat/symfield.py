@@ -373,6 +373,18 @@ def div(a, b):
     return Div(a, b)
 
 
+def dot(xs, ys):
+    """The sum of mul(x, y) over two node iterables of equal length, added
+    left to right from the first product; ZERO when they are empty.  Every
+    symbolic sum of products goes through it: starting from ZERO instead
+    would copy a first product that folds to a constant into a new Const."""
+    products = map(mul, xs, ys)
+    out = next(products, ZERO)
+    for term in products:
+        out = add(out, term)
+    return out
+
+
 def neg(a):
     if type(a) is Const:
         return const(-a.value)

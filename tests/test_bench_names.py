@@ -102,7 +102,7 @@ def test_expected_identities_are_registry_ids():
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_each_workload_glob_matches_an_identity(name):
-    # select_identities drops a glob that matches nothing
+    # select_identities rejects a glob that matches nothing
     suite = WORKLOADS.WORKLOADS[name].suite
     globs = [] if suite == "all" else suite.split(",")
     assert all(any(fnmatch.fnmatchcase(i, pat) for i in IDS) for pat in globs)

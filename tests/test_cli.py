@@ -134,12 +134,17 @@ def test_streamed_report_matches_one_shot_dumps(build, tmp_path, monkeypatch):
     assert path.read_bytes() == _dumped(document).encode("utf-8")
 
 
-def test_report_samples_are_float64_arrays():
+def test_report_samples_share_one_float_per_value():
+    """run_identity lists the samples with one float object per distinct
+    bit pattern, and the document holds that list."""
     spec = next(spec for spec in REGISTRY if spec.identity == "frobenius")
     report = run_identity(spec, builtin("t3_flat"), 42, 3)
-    assert isinstance(report.samples, np.ndarray)
-    assert report.samples.ndim == 1 and report.samples.dtype == np.float64
-    assert len(report.samples) > 0
+    samples = report.samples
+    assert type(samples) is list and all(type(v) is float for v in samples)
+    bits = np.array(samples).view(np.int64).tolist()
+    pairs = set(zip(bits, map(id, samples)))
+    assert len(pairs) == len(set(bits)) == len(set(map(id, samples))) < len(samples)
+    assert report.to_dict()["samples"] is samples
 
 
 def test_write_report_memory_is_bounded_by_one_result(tmp_path):
@@ -191,6 +196,20 @@ def test_catalogue_contents(capsys):
     assert "prop.beth_squared" in out
     assert "thm.tangent.eqP2" in out
     assert len(REGISTRY) >= 25
+
+
+def test_suite_glob_matching_no_identity_is_a_config_error(capsys):
+    """A --suite glob that matches no identity ends with exit status 2 naming
+    it, even beside globs that match; a glob that matches only identities
+    the scenario does not apply stays allowed."""
+    argv = ["--scenario", "t3_flat", "--points", "3"]
+    assert main([*argv, "--suite", "frobenius,frobenuis"]) == 2
+    assert "--suite names no identity: frobenuis" in capsys.readouterr().err
+    status, doc = run(RunConfig(scenario="t3_flat", suite="zsub.*, nope.*,all", points=3))
+    assert status == 2 and doc["error"] == "--suite names no identity: nope.*, all"
+    family = next(spec for spec in REGISTRY if spec.identity == "cor.levi_flat_mc")
+    assert not family.applies(builtin("t3_flat"))
+    assert main([*argv, "--suite", "frobenius,cor.levi_flat_mc"]) == 0
 
 
 def test_tolerance_overrides():

@@ -490,3 +490,79 @@ def test_add_in_a_loop_is_found():
         "        acc.add(side)\n"
     )
     assert adds_in_loops(source) == [("run_a", 3), ("run_a", 7)]
+
+
+def accumulations_in_loops(source):
+    """R6: (function, line) of each `x = add(x, mul(...))` inside a `for`
+    statement, attributed to the innermost function.  A symbolic sum of
+    products goes through symfield.dot, which adds from the first product."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, ast.For):
+                continue
+            for stmt in ast.walk(loop):
+                if not (
+                    isinstance(stmt, ast.Assign)
+                    and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
+                    and isinstance(stmt.value, ast.Call)
+                    and _called_name(stmt.value) == "add"
+                    and len(stmt.value.args) == 2
+                ):
+                    continue
+                acc, term = stmt.value.args
+                if (
+                    getattr(acc, "id", None) == stmt.targets[0].id
+                    and isinstance(term, ast.Call)
+                    and _called_name(term) == "mul"
+                ):
+                    # ast.walk reaches a nested function after its parent
+                    found[stmt.lineno] = fn.name
+    return sorted((name, line) for line, name in found.items())
+
+
+# Functions allowed to accumulate by hand, with the reason.
+ACCUMULATIONS = {
+    "random_scalar": "its constant term is added as drawn: dot(first, [ONE, *waves]) "
+    "would fold a drawn constant times ONE into a second Const node",
+}
+
+
+def test_sums_of_products_go_through_dot():
+    found = [
+        (path.name, fn, line)
+        for path in PACKAGE
+        for fn, line in accumulations_in_loops(path.read_text(encoding="utf-8"))
+    ]
+    assert [entry for entry in found if entry[1] not in ACCUMULATIONS] == []
+    # an allowlist entry that matches nothing is stale
+    assert {fn for _, fn, _ in found} == set(ACCUMULATIONS)
+
+
+def test_accumulation_in_a_loop_is_found():
+    source = (
+        "def combination(coeffs, term):\n"
+        "    node = ZERO\n"
+        "    for i, c in enumerate(coeffs):\n"
+        "        node = add(node, mul(c, term(i)))\n"
+        "    return node\n"
+        "\n"
+        "def outer(rows):\n"
+        "    for row in rows:\n"
+        "        def inner(xs):\n"
+        "            for x in xs:\n"
+        "                total = sf.add(total, sf.mul(x, x))\n"
+        "        out = add(out, mul(row, row))\n"
+        "\n"
+        "def fine(xs):\n"
+        "    total = add(total, mul(a, b))\n"
+        "    for x in xs:\n"
+        "        total = add(other, mul(x, x))\n"
+        "        total = add(total, neg(x))\n"
+        "        total = [add(total, mul(x, y)) for y in xs]\n"
+        "        nodes[i] = add(nodes[i], mul(x, x))\n"
+    )
+    assert accumulations_in_loops(source) == [("combination", 4), ("inner", 11), ("outer", 12)]

@@ -9,7 +9,7 @@ import numpy as np
 from leviflat import leafcx, suites
 from leviflat.cli import RunConfig, run
 from leviflat.excalc import VectorField, XiValuedForm, basis_vector, one_form
-from leviflat.report import CheckReport, ResidualAccumulator, instance_batch
+from leviflat.report import CheckReport, ResidualAccumulator, instance_batch, shared_floats
 from leviflat.scenarios import builtin
 from leviflat.suites import REGISTRY, IdentitySpec, run_identity
 from leviflat.symfield import constant, coordinate, sin_of, torus
@@ -87,15 +87,20 @@ def test_nan_sample_fails():
 
 
 def test_report_dict_shares_one_float_per_value():
-    nan = float("nan")
-    samples = np.array([0.0, -0.0, 1.5, 0.0, nan, 1.5, -nan, 2.0**-1074])
-    report = CheckReport("s", "i", "a", samples, 1.0, nan, 1e-9, False, 42, "")
-    listed = report.to_dict()["samples"]
+    """shared_floats keeps every sample's bits and makes one float object per
+    distinct bit pattern: -0.0 apart from 0.0, NaNs of either sign and
+    distinct subnormals apart.  A report's dict holds that list."""
+    nan, tiny = float("nan"), 2.0**-1074
+    samples = [0.0, -0.0, 1.5, 0.0, nan, 1.5, -nan, tiny, 2 * tiny, -nan, tiny]
+    listed = shared_floats(samples)
     assert type(listed) is list and all(type(v) is float for v in listed)
-    np.testing.assert_array_equal(np.array(listed).view(np.int64), samples.view(np.int64))
-    assert listed[0] is listed[3] and listed[2] is listed[5]
-    assert listed[0] is not listed[1] and listed[4] is not listed[6]
-    assert CheckReport("s", "i", "a", np.array([]), 0.0, 0.0, 1e-9, False, 42, "").to_dict()["samples"] == []
+    np.testing.assert_array_equal(np.array(listed).view(np.int64), np.array(samples).view(np.int64))
+    shared = [(0, 3), (2, 5), (6, 9), (7, 10)]
+    assert all(listed[i] is listed[j] for i, j in shared)
+    assert len({id(v) for v in listed}) == len(samples) - len(shared)
+    report = CheckReport("s", "i", "a", listed, 1.0, nan, 1e-9, False, 42, "")
+    assert report.to_dict()["samples"] is listed
+    assert shared_floats([]) == []
 
 
 def test_add_instances_records_as_one_add_per_instance():

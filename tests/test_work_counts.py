@@ -95,3 +95,36 @@ def test_one_hand_over_compiles_one_tape(monkeypatch):
         report = run_identity(specs[identity], scenario, 42, 1)
         assert report.passed and len(report.samples) > 0, report
         assert 0 < count[0] <= bound, (identity, count[0])
+
+
+# (ScalarField constructions, nodes built) of each S-calculus identity on
+# t5_product at 1 point and seed 42, run in this order from a fresh
+# interpreter.  The matrix layer builds on bare nodes and wraps each entry
+# once; with ScalarField arithmetic it made 1,586, 1,829, 1,835 and 1,880
+# ScalarFields, and the node bounds are the nodes it built.
+MATRIX_COUNTS = {
+    "scalc.s_roundtrip": (262, 803),
+    "prop.n_ntilde": (1_103, 5_977),
+    "cor.n_jtilde_identity": (1_109, 6_034),
+    "cor.n_jtilde_quadratic": (1_220, 588),
+}
+
+
+def test_matrix_layer_wraps_each_entry_once(monkeypatch):
+    scenario = builtin("t5_product")
+    specs = {spec.identity: spec for spec in REGISTRY}
+    fields = [0]
+    init = sf.ScalarField.__init__
+
+    def counted(*args):
+        fields[0] += 1
+        init(*args)
+
+    monkeypatch.setattr(sf.ScalarField, "__init__", counted)
+    for identity, (max_fields, max_nodes) in MATRIX_COUNTS.items():
+        fields[0] = 0
+        first = next(sf._SERIAL)
+        report = run_identity(specs[identity], scenario, 42, 1)
+        nodes = next(sf._SERIAL) - first - 1
+        assert report.passed, report
+        assert fields[0] <= max_fields and nodes <= max_nodes, (identity, fields[0], nodes)
