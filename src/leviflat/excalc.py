@@ -85,15 +85,19 @@ def _form_of_nodes(chart, degree, nodes):
     return omega
 
 
-def _nodes(omega):
-    return {idx: f.node for idx, f in omega.coeffs.items()}
-
-
-def _summed(nodes, terms):
-    """nodes (index -> node) with each of terms added at its index."""
-    for idx, term in terms.items():
-        nodes[idx] = add(nodes[idx], term) if idx in nodes else term
-    return nodes
+def _keyed_sum(terms, skip_zeros=True):
+    """index -> node, the sum of the (sign, index, node) terms at each index:
+    the one rule for a form's coefficients.  Each term is negated where
+    sign < 0 and added at its index in the order given, and a literal-zero
+    term is dropped unless skip_zeros is False."""
+    out = {}
+    for sign, idx, term in terms:
+        if sign < 0:
+            term = neg(term)
+        if skip_zeros and is_zero_node(term):
+            continue
+        out[idx] = add(out[idx], term) if idx in out else term
+    return out
 
 
 def _support(V):
@@ -206,7 +210,8 @@ class DifferentialForm:
             return NotImplemented
         if other.chart != self.chart or other.degree != self.degree:
             raise ChartMismatchError("cannot add forms of different chart/degree")
-        return _form_of_nodes(self.chart, self.degree, _summed(_nodes(self), _nodes(other)))
+        terms = ((1, idx, f.node) for form in (self, other) for idx, f in form.coeffs.items())
+        return _form_of_nodes(self.chart, self.degree, _keyed_sum(terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -349,19 +354,13 @@ def exterior_derivative(omega):
     chart = omega.chart
     if omega.degree >= chart.dim:
         return zero_form(chart, omega.degree + 1)
-    out = {}
-    for idx, f in omega.coeffs.items():
-        node = f.node
-        for j in range(chart.dim):
-            sign, new_idx = _merge_sign((j,), idx)
-            if sign == 0:
-                continue
-            df = node.diff(j)
-            if is_zero_node(df):
-                continue
-            term = df if sign > 0 else neg(df)
-            out[new_idx] = add(out[new_idx], term) if new_idx in out else term
-    return _form_of_nodes(chart, omega.degree + 1, out)
+    terms = (
+        (*_merge_sign((j,), idx), f.node.diff(j))
+        for idx, f in omega.coeffs.items()
+        for j in range(chart.dim)
+        if j not in idx
+    )
+    return _form_of_nodes(chart, omega.degree + 1, _keyed_sum(terms))
 
 
 def wedge(alpha, beta):
@@ -372,17 +371,15 @@ def wedge(alpha, beta):
     degree = alpha.degree + beta.degree
     if degree > chart.dim:
         return zero_form(chart, degree)
-    out = {}
-    for i_idx, f in alpha.coeffs.items():
-        for j_idx, g in beta.coeffs.items():
-            sign, merged = _merge_sign(i_idx, j_idx)
-            if sign == 0:
-                continue
-            term = mul(f.node, g.node)
-            if sign < 0:
-                term = neg(term)
-            out[merged] = add(out[merged], term) if merged in out else term
-    return _form_of_nodes(chart, degree, out)
+    terms = (
+        (*_merge_sign(i_idx, j_idx), mul(f.node, g.node))
+        for i_idx, f in alpha.coeffs.items()
+        for j_idx, g in beta.coeffs.items()
+        if set(i_idx).isdisjoint(j_idx)
+    )
+    # a product of two constants that underflows to zero is kept: it still
+    # places its index in the order of the coefficients
+    return _form_of_nodes(chart, degree, _keyed_sum(terms, skip_zeros=False))
 
 
 def interior_product(X, omega):
@@ -391,16 +388,12 @@ def interior_product(X, omega):
         raise ChartMismatchError("interior product across charts")
     if omega.degree == 0:
         raise ValueError("interior product needs a form of degree >= 1")
-    out = {}
-    for idx, f in omega.coeffs.items():
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = mul(X.components[i].node, f.node)
-            if pos % 2:
-                term = neg(term)
-            if not is_zero_node(term):
-                out[rest] = add(out[rest], term) if rest in out else term
-    return _form_of_nodes(omega.chart, omega.degree - 1, out)
+    terms = (
+        ((-1) ** pos, idx[:pos] + idx[pos + 1 :], mul(X.components[i].node, f.node))
+        for idx, f in omega.coeffs.items()
+        for pos, i in enumerate(idx)
+    )
+    return _form_of_nodes(omega.chart, omega.degree - 1, _keyed_sum(terms))
 
 
 def lie_bracket(V, W):

@@ -12,7 +12,9 @@ on scalar forms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -207,11 +209,8 @@ def xi_form_apply(s, form, args):
     if form.degree > 2:
         raise ValueError(f"unsupported degree {form.degree}")
     rows = [s.xi_coefficients(arg) for arg in args]
-    out = None
-    for idx in combinations(range(s.n_leaf), form.degree):
-        value = minor(rows, idx) * form.values[idx]
-        out = value if out is None else out + value
-    return out
+    idxs = combinations(range(s.n_leaf), form.degree)
+    return reduce(operator.add, (minor(rows, idx) * form.values[idx] for idx in idxs))
 
 
 def dbar1(s, omega):
@@ -306,11 +305,7 @@ def dbar_scalar01(s, A):
 
 def _ambient_from_re(s, re_values):
     """Ambient 1-form with the given frame values and zero on X."""
-    out = None
-    for i in range(s.n_leaf):
-        term = s.coframe[i].scaled(re_values[(i,)])
-        out = term if out is None else out + term
-    return out
+    return reduce(operator.add, (s.coframe[i].scaled(re_values[(i,)]) for i in range(s.n_leaf)))
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,10 @@ so reports are reproducible and independent of execution order.
 from __future__ import annotations
 
 import fnmatch
+import math
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 
 import numpy as np
@@ -45,16 +47,13 @@ from .symfield import PointEvaluator, ScalarField, add, constant, coord, cos as 
 
 def random_z_form(s, k, draws, amplitude=1.0):
     """Seeded element of Z^k, k >= 1: coefficients on wedges of the dual
-    coframe."""
-    out = None
-    for idx in combinations(range(s.n_leaf), k):
+    coframe, drawn in index order."""
+
+    def term(idx):
         f = random_scalar(s.chart, draws, amplitude)
-        term = s.coframe[idx[0]]
-        for i in idx[1:]:
-            term = wedge(term, s.coframe[i])
-        term = term.scaled(f)
-        out = term if out is None else out + term
-    return out
+        return reduce(wedge, [s.coframe[i] for i in idx]).scaled(f)
+
+    return reduce(operator.add, map(term, combinations(range(s.n_leaf), k)))
 
 
 def random_xi_field(s, draws, amplitude=1.0):
@@ -852,9 +851,17 @@ REGISTRY = [
     IdentitySpec("cor.n_jtilde_quadratic", "max|N_Jt| scales as eps^2 for S = eps S0, dbar S0 = 0", 0.2, ("S0",), run_n_jtilde_quadratic),
 ]
 
-def select_identities(selector):
+def select_identities(selector, tolerances):
     """Comma-separated identity-id globs; 'all' selects everything.  A glob
-    that matches no identity id raises ConfigError naming it."""
+    that matches no identity id raises ConfigError naming it, and so does a
+    tolerance override (id -> value) whose id is not in the registry or whose
+    value is not a finite number >= 0."""
+    unknown = sorted(set(tolerances) - {spec.identity for spec in REGISTRY})
+    if unknown:
+        raise ConfigError(f"--tol names no identity: {', '.join(unknown)}")
+    bad = [f"{k}={v}" for k, v in sorted(tolerances.items()) if not math.isfinite(v) or v < 0]
+    if bad:
+        raise ConfigError(f"--tol must be a finite number >= 0: {', '.join(bad)}")
     if not selector or selector == "all":
         return list(REGISTRY)
     patterns = [pat.strip() for pat in selector.split(",") if pat.strip()]

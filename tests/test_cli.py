@@ -184,7 +184,7 @@ def test_workers_do_not_change_results():
 
 
 def test_selector_globs():
-    chosen = {spec.identity for spec in select_identities("lemma.*,prop.beth*")}
+    chosen = {spec.identity for spec in select_identities("lemma.*,prop.beth*", {})}
     assert "lemma.dbarH" in chosen
     assert "prop.beth_squared" in chosen
     assert "dgla.jacobi" not in chosen
@@ -240,6 +240,40 @@ def test_tolerance_for_no_identity_is_a_config_error(capsys):
     status, doc = run(RunConfig(scenario="t3_flat", suite="frobenius", points=3, tolerances={"nope": 1.0}))
     assert status == 2 and "nope" in doc["error"]
     assert main([*argv, "--tol", "lemma.dbarH=1e-6"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("=1", "bad tolerance override '=1', expected id=value"),
+        ("frobenius=1,frobenius=2", "--tol names frobenius twice"),
+        ("frobenius=1, frobenius =1", "--tol names frobenius twice"),
+    ],
+)
+def test_tolerance_with_empty_or_repeated_id_is_a_config_error(capsys, text, message):
+    """An override must name its identity, and name it once: a repeated id
+    would otherwise run with the last value given."""
+    argv = ["--scenario", "t3_flat", "--suite", "frobenius", "--points", "3"]
+    assert main([*argv, "--tol", text]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_cli_reads_the_live_registry(monkeypatch, capsys):
+    """An identity added to suites.REGISTRY after the CLI was imported is
+    listed and takes a tolerance override, as it can be selected; a NaN
+    sample still fails it."""
+    from leviflat import suites
+
+    spec = IdentitySpec("diag.nan", "one NaN sample", 1e-9, (), lambda sc, acc, streams: acc.add([math.nan]))
+    monkeypatch.setattr(suites, "REGISTRY", [*suites.REGISTRY, spec])
+    assert main(["--list"]) == 0
+    assert "diag.nan" in capsys.readouterr().out
+    argv = ["--scenario", "t3_flat", "--suite", "diag.nan", "--points", "1"]
+    assert main([*argv, "--tol", "diag.nan=1"]) == 1
+    assert "max_rel=nan tol=1.0e+00" in capsys.readouterr().out
+    monkeypatch.setattr(suites, "REGISTRY", [s for s in suites.REGISTRY if s.identity != "frobenius"])
+    status, doc = run(RunConfig(scenario="t3_flat", suite="diag.nan", points=1, tolerances={"frobenius": 1.0}))
+    assert status == 2 and doc["error"] == "--tol names no identity: frobenius"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-9])

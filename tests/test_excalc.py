@@ -190,6 +190,29 @@ def test_leibniz_wedge_seeded():
         assert ResidualAccumulator(pts(6)).add(lhs, rhs).max_abs <= 1e-10
 
 
+def test_unsigned_coefficient_terms_fail_d_squared_and_leibniz(monkeypatch):
+    """Negative control for the rule that sums a form's coefficient terms:
+    with each term's sign ignored, excalc.d_squared and excalc.leibniz_wedge
+    fail on t3_twisted at 2 points, and with the signs both pass."""
+    from leviflat import excalc
+    from leviflat.scenarios import builtin
+    from leviflat.suites import REGISTRY, run_identity
+
+    scenario = builtin("t3_twisted")
+    specs = [spec for spec in REGISTRY if spec.identity in ("excalc.d_squared", "excalc.leibniz_wedge")]
+    assert len(specs) == 2
+    assert all(run_identity(spec, scenario, 42, 2).passed for spec in specs)
+    signed = excalc._keyed_sum
+
+    def unsigned(terms, skip_zeros=True):
+        return signed(((1, idx, node) for _, idx, node in terms), skip_zeros)
+
+    monkeypatch.setattr(excalc, "_keyed_sum", unsigned)
+    for spec in specs:
+        report = run_identity(spec, scenario, 42, 2)
+        assert not report.passed and not report.error and report.max_rel > 1e-3, spec.identity
+
+
 def test_evaluate_form_examples():
     assert evaluate_form(DT, [(1.0, 2.0, 3.0)], [E_T]) == pytest.approx(1.0)
     assert evaluate_form(wedge(DT, DX), [(0, 0, 0)], [E_X, E_T]) == pytest.approx(-1.0)

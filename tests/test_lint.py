@@ -492,10 +492,35 @@ def test_add_in_a_loop_is_found():
     assert adds_in_loops(source) == [("run_a", 3), ("run_a", 7)]
 
 
+def _accumulates(stmt):
+    """Whether stmt adds a term into its own target by hand: a sum of
+    products `x = add(x, mul(...))`, a keyed sum `x[k] = add(x[k], ...)`,
+    bare or in a conditional expression, or a carrier fold
+    `x = t if x is None else ...`."""
+    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+        return False
+    target, value = stmt.targets[0], stmt.value
+    name = ast.unparse(target)
+    if isinstance(target, ast.Name) and isinstance(value, ast.IfExp):
+        return ast.unparse(value.test) == f"{name} is None"
+    for call in (value.body, value.orelse) if isinstance(value, ast.IfExp) else (value,):
+        if not (isinstance(call, ast.Call) and _called_name(call) == "add" and len(call.args) == 2):
+            continue
+        acc, term = call.args
+        if ast.unparse(acc) == name and (
+            isinstance(target, ast.Subscript) or (isinstance(term, ast.Call) and _called_name(term) == "mul")
+        ):
+            return True
+    return False
+
+
 def accumulations_in_loops(source):
-    """R6: (function, line) of each `x = add(x, mul(...))` inside a `for`
-    statement, attributed to the innermost function.  A symbolic sum of
-    products goes through symfield.dot, which adds from the first product."""
+    """R6: (function, line) of each hand-written accumulation inside a `for`
+    statement, attributed to the innermost function.  Each kind has one
+    rule: a symbolic sum of products goes through symfield.dot, which adds
+    from the first product; a form's coefficient terms through
+    excalc._keyed_sum; and carriers through functools.reduce(operator.add,
+    ...)."""
     found = {}
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, ast.FunctionDef):
@@ -504,21 +529,7 @@ def accumulations_in_loops(source):
             if not isinstance(loop, ast.For):
                 continue
             for stmt in ast.walk(loop):
-                if not (
-                    isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and isinstance(stmt.value, ast.Call)
-                    and _called_name(stmt.value) == "add"
-                    and len(stmt.value.args) == 2
-                ):
-                    continue
-                acc, term = stmt.value.args
-                if (
-                    getattr(acc, "id", None) == stmt.targets[0].id
-                    and isinstance(term, ast.Call)
-                    and _called_name(term) == "mul"
-                ):
+                if _accumulates(stmt):
                     # ast.walk reaches a nested function after its parent
                     found[stmt.lineno] = fn.name
     return sorted((name, line) for line, name in found.items())
@@ -528,6 +539,9 @@ def accumulations_in_loops(source):
 ACCUMULATIONS = {
     "random_scalar": "its constant term is added as drawn: dot(first, [ONE, *waves]) "
     "would fold a drawn constant times ONE into a second Const node",
+    "_keyed_sum": "the rule for a form's coefficient terms itself",
+    "minor": "it is generic over the number and node rings, and the sign of each "
+    "permutation picks plus or minus",
 }
 
 
@@ -557,12 +571,35 @@ def test_accumulation_in_a_loop_is_found():
         "                total = sf.add(total, sf.mul(x, x))\n"
         "        out = add(out, mul(row, row))\n"
         "\n"
+        "def keyed(terms):\n"
+        "    for k, x in terms:\n"
+        "        nodes[k] = add(nodes[k], mul(x, x))\n"
+        "        out[k] = add(out[k], x) if k in out else x\n"
+        "        out[k] = x if k not in out else sf.add(out[k], neg(x))\n"
+        "\n"
+        "def carrier(terms):\n"
+        "    for t in terms:\n"
+        "        out = t if out is None else out + t\n"
+        "        det = t if det is None else plus(det, t) if t else minus(det, t)\n"
+        "\n"
         "def fine(xs):\n"
         "    total = add(total, mul(a, b))\n"
+        "    out = t if out is None else out + t\n"
         "    for x in xs:\n"
         "        total = add(other, mul(x, x))\n"
         "        total = add(total, neg(x))\n"
         "        total = [add(total, mul(x, y)) for y in xs]\n"
-        "        nodes[i] = add(nodes[i], mul(x, x))\n"
+        "        nodes[i] = add(other[i], x)\n"
+        "        out = t if other is None else out + t\n"
+        "        out = x if x is None else out + x\n"
     )
-    assert accumulations_in_loops(source) == [("combination", 4), ("inner", 11), ("outer", 12)]
+    assert accumulations_in_loops(source) == [
+        ("carrier", 22),
+        ("carrier", 23),
+        ("combination", 4),
+        ("inner", 11),
+        ("keyed", 16),
+        ("keyed", 17),
+        ("keyed", 18),
+        ("outer", 12),
+    ]
