@@ -168,12 +168,6 @@ class VectorField:
         return f"VectorField({self.components!r})"
 
 
-def basis_vector(chart, i):
-    comps = [0.0] * chart.dim
-    comps[i] = 1.0
-    return VectorField(chart, comps)
-
-
 def zero_vector(chart):
     return VectorField(chart, [0.0] * chart.dim)
 

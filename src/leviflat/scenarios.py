@@ -1,5 +1,7 @@
-"""Built-in structures, couples and deformation families with hand-verified
-properties, plus the scenario file loader used by the CLI."""
+"""Scenarios: a structure with its optional deformation family, exactness
+witness and quadratic test matrix S0, the load check every scenario passes,
+and the scenario file loader.  The built-ins are scenario files shipped in
+builtins/ and load like any other."""
 
 from __future__ import annotations
 
@@ -10,30 +12,13 @@ import numpy as np
 
 from .errors import LeviFlatError, ScenarioError
 from .defcomplex import CochainPair
-from .excalc import (
-    DifferentialForm,
-    VectorField,
-    XiValuedForm,
-    basis_vector,
-    one_form,
-    zero_vector,
-)
+from .excalc import DifferentialForm, VectorField, XiValuedForm, zero_vector
 from .foliation_dgla import DefiningCouple
-from .leafcx import DET_GUARD, LeviFlatStructure, change_couple, xi_form_from_matrix
+from .leafcx import DET_GUARD, LeviFlatStructure, anticommutator_residual, xi_form_from_matrix
+from .report import ResidualAccumulator
 from .sampling import sample_points, stream
-from .symfield import (
-    Chart,
-    constant,
-    coordinate,
-    cos_of,
-    first_flagged,
-    fix_coordinate,
-    parse_expr,
-    sin_of,
-    torus,
-)
+from .symfield import Chart, constant, first_flagged, fix_coordinate, parse_expr
 
-TWIST = 0.3
 FAMILY_PARAMETER = "s"
 
 
@@ -45,7 +30,7 @@ class DeformationFamily:
 
     chart_ext: Chart
     alpha_coeffs: dict
-    S_entries: list | None = None
+    S_entries: list | None
 
     def _pair(self, s, fix):
         """The degree-1 CochainPair on the structure s from fix applied to
@@ -77,9 +62,9 @@ class Scenario:
 
     name: str
     structure: LeviFlatStructure
-    family: DeformationFamily | None = None
-    exact_witness: VectorField | None = None
-    quadratic_S0: list | None = None
+    family: DeformationFamily | None
+    exact_witness: VectorField | None
+    quadratic_S0: list | None
     foliation_integrable: bool = field(default=False, init=False)
 
 
@@ -97,12 +82,21 @@ def check(scenario, where):
     structure (a non-finite invariant, gamma(X) != 1, a failed coframe
     duality, J^2 != -I, a near-singular (frame | X) or one whose determinant
     changes sign, so vanishes somewhere on the connected torus), and set the
-    two measured flags that narrow the identities it runs."""
+    two measured flags that narrow the identities it runs.  A witness must
+    lie in xi, and S0 must be finite and anticommute with J."""
     s = scenario.structure
     try:
         probe = [(0.0,) * s.chart.dim] + sample_points(s.chart, PROBE - 1, stream("probe"))
         inv = s.invariants(probe)
         dets = np.linalg.det(s.basis_matrix_at(probe))
+        if scenario.exact_witness is not None:
+            gamma_U = [s.couple.gamma_of(scenario.exact_witness)]
+            inv["witness_gamma"] = ResidualAccumulator(probe).add(gamma_U).max_rel
+        if scenario.quadratic_S0 is not None:
+            S0 = scenario.quadratic_S0
+            inv["S0"] = ResidualAccumulator(probe).add([f for row in S0 for f in row]).max_abs
+            anticommutator = anticommutator_residual(s, S0)
+            inv["S0_anticommutator"] = ResidualAccumulator(probe).add(anticommutator).max_rel
     except LeviFlatError as exc:
         raise ScenarioError(f"{where}: evaluating the structure on the probe points: {exc}") from None
     inv["frame_determinant"] = float(np.abs(dets).min())
@@ -124,6 +118,12 @@ def check(scenario, where):
         )
     if problems:
         raise ScenarioError(f"{where}: not a Levi flat structure: {', '.join(problems)}")
+    for key, what in (
+        ("witness_gamma", "[witness] does not lie in xi: gamma(U)"),
+        ("S0_anticommutator", "[S0] does not anticommute with J: S0 J + J S0"),
+    ):
+        if inv.get(key, 0.0) > INVARIANT_TOL:
+            raise ScenarioError(f"{where}: {what} = {inv[key]:.3e} on the probe points")
     scenario.foliation_integrable = all(
         inv[key] <= INVARIANT_TOL
         for key in ("gamma_frame", "frobenius_iii", "frobenius_iv", "frobenius_v")
@@ -137,153 +137,25 @@ def _point(p):
     return "(" + ", ".join(f"{v:.4f}" for v in p) + ")"
 
 
-_J2 = ((0.0, -1.0), (1.0, 0.0))
-
-
-def _t3_chart():
-    return torus("x", "y", "t")
-
-
-def _t3_flat_structure():
-    chart = _t3_chart()
-    gamma = one_form(chart, [0.0, 0.0, 1.0])
-    X = basis_vector(chart, 2)
-    frame = (basis_vector(chart, 0), basis_vector(chart, 1))
-    return LeviFlatStructure.build(chart, DefiningCouple(gamma, X), frame, _J2)
-
-
-def _t3_twisted_structure():
-    chart = _t3_chart()
-    t = coordinate(chart, "t")
-    gamma = DifferentialForm(chart, 1, {(0,): TWIST * cos_of(t), (2,): 1.0})
-    X = basis_vector(chart, 2)
-    E1 = VectorField(chart, [constant(chart, 1.0), constant(chart, 0.0), -TWIST * cos_of(t)])
-    E2 = basis_vector(chart, 1)
-    return LeviFlatStructure.build(chart, DefiningCouple(gamma, X), (E1, E2), _J2)
-
-
-def _t3_twisted_shifted(name):
-    """The twisted couple with X shifted to X + U, U = sin(y) E1, which is
-    the scenario's exactness witness."""
-    base = _t3_twisted_structure()
-    U = base.frame[0].scaled(sin_of(coordinate(base.chart, "y")))
-    return Scenario(name, change_couple(base, constant(base.chart, 0.0), U), exact_witness=U)
-
-
-def _t5_chart():
-    return torus("x1", "x2", "x3", "x4", "t")
-
-
-_J4 = (
-    (0.0, -1.0, 0.0, 0.0),
-    (1.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, -1.0),
-    (0.0, 0.0, 1.0, 0.0),
+# In the order the CLI help lists them; each is the file builtins/<name>.scn.
+BUILTIN_NAMES = (
+    "t3_flat",
+    "t3_twisted",
+    "t3_twisted_shifted",
+    "t5_product",
+    "t5_perturbedJ",
+    "family_t3_tilt",
+    "family_t3_Jrotation",
+    "broken_nonintegrable",
 )
-
-
-def _t5_product_structure():
-    chart = _t5_chart()
-    gamma = one_form(chart, [0.0, 0.0, 0.0, 0.0, 1.0])
-    X = basis_vector(chart, 4)
-    frame = tuple(basis_vector(chart, i) for i in range(4))
-    return LeviFlatStructure.build(chart, DefiningCouple(gamma, X), frame, _J4)
-
-
-def _t5_perturbedJ_structure():
-    base = _t5_product_structure()
-    chart = base.chart
-    nu = sin_of(coordinate(chart, "x1"))
-    zero = constant(chart, 0.0)
-    one = constant(chart, 1.0)
-    # conjugation of the block J by I + nu*E with E nilpotent (E E4 = E1):
-    # J' E3 = E4 + nu E1, J' E4 = -E3 - nu E2, J'^2 = -I exactly.
-    Jmat = (
-        (zero, -one, nu, zero),
-        (one, zero, zero, -nu),
-        (zero, zero, zero, -one),
-        (zero, zero, one, zero),
-    )
-    return base.with_J(Jmat)
-
-
-def _family_tilt():
-    chart_ext = _t3_chart().extend(FAMILY_PARAMETER)
-    s = coordinate(chart_ext, FAMILY_PARAMETER)
-    return DeformationFamily(
-        chart_ext=chart_ext,
-        alpha_coeffs={(0,): 0.7 * s, (1,): -0.4 * s},
-    )
-
-
-def _family_jrotation():
-    chart_ext = _t3_chart().extend(FAMILY_PARAMETER)
-    s = coordinate(chart_ext, FAMILY_PARAMETER)
-    p, q = 0.6, -0.35
-    zero_alpha = {}
-    entries = [
-        [p * s, q * s],
-        [q * s, (-p) * s],
-    ]
-    return DeformationFamily(
-        chart_ext=chart_ext,
-        alpha_coeffs=zero_alpha,
-        S_entries=entries,
-    )
-
-
-def _broken_structure():
-    chart = _t3_chart()
-    x = coordinate(chart, "x")
-    gamma = DifferentialForm(chart, 1, {(1,): x, (2,): 1.0})
-    X = basis_vector(chart, 2)
-    frame = (basis_vector(chart, 0), basis_vector(chart, 1))
-    return LeviFlatStructure.build(chart, DefiningCouple(gamma, X), frame, _J2)
-
-
-def _quadratic_S0(structure):
-    """Nonconstant dbar-closed anticommuting S0 on the product 5-torus with
-    [S0, S0] != 0: the remainder of the conjugated-J integrability equation
-    is then genuinely quadratic in the scaling of S0."""
-    chart = structure.chart
-    phi = cos_of(coordinate(chart, "x1"))
-    psi = cos_of(coordinate(chart, "x3"))
-    zero = constant(chart, 0.0)
-    entries = [
-        [zero, zero, psi, zero],
-        [zero, zero, zero, -psi],
-        [phi, zero, zero, zero],
-        [zero, -phi, zero, zero],
-    ]
-    return entries
-
-
-def _t5_product(name):
-    structure = _t5_product_structure()
-    return Scenario(name, structure, quadratic_S0=_quadratic_S0(structure))
-
-
-# name -> constructor, in the order the CLI help lists the built-ins
-_BUILTINS = {
-    "t3_flat": lambda name: Scenario(name, _t3_flat_structure()),
-    "t3_twisted": lambda name: Scenario(name, _t3_twisted_structure()),
-    "t3_twisted_shifted": _t3_twisted_shifted,
-    "t5_product": _t5_product,
-    "t5_perturbedJ": lambda name: Scenario(name, _t5_perturbedJ_structure()),
-    "family_t3_tilt": lambda name: Scenario(name, _t3_flat_structure(), family=_family_tilt()),
-    "family_t3_Jrotation": lambda name: Scenario(
-        name, _t3_flat_structure(), family=_family_jrotation()
-    ),
-    "broken_nonintegrable": lambda name: Scenario(name, _broken_structure()),
-}
-BUILTIN_NAMES = tuple(_BUILTINS)
+BUILTIN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "builtins")
 
 
 def builtin(name):
-    """Construct a built-in scenario by name, through the load check."""
-    if name not in _BUILTINS:
+    """Load a built-in scenario by name from its shipped scenario file."""
+    if name not in BUILTIN_NAMES:
         raise ScenarioError(f"unknown scenario {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
-    return check(_BUILTINS[name](name), name)
+    return load_scenario_file(os.path.join(BUILTIN_DIR, f"{name}.scn"))
 
 
 def resolve(name_or_path):
@@ -300,7 +172,13 @@ def resolve(name_or_path):
 # --------------------------------------------------------------------------
 
 
+# The sections a file may hold besides [frame <name>], [family <name>.alpha]
+# and [family <name>.S], whose first word is 'frame' or 'family'.
+SECTIONS = ("scenario", "chart", "gamma", "X", "J", "witness", "S0")
+
+
 def _parse_sections(text, path):
+    """[(name, header line, [(key, value, line), ...]), ...] in file order."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -308,13 +186,13 @@ def _parse_sections(text, path):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = (line[1:-1].strip(), [])
+            current = (line[1:-1].strip(), lineno, [])
             sections.append(current)
             continue
         if current is None or "=" not in line:
             raise ScenarioError(f"{path}:{lineno}: expected 'key = value' inside a section")
         key, value = line.split("=", 1)
-        current[1].append((key.strip(), value.strip(), lineno))
+        current[2].append((key.strip(), value.strip(), lineno))
     return sections
 
 
@@ -324,29 +202,47 @@ def load_scenario_file(path):
     Sections: [scenario] (optional name), [chart], [gamma], [X],
     [frame <name>] (one per frame vector, in order), [J] (row = e1, e2, ...),
     [family <name>.alpha] and [family <name>.S] (one family a file, each
-    section at most once; expressions may use the extra parameter 's').
+    section at most once; expressions may use the extra parameter 's'),
+    [witness] (an exactness witness U in xi, given like [X]) and [S0] (the
+    quadratic test matrix, given like [J]).  An unknown section or key, and
+    a key repeated inside a section, are errors.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario file: {exc}") from None
-    sections = _parse_sections(text, path)
     by_name = {}
     frames = []
     families = {}
-    for name, entries in sections:
-        if name.startswith("frame"):
+    header = {}
+    for name, line, entries in _parse_sections(text, path):
+        kind = (name.split() or [""])[0]
+        if kind == "frame":
             frames.append((name, entries))
             continue
-        table = families if name.startswith("family") else by_name
+        if name not in SECTIONS and kind != "family":
+            raise ScenarioError(f"{path}:{line}: unknown section [{name}]")
+        table = families if kind == "family" else by_name
         if name in table:
-            raise ScenarioError(f"{path}: duplicate section [{name}]")
+            raise ScenarioError(f"{path}:{line}: duplicate section [{name}]")
         table[name] = entries
+        header[name] = line
+
+    def keyed(name, entries, allowed=None):
+        """key -> (value, line) of a section whose keys may not repeat."""
+        out = {}
+        for key, value, lineno in entries:
+            if allowed is not None and key not in allowed:
+                raise ScenarioError(f"{path}:{lineno}: unknown key {key!r} in [{name}]")
+            if key in out:
+                raise ScenarioError(f"{path}:{lineno}: repeated key {key!r} in [{name}]")
+            out[key] = (value, lineno)
+        return out
 
     if "chart" not in by_name:
         raise ScenarioError(f"{path}: missing [chart] section")
-    chart_kv = {k: (v, lineno) for k, v, lineno in by_name["chart"]}
+    chart_kv = keyed("chart", by_name["chart"], ("names", "periodic"))
     if "names" not in chart_kv:
         raise ScenarioError(f"{path}: [chart] needs 'names'")
     names_text, names_line = chart_kv["names"]
@@ -371,39 +267,44 @@ def load_scenario_file(path):
         except LeviFlatError as exc:
             raise ScenarioError(f"{path}:{lineno}: {exc}") from None
 
-    def index(key, lineno, what):
+    def index(key, lineno, name):
         if key not in chart.names:
-            raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in {what}")
+            raise ScenarioError(f"{path}:{lineno}: unknown coordinate {key!r} in [{name}]")
         return chart.index(key)
 
-    def parse_vec(entries, what):
+    def by_coordinate(name, entries, on=chart):
+        """index -> expression of a section keyed by coordinate names."""
+        return {index(k, ln, name): parse(v, ln, on) for k, (v, ln) in keyed(name, entries).items()}
+
+    def parse_vec(name, entries):
         comps = [constant(chart, 0.0) for _ in range(chart.dim)]
-        for key, value, lineno in entries:
-            comps[index(key, lineno, what)] = parse(value, lineno)
+        for i, f in by_coordinate(name, entries).items():
+            comps[i] = f
         return VectorField(chart, comps)
 
-    def parse_matrix(entries, what, on=chart):
+    def parse_matrix(name, entries, on=chart):
         rows = []
         for key, value, lineno in entries:
             if key != "row":
-                raise ScenarioError(f"{path}:{lineno}: {what} entries must be 'row = ...'")
+                raise ScenarioError(f"{path}:{lineno}: [{name}] entries must be 'row = ...'")
             rows.append([parse(tok.strip(), lineno, on) for tok in value.split(",")])
         if len(rows) != len(frame) or any(len(r) != len(frame) for r in rows):
-            raise ScenarioError(f"{path}: {what} must be a {len(frame)}x{len(frame)} matrix")
+            n = len(frame)
+            raise ScenarioError(f"{path}:{header[name]}: [{name}] must be a {n}x{n} matrix")
         return rows
 
     if "gamma" not in by_name or "X" not in by_name:
         raise ScenarioError(f"{path}: missing [gamma] or [X] section")
-    gamma_coeffs = {(index(k, ln, "[gamma]"),): parse(v, ln) for k, v, ln in by_name["gamma"]}
-    X = parse_vec(by_name["X"], "[X]")
+    gamma_coeffs = {(i,): f for i, f in by_coordinate("gamma", by_name["gamma"]).items()}
+    X = parse_vec("X", by_name["X"])
 
     if not frames:
         raise ScenarioError(f"{path}: at least one [frame ...] section required")
-    frame = tuple(parse_vec(entries, f"[{name}]") for name, entries in frames)
+    frame = tuple(parse_vec(name, entries) for name, entries in frames)
 
     if "J" not in by_name:
         raise ScenarioError(f"{path}: missing [J] section")
-    rows = parse_matrix(by_name["J"], "[J]")
+    rows = parse_matrix("J", by_name["J"])
     couple = DefiningCouple(DifferentialForm(chart, 1, gamma_coeffs), X)
     try:
         structure = LeviFlatStructure.build(chart, couple, frame, rows)
@@ -425,18 +326,18 @@ def load_scenario_file(path):
         for name, entries in families.items():
             part = parts[name][2]
             if part == "alpha":
-                for key, value, lineno in entries:
-                    fam_alpha[(index(key, lineno, f"[{name}]"),)] = parse(value, lineno, chart_ext)
+                fam_alpha = {(i,): f for i, f in by_coordinate(name, entries, chart_ext).items()}
             elif part == "S":
-                fam_S = parse_matrix(entries, f"[{name}]", chart_ext)
+                fam_S = parse_matrix(name, entries, chart_ext)
             else:
-                raise ScenarioError(f"{path}: family section must end in .alpha or .S")
-        family = DeformationFamily(
-            chart_ext=chart_ext,
-            alpha_coeffs=fam_alpha,
-            S_entries=fam_S,
-        )
+                raise ScenarioError(
+                    f"{path}:{header[name]}: family section must end in .alpha or .S"
+                )
+        family = DeformationFamily(chart_ext, fam_alpha, fam_S)
 
-    scen_kv = dict((k, v) for k, v, _ in by_name.get("scenario", []))
-    name = scen_kv.get("name", os.path.splitext(os.path.basename(str(path)))[0])
-    return check(Scenario(name=name, structure=structure, family=family), path)
+    witness = parse_vec("witness", by_name["witness"]) if "witness" in by_name else None
+    S0 = parse_matrix("S0", by_name["S0"]) if "S0" in by_name else None
+    scen_kv = keyed("scenario", by_name.get("scenario", []), ("name",))
+    default_name = os.path.splitext(os.path.basename(str(path)))[0]
+    name = scen_kv["name"][0] if "name" in scen_kv else default_name
+    return check(Scenario(name, structure, family, witness, S0), path)

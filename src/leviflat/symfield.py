@@ -527,21 +527,6 @@ def constant(chart, v):
     return ScalarField(chart, const(float(v)))
 
 
-def coordinate(chart, name_or_index):
-    i = name_or_index if isinstance(name_or_index, int) else chart.index(name_or_index)
-    if not 0 <= i < chart.dim:
-        raise IndexError(f"coordinate index {i} out of range")
-    return ScalarField(chart, coord(i))
-
-
-def sin_of(f):
-    return ScalarField(f.chart, sin(f.node))
-
-
-def cos_of(f):
-    return ScalarField(f.chart, cos(f.node))
-
-
 def exp_of(f):
     return ScalarField(f.chart, exp(f.node))
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from leviflat import flows
-from leviflat.excalc import basis_vector
+from tests.fields import basis_vector
 from leviflat.scenarios import builtin
 from leviflat.suites import CONDITIONS, REGISTRY
 

@@ -440,7 +440,8 @@ def test_runner_records_singular_evaluation_as_failure():
     runners that divide by a vanishing field and overflow exp)."""
     from leviflat.scenarios import builtin
     from leviflat.suites import IdentitySpec, run_identity
-    from leviflat.symfield import constant, coordinate, cos_of, exp_of
+    from leviflat.symfield import constant, exp_of
+    from tests.fields import coordinate, cos_of
 
     def exploding_runner(scenario, acc, streams):
         chart = scenario.structure.chart
@@ -481,7 +482,8 @@ def test_non_finite_values_fail_their_identities(tmp_path, monkeypatch, capsys):
     product) fails its identity, and the report still loads."""
     from leviflat import suites
     from leviflat.suites import IdentitySpec
-    from leviflat.symfield import coordinate, cos_of, exp_of, sin_of
+    from leviflat.symfield import exp_of
+    from tests.fields import coordinate, cos_of, sin_of
 
     def nan_runner(scenario, acc, streams):
         t = coordinate(scenario.structure.chart, "t")
@@ -541,14 +543,20 @@ def test_non_integrable_file_runs_only_the_unconditional_identities(tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "extra",
-    ["[family tilt.alpha]\ny = nonsense_ident\n", "[family other.S]\nrow = s, 0\nrow = 0, -s\n"],
+    "extra,message",
+    [
+        ("[family tilt.alpha]\ny = nonsense_ident\n", ":29: duplicate section [family tilt.alpha]"),
+        (
+            "[family other.S]\nrow = s, 0\nrow = 0, -s\n",
+            ": sections [family tilt.alpha], [family other.S] name more than one family",
+        ),
+    ],
     ids=["repeated", "two_families"],
 )
-def test_repeated_or_mixed_family_sections_are_rejected(tmp_path, capsys, extra):
-    """A second [family tilt.alpha] section, or a section of another family,
-    ends with exit status 2 naming the sections, as a second [gamma] does."""
+def test_repeated_or_mixed_family_sections_are_rejected(tmp_path, capsys, extra, message):
+    """A second [family tilt.alpha] section, named at its header's line, or
+    a section of another family ends with exit status 2 naming the
+    sections, as a second [gamma] does."""
     path = _bench_file_with(tmp_path, ("parameter s\n", "parameter s\n" + extra))
     assert main(["--scenario", str(path), "--suite", "frobenius", "--points", "2"]) == 2
-    err = capsys.readouterr().err
-    assert f"configuration error: {path}: " in err and "[family tilt.alpha]" in err
+    assert f"configuration error: {path}{message}\n" in capsys.readouterr().err

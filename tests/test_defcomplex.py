@@ -32,7 +32,8 @@ from leviflat.report import ResidualAccumulator
 from leviflat.sampling import Drawn, random_scalar, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.suites import random_xi_field, random_z_form
-from leviflat.symfield import constant, coordinate, cos_of, sin_of
+from leviflat.symfield import constant
+from tests.fields import coordinate, cos_of, sin_of
 
 FLAT = builtin("t3_flat").structure
 SHIFTED = builtin("t3_twisted_shifted").structure

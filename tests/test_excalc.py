@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from leviflat.errors import ChartMismatchError
 from leviflat.excalc import (
     VectorField,
-    basis_vector,
     evaluate_form,
     exterior_derivative,
     interior_product,
@@ -21,7 +20,8 @@ from leviflat.excalc import (
 )
 from leviflat.report import ResidualAccumulator
 from leviflat.sampling import Drawn, random_form, random_scalar, random_vector_field, sample_points, stream
-from leviflat.symfield import Node, PointEvaluator, constant, coordinate, cos_of, sin_of, torus
+from leviflat.symfield import Node, PointEvaluator, constant, torus
+from tests.fields import basis_vector, coordinate, cos_of, sin_of
 
 CHART = torus("x", "y", "t")
 DX, DY, DT = (one_form(CHART, np.eye(3)[i]) for i in range(3))

@@ -5,12 +5,7 @@ import pytest
 
 from leviflat import flows
 from leviflat.errors import ConjugationSingularError, FlowParameterError, GaugeDomainError
-from leviflat.excalc import (
-    basis_vector,
-    evaluate_form,
-    one_form,
-    zero_vector,
-)
+from leviflat.excalc import evaluate_form, one_form, zero_vector
 from leviflat.flows import (
     gauge_action_numeric,
     gauge_derivative_fd,
@@ -23,7 +18,7 @@ from leviflat.foliation_dgla import delta
 from leviflat.leafcx import h_form
 from leviflat.sampling import Drawn, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
-from leviflat.symfield import coordinate, cos_of, sin_of
+from tests.fields import basis_vector, coordinate, cos_of, sin_of
 
 FLAT = builtin("t3_flat").structure
 TWISTED = builtin("t3_twisted").structure

@@ -5,7 +5,6 @@ import pytest
 
 from leviflat.errors import ZMembershipError
 from leviflat.excalc import (
-    basis_vector,
     evaluate_form,
     exterior_derivative,
     interior_product,
@@ -27,7 +26,8 @@ from leviflat.foliation_dgla import (
 from leviflat.report import ONE_INSTANCE, ResidualAccumulator
 from leviflat.sampling import Drawn, random_form, random_scalar, sample_points, stream
 from leviflat.scenarios import builtin
-from leviflat.symfield import constant, coordinate, cos_of, sin_of, torus
+from leviflat.symfield import constant, torus
+from tests.fields import basis_vector, coordinate, cos_of, sin_of
 
 CHART = torus("x", "y", "t")
 DX, DY, DT = (one_form(CHART, np.eye(3)[i]) for i in range(3))

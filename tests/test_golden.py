@@ -23,7 +23,7 @@ GOLDEN = [
         "t3_twisted_shifted",
         "all",
         3,
-        "8a9ec552df40200ef50c27cfa42c36b54cd50cf26b274c423ebc34a2aa7ff097",
+        "886a830aaacee719fd75c68864bdda689fca129503f5982cd275f2627d697d51",
     ),
     (
         "family_t3_tilt",

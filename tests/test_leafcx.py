@@ -47,7 +47,8 @@ from leviflat.foliation_dgla import DefiningCouple
 from leviflat.sampling import Drawn, random_scalar, random_vector_field, sample_points, stream
 from leviflat.scenarios import Scenario, builtin, check
 from leviflat.suites import random_anticommuting_S, random_xi_field, random_z_form
-from leviflat.symfield import PointEvaluator, constant, coordinate, cos_of, sin_of
+from leviflat.symfield import PointEvaluator, constant
+from tests.fields import coordinate, cos_of, sin_of
 
 FLAT = builtin("t3_flat").structure
 TWISTED = builtin("t3_twisted").structure
@@ -87,7 +88,7 @@ def test_apply_J_function_linear():
 
 def _loaded(structure):
     """A scenario holding structure, through the load check."""
-    return check(Scenario("probe", structure), "probe")
+    return check(Scenario("probe", structure, None, None, None), "probe")
 
 
 def test_load_check_flags_frame_outside_xi():

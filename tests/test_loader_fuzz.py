@@ -29,6 +29,7 @@ HEADERS = st.sampled_from(
     [
         "[chart]", "[gamma]", "[X]", "[frame E3]", "[J]", "[scenario]", "[frame]",
         "[family f.alpha]", "[family f.S]", "[family]", "[family f.beta]", "[", "[]",
+        "[witness]", "[S0]", "[witnes]",
     ]
 )
 LINES = st.one_of(HEADERS, st.tuples(KEYS, VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"), NOISE)

@@ -8,11 +8,12 @@ import numpy as np
 
 from leviflat import leafcx, suites
 from leviflat.cli import RunConfig, run
-from leviflat.excalc import VectorField, XiValuedForm, basis_vector, one_form
+from leviflat.excalc import VectorField, XiValuedForm, one_form
 from leviflat.report import CheckReport, ResidualAccumulator, instance_batch, shared_floats
 from leviflat.scenarios import builtin
 from leviflat.suites import REGISTRY, IdentitySpec, run_identity
-from leviflat.symfield import constant, coordinate, sin_of, torus
+from leviflat.symfield import constant, torus
+from tests.fields import basis_vector, coordinate, sin_of
 
 CHART = torus("x", "y", "t")
 POINTS = [(0.5, 1.0, 2.0), (1.5, 0.0, 0.5)]

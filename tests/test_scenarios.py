@@ -1,11 +1,13 @@
 """Built-in scenarios, their hand-verified properties, and the file loader."""
 
+import os
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
 
-from leviflat.cli import RunConfig, run
+from leviflat.cli import RunConfig, main, run
 from leviflat.defcomplex import exactness_witness_check
 from leviflat.errors import ScenarioError
 from leviflat.excalc import DifferentialForm, VectorField, XiValuedForm
@@ -14,6 +16,7 @@ from leviflat.leafcx import h_form, ix_dgamma
 from leviflat.report import ResidualAccumulator
 from leviflat.sampling import sample_points, stream
 from leviflat.scenarios import (
+    BUILTIN_DIR,
     BUILTIN_NAMES,
     builtin,
     load_scenario_file,
@@ -239,6 +242,66 @@ def test_scenario_file_errors(tmp_path):
     bad4.write_text(text.replace("\nt = ", "\ns = "))
     with pytest.raises(ScenarioError, match="families need the parameter 's'"):
         load_scenario_file(str(bad4))
+
+
+# (id, (old, new) text replaced once in SCENARIO_TEXT, or text appended at
+# line 31, and the message after the path)
+REJECTED = [
+    ("unknown_section", "[witnes]\nx = sin(y)\n", ":31: unknown section [witnes]"),
+    ("frame_typo", ("[frame E2]", "[frames E2]"), ":21: unknown section [frames E2]"),
+    ("chart_key", ("periodic = 1 1 1", "period = 1 0 1"), ":8: unknown key 'period' in [chart]"),
+    ("scenario_key", ("name = twisted_from_file", "nmae = x"), ":4: unknown key 'nmae' in [scenario]"),
+    ("repeated_gamma", ("t = 1\n\n[X]", "t = 1\nt = 2\n\n[X]"), ":13: repeated key 't' in [gamma]"),
+    ("repeated_X", ("[X]\nt = 1\n", "[X]\nt = 1\nt = 2\n"), ":16: repeated key 't' in [X]"),
+    ("repeated_frame", ("[frame E2]\ny = 1\n", "[frame E2]\ny = 1\ny = 2\n"), ":23: repeated key 'y' in [frame E2]"),
+    ("repeated_witness", "[witness]\ny = 1\ny = 2\n", ":33: repeated key 'y' in [witness]"),
+    ("repeated_family", "x = 0.1*s\n", ":31: repeated key 'x' in [family tilt.alpha]"),
+    ("duplicate_J", "[J]\nrow = 0, -1\nrow = 1, 0\n", ":31: duplicate section [J]"),
+    ("J_shape", ("row = 1, 0\n", "row = 1, 0, 0\n"), ":24: [J] must be a 2x2 matrix"),
+    ("family_part", "[family tilt.beta]\nx = s\n", ":31: family section must end in .alpha or .S"),
+    (
+        "witness_outside_xi",
+        "[witness]\nt = 1\n",
+        ": [witness] does not lie in xi: gamma(U) = 5.000e-01 on the probe points",
+    ),
+    ("S0_non_finite", "[S0]\nrow = 1e999, 0\nrow = 0, -1e999\n", ": non-finite invariant S0 = inf on the probe points"),
+    (
+        "S0_commutes",
+        "[S0]\nrow = 1, 0\nrow = 0, 1\n",
+        ": [S0] does not anticommute with J: S0 J + J S0 = 6.667e-01 on the probe points",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit,message", [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED])
+def test_malformed_scenario_file_exits_2_naming_the_line(tmp_path, capsys, edit, message):
+    """A typo or a repeat in a scenario file, or a witness or S0 that fails
+    its precondition, ends with exit status 2 and a message naming the path
+    and, for a typo or a repeat, the line."""
+    if isinstance(edit, tuple):
+        assert edit[0] in SCENARIO_TEXT
+        text = SCENARIO_TEXT.replace(*edit, 1)
+    else:
+        text = SCENARIO_TEXT + edit
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert main(["--scenario", str(path), "--suite", "frobenius", "--points", "2"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_copy_of_a_shipped_file_selects_the_builtins_identities(tmp_path, name):
+    """A built-in is its shipped file: a copy loaded as a user's file selects
+    the same identities, witness and S0 included."""
+    path = tmp_path / "copy.scn"
+    shutil.copyfile(os.path.join(BUILTIN_DIR, f"{name}.scn"), path)
+    sc = load_scenario_file(str(path))
+    assert sc.name == name
+    assert tuple(sorted(spec.identity for spec in REGISTRY if spec.applies(sc))) == SELECTED[name]
+
+
+def test_builtin_directory_holds_one_file_per_builtin():
+    assert sorted(os.listdir(BUILTIN_DIR)) == sorted(f"{name}.scn" for name in BUILTIN_NAMES)
 
 
 def test_frame_determinant_changing_sign_is_rejected(tmp_path):

@@ -25,17 +25,8 @@ from leviflat.excalc import matrix_mul, wedge
 from leviflat.sampling import Drawn, Parameters, random_form, random_scalar, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.suites import random_anticommuting_S, random_xi_field, random_z_form, small_scalar
-from leviflat.symfield import (
-    Chart,
-    PointEvaluator,
-    ScalarField,
-    coordinate,
-    cos_of,
-    fix_coordinate,
-    parse_expr,
-    sin_of,
-    torus,
-)
+from leviflat.symfield import Chart, PointEvaluator, ScalarField, fix_coordinate, parse_expr, torus
+from tests.fields import coordinate, cos_of, sin_of
 
 CHART = torus("x", "y", "t")
 
