@@ -64,6 +64,12 @@ def _merge_sign(left, right):
     return sign, tuple(merged)
 
 
+def _same_chart(chart, args):
+    """Raise ChartMismatchError unless every VectorField of args is on chart."""
+    if any(arg.chart is not chart and arg.chart != chart for arg in args):
+        raise ChartMismatchError("form applied to vector fields on another chart")
+
+
 def vector_of_nodes(chart, nodes):
     """The VectorField whose components have these nodes.  The nodes are not
     re-validated: they come from the factories, on the chart."""
@@ -73,31 +79,26 @@ def vector_of_nodes(chart, nodes):
     return V
 
 
-def _form_of_nodes(chart, degree, nodes):
-    """The DifferentialForm with these coefficient nodes on valid index
-    tuples, zero ones dropped, built without re-validation."""
+def _form_of_terms(chart, degree, terms):
+    """The DifferentialForm whose coefficients sum the (sign, index, node)
+    terms, unvalidated: the one rule for a form's coefficients.  Each term is
+    negated where sign < 0 and added at its index in the order given;
+    literal-zero terms and sums are dropped.  The coefficients are stored in
+    increasing index order, so no later sum depends on which were zero."""
+    sums = {}
+    for sign, idx, term in terms:
+        if sign < 0:
+            term = neg(term)
+        if is_zero_node(term):
+            continue
+        sums[idx] = add(sums[idx], term) if idx in sums else term
     omega = object.__new__(DifferentialForm)
     omega.chart = chart
     omega.degree = degree
     omega.coeffs = {
-        idx: ScalarField(chart, node) for idx, node in nodes.items() if not is_zero_node(node)
+        idx: ScalarField(chart, sums[idx]) for idx in sorted(sums) if not is_zero_node(sums[idx])
     }
     return omega
-
-
-def _keyed_sum(terms, skip_zeros=True):
-    """index -> node, the sum of the (sign, index, node) terms at each index:
-    the one rule for a form's coefficients.  Each term is negated where
-    sign < 0 and added at its index in the order given, and a literal-zero
-    term is dropped unless skip_zeros is False."""
-    out = {}
-    for sign, idx, term in terms:
-        if sign < 0:
-            term = neg(term)
-        if skip_zeros and is_zero_node(term):
-            continue
-        out[idx] = add(out[idx], term) if idx in out else term
-    return out
 
 
 def _support(V):
@@ -194,7 +195,7 @@ class DifferentialForm:
             f = as_field(chart, f)
             if not f.is_zero:
                 clean[idx] = f
-        self.coeffs = clean
+        self.coeffs = dict(sorted(clean.items()))
 
     def coefficient(self, idx):
         return self.coeffs.get(tuple(idx), ScalarField(self.chart, ZERO))
@@ -205,21 +206,21 @@ class DifferentialForm:
         if other.chart != self.chart or other.degree != self.degree:
             raise ChartMismatchError("cannot add forms of different chart/degree")
         terms = ((1, idx, f.node) for form in (self, other) for idx, f in form.coeffs.items())
-        return _form_of_nodes(self.chart, self.degree, _keyed_sum(terms))
+        return _form_of_terms(self.chart, self.degree, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _form_of_nodes(
-            self.chart, self.degree, {i: neg(f.node) for i, f in self.coeffs.items()}
-        )
+        # each term is its coefficient's negation, not a -1 sign: a rule that
+        # drops the signs must not drop this one
+        terms = ((1, i, neg(f.node)) for i, f in self.coeffs.items())
+        return _form_of_terms(self.chart, self.degree, terms)
 
     def scaled(self, f):
         f = as_field(self.chart, f).node
-        return _form_of_nodes(
-            self.chart, self.degree, {i: mul(f, g.node) for i, g in self.coeffs.items()}
-        )
+        terms = ((1, i, mul(f, g.node)) for i, g in self.coeffs.items())
+        return _form_of_terms(self.chart, self.degree, terms)
 
     def __rmul__(self, f):
         return self.scaled(f)
@@ -228,6 +229,7 @@ class DifferentialForm:
         """Evaluate on symbolic VectorField arguments, returning a ScalarField."""
         if len(args) != self.degree:
             raise ValueError(f"degree {self.degree} form applied to {len(args)} arguments")
+        _same_chart(self.chart, args)
         rows = [[c.node for c in arg.components] for arg in args]
         minors = [minor(rows, idx, _NODE_RING) for idx in self.coeffs]
         return ScalarField(self.chart, dot([f.node for f in self.coeffs.values()], minors))
@@ -354,7 +356,7 @@ def exterior_derivative(omega):
         for j in range(chart.dim)
         if j not in idx
     )
-    return _form_of_nodes(chart, omega.degree + 1, _keyed_sum(terms))
+    return _form_of_terms(chart, omega.degree + 1, terms)
 
 
 def wedge(alpha, beta):
@@ -371,9 +373,7 @@ def wedge(alpha, beta):
         for j_idx, g in beta.coeffs.items()
         if set(i_idx).isdisjoint(j_idx)
     )
-    # a product of two constants that underflows to zero is kept: it still
-    # places its index in the order of the coefficients
-    return _form_of_nodes(chart, degree, _keyed_sum(terms, skip_zeros=False))
+    return _form_of_terms(chart, degree, terms)
 
 
 def interior_product(X, omega):
@@ -387,7 +387,7 @@ def interior_product(X, omega):
         for idx, f in omega.coeffs.items()
         for pos, i in enumerate(idx)
     )
-    return _form_of_nodes(omega.chart, omega.degree - 1, _keyed_sum(terms))
+    return _form_of_terms(omega.chart, omega.degree - 1, terms)
 
 
 def lie_bracket(V, W):
@@ -415,6 +415,7 @@ def lie_derivative_form(X, omega):
 def evaluate_form(omega, points, args):
     """Multilinear antisymmetric evaluation at an (N, dim) batch of points on
     VectorField arguments, as an (N,) array."""
+    _same_chart(omega.chart, args)
     fields = [*omega.coeffs.values(), *(c for arg in args for c in arg.components)]
     ev = PointEvaluator(omega.chart, points, fields)
     numeric = [arg.at(points, ev) for arg in args]

@@ -8,8 +8,12 @@ Drawn hands out constants drawn at once: the fields of one instance.
 Parameters hands out parameter leaves and records the draws, so a runner
 builds and compiles its fields once and replays the draws once per
 instance, from the same stream and in the same order as one build per
-instance.  A random choice (the coordinates of a harmonic, a frame vector)
-is a one-hot row over every choice: drawn at once, its zeros fold away.
+instance, and gets each instance's values bit for bit as that build does.
+A random choice (the coordinates of a harmonic, a frame vector) is a
+one-hot row over every choice: drawn at once, its zeros fold away.  That
+is why Drawn stays for a runner of one instance: its trees are smaller
+(on t5_product, scalc.s_roundtrip builds 803 nodes through Drawn; a build
+over Parameters took 1,187).
 """
 
 from __future__ import annotations

@@ -178,7 +178,9 @@ SECTIONS = ("scenario", "chart", "gamma", "X", "J", "witness", "S0")
 
 
 def _parse_sections(text, path):
-    """[(name, header line, [(key, value, line), ...]), ...] in file order."""
+    """[(name, header line, [(key, value, line), ...]), ...] in file order.
+    A header's name is its words joined by single spaces, so `[frame  E1 ]`
+    names the section `[frame E1]` does."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -186,7 +188,7 @@ def _parse_sections(text, path):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = (line[1:-1].strip(), lineno, [])
+            current = (" ".join(line[1:-1].split()), lineno, [])
             sections.append(current)
             continue
         if current is None or "=" not in line:
@@ -219,6 +221,8 @@ def load_scenario_file(path):
     for name, line, entries in _parse_sections(text, path):
         kind = (name.split() or [""])[0]
         if kind == "frame":
+            if name in dict(frames):
+                raise ScenarioError(f"{path}:{line}: duplicate section [{name}]")
             frames.append((name, entries))
             continue
         if name not in SECTIONS and kind != "family":

@@ -1,5 +1,7 @@
 """Exterior calculus: d, wedge, interior product, brackets, Lie derivative."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,8 @@ from leviflat.excalc import (
 )
 from leviflat.report import ResidualAccumulator
 from leviflat.sampling import Drawn, random_form, random_scalar, random_vector_field, sample_points, stream
-from leviflat.symfield import Node, PointEvaluator, constant, torus
+from leviflat.scenarios import builtin
+from leviflat.symfield import Node, PointEvaluator, constant, parse_expr, torus
 from tests.fields import basis_vector, coordinate, cos_of, sin_of
 
 CHART = torus("x", "y", "t")
@@ -202,12 +205,12 @@ def test_unsigned_coefficient_terms_fail_d_squared_and_leibniz(monkeypatch):
     specs = [spec for spec in REGISTRY if spec.identity in ("excalc.d_squared", "excalc.leibniz_wedge")]
     assert len(specs) == 2
     assert all(run_identity(spec, scenario, 42, 2).passed for spec in specs)
-    signed = excalc._keyed_sum
+    signed = excalc._form_of_terms
 
-    def unsigned(terms, skip_zeros=True):
-        return signed(((1, idx, node) for _, idx, node in terms), skip_zeros)
+    def unsigned(chart, degree, terms):
+        return signed(chart, degree, ((1, idx, node) for _, idx, node in terms))
 
-    monkeypatch.setattr(excalc, "_keyed_sum", unsigned)
+    monkeypatch.setattr(excalc, "_form_of_terms", unsigned)
     for spec in specs:
         report = run_identity(spec, scenario, 42, 2)
         assert not report.passed and not report.error and report.max_rel > 1e-3, spec.identity
@@ -229,6 +232,74 @@ def test_twisted_gamma_annihilates_frame():
 def test_evaluate_form_arity_mismatch():
     with pytest.raises(ValueError):
         evaluate_form(DT, [(0, 0, 0)], [E_T, E_X])
+
+
+def test_form_applied_across_charts_raises():
+    """sin(y) dx on (x, y, t) applied to cos(b) d/da on (a, b, c) would mix
+    the charts' coordinates; it is refused, as interior_product refuses it."""
+    other = torus("a", "b", "c")
+    omega = one_form(CHART, [parse_expr("sin(y)", CHART), 0.0, 0.0])
+    V = VectorField(other, [parse_expr("cos(b)", other), 0.0, 0.0])
+    with pytest.raises(ChartMismatchError):
+        omega.apply_symbolic([V])
+    with pytest.raises(ChartMismatchError):
+        evaluate_form(omega, [(0.1, 0.2, 0.3)], [V])
+    # an equal chart built apart is the same chart
+    V = VectorField(torus("x", "y", "t"), [2.0, 0.0, 0.0])
+    assert evaluate_form(omega, [(0.0, 0.5, 0.0)], [V]) == pytest.approx(2.0 * np.sin(0.5))
+
+
+# Live-sided oracles: each checks an operator against a rule that shares none
+# of its sign bookkeeping, at 20 points, on sides of order one or more.
+
+
+def _assert_live_equal(chart, lhs, rhs, label):
+    points = sample_points(chart, 20, stream(42, label, "points"))
+    ev = PointEvaluator(chart, points, [lhs, rhs])
+    a, b = ev(lhs), ev(rhs)
+    side = np.maximum(np.abs(a), np.abs(b))
+    assert np.max(np.abs(a - b) / (1.0 + side)) <= 1e-12
+    assert side.max() >= 1.0
+
+
+def _palais(omega, fields):
+    """d omega(X_0, ..., X_k) by Palais' invariant formula:
+    sum_i (-1)^i X_i(omega(..., no X_i, ...))
+    + sum_{i<j} (-1)^(i+j) omega([X_i, X_j], ..., no X_i or X_j, ...)."""
+    terms = []
+    for i, X in enumerate(fields):
+        term = X.apply(omega.apply_symbolic(fields[:i] + fields[i + 1 :]))
+        terms.append(term if i % 2 == 0 else -term)
+    for i, j in combinations(range(len(fields)), 2):
+        rest = [V for m, V in enumerate(fields) if m not in (i, j)]
+        term = omega.apply_symbolic([lie_bracket(fields[i], fields[j]), *rest])
+        terms.append(term if (i + j) % 2 == 0 else -term)
+    return sum(terms[1:], terms[0])
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [("t3_twisted_shifted", 1), ("t3_twisted_shifted", 2), ("t5_product", 1), ("t5_product", 2), ("t5_product", 3)],
+)
+def test_exterior_derivative_matches_palais_formula(name, k):
+    """R. S. Palais, Proc. AMS 5 (1954) 902-908."""
+    chart = builtin(name).structure.chart
+    draws = Drawn(stream(42, "palais", name, k))
+    omega = random_form(chart, k, draws)
+    fields = [random_vector_field(chart, draws) for _ in range(k + 1)]
+    lhs = exterior_derivative(omega).apply_symbolic(fields)
+    _assert_live_equal(chart, lhs, _palais(omega, fields), f"palais {name} {k}")
+
+
+@pytest.mark.parametrize("name", ["t3_twisted_shifted", "t5_product"])
+def test_lie_bracket_is_the_commutator_of_derivations(name):
+    """[X, Y](f) = X(Y f) - Y(X f)."""
+    chart = builtin(name).structure.chart
+    draws = Drawn(stream(42, "commutator", name))
+    X, Y = random_vector_field(chart, draws), random_vector_field(chart, draws)
+    f = random_scalar(chart, draws)
+    lhs = lie_bracket(X, Y).apply(f)
+    _assert_live_equal(chart, lhs, X.apply(Y.apply(f)) - Y.apply(X.apply(f)), f"commutator {name}")
 
 
 @given(

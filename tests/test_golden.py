@@ -23,7 +23,7 @@ GOLDEN = [
         "t3_twisted_shifted",
         "all",
         3,
-        "886a830aaacee719fd75c68864bdda689fca129503f5982cd275f2627d697d51",
+        "f95c19ba5c52a2f9f039c1001211dde739b12aa4dc76abfb7deb778a16b13156",
     ),
     (
         "family_t3_tilt",
@@ -61,7 +61,7 @@ GOLDEN = [
         "bench/my_twisted.scn",
         "all",
         3,
-        "04cd69728fc51c5bc26bcaeba73d235dbeb7de8fbc91d84b4e61c1596965fb58",
+        "a7c2c268429ad4e3ed0104d2d1fd601ad262e250be8af627100f5b4ba41521d5",
     ),
 ]
 

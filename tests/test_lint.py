@@ -519,7 +519,7 @@ def accumulations_in_loops(source):
     statement, attributed to the innermost function.  Each kind has one
     rule: a symbolic sum of products goes through symfield.dot, which adds
     from the first product; a form's coefficient terms through
-    excalc._keyed_sum; and carriers through functools.reduce(operator.add,
+    excalc._form_of_terms; and carriers through functools.reduce(operator.add,
     ...)."""
     found = {}
     for fn in ast.walk(ast.parse(source)):
@@ -539,7 +539,7 @@ def accumulations_in_loops(source):
 ACCUMULATIONS = {
     "random_scalar": "its constant term is added as drawn: dot(first, [ONE, *waves]) "
     "would fold a drawn constant times ONE into a second Const node",
-    "_keyed_sum": "the rule for a form's coefficient terms itself",
+    "_form_of_terms": "the rule for a form's coefficient terms itself",
     "minor": "it is generic over the number and node rings, and the sign of each "
     "permutation picks plus or minus",
 }

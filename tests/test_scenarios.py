@@ -1,5 +1,6 @@
 """Built-in scenarios, their hand-verified properties, and the file loader."""
 
+import json
 import os
 import pathlib
 import shutil
@@ -257,6 +258,8 @@ REJECTED = [
     ("repeated_witness", "[witness]\ny = 1\ny = 2\n", ":33: repeated key 'y' in [witness]"),
     ("repeated_family", "x = 0.1*s\n", ":31: repeated key 'x' in [family tilt.alpha]"),
     ("duplicate_J", "[J]\nrow = 0, -1\nrow = 1, 0\n", ":31: duplicate section [J]"),
+    ("duplicate_frame", ("[frame E2]", "[frame E1]"), ":21: duplicate section [frame E1]"),
+    ("duplicate_frame_spaced", ("[frame E2]", "[frame  E1 ]"), ":21: duplicate section [frame E1]"),
     ("J_shape", ("row = 1, 0\n", "row = 1, 0, 0\n"), ":24: [J] must be a 2x2 matrix"),
     ("family_part", "[family tilt.beta]\nx = s\n", ":31: family section must end in .alpha or .S"),
     (
@@ -298,6 +301,64 @@ def test_copy_of_a_shipped_file_selects_the_builtins_identities(tmp_path, name):
     sc = load_scenario_file(str(path))
     assert sc.name == name
     assert tuple(sorted(spec.identity for spec in REGISTRY if spec.applies(sc))) == SELECTED[name]
+
+
+def _keyed_by_coordinate(header):
+    name = header[1:-1].strip()
+    return name in ("gamma", "X", "witness") or name.startswith("frame ") or (
+        name.startswith("family ") and name.endswith(".alpha")
+    )
+
+
+def _reversed_keys(text):
+    """text with the key lines of each section keyed by coordinate names in
+    reverse order, and how many such sections have two or more keys."""
+    lines = text.splitlines()
+    sections = []
+    keys = None
+    for i, raw in enumerate(lines):
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            keys = [] if _keyed_by_coordinate(line) else None
+            if keys is not None:
+                sections.append(keys)
+        elif line and keys is not None:
+            keys.append(i)
+    out = list(lines)
+    for keys in sections:
+        for i, j in zip(keys, reversed(keys)):
+            out[i] = lines[j]
+    return "\n".join(out) + "\n", sum(len(keys) >= 2 for keys in sections)
+
+
+SHIPPED = [os.path.join(BUILTIN_DIR, f"{name}.scn") for name in BUILTIN_NAMES] + [str(ROOT / "bench" / "my_twisted.scn")]
+PERMUTABLE = [path for path in SHIPPED if _reversed_keys(pathlib.Path(path).read_text(encoding="utf-8"))[1]]
+
+
+@pytest.mark.parametrize("path", PERMUTABLE, ids=[os.path.basename(path) for path in PERMUTABLE])
+def test_key_order_inside_a_section_leaves_reports_unchanged(tmp_path, path):
+    """A copy of a shipped file with the keys of [gamma], [X], each [frame]
+    and the like in reverse order gives byte-identical results."""
+    text, _ = _reversed_keys(pathlib.Path(path).read_text(encoding="utf-8"))
+    copy = tmp_path / "reversed.scn"
+    copy.write_text(text, encoding="utf-8")
+    results = []
+    for scenario in (path, str(copy)):
+        status, document = run(RunConfig(scenario=scenario, suite="all", seed=42, points=2))
+        assert status in (0, 1)
+        results.append(json.dumps(document["results"]))
+    assert results[0] == results[1]
+
+
+def test_shipped_files_with_keys_to_permute():
+    names = sorted(os.path.basename(path) for path in PERMUTABLE)
+    assert names == [
+        "broken_nonintegrable.scn",
+        "family_t3_tilt.scn",
+        "my_twisted.scn",
+        "t3_twisted.scn",
+        "t3_twisted_shifted.scn",
+    ]
 
 
 def test_builtin_directory_holds_one_file_per_builtin():

@@ -2,7 +2,8 @@
 
 import math
 import os
-from itertools import combinations
+from functools import partial
+from itertools import combinations, islice
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import leviflat
-from leviflat import symfield as sf
+from leviflat import suites, symfield as sf
 from leviflat.errors import (
     ArityError,
     EvaluationRangeError,
@@ -24,7 +25,7 @@ from leviflat.report import ResidualAccumulator
 from leviflat.excalc import matrix_mul, wedge
 from leviflat.sampling import Drawn, Parameters, random_form, random_scalar, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
-from leviflat.suites import random_anticommuting_S, random_xi_field, random_z_form, small_scalar
+from leviflat.suites import REGISTRY, random_anticommuting_S, random_xi_field, random_z_form, small_scalar
 from leviflat.symfield import Chart, PointEvaluator, ScalarField, fix_coordinate, parse_expr, torus
 from tests.fields import coordinate, cos_of, sin_of
 
@@ -1002,6 +1003,114 @@ def test_one_parameter_build_gives_every_instance_bitwise(where):
             for f, g in zip(build, got[:, k]):
                 assert want(f).tobytes() == g.tobytes()
         assert rng.uniform() == ref.uniform()
+
+
+
+# Runners that build over Parameters but cannot be rebuilt with constants.
+NOT_REBUILT = {
+    "lemma.gauge_S": "it reads a draw back as an index, the frame vector each instance picks",
+}
+
+
+class _Logged(ResidualAccumulator):
+    """An accumulator that keeps the two sides of every comparison as raw
+    bytes, and logs (count, start, end) for each add_instances call: its
+    instance count and the span of comparisons it made."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.sides = []
+        self.calls = []
+
+    def _compare(self, lhs, rhs):
+        self.sides.append(tuple(np.asarray(side, dtype=float).tobytes() for side in (lhs, rhs)))
+        return super()._compare(lhs, rhs)
+
+    def add_instances(self, count, pairs):
+        start = len(self.sides)
+        super().add_instances(count, pairs)
+        self.calls.append((count, start, len(self.sides)))
+        return self
+
+
+def _run_runner(spec, scenario, allocator):
+    """spec's runner on scenario at 2 points and seed 42, as run_identity
+    streams it, with suites.Parameters replaced by allocator."""
+    streams = partial(stream, 42, scenario.name, spec.identity)
+    acc = _Logged(sample_points(scenario.structure.chart, 2, streams("points")))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "Parameters", allocator)
+        spec.runner(scenario, acc, streams)
+    return acc
+
+
+def _instance_sides(acc, counts, k):
+    """The compared sides of instance k: each add_instances call's share of
+    instance k, where counts[j] instances ran in call j of the parameter
+    build; every comparison of a call of one instance or made outside a
+    call; nothing of a call that had no instance k."""
+    out, pos = [], 0
+    for (count, start, end), c in zip(acc.calls, counts, strict=True):
+        out += acc.sides[pos:start]
+        if c == 1 or k < c:
+            n = (end - start) // count
+            share = k if count > 1 else 0
+            out += acc.sides[start + share * n : start + (share + 1) * n]
+        pos = end
+    return out + acc.sides[pos:]
+
+
+def _constant_build(rows, k):
+    """An allocator for one build of instance k: the i-th one that the runner
+    makes is a Drawn whose values are instance k's row of rows[i], and gives
+    that row back as its one row of values.  An instance beyond rows[i]
+    takes row 0; its calls are not compared."""
+    made = iter(rows)
+
+    class Constants(Drawn):
+        def __init__(self):
+            recorded = next(made)
+            self.row = recorded[min(k, len(recorded) - 1)]
+            super().__init__(iter(self.row.tolist()))
+
+        def draw(self, count, values):
+            return super().draw(count, lambda row: list(islice(row, count)))
+
+        def rows(self, rng, instances):
+            return self.row[None]
+
+    return Constants
+
+
+@pytest.mark.parametrize("name,rebuilt", [("t5_perturbedJ", 23), ("t3_twisted_shifted", 33)])
+def test_one_parameter_build_gives_every_identity_bitwise(name, rebuilt):
+    """Every registry identity whose runner builds over Parameters gives each
+    instance's sides bit for bit as one build of that instance does, with its
+    recorded row of parameter values as constants, so its samples too."""
+    scenario = builtin(name)
+    checked = []
+    for spec in REGISTRY:
+        if not spec.applies(scenario):
+            continue
+        rows = []
+
+        class Recorded(Parameters):
+            def rows(self, rng, instances):
+                rows.append(super().rows(rng, instances))
+                return rows[-1]
+
+        acc = _run_runner(spec, scenario, Recorded)
+        if spec.identity in NOT_REBUILT:
+            assert rows, f"{spec.identity} does not build over Parameters"
+            continue
+        if not rows:
+            continue
+        counts = [count for count, _, _ in acc.calls]
+        for k in range(max(map(len, rows))):
+            one = _run_runner(spec, scenario, _constant_build(rows, k))
+            assert _instance_sides(one, counts, k) == _instance_sides(acc, counts, k), (spec.identity, k)
+        checked.append(spec.identity)
+    assert len(checked) == rebuilt
 
 
 def test_empty_batch_has_no_samples():
