@@ -49,17 +49,13 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP, jacobian=True):
     only the trajectory is integrated and the Jacobians come back as None.
     t is one time for every point or an (N,) array of one time per point;
     every point then takes the ceil(max|t| / h) steps of the longest time,
-    each of its own length.  One point of shape (dim,) is flowed as a batch
-    of one and comes back with shapes (dim,) and (dim, dim), so a single
-    trajectory needs no wrapping.
+    each of its own length.
     """
     if h <= 0:
         raise FlowParameterError(f"step must be positive, got {h!r}")
     chart = Y.chart
     dim = chart.dim
-    pts = np.array(points, dtype=float)
-    one_point = pts.ndim == 1 and pts.size > 0
-    x = point_batch(chart, pts[None] if one_point else pts)
+    x = point_batch(chart, points)
     # the parameter columns: fixed along the flow
     fixed = x[:, dim:]
     x = x[:, :dim]
@@ -71,8 +67,7 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP, jacobian=True):
         raise FlowParameterError(f"|t|/h = {span / h:.3e} exceeds 1e6")
     A = np.tile(np.eye(dim), (len(x), 1, 1)) if jacobian else None
     if span == 0.0:
-        x = np.hstack([x, fixed])
-        return (x[0], None if A is None else A[0]) if one_point else (x, A)
+        return np.hstack([x, fixed]), A
     jac = [[c.diff(j) for j in range(dim)] for c in Y.components] if jacobian else []
     tape = Tape([f.node for f in Y.components + tuple(f for row in jac for f in row)])
 
@@ -100,8 +95,7 @@ def integrate_flow(Y, t, points, h=DEFAULT_STEP, jacobian=True):
             K3 = J3 @ (A + 0.5 * dA * K2)
             K4 = J4 @ (A + dA * K3)
             A = A + (dA / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    x = np.hstack([x, fixed])
-    return (x[0], None if A is None else A[0]) if one_point else (x, A)
+    return np.hstack([x, fixed]), A
 
 
 def pullback_form_numeric(Y, t, omega, points, args):

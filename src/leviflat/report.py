@@ -5,10 +5,11 @@ max over the sample set of |LHS - RHS| / (1 + max(|LHS|, |RHS|)), taken
 componentwise for vector and form values.  A NaN or an infinity on either
 side makes its sample NaN, and a NaN sample fails its identity.
 
-ResidualAccumulator.add is the only code that evaluates a residual pair:
-runners and residual helpers hand it their two sides, or hand add_each the
-pairs of fields built over parameters with one row of parameter values per
-instance, or hand add_instances the sides they evaluated on an instance_batch.
+ResidualAccumulator is the only code that compares a residual pair.
+Runners and residual helpers hand add their two symbolic sides, or hand
+add_each the symbolic pairs built over parameters with one row of parameter
+values per instance; sides they evaluated themselves, on an instance_batch or
+as one instance, go to add_instances as (components, count*N) arrays.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def _instance(side, k, count):
 
 
 def _value_pairs(lhs, rhs):
-    """The (lhs, rhs) values of a pair of symbolic sides, or None when lhs
-    is numeric."""
+    """The (lhs, rhs) values of a pair of symbolic sides; rhs may also be a
+    number, compared with every component."""
     if isinstance(rhs, XiValuedForm):
         keys = (lhs if isinstance(lhs, XiValuedForm) else rhs).values
         rhs = [_entry(rhs.values[k]) for k in keys]
@@ -87,7 +88,7 @@ def _value_pairs(lhs, rhs):
         lhs = [_entry(v) for v in lhs.values.values()]
     lhs_values = _values(lhs)
     if lhs_values is None:
-        return None
+        raise TypeError(f"lhs of type {type(lhs).__name__} is not symbolic: hand evaluated sides to add_instances")
     rhs_values = _values(rhs) or [rhs] * len(lhs_values)
     return list(zip(lhs_values, rhs_values, strict=True))
 
@@ -120,23 +121,14 @@ class ResidualAccumulator:
         ScalarFields (one value each), or a XiValuedForm, xi-valued or
         scalar, or a list of the other values (one value per entry).  The
         values of lhs are paired in turn with those of rhs, matched by frame
-        tuple between two XiValuedForms; a numeric rhs is compared with
+        tuple between two XiValuedForms; a number rhs is compared with
         every component.
         Every field of the pair is evaluated at the accumulator's points
         through one PointEvaluator, and each pair of values gives one sample
-        per point.
-
-        A numeric side is a number or a 1-d sequence, one sample whose
-        components are its entries, or a 2-d array of shape (components, N),
-        N samples, one per column.  rhs broadcasts against lhs.
+        per point.  A numeric lhs is a TypeError: evaluated sides go to
+        add_instances.
         """
-        pairs = _value_pairs(lhs, rhs)
-        if pairs is None:
-            lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-            if lhs.ndim < 2:
-                lhs, rhs = lhs.reshape(-1, 1), rhs.reshape(-1, 1)
-            return self._compare(lhs, rhs)
-        return self._add_values(ONE_INSTANCE, pairs)
+        return self._add_values(ONE_INSTANCE, _value_pairs(lhs, rhs))
 
     def add_each(self, rows, pairs):
         """Record the samples of every symbolic (lhs, rhs) pair, as add

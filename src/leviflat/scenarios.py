@@ -13,21 +13,25 @@ import numpy as np
 from .errors import LeviFlatError, ScenarioError
 from .defcomplex import CochainPair
 from .excalc import DifferentialForm, VectorField, XiValuedForm, zero_vector
-from .foliation_dgla import DefiningCouple
+from .foliation_dgla import MEMBERSHIP_TOL, DefiningCouple, z_membership_residual
 from .leafcx import DET_GUARD, LeviFlatStructure, anticommutator_residual, xi_form_from_matrix
-from .report import ResidualAccumulator
+from .report import ONE_INSTANCE, ResidualAccumulator
 from .sampling import sample_points, stream
 from .symfield import Chart, constant, first_flagged, fix_coordinate, parse_expr
 
 FAMILY_PARAMETER = "s"
+# The family times cor.levi_flat_mc runs at, and the load check probes.
+FAMILY_TIMES = (0.0, 0.1, -0.1, 0.3, -0.3)
 
 
 @dataclass
 class DeformationFamily:
     """Family t -> (alpha_t, S_t) held symbolically in an extra coordinate,
     so values and the tangent at 0 are exact.  A family without S entries
-    has S = 0."""
+    has S = 0.  name is the <name> of its [family <name>.alpha] and
+    [family <name>.S] sections."""
 
+    name: str
     chart_ext: Chart
     alpha_coeffs: dict
     S_entries: list | None
@@ -46,6 +50,14 @@ class DeformationFamily:
         """(alpha_t, S_t) on the structure s."""
         i = self.chart_ext.dim - 1
         return self._pair(s, lambda f: fix_coordinate(f, i, t))
+
+    def S_at(self, t):
+        """S_t as a frame matrix of fields on the base chart, or None for a
+        family without S entries."""
+        if self.S_entries is None:
+            return None
+        i = self.chart_ext.dim - 1
+        return [[fix_coordinate(f, i, t) for f in row] for row in self.S_entries]
 
     def tangent(self, s):
         """The tangent at t = 0, (d/dt alpha_t, d/dt S_t) at 0, on the
@@ -83,8 +95,11 @@ def check(scenario, where):
     duality, J^2 != -I, a near-singular (frame | X) or one whose determinant
     changes sign, so vanishes somewhere on the connected torus), and set the
     two measured flags that narrow the identities it runs.  A witness must
-    lie in xi, and S0 must be finite and anticommute with J."""
+    lie in xi, and S0 must be finite and anticommute with J.  At each of
+    FAMILY_TIMES, a family's alpha_t must lie in Z^1 and its S_t must
+    anticommute with J."""
     s = scenario.structure
+    family = scenario.family
     try:
         probe = [(0.0,) * s.chart.dim] + sample_points(s.chart, PROBE - 1, stream("probe"))
         inv = s.invariants(probe)
@@ -97,6 +112,12 @@ def check(scenario, where):
             inv["S0"] = ResidualAccumulator(probe).add([f for row in S0 for f in row]).max_abs
             anticommutator = anticommutator_residual(s, S0)
             inv["S0_anticommutator"] = ResidualAccumulator(probe).add(anticommutator).max_rel
+        if family is not None:
+            z = [z_membership_residual(family.at(s, t).alpha, s.couple, probe, ONE_INSTANCE) for t in FAMILY_TIMES]
+            inv["family_alpha"] = float(np.max(z))
+            if family.S_entries is not None:
+                pairs = [(anticommutator_residual(s, family.S_at(t)), 0.0) for t in FAMILY_TIMES]
+                inv["family_S_anticommutator"] = ResidualAccumulator(probe).add_each(ONE_INSTANCE, pairs).max_abs
     except LeviFlatError as exc:
         raise ScenarioError(f"{where}: evaluating the structure on the probe points: {exc}") from None
     inv["frame_determinant"] = float(np.abs(dets).min())
@@ -118,11 +139,14 @@ def check(scenario, where):
         )
     if problems:
         raise ScenarioError(f"{where}: not a Levi flat structure: {', '.join(problems)}")
-    for key, what in (
-        ("witness_gamma", "[witness] does not lie in xi: gamma(U)"),
-        ("S0_anticommutator", "[S0] does not anticommute with J: S0 J + J S0"),
+    name = family.name if family is not None else ""
+    for key, tol, what in (
+        ("witness_gamma", INVARIANT_TOL, "[witness] does not lie in xi: gamma(U)"),
+        ("S0_anticommutator", INVARIANT_TOL, "[S0] does not anticommute with J: S0 J + J S0"),
+        ("family_alpha", MEMBERSHIP_TOL, f"[family {name}.alpha] does not lie in Z^1: iota_X alpha_t"),
+        ("family_S_anticommutator", INVARIANT_TOL, f"[family {name}.S] does not anticommute with J: S_t J + J S_t"),
     ):
-        if inv.get(key, 0.0) > INVARIANT_TOL:
+        if inv.get(key, 0.0) > tol:
             raise ScenarioError(f"{where}: {what} = {inv[key]:.3e} on the probe points")
     scenario.foliation_integrable = all(
         inv[key] <= INVARIANT_TOL
@@ -322,7 +346,8 @@ def load_scenario_file(path):
         except ValueError as exc:
             raise ScenarioError(f"{path}: families need the parameter {FAMILY_PARAMETER!r}: {exc}") from None
         parts = {name: name[len("family"):].strip().partition(".") for name in families}
-        if len({fam_name for fam_name, _, _ in parts.values()}) > 1:
+        fam_names = {fam_name for fam_name, _, _ in parts.values()}
+        if len(fam_names) > 1:
             listed = ", ".join(f"[{name}]" for name in families)
             raise ScenarioError(f"{path}: sections {listed} name more than one family")
         fam_alpha = {}
@@ -337,7 +362,7 @@ def load_scenario_file(path):
                 raise ScenarioError(
                     f"{path}:{header[name]}: family section must end in .alpha or .S"
                 )
-        family = DeformationFamily(chart_ext, fam_alpha, fam_S)
+        family = DeformationFamily(fam_names.pop(), chart_ext, fam_alpha, fam_S)
 
     witness = parse_vec("witness", by_name["witness"]) if "witness" in by_name else None
     S0 = parse_matrix("S0", by_name["S0"]) if "S0" in by_name else None

@@ -37,6 +37,7 @@ from .excalc import (
 )
 from .report import ONE_INSTANCE, CheckReport, ResidualAccumulator, instance_batch, shared_floats
 from .sampling import Drawn, Parameters, random_form, random_scalar, random_vector_field, sample_points, stream
+from .scenarios import FAMILY_TIMES
 from .symfield import PointEvaluator, ScalarField, add, constant, coord, cos as cos_node, dot, exp_of, sin as sin_node
 
 
@@ -336,7 +337,7 @@ def run_flow_pullback_identity(scenario, acc, streams):
     args = [random_vector_field(s.chart, draws)]
     points = acc.points[:6]
     lhs = flows.pullback_form_numeric(Y, 0.0, omega, points, args)
-    acc.add([lhs], [evaluate_form(omega, points, args)])
+    acc.add_instances(1, [(lhs[None], evaluate_form(omega, points, args)[None])])
 
 
 def run_flow_lie_oracle(scenario, acc, streams):
@@ -601,7 +602,7 @@ def run_n_alpha(scenario, acc, streams):
 def run_levi_flat_mc(scenario, acc, streams):
     s = scenario.structure
     pairs = []
-    for t in (0.0, 0.1, -0.1, 0.3, -0.3):
+    for t in FAMILY_TIMES:
         pairs += dc.levi_flat_mc_residual_pair(scenario.family.at(s, t), s, acc.points)
     acc.add_each(ONE_INSTANCE, pairs)
 
@@ -689,7 +690,7 @@ def run_s_roundtrip(scenario, acc, streams):
     acc.add([f for row in recovered for f in row], [f for row in Smat for f in row])
     # SJ + JS = 0 is one sample: its worst entry over the points
     anticommutator = ResidualAccumulator(acc.points).add(lc.anticommutator_residual(s, recovered))
-    acc.add(anticommutator.max_rel)
+    acc.add_instances(1, [(np.array([[anticommutator.max_rel]]), 0.0)])
 
 
 def run_n_ntilde(scenario, acc, streams):

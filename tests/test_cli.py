@@ -79,10 +79,10 @@ def _nan_and_error_document(monkeypatch):
     nan = float("nan")
 
     def nan_runner(scenario, acc, streams):
-        acc.add(np.array([[0.0, nan, 0.0]]))
+        acc.add_instances(1, [(np.array([[0.0, nan, 0.0]]), 0.0)])
 
     def raising_runner(scenario, acc, streams):
-        acc.add(np.array([[0.25]]))
+        acc.add_instances(1, [(np.array([[0.25]]), 0.0)])
         raise ValueError("stopped after one sample")
 
     extra = [
@@ -264,7 +264,10 @@ def test_cli_reads_the_live_registry(monkeypatch, capsys):
     sample still fails it."""
     from leviflat import suites
 
-    spec = IdentitySpec("diag.nan", "one NaN sample", 1e-9, (), lambda sc, acc, streams: acc.add([math.nan]))
+    def nan_runner(scenario, acc, streams):
+        acc.add_instances(1, [(np.array([[math.nan]]), 0.0)])
+
+    spec = IdentitySpec("diag.nan", "one NaN sample", 1e-9, (), nan_runner)
     monkeypatch.setattr(suites, "REGISTRY", [*suites.REGISTRY, spec])
     assert main(["--list"]) == 0
     assert "diag.nan" in capsys.readouterr().out

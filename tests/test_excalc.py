@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from leviflat.errors import ChartMismatchError
 from leviflat.excalc import (
+    DifferentialForm,
     VectorField,
     evaluate_form,
     exterior_derivative,
@@ -300,6 +301,52 @@ def test_lie_bracket_is_the_commutator_of_derivations(name):
     f = random_scalar(chart, draws)
     lhs = lie_bracket(X, Y).apply(f)
     _assert_live_equal(chart, lhs, X.apply(Y.apply(f)) - Y.apply(X.apply(f)), f"commutator {name}")
+
+
+def _cartan_by_coordinates(X, omega):
+    """L_X omega by its coordinate formula: (L_X omega)_I = X(omega_I)
+    + sum_m sum_j omega(..., e_j at slot m, ...) d_{i_m} X^j, with the
+    frame e_I in the other slots."""
+    chart, k = omega.chart, omega.degree
+    E = [basis_vector(chart, j) for j in range(chart.dim)]
+    coeffs = {}
+    for idx in combinations(range(chart.dim), k):
+        terms = [X.apply(omega.apply_symbolic([E[i] for i in idx]))]
+        for m, i in enumerate(idx):
+            for j in range(chart.dim):
+                slots = [E[n] for n in idx]
+                slots[m] = E[j]
+                terms.append(omega.apply_symbolic(slots) * X.components[j].diff(i))
+        coeffs[idx] = sum(terms[1:], terms[0])
+    return DifferentialForm(chart, k, coeffs)
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [("t3_twisted_shifted", 1), ("t3_twisted_shifted", 2), ("t5_product", 1), ("t5_product", 2), ("t5_product", 3)],
+)
+def test_lie_derivative_matches_the_coordinate_formula(name, k):
+    """Cartan's L_X = d i_X + i_X d against the coordinate formula, both
+    applied to the same random vector fields."""
+    chart = builtin(name).structure.chart
+    draws = Drawn(stream(42, "cartan", name, k))
+    X, omega = random_vector_field(chart, draws), random_form(chart, k, draws)
+    fields = [random_vector_field(chart, draws) for _ in range(k)]
+    lhs = lie_derivative_form(X, omega).apply_symbolic(fields)
+    rhs = _cartan_by_coordinates(X, omega).apply_symbolic(fields)
+    _assert_live_equal(chart, lhs, rhs, f"cartan {name} {k}")
+
+
+@pytest.mark.parametrize("name,k", [("t3_twisted_shifted", 2), ("t5_product", 2), ("t5_product", 3)])
+def test_interior_product_fills_the_first_slot(name, k):
+    """(i_X omega)(Y, ...) = omega(X, Y, ...); at degree 1 both sides are
+    omega(X) by definition."""
+    chart = builtin(name).structure.chart
+    draws = Drawn(stream(42, "interior", name, k))
+    X, omega = random_vector_field(chart, draws), random_form(chart, k, draws)
+    fields = [random_vector_field(chart, draws) for _ in range(k - 1)]
+    lhs = interior_product(X, omega).apply_symbolic(fields)
+    _assert_live_equal(chart, lhs, omega.apply_symbolic([X, *fields]), f"interior {name} {k}")
 
 
 @given(

@@ -63,18 +63,6 @@ def test_small_time_taylor_expansion():
     assert A[0] == pytest.approx(expected_A, abs=1e-8)
 
 
-def test_one_point_flows_as_a_batch_of_one():
-    Y = random_vector_field(CHART, Drawn(stream(83, "one")))
-    p = (0.2, 0.3, 0.4)
-    for t in (0.35, 0.0):
-        q, A = integrate_flow(Y, t, p, h=0.05)
-        q1, A1 = integrate_flow(Y, t, [p], h=0.05)
-        assert q.shape == (3,) and A.shape == (3, 3)
-        assert q.tobytes() == q1[0].tobytes() and A.tobytes() == A1[0].tobytes()
-    with pytest.raises(ValueError, match=r"\(N, 3\) batch"):
-        integrate_flow(Y, 0.1, (0.2, 0.3))
-
-
 def test_flow_without_jacobian_gives_the_same_points():
     Y = random_vector_field(CHART, Drawn(stream(90, "nojac")), amplitude=0.6)
     P = pts(4)
@@ -141,6 +129,11 @@ def test_flow_parameter_validation():
         integrate_flow(E_X, 2e3, [(0, 0, 0)], h=1e-3)
     with pytest.raises(FlowParameterError, match="one per point"):
         integrate_flow(E_X, [0.1, 0.2], [(0, 0, 0)])
+    # a point is not a batch, at the zero-time exit too
+    for t in (0.35, 0.0):
+        for point in ((0.2, 0.3, 0.4), (0.2, 0.3)):
+            with pytest.raises(ValueError, match=r"\(N, 3\) batch"):
+                integrate_flow(E_X, t, point, h=0.05)
 
 
 def test_flow_group_law():

@@ -19,6 +19,7 @@ from leviflat.sampling import sample_points, stream
 from leviflat.scenarios import (
     BUILTIN_DIR,
     BUILTIN_NAMES,
+    FAMILY_TIMES,
     builtin,
     load_scenario_file,
     resolve,
@@ -74,7 +75,7 @@ def check_expectation(scenario, prop, points):
         return r3 > 1e-2, r3
     if prop == "family_mc_flat":
         acc = ResidualAccumulator(points)
-        for t in (0.0, 0.1, -0.1, 0.3, -0.3):
+        for t in FAMILY_TIMES:
             alpha = scenario.family.at(s, t).alpha
             acc.add(mc_residual(alpha, s.couple, points))
         return acc.max_rel <= 1e-9, acc.max_rel
@@ -273,14 +274,24 @@ REJECTED = [
         "[S0]\nrow = 1, 0\nrow = 0, 1\n",
         ": [S0] does not anticommute with J: S0 J + J S0 = 6.667e-01 on the probe points",
     ),
+    (
+        "family_alpha_outside_Z1",
+        "t = 0.5*s\n",
+        ": [family tilt.alpha] does not lie in Z^1: iota_X alpha_t = 1.500e-01 on the probe points",
+    ),
+    (
+        "family_S_commutes",
+        "[family tilt.S]\nrow = 0.6*s, 0\nrow = 0, 0.6*s\n",
+        ": [family tilt.S] does not anticommute with J: S_t J + J S_t = 3.600e-01 on the probe points",
+    ),
 ]
 
 
 @pytest.mark.parametrize("edit,message", [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED])
 def test_malformed_scenario_file_exits_2_naming_the_line(tmp_path, capsys, edit, message):
-    """A typo or a repeat in a scenario file, or a witness or S0 that fails
-    its precondition, ends with exit status 2 and a message naming the path
-    and, for a typo or a repeat, the line."""
+    """A typo or a repeat in a scenario file, or a witness, S0 or family that
+    fails its precondition, ends with exit status 2 and a message naming the
+    path and, for a typo or a repeat, the line."""
     if isinstance(edit, tuple):
         assert edit[0] in SCENARIO_TEXT
         text = SCENARIO_TEXT.replace(*edit, 1)

@@ -1116,7 +1116,7 @@ def test_one_parameter_build_gives_every_identity_bitwise(name, rebuilt):
 def test_empty_batch_has_no_samples():
     f = parse_expr("sin(x) / (2 + cos(y))", CHART)
     assert f([]).shape == (0,)
-    acc = ResidualAccumulator([]).add([f([])], 1.0)
+    acc = ResidualAccumulator([]).add([f], 1.0)
     assert acc.samples == [] and acc.max_abs == 0.0
 
 
