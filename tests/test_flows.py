@@ -63,6 +63,21 @@ def test_small_time_taylor_expansion():
     assert A[0] == pytest.approx(expected_A, abs=1e-8)
 
 
+def test_one_point_flows_as_a_batch_of_one():
+    # a batch of one is a row of a larger batch; a bare point is not a batch,
+    # at the zero-time exit too
+    Y = random_vector_field(CHART, Drawn(stream(83, "one")))
+    p = (0.2, 0.3, 0.4)
+    for t in (0.35, 0.0):
+        q1, A1 = integrate_flow(Y, t, [p], h=0.05)
+        q, A = integrate_flow(Y, t, [p, (0.5, 0.1, 0.7)], h=0.05)
+        assert q1.shape == (1, 3) and A1.shape == (1, 3, 3)
+        assert q1.tobytes() == q[:1].tobytes() and A1.tobytes() == A[:1].tobytes()
+        for point in (p, (0.2, 0.3)):
+            with pytest.raises(ValueError, match=r"\(N, 3\) batch"):
+                integrate_flow(Y, t, point, h=0.05)
+
+
 def test_flow_without_jacobian_gives_the_same_points():
     Y = random_vector_field(CHART, Drawn(stream(90, "nojac")), amplitude=0.6)
     P = pts(4)
@@ -129,11 +144,6 @@ def test_flow_parameter_validation():
         integrate_flow(E_X, 2e3, [(0, 0, 0)], h=1e-3)
     with pytest.raises(FlowParameterError, match="one per point"):
         integrate_flow(E_X, [0.1, 0.2], [(0, 0, 0)])
-    # a point is not a batch, at the zero-time exit too
-    for t in (0.35, 0.0):
-        for point in ((0.2, 0.3, 0.4), (0.2, 0.3)):
-            with pytest.raises(ValueError, match=r"\(N, 3\) batch"):
-                integrate_flow(E_X, t, point, h=0.05)
 
 
 def test_flow_group_law():
