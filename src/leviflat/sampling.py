@@ -14,12 +14,19 @@ one-hot row over every choice: drawn at once, its zeros fold away.  That
 is why Drawn stays for a runner of one instance: its trees are smaller
 (on t5_product, scalc.s_roundtrip builds 803 nodes through Drawn; a build
 over Parameters took 1,187).
+
+A stream is numpy's default_rng(seed) stream, drawn here: PCG64 (XSL-RR
+output, O'Neill 2014) seeded through numpy's SeedSequence from a 64-bit
+blake2b digest of the labels.  tests/test_sampling.py checks it against
+numpy.random.default_rng bit for bit, so a numpy upgrade that changes its
+Generator fails that test instead of moving every report, and a run never
+loads numpy.random or OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
+from _blake2 import blake2b
 from itertools import combinations
 
 import numpy as np
@@ -28,25 +35,125 @@ from .excalc import DifferentialForm, VectorField, scalar_form
 from .symfield import Param, ScalarField, add, const, coord, cos as cos_node, dot, mul, sin as sin_node
 
 TWO_PI = 2.0 * math.pi
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# SeedSequence's hash and mix constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def derive_seed(*parts):
     """Stable 64-bit seed derived from arbitrary labels."""
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     for part in parts:
         h.update(str(part).encode())
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "big")
 
 
+def _hashmix(const, mult):
+    """SeedSequence's hashmix: each call mixes one 32-bit word with the next
+    running hash constant, starting from const and multiplied by mult."""
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_state(seed):
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64) for a seed
+    in [0, 2**64): the seed's 32-bit words, least significant first, hashed
+    into a pool of four, the pool cross-mixed, then eight words drawn out
+    and paired low word first."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"stream seed {seed} is not in [0, 2**64)")
+    hash_a = _hashmix(_INIT_A, _MULT_A)
+    entropy = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    pool = [hash_a(word) for word in entropy + [0] * (4 - len(entropy))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hash_a(pool[src])) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    hash_b = _hashmix(_INIT_B, _MULT_B)
+    words = [hash_b(pool[i % 4]) for i in range(8)]
+    return [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+
+
+class Stream:
+    """numpy.random.default_rng(seed), for the draws leviflat makes: the
+    same values, bit for bit, as Python floats and ints.  The generator is
+    PCG64 with XSL-RR output, seeded as numpy's PCG64(SeedSequence(seed))."""
+
+    def __init__(self, seed):
+        w0, w1, w2, w3 = _seed_state(seed)
+        self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        # from state 0: step, add the initial state, step again
+        self._state = ((self._inc + (w0 << 64 | w1)) * _PCG_MULT + self._inc) & _MASK128
+        # the high half of a 64-bit draw, kept for the next 32-bit draw
+        self._kept = None
+
+    def _next64(self, count):
+        """The next count 64-bit outputs."""
+        state, inc = self._state, self._inc
+        out = []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x = (state >> 64 ^ state) & _MASK64
+            out.append((x << 64 | x) >> (state >> 122) & _MASK64)
+        self._state = state
+        return out
+
+    def uniform(self, low, high, size=None):
+        """Uniform floats in [low, high): one float, or a list of size
+        values, or for size (rows, cols) a list of rows, filled in C order."""
+        scale = high - low
+        if size is None:
+            return low + scale * ((self._next64(1)[0] >> 11) * 2.0**-53)
+        if isinstance(size, tuple):
+            rows, cols = size
+            flat = self.uniform(low, high, rows * cols)
+            return [flat[i : i + cols] for i in range(0, rows * cols, cols)]
+        return [low + scale * ((v >> 11) * 2.0**-53) for v in self._next64(size)]
+
+    def integers(self, low, high):
+        """A uniform int in [low, high), high - low <= 2**32: Lemire's method
+        on 32-bit draws, each the low half of a fresh 64-bit draw or the
+        high half kept from the last one.  One value takes no draw."""
+        n = high - low
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers({low}, {high}) needs 1 <= high - low <= 2**32")
+        if n == 1:
+            return low
+        threshold = ((1 << 32) - n) % n
+        while True:
+            if self._kept is None:
+                draw = self._next64(1)[0]
+                word, self._kept = draw & _MASK32, draw >> 32
+            else:
+                word, self._kept = self._kept, None
+            m = word * n
+            if m & _MASK32 >= threshold:
+                return low + (m >> 32)
+
+
 def stream(*parts):
-    return np.random.default_rng(derive_seed(*parts))
+    return Stream(derive_seed(*parts))
 
 
 def sample_points(chart, n, rng):
-    """n uniform points on the chart's torus, drawn as one (n, dim) array:
+    """n uniform points on the chart's torus, drawn as one (n, dim) block:
     the same stream, in the same order, as n draws of dim values."""
-    return [tuple(p) for p in rng.uniform(0.0, TWO_PI, (n, chart.dim)).tolist()]
+    return [tuple(p) for p in rng.uniform(0.0, TWO_PI, (n, chart.dim))]
 
 
 class Drawn:
@@ -85,7 +192,7 @@ class Parameters:
 
 
 def _uniform(amplitude, count):
-    return lambda rng: rng.uniform(-amplitude, amplitude, count).tolist()
+    return lambda rng: rng.uniform(-amplitude, amplitude, count)
 
 
 def _harmonic(dim, amplitude, pick):

@@ -276,10 +276,10 @@ def load_scenario_file(path):
     names_text, names_line = chart_kv["names"]
     names = tuple(names_text.split())
     flags_text, flags_line = chart_kv.get("periodic", ("1 " * len(names), names_line))
-    try:
-        periodic = tuple(bool(int(tok)) for tok in flags_text.split())
-    except ValueError:
-        raise ScenarioError(f"{path}:{flags_line}: periodic flags must be integers") from None
+    flags = flags_text.split()
+    if any(tok not in ("0", "1") for tok in flags):
+        raise ScenarioError(f"{path}:{flags_line}: periodic flags must be 0 or 1")
+    periodic = tuple(tok == "1" for tok in flags)
     if len(periodic) != len(names):
         raise ScenarioError(
             f"{path}:{flags_line}: {len(periodic)} periodic flags for {len(names)} coordinates"

@@ -3,6 +3,8 @@
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -167,6 +169,24 @@ def test_write_report_memory_is_bounded_by_one_result(tmp_path):
         tracemalloc.stop()
     assert peak < 2_000_000, peak
     assert path.read_bytes() == _dumped(document).encode("utf-8")
+
+
+def test_a_pass_loads_neither_numpy_random_nor_hashlib(tmp_path):
+    """A pass draws its streams in leviflat.sampling: numpy.random, and
+    hashlib with OpenSSL's _hashlib behind it, stay unloaded (about 5.6 MB
+    of a pass's peak RSS)."""
+    report = tmp_path / "report.json"
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import leviflat.cli; "
+        f"args = ['--scenario', 't3_twisted_shifted', '--suite', 'all', '--points', '2', '--report', {str(report)!r}]; "
+        "status = leviflat.cli.main(args); "
+        "print(sorted(m for m in ('numpy.random', 'hashlib', '_hashlib') if m in sys.modules)); "
+        "sys.exit(status)"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert json.loads(report.read_text())["passed"] is True
 
 
 def test_different_seed_changes_samples():
@@ -404,6 +424,8 @@ def test_scenario_file_through_cli(tmp_path):
         ("x = 0.3*cos(t)", "x = exp(750)"),
         ("[frame E2]\ny = 1\n\n[J]\nrow = 0, -1\nrow = 1, 0", "[J]\nrow = 0"),
         ("periodic = 1 1 1", "periodic = 1 x 1"),
+        ("periodic = 1 1 1", "periodic = 1 1 2"),
+        ("periodic = 1 1 1", "periodic = 1 1 -3"),
         ("names = x y t", "names = x x t"),
         ("periodic = 1 1 1", "periodic = 1 1"),
         ("[frame E2]\ny = 1", "[frame E2]\ny = sin(x)"),
@@ -417,6 +439,8 @@ def test_scenario_file_through_cli(tmp_path):
         "overflow",
         "frame_count",
         "periodic_token",
+        "periodic_flag_2",
+        "periodic_flag_negative",
         "repeated_name",
         "periodic_count",
         "degenerate_frame",

@@ -252,6 +252,7 @@ REJECTED = [
     ("unknown_section", "[witnes]\nx = sin(y)\n", ":31: unknown section [witnes]"),
     ("frame_typo", ("[frame E2]", "[frames E2]"), ":21: unknown section [frames E2]"),
     ("chart_key", ("periodic = 1 1 1", "period = 1 0 1"), ":8: unknown key 'period' in [chart]"),
+    ("periodic_flag", ("periodic = 1 1 1", "periodic = 1 1 2"), ":8: periodic flags must be 0 or 1"),
     ("scenario_key", ("name = twisted_from_file", "nmae = x"), ":4: unknown key 'nmae' in [scenario]"),
     ("repeated_gamma", ("t = 1\n\n[X]", "t = 1\nt = 2\n\n[X]"), ":13: repeated key 't' in [gamma]"),
     ("repeated_X", ("[X]\nt = 1\n", "[X]\nt = 1\nt = 2\n"), ":16: repeated key 't' in [X]"),

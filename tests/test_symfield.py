@@ -868,7 +868,7 @@ def test_sample_points_are_python_floats():
 
 def _per_draw_points(chart, n, rng):
     # one draw of dim values per point
-    return [tuple(rng.uniform(0.0, 2.0 * math.pi, chart.dim).tolist()) for _ in range(n)]
+    return [tuple(rng.uniform(0.0, 2.0 * math.pi, chart.dim)) for _ in range(n)]
 
 
 def _per_draw_scalar(chart, rng, amplitude):
@@ -899,7 +899,7 @@ def test_batched_draws_take_the_per_draw_stream(dim):
         for amplitude in (1.0, 0.3):
             f = random_scalar(chart, Drawn(rng), amplitude)
             assert repr(f.node) == repr(_per_draw_scalar(chart, ref, amplitude))
-        assert rng.uniform() == ref.uniform()
+        assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
 
 
 # The builders as they drew before parameters: each call draws from rng and
@@ -908,7 +908,7 @@ def test_batched_draws_take_the_per_draw_stream(dim):
 
 def _ref_scalar(chart, rng, amplitude=1.0):
     coeff = lambda: rng.uniform(-amplitude, amplitude)
-    first = rng.uniform(-amplitude, amplitude, 2 * chart.dim + 1).tolist()
+    first = rng.uniform(-amplitude, amplitude, 2 * chart.dim + 1)
     node = sf.const(first[0])
     for i in range(chart.dim):
         node = sf.add(node, sf.mul(sf.const(first[2 * i + 1]), sf.sin(sf.coord(i))))
@@ -1002,7 +1002,7 @@ def test_one_parameter_build_gives_every_instance_bitwise(where):
             assert len(build) == len(fields)
             for f, g in zip(build, got[:, k]):
                 assert want(f).tobytes() == g.tobytes()
-        assert rng.uniform() == ref.uniform()
+        assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
 
 
 
