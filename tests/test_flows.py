@@ -18,6 +18,7 @@ from leviflat.foliation_dgla import delta
 from leviflat.leafcx import h_form
 from leviflat.sampling import Drawn, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
+from leviflat.suites import REGISTRY, run_identity
 from tests.fields import basis_vector, coordinate, cos_of, sin_of
 
 FLAT = builtin("t3_flat").structure
@@ -144,6 +145,33 @@ def test_flow_parameter_validation():
         integrate_flow(E_X, 2e3, [(0, 0, 0)], h=1e-3)
     with pytest.raises(FlowParameterError, match="one per point"):
         integrate_flow(E_X, [0.1, 0.2], [(0, 0, 0)])
+    # a non-finite time or step is named, not left to math.ceil
+    with pytest.raises(FlowParameterError, match="time must be finite, got nan"):
+        integrate_flow(E_X, float("nan"), [(0, 0, 0)])
+    with pytest.raises(FlowParameterError, match="step must be positive and finite, got nan"):
+        integrate_flow(E_X, 1.0, [(0, 0, 0)], h=float("nan"))
+    with pytest.raises(FlowParameterError, match="time must be finite, got nan"):
+        integrate_flow(E_X, [0.1, float("nan")], [(0, 0, 0), (1, 1, 1)])
+
+
+def test_rk4_converges_at_fourth_order_on_a_closed_form_flow():
+    """The error model DEFAULT_STEP is derived from.  Y = sin(x) d_x flows
+    x0 to x(t) = 2 arctan(tan(x0/2) e^t), with
+    dx/dx0 = e^t / (cos^2(x0/2) + e^(2t) sin^2(x0/2)); halving the step
+    divides the error of the points and of the Jacobians by 2^4."""
+    Y = E_X.scaled(sin_of(coordinate(CHART, "x")))
+    P = np.array([(0.3, 0.1, 0.2), (1.2, 2.0, 0.5), (2.5, 4.0, 6.0), (-1.0, 3.0, 1.0)])
+    t, x0 = 0.5, P[:, 0]
+    q_exact = P.copy()
+    q_exact[:, 0] = 2.0 * np.arctan(np.tan(x0 / 2) * np.exp(t))
+    A_exact = np.tile(np.eye(3), (len(P), 1, 1))
+    A_exact[:, 0, 0] = np.exp(t) / (np.cos(x0 / 2) ** 2 + np.exp(2 * t) * np.sin(x0 / 2) ** 2)
+    errors = []
+    for h in (0.1, 0.05, 0.025, 0.0125):
+        q, A = integrate_flow(Y, t, P, h=h)
+        errors.append((np.abs(q - q_exact).max(), np.abs(A - A_exact).max()))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.abs(orders - 4.0).max() <= 0.2, orders
 
 
 def test_flow_group_law():
@@ -154,6 +182,32 @@ def test_flow_group_law():
     q2, _ = integrate_flow(Y, 0.06, q1)
     q12, _ = integrate_flow(Y, 0.1, P)
     assert q2 == pytest.approx(q12, abs=1e-7)
+
+
+def test_euler_flows_fail_the_group_law(monkeypatch):
+    """flow.group_law must see a first-order flow at DEFAULT_STEP: with its
+    trajectories taken by Euler steps it fails by orders of magnitude."""
+    rk4 = flows.integrate_flow
+
+    def euler(Y, t, points, h=flows.DEFAULT_STEP, jacobian=True):
+        if jacobian:
+            return rk4(Y, t, points, h, jacobian)
+        x = np.array(points, dtype=float)
+        dim = Y.chart.dim
+        steps = max(1, int(np.ceil(abs(t) / h)))
+        for _ in range(steps):
+            x[:, :dim] += (t / steps) * Y.at(x).T
+        return x, None
+
+    spec = next(spec for spec in REGISTRY if spec.identity == "flow.group_law")
+    for name in ("t3_twisted", "t3_flat", "t5_product"):
+        scenario = builtin(name)
+        assert run_identity(spec, scenario, 42, 2).passed, name
+        with monkeypatch.context() as m:
+            m.setattr(flows, "integrate_flow", euler)
+            report = run_identity(spec, scenario, 42, 2)
+        assert report.samples and not report.passed, name
+        assert report.max_rel > 100 * report.tolerance, (name, report.max_rel)
 
 
 def test_pullback_of_dt_along_translation():

@@ -23,7 +23,7 @@ GOLDEN = [
         "t3_twisted_shifted",
         "all",
         3,
-        "f95c19ba5c52a2f9f039c1001211dde739b12aa4dc76abfb7deb778a16b13156",
+        "4896f80a5809a3e9e756b0c15e4563b9a7d72b8621338384fcb8404ba3ccb247",
     ),
     (
         "family_t3_tilt",
@@ -61,7 +61,7 @@ GOLDEN = [
         "bench/my_twisted.scn",
         "all",
         3,
-        "a7c2c268429ad4e3ed0104d2d1fd601ad262e250be8af627100f5b4ba41521d5",
+        "e7f733cf22a601ced3d42a848f5b850d08b670b2b0284e55ad6a23cbf79e40fa",
     ),
 ]
 

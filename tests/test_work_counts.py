@@ -7,6 +7,7 @@ cost time.  These counts do show them, without a benchmark run.
 
 from __future__ import annotations
 
+from leviflat import flows
 from leviflat import symfield as sf
 from leviflat.scenarios import builtin
 from leviflat.suites import REGISTRY, run_identity
@@ -128,3 +129,40 @@ def test_matrix_layer_wraps_each_entry_once(monkeypatch):
         nodes = next(sf._SERIAL) - first - 1
         assert report.passed, report
         assert fields[0] <= max_fields and nodes <= max_nodes, (identity, fields[0], nodes)
+
+
+# RK4 steps of each flow identity on t3_twisted at 2 points and seed 42: the
+# PointEvaluators built inside integrate_flow, four per step.  The parent of
+# DEFAULT_STEP = 5e-3 took 141 and 50 at its step of 1e-3.
+MAX_RK4_STEPS = {
+    "flow.group_law": 30,
+    "remark.gauge_mc": 10,
+}
+
+
+def test_flow_identities_take_the_steps_of_default_step(monkeypatch):
+    scenario = builtin("t3_twisted")
+    specs = {spec.identity: spec for spec in REGISTRY}
+    built = [0]
+    inside = [False]
+    integrate = flows.integrate_flow
+
+    class Counting(flows.PointEvaluator):
+        def __init__(self, *args):
+            built[0] += inside[0]
+            super().__init__(*args)
+
+    def flagged(*args, **kwargs):
+        inside[0] = True
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(flows, "PointEvaluator", Counting)
+    monkeypatch.setattr(flows, "integrate_flow", flagged)
+    for identity, bound in MAX_RK4_STEPS.items():
+        built[0] = 0
+        report = run_identity(specs[identity], scenario, 42, 2)
+        assert report.passed, report
+        assert built[0] % 4 == 0 and 0 < built[0] // 4 <= bound, (identity, built[0])
