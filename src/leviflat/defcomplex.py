@@ -7,6 +7,7 @@ and exactness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .excalc import DifferentialForm, XiValuedForm, scalar_form
 from .foliation_dgla import delta, mc_residual
@@ -15,8 +16,8 @@ from .leafcx import (
     change_couple,
     dbar0,
     dbar1,
+    deformed_bracket,
     h_form,
-    make_deformed_bracket,
     proj01_scalar,
     s_terms,
     wedge01,
@@ -69,7 +70,7 @@ def levi_flat_mc_residual_pair(d, s, points):
     throughout, against N/4 and against the rhs.  alpha's membership in Z^1
     is checked at the points."""
     pairs = [(mc_residual(d.alpha, s.couple, points), 0.0)]
-    bk = make_deformed_bracket(s.couple, d.alpha)
+    bk = partial(deformed_bracket, s.couple, d.alpha)
     H = h_form(s)
     rhs_form = wedge01(s, proj01_scalar(s, d.alpha), H).scaled(-1.0)
     for i, j in s.frame_pairs():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -369,13 +369,6 @@ def deformed_bracket(couple, alpha, V, W):
     )
 
 
-def make_deformed_bracket(couple, alpha):
-    def bk(V, W):
-        return deformed_bracket(couple, alpha, V, W)
-
-    return bk
-
-
 def deformed_bracket_expanded(couple, alpha, V, W):
     """Ten-term expansion of the deformed bracket, used as an independent
     oracle for the conjugation route."""
@@ -550,7 +543,7 @@ def n_alpha_residual(s, alpha, points):
     if not flatness <= 1e-8:
         raise ZMembershipError(f"alpha is not Maurer-Cartan flat (residual {flatness:.3e})")
 
-    bk = make_deformed_bracket(s.couple, alpha)
+    bk = partial(deformed_bracket, s.couple, alpha)
     H = h_form(s)
     a01 = proj01_scalar(s, alpha)
     rhs_form = wedge01(s, a01, H).scaled(-4.0)

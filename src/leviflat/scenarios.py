@@ -17,7 +17,7 @@ from .foliation_dgla import MEMBERSHIP_TOL, DefiningCouple, z_membership_residua
 from .leafcx import DET_GUARD, LeviFlatStructure, anticommutator_residual, xi_form_from_matrix
 from .report import ONE_INSTANCE, ResidualAccumulator
 from .sampling import sample_points, stream
-from .symfield import Chart, constant, first_flagged, fix_coordinate, parse_expr
+from .symfield import Chart, ScalarField, const, constant, first_flagged, parse_expr, substitute
 
 FAMILY_PARAMETER = "s"
 # The family times cor.levi_flat_mc runs at, and the load check probes.
@@ -29,12 +29,17 @@ class DeformationFamily:
     """Family t -> (alpha_t, S_t) held symbolically in an extra coordinate,
     so values and the tangent at 0 are exact.  A family without S entries
     has S = 0.  name is the <name> of its [family <name>.alpha] and
-    [family <name>.S] sections."""
+    [family <name>.S] sections.  Its fields live on the chart extended by
+    the parameter t, whose index is chart.dim."""
 
     name: str
-    chart_ext: Chart
+    chart: Chart
     alpha_coeffs: dict
     S_entries: list | None
+
+    def _fixed(self, f, t):
+        """f at parameter value t, a field on the chart."""
+        return ScalarField(self.chart, substitute(f.node, {self.chart.dim: const(float(t))}))
 
     def _pair(self, s, fix):
         """The degree-1 CochainPair on the structure s from fix applied to
@@ -48,22 +53,19 @@ class DeformationFamily:
 
     def at(self, s, t):
         """(alpha_t, S_t) on the structure s."""
-        i = self.chart_ext.dim - 1
-        return self._pair(s, lambda f: fix_coordinate(f, i, t))
+        return self._pair(s, lambda f: self._fixed(f, t))
 
     def S_at(self, t):
-        """S_t as a frame matrix of fields on the base chart, or None for a
+        """S_t as a frame matrix of fields on the chart, or None for a
         family without S entries."""
         if self.S_entries is None:
             return None
-        i = self.chart_ext.dim - 1
-        return [[fix_coordinate(f, i, t) for f in row] for row in self.S_entries]
+        return [[self._fixed(f, t) for f in row] for row in self.S_entries]
 
     def tangent(self, s):
         """The tangent at t = 0, (d/dt alpha_t, d/dt S_t) at 0, on the
         structure s."""
-        i = self.chart_ext.dim - 1
-        return self._pair(s, lambda f: fix_coordinate(f.diff(i), i, 0.0))
+        return self._pair(s, lambda f: self._fixed(f.diff(self.chart.dim), 0.0))
 
 
 @dataclass
@@ -362,7 +364,7 @@ def load_scenario_file(path):
                 raise ScenarioError(
                     f"{path}:{header[name]}: family section must end in .alpha or .S"
                 )
-        family = DeformationFamily(fam_names.pop(), chart_ext, fam_alpha, fam_S)
+        family = DeformationFamily(fam_names.pop(), chart, fam_alpha, fam_S)
 
     witness = parse_vec("witness", by_name["witness"]) if "witness" in by_name else None
     S0 = parse_matrix("S0", by_name["S0"]) if "S0" in by_name else None

@@ -22,7 +22,7 @@ from . import defcomplex as dc
 from . import flows
 from . import foliation_dgla as fd
 from . import leafcx as lc
-from .errors import ConfigError, ZMembershipError
+from .errors import ConfigError
 from .excalc import (
     DifferentialForm,
     XiValuedForm,
@@ -38,7 +38,8 @@ from .excalc import (
 from .report import ONE_INSTANCE, CheckReport, ResidualAccumulator, instance_batch, shared_floats
 from .sampling import Drawn, Parameters, random_form, random_scalar, random_vector_field, sample_points, stream
 from .scenarios import FAMILY_TIMES
-from .symfield import PointEvaluator, ScalarField, add, constant, coord, cos as cos_node, dot, exp_of, sin as sin_node
+from .symfield import ONE, PointEvaluator, ScalarField, add, const, constant, coord, cos as cos_node, dot, exp_of, mul
+from .symfield import sin as sin_node, substitute
 
 
 # --------------------------------------------------------------------------
@@ -89,35 +90,35 @@ def random_anticommuting_S(s, draws):
     return [[C[r][c] + JCJ[r][c] for c in range(n)] for r in range(n)]
 
 
-def mc_flat_alpha(scenario, points):
-    """A Maurer-Cartan-flat element of Z^1 for the scenario's couple.
+# The amplitude of mc_flat_alpha's shear.
+SHEAR = 0.3
 
-    gamma + tilt cuts out a constant tilt of the foliation; normalizing
-    against X puts it into the couple's Z^1 slice exactly.  Candidate tilts
-    are probed at the sample points and the first integrable one wins (the
-    zero tilt always qualifies), so the construction works for file-defined
-    couples too.
+
+def mc_flat_alpha(scenario):
+    """A Maurer-Cartan-flat element of Z^1 for the scenario's couple, by
+    construction: alpha = phi^*gamma / (phi^*gamma)(X) - gamma, for the shear
+    phi(x) = x + SHEAR f(x) e_t, with f = sin(x_1) + cos(x_{d-1}) and t the
+    last of the d coordinates.
+
+    f does not mention t, so phi is a diffeomorphism of the torus (its
+    inverse is x - SHEAR f e_t).  d commutes with pullbacks, so ker(phi^*gamma)
+    is integrable wherever ker(gamma) is, and gamma + alpha, a multiple of
+    phi^*gamma, is flat on any couple with integrable kernel; normalizing
+    against X puts alpha into Z^1, as gamma(X) = 1.  The coefficients are
+    (phi^*gamma)_j = gamma_j o phi + (gamma_t o phi) SHEAR d_j f.  The
+    normalization needs (phi^*gamma)(X) != 0: where it nears zero, evaluating
+    alpha raises a SingularEvaluationError, and the identity that uses it
+    fails with that error.
     """
     s = scenario.structure
     chart = s.chart
-    one = constant(chart, 1.0)
-    candidates = [
-        DifferentialForm(chart, 1, {(i,): 0.1 * (i + 1) for i in range(chart.dim - 1)})
-    ]
-    candidates += [
-        DifferentialForm(chart, 1, {(i,): 0.2}) for i in range(chart.dim - 1)
-    ]
-    candidates.append(DifferentialForm(chart, 1, {}))
-    probe = points[:4]
-    for tilt in candidates:
-        base = s.gamma + tilt
-        scale = base.apply_symbolic([s.X])
-        alpha = base.scaled(one / scale) - s.gamma
-        mc = fd.mc_residual(alpha, s.couple, probe)
-        if ResidualAccumulator(probe).add(mc).max_abs <= 1e-10:
-            return alpha
-    # the zero tilt is flat wherever the couple's fields are finite
-    raise ZMembershipError("no tilt is Maurer-Cartan flat at the sample points")
+    t = chart.dim - 1
+    shear = mul(const(SHEAR), add(sin_node(coord(0)), cos_node(coord(t - 1))))
+    moved = {t: add(coord(t), shear)}
+    pulled = [substitute(s.gamma.coefficient((j,)).node, moved) for j in range(chart.dim)]
+    coeffs = {(j,): ScalarField(chart, dot((g, pulled[t]), (ONE, shear.diff(j)))) for j, g in enumerate(pulled)}
+    beta = DifferentialForm(chart, 1, coeffs)
+    return beta.scaled(constant(chart, 1.0) / beta.apply_symbolic([s.X])) - s.gamma
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +395,7 @@ def run_gauge_S(scenario, acc, streams):
 
 def run_gauge_preserves_mc(scenario, acc, streams):
     s = scenario.structure
-    alpha = mc_flat_alpha(scenario, acc.points)
+    alpha = mc_flat_alpha(scenario)
     acc.add(fd.mc_residual(alpha, s.couple, acc.points))
     draws = Parameters()
     Y = random_vector_field(s.chart, draws, amplitude=0.6)
@@ -558,7 +559,7 @@ def run_exact_transport(scenario, acc, streams):
 def run_bracket_alpha(scenario, acc, streams):
     """[V,W]_alpha = [V,W] + (alpha ^ T)(V,W) for Maurer-Cartan flat alpha."""
     s = scenario.structure
-    alpha = mc_flat_alpha(scenario, acc.points)
+    alpha = mc_flat_alpha(scenario)
     draws = Parameters()
     V = random_xi_field(s, draws)
     W = random_xi_field(s, draws)
@@ -595,7 +596,7 @@ def run_bracket_alpha_leibniz(scenario, acc, streams):
 
 def run_n_alpha(scenario, acc, streams):
     s = scenario.structure
-    alpha = mc_flat_alpha(scenario, acc.points)
+    alpha = mc_flat_alpha(scenario)
     acc.add(*lc.n_alpha_residual(s, alpha, acc.points))
 
 

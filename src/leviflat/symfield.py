@@ -773,29 +773,23 @@ class PointEvaluator:
         return value
 
 
-def fix_coordinate(f, i, value):
-    """Substitute coordinate i by a constant, producing a field on the chart
-    with that coordinate removed.  Used to specialize deformation families."""
-    chart = f.chart
-    new_chart = Chart(
-        chart.names[:i] + chart.names[i + 1 :],
-        chart.periodic[:i] + chart.periodic[i + 1 :],
-    )
+def substitute(node, images):
+    """node with each coordinate whose index is a key of images replaced by
+    that node: the DAG rebuilt over _topological through the smart
+    factories, children before parents.  A subtree that mentions none of
+    the replaced coordinates is kept as it is.  The one rule for a change of
+    coordinates: a family's fields at a time, a pullback along a map."""
+    order, info, _ = _topological([node])
     new = {}
-    order, info, _ = _topological([f.node])
-    for node in order:
-        if info[node] is not None:
-            rule, ops = info[node]
-            new[node] = rule[2](*(k if type(k) is int else new[k] for k in ops))
-        elif isinstance(node, Coord):
-            new[node] = (
-                const(float(value))
-                if node.index == i
-                else coord(node.index - 1 if node.index > i else node.index)
-            )
-        else:
-            new[node] = node
-    return ScalarField(new_chart, new[f.node])
+    for n in order:
+        entry = info[n]
+        if entry is None:
+            new[n] = images.get(n.index, n) if type(n) is Coord else n
+            continue
+        rule, ops = entry
+        args = [k if type(k) is int else new[k] for k in ops]
+        new[n] = n if all(a is k for a, k in zip(args, ops)) else rule[2](*args)
+    return new[node]
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Foliation DGLA: bracket, twisted differential, Frobenius, Maurer-Cartan."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from leviflat import suites, symfield as sf
 from leviflat.errors import ZMembershipError
 from leviflat.excalc import (
+    DifferentialForm,
     evaluate_form,
     exterior_derivative,
     interior_product,
@@ -25,8 +29,9 @@ from leviflat.foliation_dgla import (
 )
 from leviflat.report import ONE_INSTANCE, ResidualAccumulator
 from leviflat.sampling import Drawn, random_form, random_scalar, sample_points, stream
-from leviflat.scenarios import builtin
-from leviflat.symfield import constant, torus
+from leviflat.scenarios import BUILTIN_NAMES, builtin, load_scenario_file
+from leviflat.suites import SHEAR, mc_flat_alpha
+from leviflat.symfield import ScalarField, constant, torus
 from tests.fields import basis_vector, coordinate, cos_of, sin_of
 
 CHART = torus("x", "y", "t")
@@ -228,21 +233,104 @@ def test_omega_alpha_round_trip():
 
 
 def test_mc_flat_family_matches_frobenius_of_tilted_couple():
-    """On the built-in integrable families the Maurer-Cartan residual
+    """On the built-in integrable couples the Maurer-Cartan residual
     vanishes, and the renormalized tilted couple passes the Frobenius test;
     the two certificates agree."""
-    from leviflat.suites import mc_flat_alpha
-
-    for name in ("t3_flat", "t3_twisted", "t3_twisted_shifted"):
+    for name in ("t3_flat", "t3_twisted", "t3_twisted_shifted", "t5_product", "t5_perturbedJ"):
         scenario = builtin(name)
         c = scenario.structure.couple
-        points = pts(10, name)
-        alpha = mc_flat_alpha(scenario, points)
+        chart = scenario.structure.chart
+        points = np.array(sample_points(chart, 10, stream(31, name)))
+        alpha = mc_flat_alpha(scenario)
         mc = mc_residual(alpha, c, points)
         assert ResidualAccumulator(points).add(mc).max_abs <= 1e-12
         beta = c.gamma + alpha
         scale = beta.apply_symbolic([c.X])
-        one = constant(CHART, 1.0)
+        one = constant(chart, 1.0)
         X_hat = c.X.scaled(one / scale)
         r = frobenius_residuals(beta, X_hat, points)
         assert max(r) <= 1e-9
+
+
+# --------------------------------------------------------------------------
+# mc_flat_alpha is the pullback along the shear phi(x) = x + SHEAR f(x) e_t
+# --------------------------------------------------------------------------
+
+# every integrable built-in, and the benchmark's scenario file
+TILTED = [name for name in BUILTIN_NAMES if builtin(name).foliation_integrable] + ["bench/my_twisted.scn"]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def tilted_scenario(name):
+    return load_scenario_file(ROOT / name) if name.endswith(".scn") else builtin(name)
+
+
+def shear(points):
+    """phi at the points, and grad f there, from closed-form derivatives of
+    f = sin(x_1) + cos(x_{d-1})."""
+    t = points.shape[1] - 1
+    moved = points.copy()
+    moved[:, t] += SHEAR * (np.sin(points[:, 0]) + np.cos(points[:, t - 1]))
+    grad = np.zeros_like(points)
+    grad[:, 0] += np.cos(points[:, 0])
+    grad[:, t - 1] -= np.sin(points[:, t - 1])
+    return moved, grad
+
+
+def sign_flipped_tilt(scenario):
+    """mc_flat_alpha's tilt with the chain-rule term's sign flipped:
+    gamma_j o phi - (gamma_t o phi) SHEAR d_j f, which is no pullback."""
+    s = scenario.structure
+    chart = s.chart
+    t = chart.dim - 1
+    f = sf.add(sf.sin(sf.coord(0)), sf.cos(sf.coord(t - 1)))
+    moved = {t: sf.add(sf.coord(t), sf.mul(sf.const(SHEAR), f))}
+    pulled = [sf.substitute(s.gamma.coefficient((j,)).node, moved) for j in range(chart.dim)]
+    coeffs = {
+        (j,): ScalarField(chart, sf.sub(g, sf.mul(pulled[t], sf.mul(sf.const(SHEAR), f.diff(j)))))
+        for j, g in enumerate(pulled)
+    }
+    beta = DifferentialForm(chart, 1, coeffs)
+    return beta.scaled(constant(chart, 1.0) / beta.apply_symbolic([s.X])) - s.gamma
+
+
+@pytest.mark.parametrize("name", TILTED)
+def test_mc_flat_alpha_is_the_shear_pullback(name):
+    """alpha(V) = gamma(phi(p); Dphi V) / gamma(phi(p); Dphi X_p) - gamma(p; V)
+    on every coordinate vector V, with phi applied to the points numerically
+    and Dphi = I + SHEAR e_t (x) grad f."""
+    scenario = tilted_scenario(name)
+    s = scenario.structure
+    chart = s.chart
+    t = chart.dim - 1
+    points = np.array(sample_points(chart, 12, stream(33, name)))
+    moved, grad = shear(points)
+    gamma = s.couple.gamma
+
+    def pushed(v):
+        # Dphi v for an (N, dim) array of vectors
+        out = v.copy()
+        out[:, t] += SHEAR * np.sum(grad * v, axis=1)
+        return out
+
+    X = s.X.at(points).T
+    normalization = gamma.at(moved, [pushed(X).T])
+    alpha = mc_flat_alpha(scenario)
+    for i in range(chart.dim):
+        V = np.zeros_like(points)
+        V[:, i] = 1.0
+        expected = gamma.at(moved, [pushed(V).T]) / normalization - gamma.at(points, [V.T])
+        got = evaluate_form(alpha, points, [basis_vector(chart, i)])
+        assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected))), (name, i)
+
+
+@pytest.mark.parametrize("name", ["t3_twisted", "t3_twisted_shifted", "bench/my_twisted.scn"])
+def test_gauge_mc_fails_on_a_tilt_that_is_no_pullback(monkeypatch, name):
+    """A negative control for remark.gauge_mc: with the chain-rule term's
+    sign flipped, the tilt is no longer Maurer-Cartan flat."""
+    scenario = tilted_scenario(name)
+    spec = next(spec for spec in suites.REGISTRY if spec.identity == "remark.gauge_mc")
+    assert suites.run_identity(spec, scenario, 42, 2).passed
+    monkeypatch.setattr(suites, "mc_flat_alpha", sign_flipped_tilt)
+    report = suites.run_identity(spec, scenario, 42, 2)
+    assert not report.passed and report.max_rel > 1e-2, report

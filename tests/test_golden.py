@@ -23,7 +23,7 @@ GOLDEN = [
         "t3_twisted_shifted",
         "all",
         3,
-        "4896f80a5809a3e9e756b0c15e4563b9a7d72b8621338384fcb8404ba3ccb247",
+        "748d17c5602d3b042eb1abcdbb94c45ee296764e97d61890a649eabfb6fbb63a",
     ),
     (
         "family_t3_tilt",
@@ -61,7 +61,7 @@ GOLDEN = [
         "bench/my_twisted.scn",
         "all",
         3,
-        "e7f733cf22a601ced3d42a848f5b850d08b670b2b0284e55ad6a23cbf79e40fa",
+        "dc35da577b8fe8b2f3a2188a4c57e880e751fdbba8fc4c78f4992d627ca48817",
     ),
 ]
 

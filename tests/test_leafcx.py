@@ -3,6 +3,7 @@ deformed bracket and the S-parametrization."""
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from leviflat.leafcx import (
     h_apply,
     h_form,
     ix_dgamma01,
-    make_deformed_bracket,
     n_alpha_residual,
     nijenhuis,
     proj01_scalar,
@@ -196,7 +196,7 @@ def test_shared_brackets_match_six_bracket_formula_bitwise(deformed):
     bracket reaches dbar through s_terms, checked below."""
     s = T5
     rng = stream(72, "shared")
-    bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, Drawn(rng), amplitude=0.5)) if deformed else None
+    bracket = partial(deformed_bracket, s.couple, random_z_form(s, 1, Drawn(rng), amplitude=0.5)) if deformed else None
     bk = bracket or lie_bracket
     V, W = random_xi_field(s, Drawn(rng)), random_xi_field(s, Drawn(rng))
     points = pts(s, 6)
@@ -620,7 +620,7 @@ def test_shared_S_brackets_match_unshared_formula_bitwise(deformed):
     unshared formula's to the bit."""
     s = T5P
     rng = stream(74, "shared_S")
-    bracket = make_deformed_bracket(s.couple, random_z_form(s, 1, Drawn(rng), amplitude=0.5)) if deformed else None
+    bracket = partial(deformed_bracket, s.couple, random_z_form(s, 1, Drawn(rng), amplitude=0.5)) if deformed else None
     bk = bracket or lie_bracket
     S = xi_form_from_matrix(s, _larger_S(s, rng))
     V, W = random_xi_field(s, Drawn(rng)), random_xi_field(s, Drawn(rng))

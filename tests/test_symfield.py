@@ -26,7 +26,7 @@ from leviflat.excalc import matrix_mul, wedge
 from leviflat.sampling import Drawn, Parameters, random_form, random_scalar, random_vector_field, sample_points, stream
 from leviflat.scenarios import builtin
 from leviflat.suites import REGISTRY, random_anticommuting_S, random_xi_field, random_z_form, small_scalar
-from leviflat.symfield import Chart, PointEvaluator, ScalarField, fix_coordinate, parse_expr, torus
+from leviflat.symfield import Chart, PointEvaluator, ScalarField, parse_expr, substitute, torus
 from tests.fields import coordinate, cos_of, sin_of
 
 CHART = torus("x", "y", "t")
@@ -286,16 +286,32 @@ def test_point_evaluator_answers_only_for_its_fields():
     assert repr(f.node) not in message and len(message) < 80
 
 
-def test_fix_coordinate_substitution():
+def test_substitute_a_constant_fixes_a_family_parameter():
     ext = CHART.extend("s")
     s = coordinate(ext, "s")
     x = coordinate(ext, "x")
     f = s * sin_of(x) + s * s
-    at_half = fix_coordinate(f, 3, 0.5)
-    assert at_half.chart.names == CHART.names
+    at_half = ScalarField(CHART, substitute(f.node, {3: sf.const(0.5)}))
+    assert not at_half.node.mask >> 3 & 1
     assert at_half([(1.0, 0.0, 0.0)]) == pytest.approx(0.5 * math.sin(1.0) + 0.25)
-    tangent = fix_coordinate(f.diff(3), 3, 0.0)
+    tangent = ScalarField(CHART, substitute(f.diff(3).node, {3: sf.ZERO}))
     assert tangent([(1.0, 0.0, 0.0)]) == pytest.approx(math.sin(1.0))
+
+
+def test_substitute_a_field_moves_the_points():
+    """f(x, y, t + 0.3 sin(x)): its values are f's at the moved points, and
+    its x-derivative is the chain rule's."""
+    f = parse_expr("x*sin(t) + cos(y + 2*t)*exp(sin(t))/(2 + cos(x))", CHART)
+    image = sf.add(sf.coord(2), sf.mul(sf.const(0.3), sf.sin(sf.coord(0))))
+    g = ScalarField(CHART, substitute(f.node, {2: image}))
+    pts = np.array(sample_points(CHART, 8, stream(29, "substitute")))
+    moved = pts.copy()
+    moved[:, 2] += 0.3 * np.sin(pts[:, 0])
+    assert g(pts) == pytest.approx(f(moved), rel=1e-13, abs=1e-13)
+    chain = f.diff(0)(moved) + f.diff(2)(moved) * 0.3 * np.cos(pts[:, 0])
+    assert g.diff(0)(pts) == pytest.approx(chain, rel=1e-12, abs=1e-12)
+    # a coordinate left out of images keeps its subtrees
+    assert substitute(f.node, {1: sf.coord(1)}) is f.node
 
 
 # --------------------------------------------------------------------------
