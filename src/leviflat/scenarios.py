@@ -170,6 +170,7 @@ BUILTIN_NAMES = (
     "t3_twisted_shifted",
     "t5_product",
     "t5_perturbedJ",
+    "t5_twisted",
     "family_t3_tilt",
     "family_t3_Jrotation",
     "broken_nonintegrable",

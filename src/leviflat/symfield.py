@@ -21,7 +21,6 @@ coefficient.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -90,10 +89,9 @@ def torus(*names):
 class Node:
     """An expression node.  mask has bit i set when the subtree mentions
     coordinate i; a non-finite constant sets every bit (-1), since inf * 0
-    folds to NaN, not to zero.  serial is the creation order: a child always
-    exists before its parent, so increasing serial is a topological order."""
+    folds to NaN, not to zero."""
 
-    __slots__ = ("_d", "mask", "serial")
+    __slots__ = ("_d", "mask")
 
     def diff(self, i):
         # with finite constants, every rule folds zero operand derivatives
@@ -107,15 +105,11 @@ class Node:
         return d
 
 
-_SERIAL = itertools.count()
-
-
 class Const(Node):
     __slots__ = ("value",)
 
     def __init__(self, value):
         self._d = {}
-        self.serial = next(_SERIAL)
         self.value = v = float(value)
         self.mask = 0 if math.isfinite(v) else -1
 
@@ -131,7 +125,6 @@ class Coord(Node):
 
     def __init__(self, index):
         self._d = {}
-        self.serial = next(_SERIAL)
         self.index = index
         self.mask = 1 << index
 
@@ -151,7 +144,6 @@ class Param(Node):
 
     def __init__(self, index):
         self._d = {}
-        self.serial = next(_SERIAL)
         self.index = index
         self.mask = 0
 
@@ -167,7 +159,6 @@ class _Unary(Node):
 
     def __init__(self, a):
         self._d = {}
-        self.serial = next(_SERIAL)
         self.a = a
         self.mask = a.mask
 
@@ -180,7 +171,6 @@ class _Binary(Node):
 
     def __init__(self, a, b):
         self._d = {}
-        self.serial = next(_SERIAL)
         self.a, self.b = a, b
         self.mask = a.mask | b.mask
 
@@ -234,7 +224,6 @@ class Pow(Node):
 
     def __init__(self, a, n):
         self._d = {}
-        self.serial = next(_SERIAL)
         self.a, self.n = a, int(n)
         self.mask = a.mask
 
@@ -615,41 +604,48 @@ _RULES = {
 }
 
 
-_by_serial = operator.attrgetter("serial")
-
-
 def _topological(roots):
-    """Distinct nodes under the roots, children before parents, in creation
-    order.  Also returns, for each interior node, its rule and operands (None
-    for leaves), and how many entries use each node."""
+    """Distinct nodes under the roots, each after its operands, in the order
+    a depth-first walk pushing operands in _RULES order finishes them: the
+    DAG alone fixes it.  Also returns, for each interior node, its rule and
+    operands (None for leaves), and how many entries use each node."""
+    order = []
     info = {}
     uses = {}
-    stack = list(roots)
-    push, pop, rules = stack.append, stack.pop, _RULES
+    # (node, True) comes back off the stack once the node's operands are done
+    stack = [(root, False) for root in roots]
+    push, pop, done, rules = stack.append, stack.pop, order.append, _RULES
     while stack:
-        node = pop()
+        node, finished = pop()
+        if finished:
+            done(node)
+            continue
         if node in info:
             continue
         rule = rules.get(type(node))
         if rule is None:
             info[node] = None
+            done(node)
             continue
         ops = rule[0](node)
         info[node] = (rule, ops)
+        push((node, True))
         for k in ops:
             if type(k) is not int:
                 uses[k] = uses.get(k, 0) + 1
                 if k not in info:
-                    push(k)
-    return sorted(info, key=_by_serial), info, uses
+                    push((k, False))
+    return order, info, uses
 
 
 class Tape:
     """The DAG of some root nodes as a straight-line program, compiled on the
-    first run: one entry per distinct node, in creation order.  An interior
-    value's register is reused once its last consumer has run, so only the
-    roots' values outlive a run.  A tape compiles once and runs on any
-    number of point batches and parameter values."""
+    first run: one entry per distinct node, in _topological's order, which
+    no thread's build order moves.  An interior value's register is reused
+    once its last consumer has run, so only the roots' values outlive a run.
+    A tape compiles once and runs on any number of point batches and
+    parameter values.  Of two entries that would each raise, a division
+    guard and an overflow, the first in that order is the error reported."""
 
     __slots__ = ("roots", "program")
 

@@ -6,6 +6,7 @@ from functools import partial
 from itertools import combinations, islice
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -724,7 +725,7 @@ def test_threads_share_one_node_per_coordinate_and_argument():
 
 
 # --------------------------------------------------------------------------
-# Tapes compiled in creation order
+# Tapes compiled in walk order
 # --------------------------------------------------------------------------
 
 _DAG_KINDS = (sf.Add, sf.Sub, sf.Mul, sf.Neg, sf.Sin, sf.Cos)
@@ -745,14 +746,41 @@ def _build_shuffled(plan, nodes, rng):
     """Build the plan's nodes on top of nodes (id -> node), each as soon as
     a random pick among those whose operands exist chooses it, with the node
     constructors, so neither folding nor the memo merges any of them."""
-    first = len(nodes)
-    waiting = list(range(len(plan)))
+    _build_picks(plan, nodes, len(nodes), list(range(len(plan))), rng)
+    return nodes
+
+
+def _build_picks(plan, nodes, first, waiting, rng):
+    """Build the plan entries in waiting as _build_shuffled does, entry k as
+    node id first + k; while none of them has its operands yet, another
+    thread is building those."""
     while waiting:
         ready = [k for k in waiting if all(o in nodes for o in plan[k][1])]
+        if not ready:
+            time.sleep(0)
+            continue
         k = ready[int(rng.integers(len(ready)))]
         waiting.remove(k)
         kind, ops = plan[k]
         nodes[first + k] = kind(*(nodes[o] for o in ops))
+
+
+def _build_split(plan, nodes, rngs):
+    """Build the plan's nodes on top of nodes in two threads at once, even
+    entries in one and odd entries in the other, each in a shuffled order,
+    with thread switches forced between bytecodes."""
+    first = len(nodes)
+
+    def build(t):
+        _build_picks(plan, nodes, first, list(range(t, len(plan), 2)), rngs[t])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(build, range(2), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     return nodes
 
 
@@ -782,7 +810,7 @@ def _interior_nodes(roots):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_creation_order_tapes_compute_every_value_before_reading_it(seed):
+def test_tapes_compute_every_value_before_reading_it(seed):
     """Shared subtrees built in a shuffled order, then two threads building
     on them at once: the tape writes each register before reading it, never
     reuses one that still holds a live value, matches the recursive
@@ -847,6 +875,57 @@ def test_creation_order_tapes_compute_every_value_before_reading_it(seed):
         for node, value in zip(roots, got):
             want = np.broadcast_to(np.asarray(_dag_values(node, coords, memo), dtype=float), (7,))
             assert value.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_tape_program_depends_only_on_its_dag(seed):
+    """One plan built twice, in two shuffled orders, the second split over
+    two threads: tapes on the same roots compile to the same program and
+    give the same values bitwise."""
+    rng = np.random.default_rng(seed)
+    leaves = [sf.coord(0), sf.coord(1), sf.coord(2), sf.Const(0.5), sf.Const(-1.25)]
+    plan = _dag_plan(rng, len(leaves), 400)
+    first = len(leaves)
+    builds = [
+        _build_shuffled(plan, dict(enumerate(leaves)), np.random.default_rng([seed, 0])),
+        _build_split(plan, dict(enumerate(leaves)), [np.random.default_rng([seed, t]) for t in (1, 2)]),
+    ]
+    points = rng.uniform(-4.0, 4.0, (7, 3))
+    coords = tuple(np.ascontiguousarray(points[:, i]) for i in range(3))
+    programs, values = [], []
+    for nodes in builds:
+        roots = [nodes[first + k] for k in (len(plan) - 1, len(plan) // 2, 7)] + [leaves[1], leaves[3]]
+        tape = sf.Tape(roots)
+        template, loads, params, code, outputs = tape._compile()
+        programs.append((code, template, loads, outputs))
+        values.append([v.tobytes() for v in tape.run(coords, (), (7,))])
+    assert programs[0] == programs[1]
+    assert values[0] == values[1]
+
+
+def test_a_deep_chain_compiles_runs_and_substitutes():
+    """A 50,000-deep add chain: the walk keeps its own stack, so a tape on
+    it compiles and runs, and substitute rebuilds it, without recursing,
+    and both match a Python loop's sum bitwise."""
+    x, y = sf.coord(0), sf.coord(1)
+    terms = (x, y, sf.sin(x))
+    chain = x
+    for k in range(50_000):
+        chain = sf.add(chain, terms[k % 3])
+    swapped = substitute(chain, {0: y, 1: x})
+    points = np.random.default_rng(3).uniform(-4.0, 4.0, (5, 2))
+    coords = (points[:, 0].copy(), points[:, 1].copy())
+
+    def summed(u, v):
+        values = (u, v, np.sin(u))
+        total = u
+        for k in range(50_000):
+            total = total + values[k % 3]
+        return total
+
+    got, got_swapped = sf.Tape([chain, swapped]).run(coords, (), (5,))
+    assert got.tobytes() == summed(*coords).tobytes()
+    assert got_swapped.tobytes() == summed(*reversed(coords)).tobytes()
 
 
 ONE_POINT = (0.1, 0.2, 0.3)

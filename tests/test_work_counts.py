@@ -14,6 +14,10 @@ from leviflat.suites import REGISTRY, run_identity
 
 IDENTITIES = ("excalc.d_squared", "dgla.jacobi", "dbar.squared", "nijenhuis.bilinear")
 
+# Every node class that can be built; Add to Exp take __init__ from _Binary
+# and _Unary, and a wrapper set on each counts each construction once.
+NODE_CLASSES = (sf.Const, sf.Coord, sf.Param, sf.Add, sf.Sub, sf.Mul, sf.Div, sf.Neg, sf.Pow, sf.Sin, sf.Cos, sf.Exp)
+
 # Counts on t5_product at 1 point and seed 42, from a fresh interpreter
 # (warm derivative and sin/cos/exp caches only lower them).  The parent of
 # the bare-node carriers, support masks and creation-order tapes counted
@@ -46,8 +50,9 @@ def test_bracket_heavy_identities_do_no_more_work(monkeypatch):
     monkeypatch.setattr(
         sf.ScalarField, "__init__", counted("ScalarField constructions", sf.ScalarField.__init__)
     )
-    for cls in (sf.Const, sf.Coord, sf.Param, sf.Add, sf.Sub, sf.Mul, sf.Div, sf.Neg, sf.Pow, sf.Sin, sf.Cos, sf.Exp):
+    for cls in NODE_CLASSES:
         monkeypatch.setattr(cls, "_diff", counted("Node._diff executions", cls._diff))
+        monkeypatch.setattr(cls, "__init__", counted("nodes built", cls.__init__))
     compile_ = sf.Tape._compile
 
     def compiled(tape):
@@ -57,11 +62,9 @@ def test_bracket_heavy_identities_do_no_more_work(monkeypatch):
         return program
 
     monkeypatch.setattr(sf.Tape, "_compile", compiled)
-    first = next(sf._SERIAL)
     for spec in specs:
         report = run_identity(spec, scenario, 42, 1)
         assert report.passed, report
-    counts["nodes built"] = next(sf._SERIAL) - first - 1
     for name, bound in MAX_COUNTS.items():
         assert counts[name] <= bound, name
     assert counts["tape instructions"] > 0
@@ -119,21 +122,23 @@ MATRIX_COUNTS = {
 def test_matrix_layer_wraps_each_entry_once(monkeypatch):
     scenario = builtin("t5_product")
     specs = {spec.identity: spec for spec in REGISTRY}
-    fields = [0]
-    init = sf.ScalarField.__init__
+    counts = {"fields": 0, "nodes": 0}
 
-    def counted(*args):
-        fields[0] += 1
-        init(*args)
+    def counted(name, init):
+        def wrapper(*args):
+            counts[name] += 1
+            init(*args)
 
-    monkeypatch.setattr(sf.ScalarField, "__init__", counted)
+        return wrapper
+
+    monkeypatch.setattr(sf.ScalarField, "__init__", counted("fields", sf.ScalarField.__init__))
+    for cls in NODE_CLASSES:
+        monkeypatch.setattr(cls, "__init__", counted("nodes", cls.__init__))
     for identity, (max_fields, max_nodes) in MATRIX_COUNTS.items():
-        fields[0] = 0
-        first = next(sf._SERIAL)
+        counts.update(fields=0, nodes=0)
         report = run_identity(specs[identity], scenario, 42, 1)
-        nodes = next(sf._SERIAL) - first - 1
         assert report.passed, report
-        assert fields[0] <= max_fields and nodes <= max_nodes, (identity, fields[0], nodes)
+        assert counts["fields"] <= max_fields and counts["nodes"] <= max_nodes, (identity, counts)
 
 
 # RK4 steps of each flow identity on t3_twisted at 2 points and seed 42: the
